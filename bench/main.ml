@@ -1,10 +1,10 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (plus the DESIGN.md extension experiments), then runs one
-   Bechamel micro-benchmark per experiment kernel.
+   evaluation (plus the DESIGN.md extension experiments) and the
+   event-core / packet-path / decision-plane microbenchmarks (the
+   [micro] experiment, bench/micro.ml).
 
-   Usage: dune exec bench/main.exe [-- --quick|--full] [--only ID] [--no-micro]
+   Usage: dune exec bench/main.exe [-- --quick|--full] [--only ID]
                                    [--csv DIR] [--jobs N] [--json PATH]
-                                   [--cc NAME[,NAME...]]
 
    The default configuration is a documented downsampling of the paper's
    budgets (coarser parameter grid, fewer seeds) so the whole harness
@@ -15,25 +15,13 @@
    the serial path).  Tables are bit-for-bit identical for every N.
 
    --json PATH additionally writes a machine-readable report (schema
-   "phi-bench-report/1"): per-experiment wall clock, cells/sec, the
-   headline figure metrics, the cross-algorithm "cc_matrix" cells, and a
-   serial-vs-parallel calibration, so CI can track the perf trajectory
-   across PRs.  Running bench/micro.exe --json on the same path merges
-   in the "micro" and "alloc" sections and stamps the schema to
-   "phi-bench-report/2" — to "phi-bench-report/3" when the report
-   carries a cc_matrix section, to "phi-bench-report/4" when it also
-   carries the million-flow "swarm" context-plane section, to
-   "phi-bench-report/6" when the parallel-DES "pdes" scaling section is
-   present as well, and to "phi-bench-report/7" when the topology-zoo
-   "wan_matrix" section rides along with all of the above — which is
-   what bin/phi_json_check gates on in CI (the committed
-   allocations-per-packet budget, the swarm throughput floor and p99
-   lookup-latency budget, the pdes determinism and scaling floors, and
-   the wan_matrix fairness/FCT sanity and serial-probe determinism in
-   Phi_check.Report_check).
-
-   --cc NAME[,NAME...] restricts the cross-algorithm matrix to a subset
-   of the registry (default: every registered algorithm). *)
+   Phi_check.Report_check.schema): per-experiment wall clock, cells/sec,
+   the headline figure metrics, a serial-vs-parallel calibration, and
+   one section per section-carrying experiment that ran — "micro",
+   "alloc" and "decision" from micro, "cc_matrix" from matrix, and
+   "swarm", "pdes" and "wan_matrix" from the experiments of the same
+   name.  bin/phi_json_check gates it in CI against the budgets
+   committed in Phi_check.Report_check. *)
 
 module Topology = Phi_net.Topology
 module Cubic = Phi_tcp.Cubic
@@ -95,41 +83,14 @@ let headlines : (string * Json.t) list ref = ref []
 let headline id fields = headlines := (id, Json.Obj fields) :: !headlines
 
 let timed id ~cells f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  timings := (id, Unix.gettimeofday () -. t0, cells) :: !timings;
+  let wall_s, r = Micro.timed f in
+  timings := (id, wall_s, cells) :: !timings;
   r
 
-(* Cells of the cross-algorithm matrix, kept for the JSON report.
-   bench/micro.exe stamps the merged schema to /3 when this section is
-   present. *)
-let cc_matrix_json : Json.t option ref = ref None
-
-(* The swarm context-plane section, kept for the JSON report.
-   bench/micro.exe stamps the merged schema to /4 when this section is
-   present alongside cc_matrix; Phi_check.Report_check gates its
-   lookups/s and p99 figures whenever it is present at all. *)
-let swarm_json : Json.t option ref = ref None
-
-(* The conservative-parallel-DES scaling section (the 1000-sender
-   parking lot at 1/2/4 domains), kept for the JSON report.
-   bench/micro.exe stamps the merged schema to /6 when this section is
-   present alongside cc_matrix and swarm; Phi_check.Report_check gates
-   fingerprint/event equality across the runs always, and the >= 2x
-   speedup floor at 4 domains whenever the box has >= 4 cores. *)
-let pdes_json : Json.t option ref = ref None
-
-(* The WAN evaluation matrix section (algorithm x topology zoo x
-   adversarial dynamics), kept for the JSON report.  bench/micro.exe
-   stamps the merged schema to /7 when this section is present
-   alongside cc_matrix, swarm and pdes; Phi_check.Report_check gates
-   every cell's Jain index and p99 FCT, and the serial-probe
-   fingerprint equality, whenever it is present at all. *)
-let wan_matrix_json : Json.t option ref = ref None
-
-(* Matrix algorithm subset (--cc NAME[,NAME...]; default: the whole
-   registry). *)
-let matrix_algorithms = ref Phi.Cc_algo.all
+(* Report sections, reverse order: each section-carrying experiment
+   adds its own when it runs. *)
+let sections : (string * Json.t) list ref = ref []
+let add_section name json = sections := (name, json) :: !sections
 
 let sweep_cells budget = (List.length (Sweep.settings budget.grid) + 1) * List.length budget.seeds
 
@@ -148,27 +109,16 @@ let report_json ~budget ~calibration =
   let total_wall = List.fold_left (fun acc (_, w, _) -> acc +. w) 0. !timings in
   Json.Obj
     ([
-      ("schema", Json.String "phi-bench-report/1");
-      ("budget", Json.String budget.label);
-      ("jobs", Json.Int !jobs);
-      ("cores", Json.Int (Pool.available_cores ()));
-      ("total_wall_s", Json.float total_wall);
-      ("experiments", Json.List experiments);
-      ("headline", Json.Obj (List.rev !headlines));
-      ("parallel_calibration", calibration);
-    ]
-    @ (match !cc_matrix_json with
-      | Some cells -> [ ("cc_matrix", cells) ]
-      | None -> [])
-    @ (match !swarm_json with
-      | Some swarm -> [ ("swarm", swarm) ]
-      | None -> [])
-    @ (match !pdes_json with
-      | Some pdes -> [ ("pdes", pdes) ]
-      | None -> [])
-    @ (match !wan_matrix_json with
-      | Some wan -> [ ("wan_matrix", wan) ]
-      | None -> []))
+       ("schema", Json.String Phi_check.Report_check.schema);
+       ("budget", Json.String budget.label);
+       ("jobs", Json.Int !jobs);
+       ("cores", Json.Int (Pool.available_cores ()));
+       ("total_wall_s", Json.float total_wall);
+       ("experiments", Json.List experiments);
+       ("headline", Json.Obj (List.rev !headlines));
+       ("parallel_calibration", calibration);
+     ]
+    @ List.rev !sections)
 
 (* Serial-vs-parallel calibration: re-run the Figure 2a sweep cells at
    --jobs 1 and compare against the recorded wall clock of the same
@@ -182,10 +132,8 @@ let calibrate budget =
       if !jobs = 1 then parallel_wall
       else begin
         Printf.printf "\n(calibrating: re-running the figure2a sweep at --jobs 1)\n%!";
-        let t0 = Unix.gettimeofday () in
         let config = { Scenario.low_utilization with Scenario.duration_s = budget.duration_s } in
-        ignore (Sweep.run ~jobs:1 config budget.grid ~seeds:budget.seeds);
-        Unix.gettimeofday () -. t0
+        fst (Micro.timed (fun () -> Sweep.run ~jobs:1 config budget.grid ~seeds:budget.seeds))
       end
     in
     Json.Obj
@@ -534,8 +482,7 @@ let bench_matrix budget =
   section "Cross-algorithm matrix: the Cc_algo registry over low/high dumbbells";
   let duration_s = Float.min 30. budget.duration_s in
   let cells =
-    Cc_matrix.run ~jobs:!jobs ~algorithms:!matrix_algorithms ~duration_s
-      ~seeds:budget.seeds ()
+    Cc_matrix.run ~jobs:!jobs ~duration_s ~seeds:budget.seeds ()
   in
   Table.print ~align:[ Table.Left; Table.Left ]
     ~headers:[ "algorithm"; "workload"; "thr Mbps"; "qdelay ms"; "loss"; "power P_l"; "conns" ]
@@ -552,7 +499,7 @@ let bench_matrix budget =
          ])
        cells);
   Printf.printf "(%d algorithms x %d workloads, means over %d seeds, %g s runs)\n"
-    (List.length !matrix_algorithms)
+    (List.length Phi.Cc_algo.all)
     (List.length Cc_matrix.workloads)
     (List.length budget.seeds) duration_s;
   csv_out "cc_matrix.csv"
@@ -577,22 +524,21 @@ let bench_matrix budget =
          ( c.Cc_matrix.algorithm ^ "/" ^ c.Cc_matrix.workload,
            Json.float c.Cc_matrix.mean_power ))
        cells);
-  cc_matrix_json :=
-    Some
-      (Json.List
-         (List.map
-            (fun (c : Cc_matrix.cell) ->
-              Json.Obj
-                [
-                  ("algorithm", Json.String c.Cc_matrix.algorithm);
-                  ("workload", Json.String c.Cc_matrix.workload);
-                  ("mean_throughput_bps", Json.float c.Cc_matrix.mean_throughput_bps);
-                  ("mean_queueing_delay_s", Json.float c.Cc_matrix.mean_queueing_delay_s);
-                  ("mean_loss_rate", Json.float c.Cc_matrix.mean_loss_rate);
-                  ("mean_power", Json.float c.Cc_matrix.mean_power);
-                  ("connections", Json.Int c.Cc_matrix.connections);
-                ])
-            cells))
+  add_section "cc_matrix"
+    (Json.List
+       (List.map
+          (fun (c : Cc_matrix.cell) ->
+            Json.Obj
+              [
+                ("algorithm", Json.String c.Cc_matrix.algorithm);
+                ("workload", Json.String c.Cc_matrix.workload);
+                ("mean_throughput_bps", Json.float c.Cc_matrix.mean_throughput_bps);
+                ("mean_queueing_delay_s", Json.float c.Cc_matrix.mean_queueing_delay_s);
+                ("mean_loss_rate", Json.float c.Cc_matrix.mean_loss_rate);
+                ("mean_power", Json.float c.Cc_matrix.mean_power);
+                ("connections", Json.Int c.Cc_matrix.connections);
+              ])
+          cells))
 
 (* {2 Section 2.1: path sharing} *)
 
@@ -842,28 +788,27 @@ let bench_swarm budget =
       ("p99_lookup_s", Json.float r.Swarm.p99_lookup_s);
       ("jain_index", Json.float r.Swarm.jain_index);
     ];
-  swarm_json :=
-    Some
-      (Json.Obj
-         [
-           ("flows", Json.Int r.Swarm.flows);
-           ("lookups", Json.Int r.Swarm.lookups);
-           ("reports", Json.Int r.Swarm.reports);
-           ("cells", Json.Int config.Swarm.cells);
-           ("shards_per_cell", Json.Int config.Swarm.shards_per_cell);
-           ("lookups_per_s", Json.float r.Swarm.lookups_per_s);
-           ("reports_per_s", Json.float r.Swarm.reports_per_s);
-           ("p50_lookup_s", Json.float r.Swarm.p50_lookup_s);
-           ("p99_lookup_s", Json.float r.Swarm.p99_lookup_s);
-           ("jain_index", Json.float r.Swarm.jain_index);
-           ("resident_paths", Json.Int r.Swarm.resident_paths);
-           ("evictions", Json.Int r.Swarm.evictions);
-           ("flushes", Json.Int r.Swarm.flushes);
-           ("elapsed_s", Json.float r.Swarm.elapsed_s);
-           ("fingerprint", Json.String r.Swarm.fingerprint);
-           ( "jobs",
-             Json.Int (Pool.effective_jobs ~jobs:!jobs ~cells:config.Swarm.cells ()) );
-         ])
+  add_section "swarm"
+    (Json.Obj
+       [
+         ("flows", Json.Int r.Swarm.flows);
+         ("lookups", Json.Int r.Swarm.lookups);
+         ("reports", Json.Int r.Swarm.reports);
+         ("cells", Json.Int config.Swarm.cells);
+         ("shards_per_cell", Json.Int config.Swarm.shards_per_cell);
+         ("lookups_per_s", Json.float r.Swarm.lookups_per_s);
+         ("reports_per_s", Json.float r.Swarm.reports_per_s);
+         ("p50_lookup_s", Json.float r.Swarm.p50_lookup_s);
+         ("p99_lookup_s", Json.float r.Swarm.p99_lookup_s);
+         ("jain_index", Json.float r.Swarm.jain_index);
+         ("resident_paths", Json.Int r.Swarm.resident_paths);
+         ("evictions", Json.Int r.Swarm.evictions);
+         ("flushes", Json.Int r.Swarm.flushes);
+         ("elapsed_s", Json.float r.Swarm.elapsed_s);
+         ("fingerprint", Json.String r.Swarm.fingerprint);
+         ( "jobs",
+           Json.Int (Pool.effective_jobs ~jobs:!jobs ~cells:config.Swarm.cells ()) );
+       ])
 
 (* {2 Conservative parallel DES: the 1000-sender parking lot} *)
 
@@ -938,34 +883,33 @@ let bench_pdes budget =
       ("events_per_s", Json.float best);
       ("senders", Json.Int (Parking_lot.senders spec));
     ];
-  pdes_json :=
-    Some
-      (Json.Obj
-         [
-           ("islands", Json.Int serial.Parking_lot.islands);
-           ("window_s", Json.float serial.Parking_lot.window_s);
-           ("senders", Json.Int (Parking_lot.senders spec));
-           ("duration_s", Json.float spec.Parking_lot.duration_s);
-           ("cores", Json.Int (Pool.available_cores ()));
-           ( "jobs",
-             Json.Int
-               (List.fold_left
-                  (fun acc (r : Parking_lot.result) -> Stdlib.max acc r.Parking_lot.jobs)
-                  1 runs) );
-           ( "runs",
-             Json.List
-               (List.map
-                  (fun (r : Parking_lot.result) ->
-                    Json.Obj
-                      [
-                        ("jobs", Json.Int r.Parking_lot.jobs);
-                        ("wall_s", Json.float r.Parking_lot.wall_s);
-                        ("events", Json.Int r.Parking_lot.events);
-                        ("events_per_s", Json.float r.Parking_lot.events_per_s);
-                        ("fingerprint", Json.String r.Parking_lot.fingerprint);
-                      ])
-                  runs) );
-         ])
+  add_section "pdes"
+    (Json.Obj
+       [
+         ("islands", Json.Int serial.Parking_lot.islands);
+         ("window_s", Json.float serial.Parking_lot.window_s);
+         ("senders", Json.Int (Parking_lot.senders spec));
+         ("duration_s", Json.float spec.Parking_lot.duration_s);
+         ("cores", Json.Int (Pool.available_cores ()));
+         ( "jobs",
+           Json.Int
+             (List.fold_left
+                (fun acc (r : Parking_lot.result) -> Stdlib.max acc r.Parking_lot.jobs)
+                1 runs) );
+         ( "runs",
+           Json.List
+             (List.map
+                (fun (r : Parking_lot.result) ->
+                  Json.Obj
+                    [
+                      ("jobs", Json.Int r.Parking_lot.jobs);
+                      ("wall_s", Json.float r.Parking_lot.wall_s);
+                      ("events", Json.Int r.Parking_lot.events);
+                      ("events_per_s", Json.float r.Parking_lot.events_per_s);
+                      ("fingerprint", Json.String r.Parking_lot.fingerprint);
+                    ])
+                runs) );
+       ])
 
 (* {2 WAN evaluation matrix: algorithm x topology zoo x dynamics} *)
 
@@ -977,7 +921,7 @@ let bench_wan_matrix budget =
      in seconds; default and full budgets sweep the three structural
      topology classes x three regimes for every selected algorithm. *)
   let quick = budget.label = quick_budget.label in
-  let algorithms = if quick then [ List.hd !matrix_algorithms ] else !matrix_algorithms in
+  let algorithms = if quick then [ List.hd Phi.Cc_algo.all ] else Phi.Cc_algo.all in
   let topologies = if quick then [ "wan" ] else Cc_matrix.default_topologies in
   let dynamics = if quick then [ "flap" ] else Cc_matrix.default_dynamics in
   let seeds = if quick then [ List.hd budget.seeds ] else budget.seeds in
@@ -1064,42 +1008,41 @@ let bench_wan_matrix budget =
       ("max_p99_fct_s", Json.float (max_over (fun c -> c.Cc_matrix.m_p99_fct_s)));
       ("max_power", Json.float (max_over (fun c -> c.Cc_matrix.m_power)));
     ];
-  wan_matrix_json :=
-    Some
-      (Json.Obj
-         [
-           ("duration_s", Json.float duration_s);
-           ("seeds", Json.Int (List.length seeds));
-           ("jobs", Json.Int !jobs);
-           ("aqm", Json.String "droptail");
-           ( "cells",
-             Json.List
-               (List.map
-                  (fun (c : Cc_matrix.matrix_cell) ->
-                    Json.Obj
-                      [
-                        ("algorithm", Json.String c.Cc_matrix.m_algorithm);
-                        ("topology", Json.String c.Cc_matrix.m_topology);
-                        ("dynamics", Json.String c.Cc_matrix.m_dynamics);
-                        ("aqm", Json.String c.Cc_matrix.m_aqm);
-                        ("throughput_bps", Json.float c.Cc_matrix.m_throughput_bps);
-                        ("delay_s", Json.float c.Cc_matrix.m_delay_s);
-                        ("queueing_delay_s", Json.float c.Cc_matrix.m_queueing_delay_s);
-                        ("loss_rate", Json.float c.Cc_matrix.m_loss_rate);
-                        ("power", Json.float c.Cc_matrix.m_power);
-                        ("jain", Json.float c.Cc_matrix.m_jain);
-                        ("p99_fct_s", Json.float c.Cc_matrix.m_p99_fct_s);
-                        ("connections", Json.Int c.Cc_matrix.m_connections);
-                      ])
-                  cells) );
-           ( "determinism",
-             Json.Obj
-               [
-                 ("cell", Json.String probe_name);
-                 ("parallel", Json.String (fingerprint probe_parallel));
-                 ("serial", Json.String (fingerprint probe_serial));
-               ] );
-         ])
+  add_section "wan_matrix"
+    (Json.Obj
+       [
+         ("duration_s", Json.float duration_s);
+         ("seeds", Json.Int (List.length seeds));
+         ("jobs", Json.Int !jobs);
+         ("aqm", Json.String "droptail");
+         ( "cells",
+           Json.List
+             (List.map
+                (fun (c : Cc_matrix.matrix_cell) ->
+                  Json.Obj
+                    [
+                      ("algorithm", Json.String c.Cc_matrix.m_algorithm);
+                      ("topology", Json.String c.Cc_matrix.m_topology);
+                      ("dynamics", Json.String c.Cc_matrix.m_dynamics);
+                      ("aqm", Json.String c.Cc_matrix.m_aqm);
+                      ("throughput_bps", Json.float c.Cc_matrix.m_throughput_bps);
+                      ("delay_s", Json.float c.Cc_matrix.m_delay_s);
+                      ("queueing_delay_s", Json.float c.Cc_matrix.m_queueing_delay_s);
+                      ("loss_rate", Json.float c.Cc_matrix.m_loss_rate);
+                      ("power", Json.float c.Cc_matrix.m_power);
+                      ("jain", Json.float c.Cc_matrix.m_jain);
+                      ("p99_fct_s", Json.float c.Cc_matrix.m_p99_fct_s);
+                      ("connections", Json.Int c.Cc_matrix.m_connections);
+                    ])
+                cells) );
+         ( "determinism",
+           Json.Obj
+             [
+               ("cell", Json.String probe_name);
+               ("parallel", Json.String (fingerprint probe_parallel));
+               ("serial", Json.String (fingerprint probe_serial));
+             ] );
+       ])
 
 (* {2 Section 3.1: cross-provider aggregation} *)
 
@@ -1124,83 +1067,12 @@ let bench_secure_agg _budget =
     (pct (Phi.Secure_agg.mean session shares))
     (pct (Phi_util.Stats.mean (Array.of_list private_utils)))
 
-(* {2 Bechamel micro-benchmarks: one per experiment kernel} *)
+(* {2 Microbenchmarks: event core, packet path, decision plane} *)
 
-let micro_benchmarks () =
-  section "Bechamel micro-benchmarks (one kernel per table/figure)";
-  let open Bechamel in
-  let cubic_kernel () =
-    let cc = Cubic.make Cubic.default_params in
-    for i = 1 to 1000 do
-      let now = float_of_int i *. 0.01 in
-      cc.Phi_tcp.Cc.on_ack cc ~now ~rtt:0.1 ~sent_at:(now -. 0.1) ~newly_acked:1
-    done
-  in
-  let scenario_kernel () =
-    ignore
-      (Scenario.run
-         { Scenario.low_utilization with Scenario.duration_s = 3.; Scenario.seed = 1 })
-  in
-  let persistent_kernel () =
-    ignore
-      (Scenario.run_persistent ~n_flows:10 ~duration_s:4. ~spec:Topology.paper_spec ~seed:1 ())
-  in
-  let remy_kernel () =
-    let table = Phi_remy.Pretrained.remy () in
-    ignore
-      (Phi_remy.Trainer.evaluate ~table ~util:`None ~seeds:[ 1 ]
-         [ { Phi_remy.Trainer.paper_scenario with Phi_remy.Trainer.duration_s = 3. } ])
-  in
-  let sharing_kernel () =
-    let config =
-      { Phi_workload.Cloud_trace.default_config with
-        Phi_workload.Cloud_trace.flows_per_minute = 2000.;
-        horizon_minutes = 2;
-      }
-    in
-    ignore (Sharing_experiment.run ~config ~seed:1 ())
-  in
-  let figure5_kernel () =
-    let config = { Phi_workload.Request_stream.default_config with Phi_workload.Request_stream.days = 2 } in
-    ignore (Figure5.run ~config ~seed:1 ())
-  in
-  let priority_kernel () =
-    ignore
-      (Priority_experiment.run ~duration_s:4. ~n_competitors:2
-         ~priorities:[| 2.; 1. |] ~spec:Topology.paper_spec ~seed:1 ())
-  in
-  let predict_kernel () = ignore (Predict_experiment.run ~n_p16:2 ~p24_per_p16:8 ~seed:1 ()) in
-  let adaptation_kernel () = ignore (Adaptation_experiment.run ~n_shared:500 ~n_test:500 ~seed:1 ()) in
-  let tests =
-    [
-      Test.make ~name:"table1-cubic-on-ack-x1000" (Staged.stage cubic_kernel);
-      Test.make ~name:"figure2-onoff-scenario-3s" (Staged.stage scenario_kernel);
-      Test.make ~name:"figure2c-persistent-4s" (Staged.stage persistent_kernel);
-      Test.make ~name:"table3-remy-eval-3s" (Staged.stage remy_kernel);
-      Test.make ~name:"s21-ipfix-sharing" (Staged.stage sharing_kernel);
-      Test.make ~name:"figure5-diagnosis" (Staged.stage figure5_kernel);
-      Test.make ~name:"s33-priority-4s" (Staged.stage priority_kernel);
-      Test.make ~name:"s35-prediction" (Staged.stage predict_kernel);
-      Test.make ~name:"s32-adaptation" (Staged.stage adaptation_kernel);
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg [ instance ] test in
-      let results =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-          instance raw
-      in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "  %-32s %12.3f us/run\n%!" name (est /. 1e3)
-          | _ -> Printf.printf "  %-32s (no estimate)\n%!" name)
-        results)
-    tests
+let bench_micro budget =
+  section "Microbenchmarks: event core, packet path, decision plane";
+  List.iter (fun (name, json) -> add_section name json)
+    (Micro.run ~quick:(budget.label = quick_budget.label))
 
 (* {2 Driver} *)
 
@@ -1238,15 +1110,6 @@ let () =
     Printf.printf "(PHI_SANITIZE=1: forcing --jobs 1, the sanitizer is not domain-safe)\n";
     jobs := 1
   end;
-  (match value_of "--cc" with
-  | None -> ()
-  | Some spec -> (
-    try
-      matrix_algorithms :=
-        List.map Cc_select.parse_cc (String.split_on_char ',' spec)
-    with Invalid_argument msg ->
-      prerr_endline ("bench: --cc: " ^ msg);
-      exit 2));
   let want id = match only with None -> true | Some o -> o = id in
   let run_if id ~cells f = if want id then ignore (timed id ~cells (fun () -> f ())) else () in
   let cells1 = List.length budget.seeds in
@@ -1275,7 +1138,7 @@ let () =
   | _ -> ());
   run_if "table3" ~cells:(4 * cells1) (fun () -> bench_table3 budget);
   run_if "matrix"
-    ~cells:(List.length !matrix_algorithms * List.length Cc_matrix.workloads * cells1)
+    ~cells:(List.length Phi.Cc_algo.all * List.length Cc_matrix.workloads * cells1)
     (fun () -> bench_matrix budget);
   run_if "sharing" ~cells:1 (fun () -> bench_sharing budget);
   run_if "figure5" ~cells:1 (fun () -> bench_figure5 budget);
@@ -1288,13 +1151,13 @@ let () =
   let wan_matrix_cells =
     if budget.label = quick_budget.label then 1
     else
-      List.length !matrix_algorithms
+      List.length Phi.Cc_algo.all
       * List.length Cc_matrix.default_topologies
       * List.length Cc_matrix.default_dynamics
       * cells1
   in
   run_if "wan_matrix" ~cells:wan_matrix_cells (fun () -> bench_wan_matrix budget);
-  if (not (has "--no-micro")) && only = None then micro_benchmarks ();
+  run_if "micro" ~cells:1 (fun () -> bench_micro budget);
   (match json_path with
   | None -> ()
   | Some path ->

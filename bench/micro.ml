@@ -1,17 +1,10 @@
-(* Event-core microbenchmarks: the allocation-free engine against a
-   verbatim copy of the pre-refactor implementation.
-
-   Usage: dune exec bench/micro.exe [-- --quick] [--json PATH]
-
-   Two metric families:
+(* The [micro] experiment of bench/main.exe ([--only micro] runs it
+   alone): event-core, packet-path and decision-plane microbenchmarks.
 
    - events/s: a timer-churn workload (65536 outstanding
      self-rescheduling chains, one cancelled bystander per 8 events)
-     run against the old boxed binary-heap engine
-     ([Legacy_heap]/[Legacy_engine] below) and against
-     [Phi_sim.Engine], both through the closure API and through the
-     closure-free port API.  The legacy copy is embedded here so the
-     comparison survives the old code's deletion.
+     run against [Phi_sim.Engine], both through the closure API and
+     through the closure-free port API.
 
    - packets/s: the link pipeline under saturation — a closed loop of
      packets circulating through one 1 Gbps link, and the paper dumbbell
@@ -31,14 +24,8 @@
      pregenerated inputs, with a Gc.minor_words delta around the
      compiled whisker loop (the gate is ~0 words/lookup).
 
-   --json PATH merges "micro", "alloc" and "decision" sections into an
-   existing phi-bench-report document (bench/main.exe --json output),
-   stamping the schema to phi-bench-report/2 — /3 when the document
-   carries the cross-algorithm "cc_matrix" section, /5 when the
-   million-flow "swarm" section is there as well (micro always
-   contributes the decision section, so the old /4 stamp is subsumed),
-   /6 when the parallel-DES "pdes" scaling section is also present —
-   or writes a standalone /2 report when PATH does not exist yet. *)
+   [run] returns the report's "micro", "alloc" and "decision"
+   sections. *)
 
 module Engine = Phi_sim.Engine
 module Link = Phi_net.Link
@@ -54,117 +41,16 @@ module Context = Phi.Context
 module Policy = Phi.Policy
 module Cc_algo = Phi.Cc_algo
 
-(* {2 The pre-refactor event core, embedded verbatim}
-
-   Boxed heap entries, a record handle and a record event per schedule —
-   exactly the code this PR replaced, minus the sanitizer hooks (which
-   cost nothing on the hot path when disarmed). *)
-
-module Legacy_heap = struct
-  type 'a entry = { priority : float; seq : int; payload : 'a }
-  type 'a t = { mutable data : 'a entry array; mutable len : int }
-
-  let create () = { data = [||]; len = 0 }
-
-  let less a b = a.priority < b.priority || (a.priority = b.priority && a.seq < b.seq)
-
-  let grow t entry =
-    let cap = Array.length t.data in
-    if t.len = cap then begin
-      let ncap = Stdlib.max 16 (2 * cap) in
-      let ndata = Array.make ncap entry in
-      Array.blit t.data 0 ndata 0 t.len;
-      t.data <- ndata
-    end
-
-  let rec sift_up t i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if less t.data.(i) t.data.(parent) then begin
-        let tmp = t.data.(i) in
-        t.data.(i) <- t.data.(parent);
-        t.data.(parent) <- tmp;
-        sift_up t parent
-      end
-    end
-
-  let rec sift_down t i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = ref i in
-    if l < t.len && less t.data.(l) t.data.(!smallest) then smallest := l;
-    if r < t.len && less t.data.(r) t.data.(!smallest) then smallest := r;
-    if !smallest <> i then begin
-      let tmp = t.data.(i) in
-      t.data.(i) <- t.data.(!smallest);
-      t.data.(!smallest) <- tmp;
-      sift_down t !smallest
-    end
-
-  let push t ~priority ~seq payload =
-    let entry = { priority; seq; payload } in
-    grow t entry;
-    t.data.(t.len) <- entry;
-    t.len <- t.len + 1;
-    sift_up t (t.len - 1)
-
-  let pop t =
-    if t.len = 0 then None
-    else begin
-      let e = t.data.(0) in
-      t.len <- t.len - 1;
-      if t.len > 0 then begin
-        t.data.(0) <- t.data.(t.len);
-        sift_down t 0
-      end;
-      Some (e.priority, e.seq, e.payload)
-    end
-end
-
-module Legacy_engine = struct
-  type handle = { mutable live : bool }
-  type event = { handle : handle; action : unit -> unit }
-
-  type t = {
-    mutable clock : float;
-    queue : event Legacy_heap.t;
-    mutable next_seq : int;
-  }
-
-  let create () = { clock = 0.; queue = Legacy_heap.create (); next_seq = 0 }
-
-  let schedule_at t ~time f =
-    if time < t.clock then invalid_arg "Legacy_engine.schedule_at: time in the past";
-    let handle = { live = true } in
-    Legacy_heap.push t.queue ~priority:time ~seq:t.next_seq { handle; action = f };
-    t.next_seq <- t.next_seq + 1;
-    handle
-
-  let schedule_after t ~delay f = schedule_at t ~time:(t.clock +. delay) f
-  let cancel handle = handle.live <- false
-
-  let step t =
-    match Legacy_heap.pop t.queue with
-    | None -> false
-    | Some (time, _seq, event) ->
-      t.clock <- Stdlib.max t.clock time;
-      if event.handle.live then begin
-        event.handle.live <- false;
-        event.action ()
-      end;
-      true
-
-  let run t = while step t do () done
-end
-
 (* {2 Harness} *)
 
-let quick = ref false
 let repetitions = 3
 
+(* Wall seconds of [f ()] on CLOCK_MONOTONIC (bechamel's clock_gettime
+   stub) — every bench timing goes through here. *)
 let timed f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let r = f () in
-  (Unix.gettimeofday () -. t0, r)
+  (Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9, r)
 
 let rate n wall = if wall > 0. then float_of_int n /. wall else 0.
 
@@ -174,25 +60,10 @@ let rate n wall = if wall > 0. then float_of_int n /. wall else 0.
    out, and every 8th event also schedules a bystander and cancels it —
    the TCP-timer pattern (RTO armed per segment, cancelled by the ACK).
    The outstanding-event count matches a very busy many-flow simulation
-   (tens of thousands of flows each holding a timer or two); deep
-   queues are where the old engine's boxed, pointer-chasing heap
-   entries hurt most and where the flat arrays pull ahead hardest. *)
+   (tens of thousands of flows each holding a timer or two), so the
+   heap is deep. *)
 
-let churn_legacy chains total () =
-  let e = Legacy_engine.create () in
-  let count = ref 0 in
-  let rec handler () =
-    incr count;
-    if !count land 7 = 0 then
-      Legacy_engine.cancel (Legacy_engine.schedule_after e ~delay:0.5 ignore);
-    if !count < total then ignore (Legacy_engine.schedule_after e ~delay:1. handler)
-  in
-  for _ = 1 to chains do
-    ignore (Legacy_engine.schedule_after e ~delay:1. handler)
-  done;
-  Legacy_engine.run e
-
-let churn_new chains total () =
+let churn_closures chains total () =
   let e = Engine.create () in
   let count = ref 0 in
   let rec handler () =
@@ -210,9 +81,9 @@ let churn_new chains total () =
    registered once, rescheduled by reference — while the cancelled
    bystanders still go through the closure API (ports are not
    cancellable).  This is exactly how the real code divides the work:
-   links reschedule ports, TCP timers are cancellable closures.  All
-   three variants perform the identical event sequence, so the rates
-   are directly comparable. *)
+   links reschedule ports, TCP timers are cancellable closures.  Both
+   variants perform the identical event sequence, so the rates are
+   directly comparable. *)
 let churn_ports chains total () =
   let e = Engine.create () in
   let count = ref 0 in
@@ -351,65 +222,41 @@ let compiled_choices compiled contexts rounds () =
 
 (* {2 Driver} *)
 
-let () =
-  let args = Array.to_list Sys.argv in
-  quick := List.mem "--quick" args;
-  let json_path =
-    let rec find = function
-      | "--json" :: path :: _ -> Some path
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
-  in
-  let churn_total = if !quick then 200_000 else 2_000_000 in
+let run ~quick =
+  let churn_total = if quick then 200_000 else 2_000_000 in
   (* The quick (CI smoke) budget scales the outstanding-chain count down
      with the event count, so setup does not dominate the measurement. *)
-  let chains = if !quick then 8192 else 65536 in
-  let loop_packets = if !quick then 100_000 else 1_000_000 in
-  let dumbbell_s = if !quick then 10. else 30. in
-  Printf.printf "Event-core microbenchmarks (%s budget, best of %d)\n%!"
-    (if !quick then "quick" else "default")
-    repetitions;
+  let chains = if quick then 8192 else 65536 in
+  let loop_packets = if quick then 100_000 else 1_000_000 in
+  let dumbbell_s = if quick then 10. else 30. in
+  Printf.printf "(%s budget, best of %d)\n%!" (if quick then "quick" else "default") repetitions;
 
   (* Size the minor heap the way sweep workers do, so the numbers below
      reflect the tuned configuration the experiments actually run in. *)
   Pool.tune_gc ();
 
-  (* Interleave the repetitions (legacy, new, ports, legacy, ...) so a
+  (* Interleave the repetitions (closures, ports, closures, ...) so a
      load spike on the shared machine cannot hit one variant's whole
      sample; each variant keeps its best wall.  The port variant also
      keeps its smallest [Gc.minor_words] delta — the steady-state
      allocation profile, free of first-run warm-up noise. *)
-  let legacy_wall = ref infinity in
-  let new_wall = ref infinity in
+  let closure_wall = ref infinity in
   let port_wall = ref infinity in
   let port_minor = ref infinity in
   for _ = 1 to repetitions do
     let keep best f = let wall, () = timed f in if wall < !best then best := wall in
-    keep legacy_wall (churn_legacy chains churn_total);
-    keep new_wall (churn_new chains churn_total);
+    keep closure_wall (churn_closures chains churn_total);
     let m0 = Gc.minor_words () in
     keep port_wall (churn_ports chains churn_total);
     let m = Gc.minor_words () -. m0 in
     if m < !port_minor then port_minor := m
   done;
-  let legacy_wall = !legacy_wall in
-  let new_wall = !new_wall in
-  let port_wall = !port_wall in
-  let port_minor = !port_minor in
-  let legacy_eps = rate churn_total legacy_wall in
-  let new_eps = rate churn_total new_wall in
-  let port_eps = rate churn_total port_wall in
-  let speedup = if legacy_wall > 0. then legacy_wall /. new_wall else 1. in
+  let closure_eps = rate churn_total !closure_wall in
+  let port_eps = rate churn_total !port_wall in
   Printf.printf "\n  timer churn, %d events (%d chains, 1-in-8 cancelled bystander):\n"
     churn_total chains;
-  Printf.printf "    legacy engine (boxed heap, record handles) %10.0f events/s\n" legacy_eps;
-  Printf.printf "    new engine    (SoA 8-ary heap, cell slab)  %10.0f events/s  (%.2fx)\n"
-    new_eps speedup;
-  Printf.printf "    new engine, recurring timer as a port      %10.0f events/s  (%.2fx)\n%!"
-    port_eps
-    (if legacy_wall > 0. then legacy_wall /. port_wall else 1.);
+  Printf.printf "    engine, closure API                        %10.0f events/s\n" closure_eps;
+  Printf.printf "    engine, recurring timer as a port          %10.0f events/s\n%!" port_eps;
 
   let loop_wall, loop_delivered, loop_minor, loop_high_water =
     let best_wall = ref infinity in
@@ -430,7 +277,7 @@ let () =
     (!best_wall, !best_d, !best_minor, !high_water)
   in
   let loop_pps = rate loop_delivered loop_wall in
-  let words_per_event = port_minor /. float_of_int churn_total in
+  let words_per_event = !port_minor /. float_of_int churn_total in
   let words_per_packet = loop_minor /. float_of_int loop_delivered in
   Printf.printf "\n  saturated 1 Gbps link, closed loop of 32 packets:\n";
   Printf.printf "    %d packets delivered                  %10.0f packets/s\n%!" loop_delivered
@@ -448,15 +295,15 @@ let () =
 
   let table = decision_table () in
   let compiled = Compiled_table.compile table in
-  let n_points = if !quick then 10_000 else 50_000 in
-  let interp_rounds = if !quick then 2 else 10 in
+  let n_points = if quick then 10_000 else 50_000 in
+  let interp_rounds = if quick then 2 else 10 in
   let comp_rounds = interp_rounds * 20 in
   let points = decision_points (Rule_table.dims table) n_points in
   let box = boxed_points points in
   let policy = decision_policy () in
   let cpolicy = Policy.Compiled.compile policy in
-  let n_ctx = if !quick then 10_000 else 20_000 in
-  let ctx_interp_rounds = if !quick then 10 else 50 in
+  let n_ctx = if quick then 10_000 else 20_000 in
+  let ctx_interp_rounds = if quick then 10 else 50 in
   let ctx_comp_rounds = ctx_interp_rounds * 10 in
   let contexts = decision_contexts n_ctx in
   let interp_wall = ref infinity in
@@ -497,25 +344,18 @@ let () =
   Printf.printf "    interpreted Policy.choice_for          %10.0f choices/s\n" pol_interp_cps;
   Printf.printf "    compiled 64-entry policy               %10.0f choices/s  (%.1fx)\n%!"
     pol_comp_cps policy_speedup;
-
-  (match json_path with
-  | None -> ()
-  | Some path ->
-    let micro =
+  [
+    ( "micro",
       Json.Obj
         [
-          ("quick", Json.Bool !quick);
+          ("quick", Json.Bool quick);
           ( "events",
             Json.Obj
               [
                 ("events", Json.Int churn_total);
                 ("chains", Json.Int chains);
-                ("legacy_events_per_s", Json.float legacy_eps);
-                ("new_events_per_s", Json.float new_eps);
+                ("new_events_per_s", Json.float closure_eps);
                 ("port_events_per_s", Json.float port_eps);
-                ("speedup_vs_legacy", Json.float speedup);
-                ( "port_speedup_vs_legacy",
-                  Json.float (if legacy_wall > 0. then legacy_wall /. port_wall else 1.) );
               ] );
           ( "packets",
             Json.Obj
@@ -526,17 +366,15 @@ let () =
                 ("dumbbell_data_packets", Json.Int data_packets);
                 ("dumbbell_packets_per_s", Json.float dumbbell_pps);
               ] );
-        ]
-    in
-    let alloc =
+        ] );
+    ( "alloc",
       Json.Obj
         [
           ("minor_words_per_event", Json.float words_per_event);
           ("minor_words_per_packet", Json.float words_per_packet);
           ("pool_high_water", Json.Int loop_high_water);
-        ]
-    in
-    let decision =
+        ] );
+    ( "decision",
       Json.Obj
         [
           ("whiskers", Json.Int (Rule_table.size table));
@@ -549,75 +387,5 @@ let () =
           ("policy_interpreted_choices_per_s", Json.float pol_interp_cps);
           ("policy_compiled_choices_per_s", Json.float pol_comp_cps);
           ("policy_speedup", Json.float policy_speedup);
-        ]
-    in
-    let doc =
-      match Json.of_file ~path with
-      | Ok (Json.Obj fields) ->
-        (* Merge into an existing bench report, replacing any stale
-           micro/alloc/decision sections.  The schema stamp records
-           what the document now carries: /2 for micro+alloc+decision,
-           /3 when the cross-algorithm cc_matrix section is present
-           too, /5 when the swarm context-plane section is there as
-           well (decision is always contributed here, so the old /4
-           stamp is subsumed), /6 when the parallel-DES pdes scaling
-           section rides along with all of the above, and /7 when the
-           topology-zoo wan_matrix section is present as well. *)
-        let fields =
-          List.filter
-            (fun (k, _) ->
-              k <> "micro" && k <> "alloc" && k <> "decision" && k <> "schema")
-            fields
-        in
-        let schema =
-          match
-            ( List.mem_assoc "cc_matrix" fields,
-              List.mem_assoc "swarm" fields,
-              List.mem_assoc "pdes" fields,
-              List.mem_assoc "wan_matrix" fields )
-          with
-          | true, true, true, true -> "phi-bench-report/7"
-          | true, true, true, false -> "phi-bench-report/6"
-          | true, true, false, _ -> "phi-bench-report/5"
-          | true, false, _, _ -> "phi-bench-report/3"
-          | false, _, _, _ -> "phi-bench-report/2"
-        in
-        Json.Obj
-          ((("schema", Json.String schema) :: fields)
-          @ [ ("alloc", alloc); ("decision", decision); ("micro", micro) ])
-      | Ok _ | Error _ ->
-        (* Standalone report: the minimal valid phi-bench-report/2
-           document plus the alloc, decision and micro sections. *)
-        let experiment id wall cells =
-          Json.Obj
-            [ ("id", Json.String id); ("wall_s", Json.float wall); ("cells", Json.Int cells) ]
-        in
-        Json.Obj
-          [
-            ("schema", Json.String "phi-bench-report/2");
-            ( "budget",
-              Json.String
-                (if !quick then "micro-only (quick)" else "micro-only (default)") );
-            ("jobs", Json.Int 1);
-            ("cores", Json.Int (Pool.available_cores ()));
-            ( "total_wall_s",
-              Json.float (legacy_wall +. new_wall +. port_wall +. loop_wall +. dumbbell_wall)
-            );
-            ( "experiments",
-              Json.List
-                [
-                  experiment "micro-churn-legacy" legacy_wall churn_total;
-                  experiment "micro-churn-new" new_wall churn_total;
-                  experiment "micro-churn-ports" port_wall churn_total;
-                  experiment "micro-link-loop" loop_wall loop_delivered;
-                  experiment "micro-dumbbell" dumbbell_wall data_packets;
-                ] );
-            ("headline", Json.Obj []);
-            ("alloc", alloc);
-            ("decision", decision);
-            ("micro", micro);
-          ]
-    in
-    Json.to_file ~path doc;
-    Printf.printf "\n(wrote %s)\n" path);
-  print_endline "\ndone."
+        ] );
+  ]

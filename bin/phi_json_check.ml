@@ -1,14 +1,11 @@
 (* phi-json-check: validate a bench report produced by
-   [bench/main.exe --json PATH] (schema phi-bench-report/1), optionally
-   upgraded by [bench/micro.exe --json PATH] to phi-bench-report/2
-   ("alloc" section), /3 ("cc_matrix" covering every registered
-   algorithm), or /4 ("swarm" context-plane benchmark).  Exits non-zero
-   when the file is missing, malformed JSON, not a phi-bench-report
-   document, or over a committed budget (allocation, swarm throughput,
-   swarm tail latency) — the CI gate for the bench smoke run's
-   artifact.  All validation lives in [Phi_check.Report_check] so the
-   gate itself is unit-testable; this wrapper only maps the result to
-   an exit code. *)
+   [bench/main.exe --json PATH] (schema phi-bench-report/8).  Exits
+   non-zero when the file is missing, malformed JSON, of another
+   schema, missing a section one of its experiments emits (or carrying
+   one no listed experiment emits), or over a committed budget — the CI
+   gate for the bench smoke run's artifact.  All validation lives in
+   [Phi_check.Report_check] so the gate itself is unit-testable; this
+   wrapper only maps the result to an exit code. *)
 
 let () =
   let path =

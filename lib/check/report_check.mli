@@ -1,23 +1,22 @@
-(** Validation and regression gating for phi-bench-report documents.
+(** Validation and regression gating for bench reports.
 
-    A report is produced by [bench/main.exe --json PATH] (schema
-    [phi-bench-report/1]) and optionally upgraded by
-    [bench/micro.exe --json PATH]: to [/2] with an "alloc" section, to
-    [/3] when the report also carries the cross-algorithm "cc_matrix"
-    section (which must then cover every algorithm registered in
-    [Phi.Cc_algo]), to [/4] when it additionally carries the
-    million-flow "swarm" section from the sharded context plane, to
-    [/5] when the compiled-decision-plane "decision" section rides
-    along as well (micro.exe now always contributes it), to [/6]
-    when the conservative-parallel-DES "pdes" scaling section is
-    present too, and to [/7] when the topology-zoo "wan_matrix"
-    evaluation section is present as well (so fresh full reports
-    stamp [/7]).
+    A report is produced by [bench/main.exe --json PATH] and carries
+    one schema string, {!schema}.  Which sections it must carry follows
+    from its own "experiments" list: [micro] emits "micro", "alloc" and
+    "decision"; [matrix] emits "cc_matrix" (which must cover every
+    algorithm registered in [Phi.Cc_algo]); [swarm], [pdes] and
+    [wan_matrix] each emit the section of the same name.  A listed
+    experiment without its sections fails, and so does a section
+    without its experiment — so a partial [--only] run is checked as
+    strictly as a full one.
 
     [check] is pure validation over the parsed JSON — the CI gate
     ([bin/phi_json_check.ml]) is a thin exit-code wrapper around it,
     and the gate's own unit tests inject regressions here to prove the
     gate trips. *)
+
+val schema : string
+(** ["phi-bench-report/8"], the only schema [check] accepts. *)
 
 val max_minor_words_per_packet : float
 (** The allocation budget enforced on the "alloc" section's
@@ -52,12 +51,10 @@ val min_pdes_speedup_at_4 : float
 val check : path:string -> Phi_util.Json.t -> (unit, string) result
 (** [check ~path doc] validates a parsed bench report.  [path] is used
     only to prefix error messages.  Returns [Error message] on the
-    first violation: unknown schema, missing required fields, malformed
-    sections, or a committed-budget regression (allocation, swarm
-    throughput, swarm tail latency, decision-plane speedup, per-lookup
-    allocation, pdes determinism or scaling, wan_matrix fairness/FCT
-    sanity or serial-probe determinism).  Optional sections ("micro",
-    "alloc", "cc_matrix", "swarm", "decision", "pdes", "wan_matrix")
-    are validated whenever present; schema versions [/2]..[/7]
-    additionally require their distinguishing sections to be
-    present. *)
+    first violation: a schema other than {!schema}, missing required
+    fields, a section missing for a listed experiment or present
+    without one, malformed sections, or a committed-budget regression
+    (allocation, swarm throughput, swarm tail latency, decision-plane
+    speedup, per-lookup allocation, cc_matrix registry coverage, pdes
+    determinism or scaling, wan_matrix fairness/FCT sanity or
+    serial-probe determinism). *)

@@ -22,9 +22,9 @@
     fields (the [Phi_tcp.Cc] controller hooks, link receiver callbacks)
     and through function parameters that escape are not resolved, and
     the allocating-stdlib table is curated rather than derived.  The
-    runtime allocation gate ([bench/micro.exe] + [phi_json_check]) and
-    the [PHI_SANITIZE=1] sanitizer remain the dynamic backstop on those
-    paths. *)
+    runtime allocation gate (the bench's [micro] experiment +
+    [phi_json_check]) and the [PHI_SANITIZE=1] sanitizer remain the
+    dynamic backstop on those paths. *)
 
 type alloc_kind =
   | Closure  (** a [fun]/[function] evaluated inside a function body *)

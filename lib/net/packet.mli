@@ -33,9 +33,10 @@
 
 type pool
 (** A packet slab.  Topology builders create one per simulation
-    ([Topology.dumbbell], [Chain.create]) and every node and link of
-    that simulation shares it.  Not domain-safe: never share a pool
-    across concurrently running engines. *)
+    ([Topology.dumbbell], [Topology.build]; one per island under
+    [Topology.build_partitioned]) and every node and link of that
+    simulation shares it.  Not domain-safe: never share a pool across
+    concurrently running engines. *)
 
 type handle = private int
 (** A pooled packet.  Immediates only — never allocated, compared, or

@@ -15,7 +15,7 @@
      generic {!Heap}: without flambda, [Heap.pop]'s cross-module call
      and the [Some (time, seq, v)] tuple it allocates (including a
      freshly boxed float) cost about 2x on the event-churn
-     microbenchmark (bench/micro.ml).
+     microbenchmark (the bench's [micro] experiment).
 
    - Cancellable events live in a slab of reusable cells in parallel
      arrays.  A cell is identified by its index and a generation

@@ -1,16 +1,14 @@
-(* The CI report gate (Phi_check.Report_check): a well-formed /7 report
-   passes, and injected regressions — swarm throughput below the floor,
-   p99 over budget, allocation over budget, decision-plane speedup
-   below the floor or lookups that box, pdes determinism or scaling
-   broken, wan_matrix fairness/FCT out of range or serial-probe
-   divergence — trip it.  This is the acceptance proof that the gate
-   actually gates. *)
+(* The CI report gate (Phi_check.Report_check): well-formed /8 reports
+   pass, whole or from a single experiment, and injected regressions
+   trip it — swarm throughput below the floor, p99 over budget,
+   allocation over budget, decision-plane speedup below the floor or
+   lookups that box, pdes determinism or scaling broken, wan_matrix
+   fairness/FCT out of range or serial-probe divergence, an old schema,
+   and sections that disagree with the experiments list.  This is the
+   acceptance proof that the gate actually gates. *)
 
 module J = Phi_util.Json
 module Check = Phi_check.Report_check
-
-let experiments =
-  J.List [ J.Obj [ ("id", J.String "swarm"); ("wall_s", J.float 16.4); ("cells", J.Int 8) ] ]
 
 let alloc ?(minor_words_per_packet = 0.0) () =
   J.Obj
@@ -20,7 +18,7 @@ let alloc ?(minor_words_per_packet = 0.0) () =
       ("pool_high_water", J.Int 64);
     ]
 
-(* One cell per registered algorithm: /3+ requires full coverage. *)
+(* One cell per registered algorithm: the gate requires full coverage. *)
 let cc_matrix ?(drop_first_algorithm = false) () =
   let names =
     match Phi.Cc_algo.names with
@@ -140,25 +138,80 @@ let wan_matrix ?(duration_s = 6.) ?(cells = [ wan_cell () ])
           ] );
     ]
 
-let report ?(schema = "phi-bench-report/5") ?(swarm_section = Some (swarm ()))
-    ?(alloc_section = Some (alloc ())) ?(cc_section = Some (cc_matrix ()))
-    ?(decision_section = Some (decision ())) ?(pdes_section = None) ?(wan_section = None) () =
-  let optional name = function Some v -> [ (name, v) ] | None -> [] in
+let micro ?(new_events_per_s = 3.7e6) () =
+  J.Obj
+    [
+      ("quick", J.Bool true);
+      ( "events",
+        J.Obj
+          [
+            ("events", J.Int 200_000);
+            ("chains", J.Int 8192);
+            ("new_events_per_s", J.float new_events_per_s);
+            ("port_events_per_s", J.float 4.1e6);
+          ] );
+      ( "packets",
+        J.Obj
+          [
+            ("link_loop_packets", J.Int 100_031);
+            ("link_loop_packets_per_s", J.float 5.4e6);
+            ("dumbbell_sim_s", J.float 10.);
+            ("dumbbell_data_packets", J.Int 9799);
+            ("dumbbell_packets_per_s", J.float 2.0e5);
+          ] );
+    ]
+
+(* Every section with passing figures, in the order bench/main.exe
+   writes them. *)
+let full_sections =
+  [
+    ("cc_matrix", cc_matrix ());
+    ("swarm", swarm ());
+    ("pdes", pdes ());
+    ("wan_matrix", wan_matrix ());
+    ("micro", micro ());
+    ("alloc", alloc ());
+    ("decision", decision ());
+  ]
+
+(* The experiment that emits each section — Report_check's table,
+   restated independently. *)
+let owner = function
+  | "micro" | "alloc" | "decision" -> "micro"
+  | "cc_matrix" -> "matrix"
+  | section -> section
+
+let experiments_of sections =
+  List.sort_uniq String.compare (List.map (fun (name, _) -> owner name) sections)
+
+(* A report carrying [sections] (default: all of them) and listing the
+   experiments they imply unless [experiments] says otherwise. *)
+let report ?(schema = Check.schema) ?experiments ?(sections = full_sections) () =
+  let experiments = match experiments with Some ids -> ids | None -> experiments_of sections in
   J.Obj
     ([
        ("schema", J.String schema);
        ("budget", J.String "quick (4-point grid, 2 seeds, 45 s runs)");
        ("jobs", J.Int 4);
        ("cores", J.Int 4);
-       ("experiments", experiments);
+       ( "experiments",
+         J.List
+           (List.map
+              (fun id -> J.Obj [ ("id", J.String id); ("wall_s", J.float 1.5); ("cells", J.Int 1) ])
+              experiments) );
        ("headline", J.Obj []);
      ]
-    @ optional "alloc" alloc_section
-    @ optional "cc_matrix" cc_section
-    @ optional "swarm" swarm_section
-    @ optional "decision" decision_section
-    @ optional "pdes" pdes_section
-    @ optional "wan_matrix" wan_section)
+    @ sections)
+
+(* The full report with one section's figures replaced. *)
+let with_section name json =
+  report
+    ~sections:(List.map (fun (n, s) -> if n = name then (n, json) else (n, s)) full_sections)
+    ()
+
+(* A report from a single experiment ([--only ID]): just its sections. *)
+let only experiment =
+  report ~sections:(List.filter (fun (name, _) -> owner name = experiment) full_sections) ()
 
 let check doc = Check.check ~path:"report.json" doc
 
@@ -179,157 +232,168 @@ let expect_fail what ~mentioning doc =
     if not (contains ~needle:mentioning msg) then
       Alcotest.failf "%s tripped the gate but for the wrong reason: %s" what msg
 
+(* Every experiment listed, but [section] missing from the report. *)
+let missing section =
+  report ~experiments:(experiments_of full_sections)
+    ~sections:(List.filter (fun (name, _) -> name <> section) full_sections)
+    ()
+
 let test_valid_reports_pass () =
-  expect_pass "a full /7 report"
-    (report ~schema:"phi-bench-report/7" ~pdes_section:(Some (pdes ()))
-       ~wan_section:(Some (wan_matrix ())) ());
-  expect_pass "a full /6 report"
-    (report ~schema:"phi-bench-report/6" ~pdes_section:(Some (pdes ())) ());
-  expect_pass "a full /5 report" (report ());
-  expect_pass "a /4 report without a decision section"
-    (report ~schema:"phi-bench-report/4" ~decision_section:None ());
-  expect_pass "a /3 report without a swarm section"
-    (report ~schema:"phi-bench-report/3" ~swarm_section:None ~decision_section:None ());
-  expect_pass "a /2 report"
-    (report ~schema:"phi-bench-report/2" ~swarm_section:None ~cc_section:None
-       ~decision_section:None ());
-  expect_pass "a bare /1 report"
-    (report ~schema:"phi-bench-report/1" ~swarm_section:None ~cc_section:None
-       ~alloc_section:None ~decision_section:None ())
+  expect_pass "a full /8 report" (report ());
+  List.iter
+    (fun id -> expect_pass (Printf.sprintf "an --only %s report" id) (only id))
+    (experiments_of full_sections);
+  expect_pass "a report whose experiments carry no sections"
+    (report ~experiments:[ "figure2a"; "table3" ] ~sections:[] ())
 
 let test_swarm_throughput_gate () =
   (* An order-of-magnitude slowdown must fail CI. *)
   expect_fail "lookups/s below the committed floor" ~mentioning:"below the committed floor"
-    (report ~swarm_section:(Some (swarm ~lookups_per_s:6_000. ())) ());
-  (* The floor applies whenever the section is present, whatever the
-     schema version — a /1 --only swarm smoke is gated too. *)
-  expect_fail "a /1 report with a slow swarm section" ~mentioning:"below the committed floor"
-    (report ~schema:"phi-bench-report/1" ~cc_section:None ~alloc_section:None
-       ~swarm_section:(Some (swarm ~lookups_per_s:6_000. ())) ())
+    (with_section "swarm" (swarm ~lookups_per_s:6_000. ()));
+  (* The floor applies to a partial run too — the --only swarm smoke is
+     gated like a full report. *)
+  expect_fail "an --only swarm report with a slow swarm section"
+    ~mentioning:"below the committed floor"
+    (report ~sections:[ ("swarm", swarm ~lookups_per_s:6_000. ()) ] ())
 
 let test_swarm_latency_gate () =
   expect_fail "p99 over the latency budget" ~mentioning:"exceeds the budget"
-    (report ~swarm_section:(Some (swarm ~p99_lookup_s:0.25 ())) ())
+    (with_section "swarm" (swarm ~p99_lookup_s:0.25 ()))
 
 let test_swarm_structure_gate () =
-  expect_fail "/4 without a swarm section" ~mentioning:"requires a \"swarm\" section"
-    (report ~swarm_section:None ());
+  expect_fail "swarm listed without a swarm section" ~mentioning:"requires a \"swarm\" section"
+    (missing "swarm");
   expect_fail "collapsed shard balance" ~mentioning:"shard balance collapsed"
-    (report ~swarm_section:(Some (swarm ~jain:0.01 ())) ());
+    (with_section "swarm" (swarm ~jain:0.01 ()));
   expect_fail "broken flow accounting" ~mentioning:"flow accounting"
-    (report ~swarm_section:(Some (swarm ~lookups:999_999 ())) ())
+    (with_section "swarm" (swarm ~lookups:999_999 ()))
 
 let test_alloc_gate () =
   expect_fail "allocation regression" ~mentioning:"allocation regression"
-    (report ~alloc_section:(Some (alloc ~minor_words_per_packet:3.2 ())) ())
+    (with_section "alloc" (alloc ~minor_words_per_packet:3.2 ()))
 
 let test_cc_matrix_gate () =
   expect_fail "cc_matrix missing a registered algorithm" ~mentioning:"does not cover"
-    (report ~cc_section:(Some (cc_matrix ~drop_first_algorithm:true ())) ())
+    (with_section "cc_matrix" (cc_matrix ~drop_first_algorithm:true ()))
 
 let test_decision_speedup_gate () =
   (* The flat table degenerating back into a scan must fail CI. *)
   expect_fail "speedup below the committed floor" ~mentioning:"only 4.0x"
-    (report ~decision_section:(Some (decision ~speedup:4. ())) ());
-  (* The floor applies whenever the section is present, whatever the
-     schema version. *)
-  expect_fail "a /2 report with a slow decision section" ~mentioning:"only 4.0x"
-    (report ~schema:"phi-bench-report/2" ~swarm_section:None ~cc_section:None
-       ~decision_section:(Some (decision ~speedup:4. ()))
+    (with_section "decision" (decision ~speedup:4. ()));
+  expect_fail "an --only micro report with a slow decision section" ~mentioning:"only 4.0x"
+    (report
+       ~sections:
+         [ ("micro", micro ()); ("alloc", alloc ()); ("decision", decision ~speedup:4. ()) ]
        ())
 
 let test_decision_alloc_gate () =
   (* One boxed float on the lookup path is 2 words/lookup — far over. *)
   expect_fail "lookups that box" ~mentioning:"minor words/lookup exceeds"
-    (report ~decision_section:(Some (decision ~minor_words_per_lookup:2.0 ())) ())
+    (with_section "decision" (decision ~minor_words_per_lookup:2.0 ()))
 
 let test_decision_structure_gate () =
-  expect_fail "/5 without a decision section" ~mentioning:"requires a \"decision\" section"
-    (report ~decision_section:None ())
+  expect_fail "micro listed without a decision section"
+    ~mentioning:"requires a \"decision\" section" (missing "decision");
+  expect_fail "a micro section with a zero event rate" ~mentioning:"must be a positive number"
+    (with_section "micro" (micro ~new_events_per_s:0. ()))
 
-let full_6 ?cores ?runs () =
-  report ~schema:"phi-bench-report/6" ~pdes_section:(Some (pdes ?cores ?runs ())) ()
+let with_pdes ?cores ?runs () = with_section "pdes" (pdes ?cores ?runs ())
 
 let test_pdes_determinism_gate () =
   (* A jobs-dependent fingerprint means the partitioned engine is not
      replaying the serial schedule — the whole contract. *)
   expect_fail "fingerprint divergence" ~mentioning:"determinism broken"
-    (full_6
-       ~runs:[ pdes_run (); pdes_run ~jobs:2 ~fingerprint:"checksum=deadbeef" () ]
-       ());
+    (with_pdes ~runs:[ pdes_run (); pdes_run ~jobs:2 ~fingerprint:"checksum=deadbeef" () ] ());
   expect_fail "event count divergence" ~mentioning:"determinism broken"
-    (full_6 ~runs:[ pdes_run (); pdes_run ~jobs:2 ~events:749_999 () ] ());
-  (* The gate applies whenever the section is present, whatever the
-     schema version. *)
-  expect_fail "a /5 report with a diverging pdes section" ~mentioning:"determinism broken"
+    (with_pdes ~runs:[ pdes_run (); pdes_run ~jobs:2 ~events:749_999 () ] ());
+  expect_fail "an --only pdes report with a diverging pdes section"
+    ~mentioning:"determinism broken"
     (report
-       ~pdes_section:
-         (Some (pdes ~runs:[ pdes_run (); pdes_run ~jobs:2 ~fingerprint:"x" () ] ()))
+       ~sections:
+         [ ("pdes", pdes ~runs:[ pdes_run (); pdes_run ~jobs:2 ~fingerprint:"x" () ] ()) ]
        ())
 
 let test_pdes_scaling_gate () =
   (* 1.38x at 4 domains on a 4-core box is a scaling regression... *)
   expect_fail "speedup below the committed floor" ~mentioning:"scaling regression"
-    (full_6 ~runs:[ pdes_run (); pdes_run ~jobs:4 ~wall_s:5.8 () ] ());
+    (with_pdes ~runs:[ pdes_run (); pdes_run ~jobs:4 ~wall_s:5.8 () ] ());
   (* ...but the same curve on a 1-core box is unmeasurable, and a curve
      with no >= 4-domain run has nothing to hold to the floor. *)
   expect_pass "slow scaling on a 1-core box"
-    (full_6 ~cores:1 ~runs:[ pdes_run (); pdes_run ~jobs:4 ~wall_s:5.8 () ] ());
+    (with_pdes ~cores:1 ~runs:[ pdes_run (); pdes_run ~jobs:4 ~wall_s:5.8 () ] ());
   expect_pass "no 4-domain run recorded"
-    (full_6 ~runs:[ pdes_run (); pdes_run ~jobs:2 ~wall_s:4.4 () ] ())
+    (with_pdes ~runs:[ pdes_run (); pdes_run ~jobs:2 ~wall_s:4.4 () ] ())
 
 let test_pdes_structure_gate () =
-  expect_fail "/6 without a pdes section" ~mentioning:"requires a \"pdes\" section"
-    (report ~schema:"phi-bench-report/6" ());
-  expect_fail "empty runs array" ~mentioning:"non-empty \"runs\""
-    (full_6 ~runs:[] ());
+  expect_fail "pdes listed without a pdes section" ~mentioning:"requires a \"pdes\" section"
+    (missing "pdes");
+  expect_fail "empty runs array" ~mentioning:"non-empty \"runs\"" (with_pdes ~runs:[] ());
   expect_fail "run without a fingerprint" ~mentioning:"fingerprint"
-    (full_6 ~runs:[ pdes_run ~fingerprint:"" () ] ())
+    (with_pdes ~runs:[ pdes_run ~fingerprint:"" () ] ())
+
+let with_wan_cell cell = with_section "wan_matrix" (wan_matrix ~cells:[ cell ] ())
 
 let test_wan_matrix_sanity_gate () =
   (* Jain is a mean of ratios in (0, 1]; anything outside means the
      per-source byte accounting broke. *)
   expect_fail "jain over 1" ~mentioning:"\"jain\" must be in (0, 1]"
-    (report ~wan_section:(Some (wan_matrix ~cells:[ wan_cell ~jain:1.2 () ] ())) ());
+    (with_wan_cell (wan_cell ~jain:1.2 ()));
   expect_fail "jain of 0" ~mentioning:"\"jain\" must be in (0, 1]"
-    (report ~wan_section:(Some (wan_matrix ~cells:[ wan_cell ~jain:0. () ] ())) ());
+    (with_wan_cell (wan_cell ~jain:0. ()));
   (* FCTs are measured inside the run, so p99 past the cell duration is
      a bookkeeping bug, not a slow network. *)
   expect_fail "p99 FCT past the cell duration" ~mentioning:"outside (0, 6]"
-    (report ~wan_section:(Some (wan_matrix ~cells:[ wan_cell ~p99_fct_s:7.5 () ] ())) ());
+    (with_wan_cell (wan_cell ~p99_fct_s:7.5 ()));
   expect_fail "cell with no completed connections" ~mentioning:"positive \"connections\""
-    (report ~wan_section:(Some (wan_matrix ~cells:[ wan_cell ~connections:0 () ] ())) ());
+    (with_wan_cell (wan_cell ~connections:0 ()));
   expect_fail "loss rate over 1" ~mentioning:"\"loss_rate\" must be in [0, 1]"
-    (report ~wan_section:(Some (wan_matrix ~cells:[ wan_cell ~loss_rate:1.5 () ] ())) ());
-  (* The gate applies whenever the section is present, whatever the
-     schema version — the --quick --only wan_matrix smoke is gated
-     too. *)
-  expect_fail "a /1 report with an unfair wan_matrix cell" ~mentioning:"(0, 1]"
-    (report ~schema:"phi-bench-report/1" ~swarm_section:None ~cc_section:None
-       ~alloc_section:None ~decision_section:None
-       ~wan_section:(Some (wan_matrix ~cells:[ wan_cell ~jain:1.2 () ] ()))
-       ())
+    (with_wan_cell (wan_cell ~loss_rate:1.5 ()));
+  (* The --quick --only wan_matrix smoke is gated too. *)
+  expect_fail "an --only wan_matrix report with an unfair cell" ~mentioning:"(0, 1]"
+    (report ~sections:[ ("wan_matrix", wan_matrix ~cells:[ wan_cell ~jain:1.2 () ] ()) ] ())
 
 let test_wan_matrix_determinism_gate () =
   (* A pool-fanned cell that disagrees with its serial replay means the
      matrix is jobs-dependent — the contract run_matrix promises. *)
   expect_fail "serial probe divergence" ~mentioning:"determinism broken"
-    (report ~wan_section:(Some (wan_matrix ~probe_parallel:"0x1.deadbeefp+0;54" ())) ())
+    (with_section "wan_matrix" (wan_matrix ~probe_parallel:"0x1.deadbeefp+0;54" ()))
 
 let test_wan_matrix_structure_gate () =
-  expect_fail "/7 without a wan_matrix section" ~mentioning:"requires a \"wan_matrix\" section"
-    (report ~schema:"phi-bench-report/7" ~pdes_section:(Some (pdes ())) ());
+  expect_fail "wan_matrix listed without a wan_matrix section"
+    ~mentioning:"requires a \"wan_matrix\" section" (missing "wan_matrix");
   expect_fail "empty cells array" ~mentioning:"non-empty \"cells\""
-    (report ~wan_section:(Some (wan_matrix ~cells:[] ())) ());
+    (with_section "wan_matrix" (wan_matrix ~cells:[] ()));
   expect_fail "missing determinism probe" ~mentioning:"\"determinism\" probe"
-    (report
-       ~wan_section:
-         (Some (J.Obj [ ("duration_s", J.float 6.); ("cells", J.List [ wan_cell () ]) ]))
-       ())
+    (with_section "wan_matrix"
+       (J.Obj [ ("duration_s", J.float 6.); ("cells", J.List [ wan_cell () ]) ]))
 
 let test_schema_gate () =
   expect_fail "unknown schema" ~mentioning:"unknown \"schema\""
-    (report ~schema:"phi-bench-report/99" ())
+    (report ~schema:"phi-bench-report/99" ());
+  (* One schema is accepted: the previous version's report is rejected
+     however complete it is. *)
+  expect_fail "a /7 report" ~mentioning:"unknown \"schema\""
+    (report ~schema:(Printf.sprintf "phi-bench-report/%d" 7) ())
+
+let test_sections_follow_experiments () =
+  (* Every row of the table, both ways: an experiment that ran without
+     its section, and a section whose experiment is not listed. *)
+  List.iter
+    (fun (section, _) ->
+      let experiment = owner section in
+      expect_fail
+        (Printf.sprintf "%s listed without its %s section" experiment section)
+        ~mentioning:(Printf.sprintf "requires a \"%s\" section" section)
+        (missing section);
+      expect_fail
+        (Printf.sprintf "a %s section without the %s experiment" section experiment)
+        ~mentioning:"section without its"
+        (report
+           ~experiments:(List.filter (fun id -> id <> experiment) (experiments_of full_sections))
+           ()))
+    full_sections;
+  expect_fail "a lone section with no experiment listed" ~mentioning:"section without its"
+    (report ~experiments:[ "table1" ] ~sections:[ ("swarm", swarm ()) ] ())
 
 let suite =
   [
@@ -349,4 +413,6 @@ let suite =
     Alcotest.test_case "wan_matrix determinism gate trips" `Quick test_wan_matrix_determinism_gate;
     Alcotest.test_case "wan_matrix structure is enforced" `Quick test_wan_matrix_structure_gate;
     Alcotest.test_case "unknown schemas are rejected" `Quick test_schema_gate;
+    Alcotest.test_case "sections follow the experiments list" `Quick
+      test_sections_follow_experiments;
   ]

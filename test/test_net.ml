@@ -632,85 +632,90 @@ let prop_zoo_dumbbell_equivalent =
         (dumbbell_trace ~via_zoo:false ~spec ~seed ~duration_s:5.)
         (dumbbell_trace ~via_zoo:true ~spec ~seed ~duration_s:5.))
 
-(* {2 Chain (parking lot)} *)
+(* {2 Parking lot (multi-bottleneck chain)} *)
 
-module Chain = Phi_net.Chain
+module Zoo = Topology.Zoo
 
-let run_long_flow ?(cross = []) ~hops ~hop_bw () =
+(* A lot of [Array.length hop_bw] segments realized serially, hop [s]
+   forwarding at [hop_bw.(s)].  One long flow crosses every hop, and
+   segment [s]'s local pair loads hop [s] alone for each [s] in
+   [cross].  Returns hop [s]'s forward link and the long flow's goodput
+   over 30 s. *)
+let run_long_flow ?(cross = []) ~hop_bw () =
   let engine = Engine.create () in
-  let spec = { (Chain.default_spec ~hops) with Chain.hop_bw_bps = hop_bw } in
-  let chain = Chain.create engine spec in
-  let long_recv =
-    Phi_tcp.Receiver.create engine ~node:chain.Chain.long_receiver ~flow:0
-      ~peer:(Chain.long_sender_id chain)
+  let spec =
+    {
+      Zoo.default_parking_lot with
+      Zoo.segments = Array.length hop_bw;
+      local_pairs = 1;
+      long_flows = 1;
+      hop_delay_s = 0.020;
+      cut_bw_bps = 1e9;
+      cut_delay_s = 0.001;
+      pl_access_delay_s = 0.001;
+      buffer_pkts = 200;
+    }
   in
-  let long_sender =
-    Phi_tcp.Sender.create engine ~node:chain.Chain.long_sender ~flow:0
-      ~dst:(Chain.long_receiver_id chain)
-      ~cc:(Phi_tcp.Cubic.make (Phi_tcp.Cubic.with_knobs ~initial_ssthresh:64. Phi_tcp.Cubic.default_params))
-      ~total_segments:Phi_tcp.Sender.persistent_total ()
+  let built = Topology.build engine (Zoo.parking_lot ~spec ()).Zoo.graph in
+  let hop s =
+    Topology.link_of built (Topology.find_link built ~label:(Printf.sprintf "hop_fwd:%d" s))
   in
-  let cross_senders =
-    List.map
-      (fun hop ->
-        let flow = 1000 + hop in
-        let _recv =
-          Phi_tcp.Receiver.create engine
-            ~node:chain.Chain.cross_receivers.(hop)
-            ~flow
-            ~peer:(Chain.cross_sender_id chain hop)
-        in
-        let sender =
-          Phi_tcp.Sender.create engine
-            ~node:chain.Chain.cross_senders.(hop)
-            ~flow
-            ~dst:(Chain.cross_receiver_id chain hop)
-            ~cc:
-              (Phi_tcp.Cubic.make
-                 (Phi_tcp.Cubic.with_knobs ~initial_ssthresh:64. Phi_tcp.Cubic.default_params))
-            ~total_segments:Phi_tcp.Sender.persistent_total ()
-        in
-        sender)
-      cross
+  Array.iteri (fun s bw -> Link.set_rate_bps (hop s) bw) hop_bw;
+  let start ~flow ~src ~dst =
+    ignore (Phi_tcp.Receiver.create engine ~node:(Topology.node built ~id:dst) ~flow ~peer:src);
+    let sender =
+      Phi_tcp.Sender.create engine ~node:(Topology.node built ~id:src) ~flow ~dst
+        ~cc:
+          (Phi_tcp.Cubic.make
+             (Phi_tcp.Cubic.with_knobs ~initial_ssthresh:64. Phi_tcp.Cubic.default_params))
+        ~total_segments:Phi_tcp.Sender.persistent_total ()
+    in
+    Phi_tcp.Sender.start sender;
+    sender
   in
-  Phi_tcp.Sender.start long_sender;
-  List.iter Phi_tcp.Sender.start cross_senders;
+  let long = start ~flow:0 ~src:(Zoo.pl_long_sender_id 0) ~dst:(Zoo.pl_long_receiver_id 0) in
+  List.iter
+    (fun s ->
+      ignore
+        (start ~flow:(1000 + s)
+           ~src:(Zoo.pl_local_sender_id ~segment:s ~pair:0)
+           ~dst:(Zoo.pl_local_receiver_id ~segment:s ~pair:0)))
+    cross;
   Engine.run ~until:30. engine;
-  let acked = Phi_tcp.Sender.acked_segments long_sender in
-  ignore long_recv;
-  (chain, float_of_int (acked * Packet.mss * 8) /. 30.)
+  (hop, float_of_int (Phi_tcp.Sender.acked_segments long * Packet.mss * 8) /. 30.)
 
-let test_chain_long_flow_bounded_by_slowest_hop () =
+let test_lot_long_flow_bounded_by_slowest_hop () =
   (* Three hops at 20 / 6 / 20 Mb/s: the long flow caps at ~6 Mb/s. *)
-  let _, thr = run_long_flow ~hops:3 ~hop_bw:[| 20e6; 6e6; 20e6 |] () in
+  let _, thr = run_long_flow ~hop_bw:[| 20e6; 6e6; 20e6 |] () in
   Alcotest.(check bool) "bounded by slowest hop" true (thr <= 6e6 *. 1.02);
   Alcotest.(check bool) "but close to it" true (thr > 4e6)
 
-let test_chain_cross_traffic_squeezes_long_flow () =
-  let _, alone = run_long_flow ~hops:2 ~hop_bw:[| 10e6; 10e6 |] () in
-  let _, contended = run_long_flow ~cross:[ 0 ] ~hops:2 ~hop_bw:[| 10e6; 10e6 |] () in
+let test_lot_cross_traffic_squeezes_long_flow () =
+  let _, alone = run_long_flow ~hop_bw:[| 10e6; 10e6 |] () in
+  let _, contended = run_long_flow ~cross:[ 0 ] ~hop_bw:[| 10e6; 10e6 |] () in
   Alcotest.(check bool) "alone saturates" true (alone > 8e6);
   Alcotest.(check bool) "cross traffic halves the share" true
     (contended < 0.75 *. alone && contended > 0.2 *. alone)
 
-let test_chain_hops_load_independently () =
+let test_lot_hops_load_independently () =
   (* Cross traffic only on hop 0: hop 0 busy, hop 1 carries only the long
      flow. *)
-  let chain, _ = run_long_flow ~cross:[ 0 ] ~hops:2 ~hop_bw:[| 10e6; 10e6 |] () in
-  let util hop = Link.busy_time chain.Chain.hop_links.(hop) /. 30. in
+  let hop, _ = run_long_flow ~cross:[ 0 ] ~hop_bw:[| 10e6; 10e6 |] () in
+  let util s = Link.busy_time (hop s) /. 30. in
   Alcotest.(check bool) "hop 0 saturated" true (util 0 > 0.9);
   Alcotest.(check bool) "hop 1 partly idle" true (util 1 < 0.8)
 
-let test_chain_validation () =
-  let engine = Engine.create () in
-  let raised f = try f (); false with Invalid_argument _ -> true in
-  Alcotest.(check bool) "zero hops" true
-    (raised (fun () -> ignore (Chain.create engine (Chain.default_spec ~hops:0))));
-  Alcotest.(check bool) "bw length mismatch" true
-    (raised (fun () ->
-         ignore
-           (Chain.create engine
-              { (Chain.default_spec ~hops:2) with Chain.hop_bw_bps = [| 1e6 |] })))
+let test_lot_validation () =
+  let raised spec =
+    try
+      ignore (Zoo.parking_lot ~spec ());
+      false
+    with Invalid_argument _ -> true
+  in
+  let lot = Zoo.default_parking_lot in
+  Alcotest.(check bool) "zero segments" true (raised { lot with Zoo.segments = 0 });
+  Alcotest.(check bool) "negative local pairs" true (raised { lot with Zoo.local_pairs = -1 });
+  Alcotest.(check bool) "negative long flows" true (raised { lot with Zoo.long_flows = -1 })
 
 (* {2 Monitor} *)
 
@@ -769,10 +774,10 @@ let suite =
     ("dumbbell dimensions", `Quick, test_dumbbell_dimensions);
     ("dumbbell end-to-end rtt", `Quick, test_dumbbell_end_to_end_rtt);
     ("dumbbell rejects tiny rtt", `Quick, test_dumbbell_rejects_tiny_rtt);
-    ("chain slowest hop bounds", `Slow, test_chain_long_flow_bounded_by_slowest_hop);
-    ("chain cross traffic squeezes", `Slow, test_chain_cross_traffic_squeezes_long_flow);
-    ("chain hops independent", `Slow, test_chain_hops_load_independently);
-    ("chain validation", `Quick, test_chain_validation);
+    ("chain slowest hop bounds", `Slow, test_lot_long_flow_bounded_by_slowest_hop);
+    ("chain cross traffic squeezes", `Slow, test_lot_cross_traffic_squeezes_long_flow);
+    ("chain hops independent", `Slow, test_lot_hops_load_independently);
+    ("chain validation", `Quick, test_lot_validation);
     ("monitor utilization bins", `Quick, test_monitor_utilization_bins);
     QCheck_alcotest.to_alcotest prop_zoo_dumbbell_equivalent;
   ]
