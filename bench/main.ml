@@ -453,92 +453,91 @@ let bench_table3 budget =
      for perspective on what autonomous delay feedback achieves without
      any shared state. *)
   let vegas =
-    Scenario.run
-      ~cc_factory:(fun _ () -> Phi_tcp.Vegas.make ())
-      { config with Scenario.seed = List.hd budget.seeds }
-  in
-  let records = vegas.Scenario.records in
-  let median f =
-    match List.filter_map f records with
-    | [] -> nan
-    | l -> Stats.median (Array.of_list l)
-  in
-  let thr =
-    median (fun r ->
-        let t = Phi_tcp.Flow.throughput_bps r in
-        if t > 0. then Some t else None)
-  in
-  let qd =
-    median (fun r ->
-        let q = Phi_tcp.Flow.queueing_delay r in
-        if Float.is_finite q && q >= 0. then Some q else None)
+    Trainer.summarize
+      (Scenario.run
+         ~cc_factory:(fun _ () -> Phi_tcp.Vegas.make ())
+         { config with Scenario.seed = List.hd budget.seeds })
+        .Scenario.records
   in
   Printf.printf "ablation — TCP Vegas (autonomous, delay-based): %s Mbps median, %s ms qdelay\n"
-    (mbps thr) (ms qd)
+    (mbps vegas.Trainer.median_throughput_bps)
+    (ms vegas.Trainer.median_queueing_delay_s)
 
-(* {2 Cross-algorithm matrix} *)
+(* {2 The algorithm matrix}
+
+   Two experiments, two cell lists of the one Cc_matrix: "matrix" runs
+   the registry over the paper's low/high dumbbell loads, "wan_matrix"
+   over topology zoo x dynamics cells.  Both print, export and report
+   their rows through [report_matrix], in one layout. *)
+
+let report_matrix name ~duration_s ~seeds ?(extra = []) (rows : Cc_matrix.row list) =
+  Table.print ~align:[ Table.Left; Table.Left; Table.Left ]
+    ~headers:
+      [ "algorithm"; "cell"; "aqm"; "thr Mbps"; "delay ms"; "loss"; "power P_l"; "jain";
+        "p99 fct s"; "conns" ]
+    (List.map
+       (fun (r : Cc_matrix.row) ->
+         [
+           r.Cc_matrix.algorithm;
+           r.Cc_matrix.cell;
+           r.Cc_matrix.aqm;
+           mbps r.Cc_matrix.throughput_bps;
+           ms r.Cc_matrix.delay_s;
+           pct r.Cc_matrix.loss_rate;
+           Table.fmt_float r.Cc_matrix.power;
+           Printf.sprintf "%.3f" r.Cc_matrix.jain;
+           Printf.sprintf "%.2f" r.Cc_matrix.p99_fct_s;
+           string_of_int r.Cc_matrix.connections;
+         ])
+       rows);
+  Printf.printf "(%d rows, means over %d seeds, %g s cells)\n" (List.length rows)
+    (List.length seeds) duration_s;
+  let fields (r : Cc_matrix.row) =
+    [
+      ("algorithm", Json.String r.Cc_matrix.algorithm);
+      ("cell", Json.String r.Cc_matrix.cell);
+      ("aqm", Json.String r.Cc_matrix.aqm);
+      ("throughput_bps", Json.float r.Cc_matrix.throughput_bps);
+      ("delay_s", Json.float r.Cc_matrix.delay_s);
+      ("queueing_delay_s", Json.float r.Cc_matrix.queueing_delay_s);
+      ("loss_rate", Json.float r.Cc_matrix.loss_rate);
+      ("power", Json.float r.Cc_matrix.power);
+      ("jain", Json.float r.Cc_matrix.jain);
+      ("p99_fct_s", Json.float r.Cc_matrix.p99_fct_s);
+      ("connections", Json.Int r.Cc_matrix.connections);
+    ]
+  in
+  let cell_text = function
+    | Json.String s -> s
+    | Json.Int n -> string_of_int n
+    | Json.Float f -> Phi_util.Csv.float_cell f
+    | _ -> ""
+  in
+  csv_out (name ^ ".csv")
+    ~header:(List.map fst (fields (List.hd rows)))
+    (List.map (fun r -> List.map (fun (_, v) -> cell_text v) (fields r)) rows);
+  add_section name
+    (Json.Obj
+       ([
+          ("duration_s", Json.float duration_s);
+          ("seeds", Json.Int (List.length seeds));
+          ("jobs", Json.Int !jobs);
+          ("cells", Json.List (List.map (fun r -> Json.Obj (fields r)) rows));
+        ]
+       @ extra))
 
 let bench_matrix budget =
   section "Cross-algorithm matrix: the Cc_algo registry over low/high dumbbells";
   let duration_s = Float.min 30. budget.duration_s in
-  let cells =
-    Cc_matrix.run ~jobs:!jobs ~duration_s ~seeds:budget.seeds ()
+  let rows =
+    Cc_matrix.run ~jobs:!jobs ~duration_s ~seeds:budget.seeds Cc_matrix.paper_cells
   in
-  Table.print ~align:[ Table.Left; Table.Left ]
-    ~headers:[ "algorithm"; "workload"; "thr Mbps"; "qdelay ms"; "loss"; "power P_l"; "conns" ]
-    (List.map
-       (fun (c : Cc_matrix.cell) ->
-         [
-           c.Cc_matrix.algorithm;
-           c.Cc_matrix.workload;
-           mbps c.Cc_matrix.mean_throughput_bps;
-           ms c.Cc_matrix.mean_queueing_delay_s;
-           pct c.Cc_matrix.mean_loss_rate;
-           Table.fmt_float c.Cc_matrix.mean_power;
-           string_of_int c.Cc_matrix.connections;
-         ])
-       cells);
-  Printf.printf "(%d algorithms x %d workloads, means over %d seeds, %g s runs)\n"
-    (List.length Phi.Cc_algo.all)
-    (List.length Cc_matrix.workloads)
-    (List.length budget.seeds) duration_s;
-  csv_out "cc_matrix.csv"
-    ~header:
-      [ "algorithm"; "workload"; "throughput_bps"; "queueing_delay_s"; "loss_rate"; "power";
-        "connections" ]
-    (List.map
-       (fun (c : Cc_matrix.cell) ->
-         [
-           c.Cc_matrix.algorithm;
-           c.Cc_matrix.workload;
-           Phi_util.Csv.float_cell c.Cc_matrix.mean_throughput_bps;
-           Phi_util.Csv.float_cell c.Cc_matrix.mean_queueing_delay_s;
-           Phi_util.Csv.float_cell c.Cc_matrix.mean_loss_rate;
-           Phi_util.Csv.float_cell c.Cc_matrix.mean_power;
-           string_of_int c.Cc_matrix.connections;
-         ])
-       cells);
+  report_matrix "cc_matrix" ~duration_s ~seeds:budget.seeds rows;
   headline "matrix"
     (List.map
-       (fun (c : Cc_matrix.cell) ->
-         ( c.Cc_matrix.algorithm ^ "/" ^ c.Cc_matrix.workload,
-           Json.float c.Cc_matrix.mean_power ))
-       cells);
-  add_section "cc_matrix"
-    (Json.List
-       (List.map
-          (fun (c : Cc_matrix.cell) ->
-            Json.Obj
-              [
-                ("algorithm", Json.String c.Cc_matrix.algorithm);
-                ("workload", Json.String c.Cc_matrix.workload);
-                ("mean_throughput_bps", Json.float c.Cc_matrix.mean_throughput_bps);
-                ("mean_queueing_delay_s", Json.float c.Cc_matrix.mean_queueing_delay_s);
-                ("mean_loss_rate", Json.float c.Cc_matrix.mean_loss_rate);
-                ("mean_power", Json.float c.Cc_matrix.mean_power);
-                ("connections", Json.Int c.Cc_matrix.connections);
-              ])
-          cells))
+       (fun (r : Cc_matrix.row) ->
+         (r.Cc_matrix.algorithm ^ "/" ^ r.Cc_matrix.cell, Json.float r.Cc_matrix.power))
+       rows)
 
 (* {2 Section 2.1: path sharing} *)
 
@@ -922,127 +921,57 @@ let bench_wan_matrix budget =
      topology classes x three regimes for every selected algorithm. *)
   let quick = budget.label = quick_budget.label in
   let algorithms = if quick then [ List.hd Phi.Cc_algo.all ] else Phi.Cc_algo.all in
-  let topologies = if quick then [ "wan" ] else Cc_matrix.default_topologies in
-  let dynamics = if quick then [ "flap" ] else Cc_matrix.default_dynamics in
+  let cells =
+    Cc_matrix.zoo_cells ~aqm:Scenario.Drop_tail
+      ~topologies:(if quick then [ "wan" ] else Cc_matrix.default_topologies)
+      ~dynamics:(if quick then [ "flap" ] else Cc_matrix.default_dynamics)
+  in
   let seeds = if quick then [ List.hd budget.seeds ] else budget.seeds in
   let duration_s = if quick then 6. else 12. in
-  let cells =
-    Cc_matrix.run_matrix ~jobs:!jobs ~algorithms ~topologies ~dynamics ~duration_s ~seeds ()
-  in
-  Table.print ~align:[ Table.Left; Table.Left; Table.Left; Table.Left ]
-    ~headers:
-      [ "algorithm"; "topology"; "dynamics"; "aqm"; "thr Mbps"; "delay ms"; "loss"; "power P_l";
-        "jain"; "p99 fct s"; "conns" ]
-    (List.map
-       (fun (c : Cc_matrix.matrix_cell) ->
-         [
-           c.Cc_matrix.m_algorithm;
-           c.Cc_matrix.m_topology;
-           c.Cc_matrix.m_dynamics;
-           c.Cc_matrix.m_aqm;
-           mbps c.Cc_matrix.m_throughput_bps;
-           ms c.Cc_matrix.m_delay_s;
-           pct c.Cc_matrix.m_loss_rate;
-           Table.fmt_float c.Cc_matrix.m_power;
-           Printf.sprintf "%.3f" c.Cc_matrix.m_jain;
-           Printf.sprintf "%.2f" c.Cc_matrix.m_p99_fct_s;
-           string_of_int c.Cc_matrix.m_connections;
-         ])
-       cells);
-  Printf.printf "(%d algorithms x %d topologies x %d dynamics, means over %d seeds, %g s cells)\n"
-    (List.length algorithms) (List.length topologies) (List.length dynamics)
-    (List.length seeds) duration_s;
-  (* Determinism probe: re-run the first combination's seeds serially
-     and fold the floats of both cells into fingerprints.  Report_check
-     gates their equality, so a pool-introduced divergence (worker
-     state leaking across cells, a jobs-dependent rng) fails CI loudly
+  let rows = Cc_matrix.run ~jobs:!jobs ~algorithms ~duration_s ~seeds cells in
+  (* Determinism probe: re-run the first row's seeds serially and fold
+     the floats of both rows into fingerprints.  Report_check gates
+     their equality, so a pool-introduced divergence (worker state
+     leaking across cells, a jobs-dependent rng) fails CI loudly
      instead of drifting the dashboards.  At --jobs 1 the probe is a
      pure replay of the same serial path. *)
-  let fingerprint (c : Cc_matrix.matrix_cell) =
-    Printf.sprintf "%h;%h;%h;%h;%h;%d" c.Cc_matrix.m_throughput_bps c.Cc_matrix.m_delay_s
-      c.Cc_matrix.m_jain c.Cc_matrix.m_p99_fct_s c.Cc_matrix.m_power c.Cc_matrix.m_connections
+  let fingerprint (r : Cc_matrix.row) =
+    Printf.sprintf "%h;%h;%h;%h;%h;%d" r.Cc_matrix.throughput_bps r.Cc_matrix.delay_s
+      r.Cc_matrix.jain r.Cc_matrix.p99_fct_s r.Cc_matrix.power r.Cc_matrix.connections
   in
-  let probe_parallel = List.hd cells in
+  let probe_parallel = List.hd rows in
   let probe_serial =
     List.hd
-      (Cc_matrix.run_matrix ~jobs:1 ~algorithms:[ List.hd algorithms ]
-         ~topologies:[ List.hd topologies ] ~dynamics:[ List.hd dynamics ] ~duration_s ~seeds ())
+      (Cc_matrix.run ~jobs:1 ~algorithms:[ List.hd algorithms ] ~duration_s ~seeds
+         [ List.hd cells ])
   in
-  let probe_name =
-    Printf.sprintf "%s/%s/%s" probe_parallel.Cc_matrix.m_algorithm
-      probe_parallel.Cc_matrix.m_topology probe_parallel.Cc_matrix.m_dynamics
-  in
+  let probe_name = probe_parallel.Cc_matrix.algorithm ^ "/" ^ probe_parallel.Cc_matrix.cell in
   if fingerprint probe_parallel <> fingerprint probe_serial then begin
     Printf.eprintf "bench: wan_matrix cell %s diverged from its serial replay:\n  %s\n  %s\n"
       probe_name (fingerprint probe_parallel) (fingerprint probe_serial);
     exit 1
   end;
   Printf.printf "determinism probe %s: %s\n" probe_name (fingerprint probe_serial);
-  csv_out "wan_matrix.csv"
-    ~header:
-      [ "algorithm"; "topology"; "dynamics"; "aqm"; "throughput_bps"; "delay_s";
-        "queueing_delay_s"; "loss_rate"; "power"; "jain"; "p99_fct_s"; "connections" ]
-    (List.map
-       (fun (c : Cc_matrix.matrix_cell) ->
-         [
-           c.Cc_matrix.m_algorithm;
-           c.Cc_matrix.m_topology;
-           c.Cc_matrix.m_dynamics;
-           c.Cc_matrix.m_aqm;
-           Phi_util.Csv.float_cell c.Cc_matrix.m_throughput_bps;
-           Phi_util.Csv.float_cell c.Cc_matrix.m_delay_s;
-           Phi_util.Csv.float_cell c.Cc_matrix.m_queueing_delay_s;
-           Phi_util.Csv.float_cell c.Cc_matrix.m_loss_rate;
-           Phi_util.Csv.float_cell c.Cc_matrix.m_power;
-           Phi_util.Csv.float_cell c.Cc_matrix.m_jain;
-           Phi_util.Csv.float_cell c.Cc_matrix.m_p99_fct_s;
-           string_of_int c.Cc_matrix.m_connections;
-         ])
-       cells);
-  let min_over f = List.fold_left (fun acc c -> Float.min acc (f c)) infinity cells in
-  let max_over f = List.fold_left (fun acc c -> Float.max acc (f c)) neg_infinity cells in
+  report_matrix "wan_matrix" ~duration_s ~seeds rows
+    ~extra:
+      [
+        ( "determinism",
+          Json.Obj
+            [
+              ("cell", Json.String probe_name);
+              ("parallel", Json.String (fingerprint probe_parallel));
+              ("serial", Json.String (fingerprint probe_serial));
+            ] );
+      ];
+  let min_over f = List.fold_left (fun acc r -> Float.min acc (f r)) infinity rows in
+  let max_over f = List.fold_left (fun acc r -> Float.max acc (f r)) neg_infinity rows in
   headline "wan_matrix"
     [
-      ("cells", Json.Int (List.length cells));
-      ("min_jain", Json.float (min_over (fun c -> c.Cc_matrix.m_jain)));
-      ("max_p99_fct_s", Json.float (max_over (fun c -> c.Cc_matrix.m_p99_fct_s)));
-      ("max_power", Json.float (max_over (fun c -> c.Cc_matrix.m_power)));
-    ];
-  add_section "wan_matrix"
-    (Json.Obj
-       [
-         ("duration_s", Json.float duration_s);
-         ("seeds", Json.Int (List.length seeds));
-         ("jobs", Json.Int !jobs);
-         ("aqm", Json.String "droptail");
-         ( "cells",
-           Json.List
-             (List.map
-                (fun (c : Cc_matrix.matrix_cell) ->
-                  Json.Obj
-                    [
-                      ("algorithm", Json.String c.Cc_matrix.m_algorithm);
-                      ("topology", Json.String c.Cc_matrix.m_topology);
-                      ("dynamics", Json.String c.Cc_matrix.m_dynamics);
-                      ("aqm", Json.String c.Cc_matrix.m_aqm);
-                      ("throughput_bps", Json.float c.Cc_matrix.m_throughput_bps);
-                      ("delay_s", Json.float c.Cc_matrix.m_delay_s);
-                      ("queueing_delay_s", Json.float c.Cc_matrix.m_queueing_delay_s);
-                      ("loss_rate", Json.float c.Cc_matrix.m_loss_rate);
-                      ("power", Json.float c.Cc_matrix.m_power);
-                      ("jain", Json.float c.Cc_matrix.m_jain);
-                      ("p99_fct_s", Json.float c.Cc_matrix.m_p99_fct_s);
-                      ("connections", Json.Int c.Cc_matrix.m_connections);
-                    ])
-                cells) );
-         ( "determinism",
-           Json.Obj
-             [
-               ("cell", Json.String probe_name);
-               ("parallel", Json.String (fingerprint probe_parallel));
-               ("serial", Json.String (fingerprint probe_serial));
-             ] );
-       ])
+      ("cells", Json.Int (List.length rows));
+      ("min_jain", Json.float (min_over (fun r -> r.Cc_matrix.jain)));
+      ("max_p99_fct_s", Json.float (max_over (fun r -> r.Cc_matrix.p99_fct_s)));
+      ("max_power", Json.float (max_over (fun r -> r.Cc_matrix.power)));
+    ]
 
 (* {2 Section 3.1: cross-provider aggregation} *)
 
@@ -1138,7 +1067,7 @@ let () =
   | _ -> ());
   run_if "table3" ~cells:(4 * cells1) (fun () -> bench_table3 budget);
   run_if "matrix"
-    ~cells:(List.length Phi.Cc_algo.all * List.length Cc_matrix.workloads * cells1)
+    ~cells:(List.length Phi.Cc_algo.all * List.length Cc_matrix.paper_cells * cells1)
     (fun () -> bench_matrix budget);
   run_if "sharing" ~cells:1 (fun () -> bench_sharing budget);
   run_if "figure5" ~cells:1 (fun () -> bench_figure5 budget);

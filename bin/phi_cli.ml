@@ -170,16 +170,24 @@ let incremental_cmd =
 
 (* {2 table3} *)
 
-let read_table path = Phi_remy.Rule_table.deserialize (In_channel.with_open_text path In_channel.input_all)
+(* --remy-table FILE / --phi-table FILE: serialized rule tables
+   replacing the pretrained ones. *)
+let tables_arg =
+  let table opt_name doc =
+    let read path =
+      Phi_remy.Rule_table.deserialize (In_channel.with_open_text path In_channel.input_all)
+    in
+    let file = Arg.(value & opt (some string) None & info [ opt_name ] ~docv:"FILE" ~doc) in
+    Term.(const (Option.map read) $ file)
+  in
+  Term.(
+    const (fun remy phi -> (remy, phi))
+    $ table "remy-table" "Serialized 3-dim rule table (default: pretrained)."
+    $ table "phi-table" "Serialized 4-dim rule table (default: pretrained).")
 
 let table3_cmd =
-  let table_arg name doc =
-    Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
-  in
-  let run seeds duration jobs remy_file phi_file =
+  let run seeds duration jobs (remy_table, remy_phi_table) =
     let config = { Scenario.table3 with Scenario.duration_s = duration } in
-    let remy_table = Option.map read_table remy_file in
-    let remy_phi_table = Option.map read_table phi_file in
     let rows = Table3.run ?jobs ?remy_table ?remy_phi_table ~seeds config in
     Table.print ~align:[ Table.Left ]
       ~headers:[ "Algorithm"; "thr Mbps"; "qdelay ms"; "objective"; "conns"; "msgs" ]
@@ -195,154 +203,94 @@ let table3_cmd =
            ])
          rows)
   in
-  let term =
-    Term.(
-      const run $ seeds_arg $ duration_arg 60. $ jobs_arg
-      $ table_arg "remy-table" "Serialized 3-dim rule table (default: pretrained)."
-      $ table_arg "phi-table" "Serialized 4-dim rule table (default: pretrained).")
-  in
+  let term = Term.(const run $ seeds_arg $ duration_arg 60. $ jobs_arg $ tables_arg) in
   Cmd.v (Cmd.info "table3" ~doc:"Remy / Remy-Phi / Cubic comparison (Table 3)") term
 
-(* {2 matrix} *)
+(* {2 matrix / wan-matrix} *)
 
-let matrix_cmd =
-  let cc_conv =
+(* The two subcommands are two cell lists of one matrix: they share
+   every argument but the cells, and one printing path. *)
+let matrix_cmd name ~doc cells =
+  let cc_arg =
     let parse s =
       match Cc_select.parse_cc s with
       | algo -> Ok algo
       | exception Invalid_argument msg -> Error (`Msg msg)
     in
     let print ppf algo = Format.pp_print_string ppf (Phi.Cc_algo.name algo) in
-    Arg.conv (parse, print)
-  in
-  let cc_arg =
     let doc =
       "Algorithm to include (repeatable; default: every algorithm registered in Phi.Cc_algo)."
     in
-    Arg.(value & opt_all cc_conv [] & info [ "cc" ] ~docv:"NAME" ~doc)
+    Arg.(value & opt_all (conv (parse, print)) [] & info [ "cc" ] ~docv:"NAME" ~doc)
   in
-  let table_arg name doc =
-    Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
-  in
-  let run seeds duration jobs ccs remy_file phi_file =
+  let run seeds duration jobs ccs (remy_table, remy_phi_table) cells =
     let algorithms = match ccs with [] -> Phi.Cc_algo.all | l -> l in
-    let remy_table = Option.map read_table remy_file in
-    let remy_phi_table = Option.map read_table phi_file in
-    let cells =
-      Cc_matrix.run ?jobs ~algorithms ?remy_table ?remy_phi_table ~duration_s:duration
-        ~seeds ()
+    let rows =
+      Cc_matrix.run ?jobs ~algorithms ?remy_table ?remy_phi_table ~duration_s:duration ~seeds
+        cells
     in
-    Table.print ~align:[ Table.Left; Table.Left ]
-      ~headers:[ "algorithm"; "workload"; "thr Mbps"; "qdelay ms"; "loss"; "power P_l"; "conns" ]
+    Table.print
+      ~align:[ Table.Left; Table.Left; Table.Left ]
+      ~headers:
+        [
+          "algorithm"; "cell"; "aqm"; "thr Mbps"; "delay ms"; "loss"; "power P_l"; "jain";
+          "p99 fct s"; "conns";
+        ]
       (List.map
-         (fun (c : Cc_matrix.cell) ->
+         (fun (r : Cc_matrix.row) ->
            [
-             c.Cc_matrix.algorithm;
-             c.Cc_matrix.workload;
-             mbps c.Cc_matrix.mean_throughput_bps;
-             ms c.Cc_matrix.mean_queueing_delay_s;
-             pct c.Cc_matrix.mean_loss_rate;
-             Table.fmt_float c.Cc_matrix.mean_power;
-             string_of_int c.Cc_matrix.connections;
+             r.Cc_matrix.algorithm;
+             r.Cc_matrix.cell;
+             r.Cc_matrix.aqm;
+             mbps r.Cc_matrix.throughput_bps;
+             ms r.Cc_matrix.delay_s;
+             pct r.Cc_matrix.loss_rate;
+             Table.fmt_float r.Cc_matrix.power;
+             Table.fmt_float r.Cc_matrix.jain ~decimals:3;
+             Table.fmt_float r.Cc_matrix.p99_fct_s ~decimals:2;
+             string_of_int r.Cc_matrix.connections;
            ])
-         cells)
+         rows)
   in
   let term =
-    Term.(
-      const run $ seeds_arg $ duration_arg 30. $ jobs_arg $ cc_arg
-      $ table_arg "remy-table" "Serialized 3-dim rule table (default: pretrained)."
-      $ table_arg "phi-table" "Serialized 4-dim rule table (default: pretrained).")
+    Term.(const run $ seeds_arg $ duration_arg 30. $ jobs_arg $ cc_arg $ tables_arg $ cells)
   in
-  Cmd.v
-    (Cmd.info "matrix"
-       ~doc:"Cross-algorithm matrix: the Cc_algo registry over low/high dumbbells")
-    term
+  Cmd.v (Cmd.info name ~doc) term
 
-(* {2 wan-matrix} *)
+let paper_matrix_cmd =
+  matrix_cmd "matrix" ~doc:"Cross-algorithm matrix: the Cc_algo registry over low/high dumbbells"
+    (Term.const Cc_matrix.paper_cells)
 
 let wan_matrix_cmd =
-  let cc_conv =
-    let parse s =
-      match Cc_select.parse_cc s with
-      | algo -> Ok algo
-      | exception Invalid_argument msg -> Error (`Msg msg)
-    in
-    let print ppf algo = Format.pp_print_string ppf (Phi.Cc_algo.name algo) in
-    Arg.conv (parse, print)
-  in
-  let cc_arg =
-    let doc = "Algorithm to include (repeatable; default: the whole Cc_algo registry)." in
-    Arg.(value & opt_all cc_conv [] & info [ "cc" ] ~docv:"NAME" ~doc)
-  in
+  let names opt_name ~doc = Arg.(value & opt_all string [] & info [ opt_name ] ~docv:"NAME" ~doc) in
   let topo_arg =
-    let doc =
-      "Topology to include (repeatable; default: dumbbell, parking_lot, wan; \
-       also available: fat_tree_pod)."
-    in
-    Arg.(value & opt_all string [] & info [ "topo" ] ~docv:"NAME" ~doc)
+    names "topo"
+      ~doc:
+        "Topology to include (repeatable; default: dumbbell, parking_lot, wan; also available: \
+         fat_tree_pod)."
   in
   let dynamics_arg =
-    let doc =
-      "Dynamics regime to include (repeatable; default: steady, flap, incast; \
-       also available: jitter, flash_crowd)."
-    in
-    Arg.(value & opt_all string [] & info [ "dynamics" ] ~docv:"NAME" ~doc)
+    names "dynamics"
+      ~doc:
+        "Dynamics regime to include (repeatable; default: steady, flap, incast; also available: \
+         jitter, flash_crowd)."
   in
   let aqm_arg =
     let doc = "Bottleneck queue regime: droptail, red or red_ecn." in
     Arg.(
       value
-      & opt (enum [ ("droptail", Scenario.Drop_tail); ("red", Scenario.Red); ("red_ecn", Scenario.Red_ecn) ]) Scenario.Drop_tail
+      & opt (enum (List.map (fun n -> (n, Scenario.aqm_by_name n)) Scenario.aqm_names)) Scenario.Drop_tail
       & info [ "aqm" ] ~docv:"NAME" ~doc)
   in
-  let table_arg name doc =
-    Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
+  let cells topos dyns aqm =
+    let or_default default = function [] -> default | l -> l in
+    Cc_matrix.zoo_cells ~aqm
+      ~topologies:(or_default Cc_matrix.default_topologies topos)
+      ~dynamics:(or_default Cc_matrix.default_dynamics dyns)
   in
-  let run seeds duration jobs ccs topos dyns aqm remy_file phi_file =
-    let algorithms = match ccs with [] -> Phi.Cc_algo.all | l -> l in
-    let topologies = match topos with [] -> Cc_matrix.default_topologies | l -> l in
-    let dynamics = match dyns with [] -> Cc_matrix.default_dynamics | l -> l in
-    let remy_table = Option.map read_table remy_file in
-    let remy_phi_table = Option.map read_table phi_file in
-    let cells =
-      Cc_matrix.run_matrix ?jobs ~algorithms ~topologies ~dynamics ~aqm ?remy_table
-        ?remy_phi_table ~duration_s:duration ~seeds ()
-    in
-    Table.print
-      ~align:[ Table.Left; Table.Left; Table.Left; Table.Left ]
-      ~headers:
-        [
-          "algorithm"; "topology"; "dynamics"; "aqm"; "thr Mbps"; "delay ms"; "loss"; "power P_l";
-          "jain"; "p99 fct s"; "conns";
-        ]
-      (List.map
-         (fun (c : Cc_matrix.matrix_cell) ->
-           [
-             c.Cc_matrix.m_algorithm;
-             c.Cc_matrix.m_topology;
-             c.Cc_matrix.m_dynamics;
-             c.Cc_matrix.m_aqm;
-             mbps c.Cc_matrix.m_throughput_bps;
-             ms c.Cc_matrix.m_delay_s;
-             pct c.Cc_matrix.m_loss_rate;
-             Table.fmt_float c.Cc_matrix.m_power;
-             Table.fmt_float c.Cc_matrix.m_jain ~decimals:3;
-             Table.fmt_float c.Cc_matrix.m_p99_fct_s ~decimals:2;
-             string_of_int c.Cc_matrix.m_connections;
-           ])
-         cells)
-  in
-  let term =
-    Term.(
-      const run $ seeds_arg $ duration_arg 30. $ jobs_arg $ cc_arg $ topo_arg $ dynamics_arg
-      $ aqm_arg
-      $ table_arg "remy-table" "Serialized 3-dim rule table (default: pretrained)."
-      $ table_arg "phi-table" "Serialized 4-dim rule table (default: pretrained).")
-  in
-  Cmd.v
-    (Cmd.info "wan-matrix"
-       ~doc:"WAN evaluation matrix: algorithm x topology zoo x adversarial dynamics")
-    term
+  matrix_cmd "wan-matrix"
+    ~doc:"WAN evaluation matrix: algorithm x topology zoo x adversarial dynamics"
+    Term.(const cells $ topo_arg $ dynamics_arg $ aqm_arg)
 
 (* {2 train-remy} *)
 
@@ -355,18 +303,18 @@ let train_remy_cmd =
   in
   let run rounds seeds remy_out phi_out =
     let log s = Printf.printf "%s\n%!" s in
-    let budget = { Phi_remy.Trainer.default_budget with Phi_remy.Trainer.rounds; seeds } in
-    let scenarios = Phi_remy.Trainer.default_scenarios in
+    let budget = { Trainer.default_budget with Trainer.rounds; seeds } in
+    let scenarios = Trainer.default_scenarios in
     log "training classic Remy (3-dim)...";
     let remy = Phi_remy.Rule_table.create ~dims:3 Phi_remy.Whisker.default_action in
-    let r = Phi_remy.Trainer.train ~log ~table:remy ~util:`None ~scenarios budget in
-    Printf.printf "remy: objective %.3f over %d connections\n" r.Phi_remy.Trainer.objective
-      r.Phi_remy.Trainer.connections;
+    let r = Trainer.train ~log ~table:remy ~util:`None ~scenarios budget in
+    Printf.printf "remy: objective %.3f over %d connections\n" r.Trainer.objective
+      r.Trainer.connections;
     log "deriving Remy-Phi: extrude + utilization refinement...";
     let phi = Phi_remy.Rule_table.extrude remy in
-    let rp = Phi_remy.Trainer.refine_utilization ~log ~table:phi ~scenarios ~top:3 budget in
-    Printf.printf "remy-phi: objective %.3f over %d connections\n" rp.Phi_remy.Trainer.objective
-      rp.Phi_remy.Trainer.connections;
+    let rp = Trainer.refine_utilization ~log ~table:phi ~scenarios ~top:3 budget in
+    Printf.printf "remy-phi: objective %.3f over %d connections\n" rp.Trainer.objective
+      rp.Trainer.connections;
     let save path table =
       Out_channel.with_open_text path (fun oc ->
           Out_channel.output_string oc (Phi_remy.Rule_table.serialize table);
@@ -523,7 +471,7 @@ let () =
             longrun_cmd;
             incremental_cmd;
             table3_cmd;
-            matrix_cmd;
+            paper_matrix_cmd;
             wan_matrix_cmd;
             train_remy_cmd;
             sharing_cmd;

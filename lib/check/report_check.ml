@@ -1,6 +1,6 @@
 module J = Phi_util.Json
 
-let schema = "phi-bench-report/8"
+let schema = "phi-bench-report/9"
 
 (* The allocation-regression budget: minor words allocated per packet
    through the saturated link loop (pool acquire -> enqueue -> tx ->
@@ -129,32 +129,6 @@ let check_alloc ~path alloc =
     bad "%s: allocation regression: %.4f minor words/packet exceeds the budget of %g" path
       per_packet max_minor_words_per_packet
 
-(* "cc_matrix": the cross-algorithm matrix must cover every algorithm
-   registered in the unified control plane, so a registry addition that
-   never reaches the harness fails CI here. *)
-let check_cc_matrix ~path = function
-  | J.List (_ :: _ as cells) ->
-    let algo_of = function
-      | J.Obj _ as cell -> (
-        (match J.member "workload" cell with
-        | Some (J.String _) -> ()
-        | Some _ | None -> bad "%s: cc_matrix cell missing \"workload\" string" path);
-        (match J.member "connections" cell with
-        | Some (J.Int n) when n > 0 -> ()
-        | Some _ | None -> bad "%s: cc_matrix cell missing positive \"connections\"" path);
-        match J.member "algorithm" cell with
-        | Some (J.String a) -> a
-        | Some _ | None -> bad "%s: cc_matrix cell missing \"algorithm\" string" path)
-      | _ -> bad "%s: cc_matrix cells must be objects" path
-    in
-    let covered = List.map algo_of cells in
-    List.iter
-      (fun name ->
-        if not (List.mem name covered) then
-          bad "%s: cc_matrix does not cover registered algorithm %S" path name)
-      Phi.Cc_algo.names
-  | _ -> bad "%s: \"cc_matrix\" must be a non-empty array" path
-
 (* "swarm": the million-flow context-plane benchmark, gated against the
    committed service floors, so a throughput or tail-latency regression
    in the sharded server fails CI, not just a dashboard. *)
@@ -278,35 +252,31 @@ let check_pdes ~path pdes =
         speedup jobs min_pdes_speedup_at_4
   | _ -> ()
 
-(* "wan_matrix": the algorithm x topology zoo x adversarial dynamics
-   evaluation matrix.  Every cell's figures must be physically sane —
-   Jain fairness in (0, 1], a 99th-percentile flow completion time
-   within the cell's duration, a positive delivery rate — and the
-   serial determinism probe must match its pool-fanned counterpart, so
-   a jobs-dependent cell (worker state leaking between runs, rng draw
-   order depending on the fan-out) fails CI instead of silently
-   drifting the dashboards. *)
-let check_wan_matrix ~path wan =
-  let wan = obj ~path "wan_matrix" wan in
-  let duration_s = number ~path ~where:"wan_matrix" wan "duration_s" in
-  if duration_s <= 0. then bad "%s: wan_matrix \"duration_s\" must be positive" path;
-  let cells =
-    match J.member "cells" wan with
-    | Some (J.List (_ :: _ as cells)) -> cells
-    | Some _ | None -> bad "%s: wan_matrix section needs a non-empty \"cells\" array" path
+(* "cc_matrix" and "wan_matrix": the two sections of the one algorithm
+   matrix share a layout — duration, seeds, jobs and one row per
+   (algorithm, cell) — and its per-row sanity gates: a positive
+   delivery rate, loss in [0, 1], Jain fairness in (0, 1], and a
+   99th-percentile flow completion time within the cell's duration.
+   Returns the algorithms the rows cover. *)
+let check_matrix ~path ~section m =
+  let m = obj ~path section m in
+  let duration_s = number ~path ~where:section m "duration_s" in
+  if duration_s <= 0. then bad "%s: %s \"duration_s\" must be positive" path section;
+  let rows =
+    match J.member "cells" m with
+    | Some (J.List (_ :: _ as rows)) -> rows
+    | Some _ | None -> bad "%s: %s section needs a non-empty \"cells\" array" path section
   in
-  List.iter
-    (fun cell ->
-      match cell with
+  List.map
+    (fun row ->
+      match row with
       | J.Obj _ ->
-        let name = string_field ~path ~where:"wan_matrix cell" cell in
-        let where =
-          Printf.sprintf "wan_matrix cell %s/%s/%s" (name "algorithm") (name "topology")
-            (name "dynamics")
-        in
-        let number = number ~path ~where cell in
-        ignore (string_field ~path ~where cell "aqm");
-        (match J.member "connections" cell with
+        let name = string_field ~path ~where:(section ^ " cell") row in
+        let algorithm = name "algorithm" in
+        let where = Printf.sprintf "%s cell %s/%s" section algorithm (name "cell") in
+        let number = number ~path ~where row in
+        ignore (string_field ~path ~where row "aqm");
+        (match J.member "connections" row with
         | Some (J.Int n) when n > 0 -> ()
         | Some _ | None -> bad "%s: %s missing positive \"connections\"" path where);
         if number "throughput_bps" <= 0. then
@@ -322,10 +292,30 @@ let check_wan_matrix ~path wan =
            connection completed, which the connections gate above
            already excludes. *)
         if p99 <= 0. || p99 > duration_s then
-          bad "%s: %s \"p99_fct_s\" %.4f outside (0, %g]" path where p99 duration_s
-      | _ -> bad "%s: wan_matrix cells must be objects" path)
-    cells;
-  match J.member "determinism" wan with
+          bad "%s: %s \"p99_fct_s\" %.4f outside (0, %g]" path where p99 duration_s;
+        algorithm
+      | _ -> bad "%s: %s cells must be objects" path section)
+    rows
+
+(* "cc_matrix" (the registry over the paper dumbbell loads) must cover
+   every algorithm registered in the unified control plane, so a
+   registry addition that never reaches the harness fails CI here. *)
+let check_cc_matrix ~path m =
+  let covered = check_matrix ~path ~section:"cc_matrix" m in
+  List.iter
+    (fun name ->
+      if not (List.mem name covered) then
+        bad "%s: cc_matrix does not cover registered algorithm %S" path name)
+    Phi.Cc_algo.names
+
+(* "wan_matrix" (topology zoo x adversarial dynamics) carries a serial
+   determinism probe that must match its pool-fanned counterpart, so a
+   jobs-dependent cell (worker state leaking between runs, rng draw
+   order depending on the fan-out) fails CI instead of silently
+   drifting the dashboards. *)
+let check_wan_matrix ~path m =
+  ignore (check_matrix ~path ~section:"wan_matrix" m);
+  match J.member "determinism" m with
   | Some (J.Obj _ as probe) ->
     let field = string_field ~path ~where:"wan_matrix determinism" probe in
     let cell = field "cell" in

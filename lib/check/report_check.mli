@@ -4,8 +4,10 @@
     one schema string, {!schema}.  Which sections it must carry follows
     from its own "experiments" list: [micro] emits "micro", "alloc" and
     "decision"; [matrix] emits "cc_matrix" (which must cover every
-    algorithm registered in [Phi.Cc_algo]); [swarm], [pdes] and
-    [wan_matrix] each emit the section of the same name.  A listed
+    algorithm registered in [Phi.Cc_algo]) and [wan_matrix] emits
+    "wan_matrix" (which must carry a matching serial determinism probe),
+    both in the one algorithm-matrix row layout; [swarm] and [pdes]
+    each emit the section of the same name.  A listed
     experiment without its sections fails, and so does a section
     without its experiment — so a partial [--only] run is checked as
     strictly as a full one.
@@ -16,7 +18,7 @@
     gate trips. *)
 
 val schema : string
-(** ["phi-bench-report/8"], the only schema [check] accepts. *)
+(** ["phi-bench-report/9"], the only schema [check] accepts. *)
 
 val max_minor_words_per_packet : float
 (** The allocation budget enforced on the "alloc" section's
@@ -55,6 +57,6 @@ val check : path:string -> Phi_util.Json.t -> (unit, string) result
     fields, a section missing for a listed experiment or present
     without one, malformed sections, or a committed-budget regression
     (allocation, swarm throughput, swarm tail latency, decision-plane
-    speedup, per-lookup allocation, cc_matrix registry coverage, pdes
-    determinism or scaling, wan_matrix fairness/FCT sanity or
-    serial-probe determinism). *)
+    speedup, per-lookup allocation, matrix row fairness/FCT sanity,
+    cc_matrix registry coverage, wan_matrix serial-probe determinism,
+    pdes determinism or scaling). *)

@@ -2,222 +2,123 @@ module Topology = Phi_net.Topology
 module Stats = Phi_util.Stats
 module Pool = Phi_runner.Pool
 module Cc_algo = Phi.Cc_algo
-module Remy_cc = Phi_remy.Remy_cc
-module Compiled_table = Phi_remy.Compiled_table
 
-type cell = {
-  algorithm : string;
-  workload : string;
-  mean_throughput_bps : float;
-  mean_queueing_delay_s : float;
-  mean_loss_rate : float;
-  mean_power : float;
-  connections : int;
-}
+type cell =
+  | Paper of [ `Low | `High ]
+  | Zoo of { topology : string; dynamics : string; aqm : Scenario.aqm }
 
-let workloads =
-  [ ("low", Scenario.low_utilization); ("high", Scenario.high_utilization) ]
-
-(* One seeded run of one algorithm over one workload.  The window-based
-   controllers come straight from the registry's basic builder; Remy
-   shares the compiled pretrained table (immutable, so safe across pool
-   domains); Remy-Phi follows the practical protocol — a context server
-   fed by end-of-connection reports, one utilization lookup when each
-   connection starts. *)
-let run_one ~remy_table ~remy_phi_table ~seed (config : Scenario.config) algo =
-  let config = { config with Scenario.seed } in
-  match algo with
-  | Cc_algo.Cubic _ | Cc_algo.Reno _ | Cc_algo.Vegas ->
-    Scenario.run ~cc_factory:(fun _ () -> Cc_algo.basic_builder ~ctx:Phi.Context.empty algo) config
-  | Cc_algo.Remy ->
-    Scenario.run ~cc_factory:(fun _ () -> Remy_cc.make ~table:remy_table ~util:`None ()) config
-  | Cc_algo.Remy_phi ->
-    let table = remy_phi_table in
-    let util_feed : Remy_cc.util_feed ref = ref `None in
-    let reporter = ref (fun (_ : Phi_tcp.Flow.conn_stats) -> ()) in
-    let observe engine (_ : Topology.dumbbell) =
-      let server =
-        Phi.Context_server.create engine
-          ~capacity_bps:config.Scenario.spec.Topology.bottleneck_bw_bps ()
-      in
-      util_feed :=
-        `At_start
-          (fun () -> (Phi.Context_server.lookup server ~path:"dumbbell").Phi.Context.utilization);
-      reporter := fun stats -> Phi.Context_server.report_stats server ~path:"dumbbell" stats
-    in
-    Scenario.run ~observe
-      ~cc_factory:(fun _ () -> Remy_cc.make ~table ~util:!util_feed ())
-      ~on_conn_end:(fun stats -> !reporter stats)
-      config
-
-let cell_of ~algorithm ~workload (results : Scenario.result array) =
-  let mean f = Stats.mean (Array.map f results) in
-  {
-    algorithm;
-    workload;
-    mean_throughput_bps = mean (fun r -> r.Scenario.throughput_bps);
-    mean_queueing_delay_s = mean (fun r -> r.Scenario.queueing_delay_s);
-    mean_loss_rate = mean (fun r -> r.Scenario.loss_rate);
-    mean_power = mean (fun r -> r.Scenario.power);
-    connections = Array.fold_left (fun acc r -> acc + r.Scenario.connections) 0 results;
-  }
-
-let run ?jobs ?(algorithms = Cc_algo.all) ?remy_table ?remy_phi_table ?duration_s ~seeds () =
-  if seeds = [] then invalid_arg "Cc_matrix.run: no seeds";
-  if algorithms = [] then invalid_arg "Cc_matrix.run: no algorithms";
-  (* Compile once before fanning out: every (workload, seed) cell shares
-     the two flat tables. *)
-  let remy_table =
-    Compiled_table.compile
-      (match remy_table with Some t -> t | None -> Phi_remy.Pretrained.remy ())
-  in
-  let remy_phi_table =
-    Compiled_table.compile
-      (match remy_phi_table with Some t -> t | None -> Phi_remy.Pretrained.remy_phi ())
-  in
-  let config_of base =
-    match duration_s with
-    | Some d -> { base with Scenario.duration_s = d }
-    | None -> base
-  in
-  (* (algorithm, workload)-major, seed-minor: the pool returns results in
-     submission order, so the regrouping below is positional. *)
-  let groups =
-    List.concat_map
-      (fun algo -> List.map (fun (wname, cfg) -> (algo, wname, config_of cfg)) workloads)
-      algorithms
-  in
-  let cells =
-    List.concat_map (fun (algo, wname, cfg) -> List.map (fun seed -> (algo, wname, cfg, seed)) seeds)
-      groups
-  in
-  let results =
-    Pool.map ?jobs
-      (fun (algo, _wname, cfg, seed) -> run_one ~remy_table ~remy_phi_table ~seed cfg algo)
-      cells
-  in
-  let n_seeds = List.length seeds in
-  let arr = Array.of_list results in
-  List.mapi
-    (fun i (algo, wname, _) ->
-      cell_of ~algorithm:(Cc_algo.name algo) ~workload:wname (Array.sub arr (i * n_seeds) n_seeds))
-    groups
-
-(* {2 The WAN evaluation matrix: algorithm x topology x dynamics} *)
-
-type matrix_cell = {
-  m_algorithm : string;
-  m_topology : string;
-  m_dynamics : string;
-  m_aqm : string;
-  m_throughput_bps : float;
-  m_delay_s : float;
-  m_queueing_delay_s : float;
-  m_loss_rate : float;
-  m_power : float;
-  m_jain : float;
-  m_p99_fct_s : float;
-  m_connections : int;
-}
+let paper_cells = [ Paper `Low; Paper `High ]
 
 let default_topologies = [ "dumbbell"; "parking_lot"; "wan" ]
 let default_dynamics = [ "steady"; "flap"; "incast" ]
 
-(* One seeded run_zoo cell.  The topology and the regime are
-   materialized from their names inside the worker — a [Zoo.t] holds a
-   mutable graph, so nothing mutable crosses the pool boundary; only
-   the two compiled Remy tables (immutable flat arrays) are shared. *)
-let run_one_zoo ~remy_table ~remy_phi_table ~aqm ?duration_s ~seed ~topology ~dynamics algo =
-  let zoo = Topology.Zoo.by_name topology in
-  let dynamics = Dynamics.by_name dynamics in
-  let run = Scenario.run_zoo ~aqm ~dynamics ?duration_s ~seed in
-  match algo with
-  | Cc_algo.Cubic _ | Cc_algo.Reno _ | Cc_algo.Vegas ->
-    run ~cc_factory:(fun _ () -> Cc_algo.basic_builder ~ctx:Phi.Context.empty algo) zoo
-  | Cc_algo.Remy ->
-    run ~cc_factory:(fun _ () -> Remy_cc.make ~table:remy_table ~util:`None ()) zoo
-  | Cc_algo.Remy_phi ->
-    let table = remy_phi_table in
-    let util_feed : Remy_cc.util_feed ref = ref `None in
-    let reporter = ref (fun (_ : Phi_tcp.Flow.conn_stats) -> ()) in
-    let path = zoo.Topology.Zoo.name in
-    let observe engine (_ : Topology.built) =
-      let server =
-        Phi.Context_server.create engine
-          ~capacity_bps:zoo.Topology.Zoo.bottleneck_bw_bps ()
-      in
-      util_feed :=
-        `At_start (fun () -> (Phi.Context_server.lookup server ~path).Phi.Context.utilization);
-      reporter := fun stats -> Phi.Context_server.report_stats server ~path stats
-    in
-    run ~observe
-      ~cc_factory:(fun _ () -> Remy_cc.make ~table ~util:!util_feed ())
-      ~on_conn_end:(fun stats -> !reporter stats)
-      zoo
+let zoo_cells ~aqm ~topologies ~dynamics =
+  List.concat_map
+    (fun topology -> List.map (fun dynamics -> Zoo { topology; dynamics; aqm }) dynamics)
+    topologies
 
-let matrix_cell_of ~algorithm ~topology ~dynamics ~aqm (results : Scenario.zoo_result array) =
-  let mean f = Stats.mean (Array.map f results) in
+type row = {
+  algorithm : string;
+  cell : string;
+  aqm : string;
+  throughput_bps : float;
+  delay_s : float;
+  queueing_delay_s : float;
+  loss_rate : float;
+  power : float;
+  jain : float;
+  p99_fct_s : float;
+  connections : int;
+}
+
+(* One seeded run of one algorithm in one cell, as a one-seed row. *)
+let run_cell select ?duration_s ~seed algo cell =
+  let algorithm = Cc_algo.name algo in
+  match cell with
+  | Paper load ->
+    let name, config =
+      match load with
+      | `Low -> ("low", Scenario.low_utilization)
+      | `High -> ("high", Scenario.high_utilization)
+    in
+    let config =
+      { config with Scenario.seed; duration_s = Option.value duration_s ~default:config.duration_s }
+    in
+    let spec = config.Scenario.spec in
+    let w = Cc_select.wire select ~capacity_bps:spec.Topology.bottleneck_bw_bps ~path:"dumbbell" algo in
+    let r =
+      Scenario.run ~cc_factory:w.cc_factory ~observe:(fun e _ -> w.attach e)
+        ~on_conn_end:w.on_conn_end config
+    in
+    {
+      algorithm;
+      cell = name;
+      aqm = Scenario.aqm_name Scenario.Drop_tail;
+      throughput_bps = r.Scenario.throughput_bps;
+      delay_s = spec.Topology.rtt_s +. r.Scenario.queueing_delay_s;
+      queueing_delay_s = r.Scenario.queueing_delay_s;
+      loss_rate = r.Scenario.loss_rate;
+      power = r.Scenario.power;
+      jain = Scenario.jain ~n_sources:spec.Topology.n r.Scenario.records;
+      p99_fct_s = Scenario.p99_fct_s r.Scenario.records;
+      connections = r.Scenario.connections;
+    }
+  | Zoo { topology; dynamics; aqm } ->
+    let zoo = Topology.Zoo.by_name topology in
+    let w =
+      Cc_select.wire select ~capacity_bps:zoo.Topology.Zoo.bottleneck_bw_bps
+        ~path:zoo.Topology.Zoo.name algo
+    in
+    let r =
+      Scenario.run_zoo ~cc_factory:w.cc_factory ~observe:(fun e _ -> w.attach e)
+        ~on_conn_end:w.on_conn_end ~aqm ~dynamics:(Dynamics.by_name dynamics) ?duration_s ~seed
+        zoo
+    in
+    {
+      algorithm;
+      cell = topology ^ "/" ^ dynamics;
+      aqm = Scenario.aqm_name aqm;
+      throughput_bps = r.Scenario.z_throughput_bps;
+      delay_s = r.Scenario.z_delay_s;
+      queueing_delay_s = r.Scenario.z_queueing_delay_s;
+      loss_rate = r.Scenario.z_loss_rate;
+      power = r.Scenario.z_power;
+      jain = r.Scenario.z_jain;
+      p99_fct_s = r.Scenario.z_p99_fct_s;
+      connections = r.Scenario.z_connections;
+    }
+
+let mean_row (by_seed : row array) =
+  let mean f = Stats.mean (Array.map f by_seed) in
   {
-    m_algorithm = algorithm;
-    m_topology = topology;
-    m_dynamics = dynamics;
-    m_aqm = Scenario.aqm_name aqm;
-    m_throughput_bps = mean (fun r -> r.Scenario.z_throughput_bps);
-    m_delay_s = mean (fun r -> r.Scenario.z_delay_s);
-    m_queueing_delay_s = mean (fun r -> r.Scenario.z_queueing_delay_s);
-    m_loss_rate = mean (fun r -> r.Scenario.z_loss_rate);
-    m_power = mean (fun r -> r.Scenario.z_power);
-    m_jain = mean (fun r -> r.Scenario.z_jain);
-    m_p99_fct_s = mean (fun r -> r.Scenario.z_p99_fct_s);
-    m_connections = Array.fold_left (fun acc r -> acc + r.Scenario.z_connections) 0 results;
+    (by_seed.(0)) with
+    throughput_bps = mean (fun r -> r.throughput_bps);
+    delay_s = mean (fun r -> r.delay_s);
+    queueing_delay_s = mean (fun r -> r.queueing_delay_s);
+    loss_rate = mean (fun r -> r.loss_rate);
+    power = mean (fun r -> r.power);
+    jain = mean (fun r -> r.jain);
+    p99_fct_s = mean (fun r -> r.p99_fct_s);
+    connections = Array.fold_left (fun acc r -> acc + r.connections) 0 by_seed;
   }
 
-let run_matrix ?jobs ?(algorithms = Cc_algo.all) ?(topologies = default_topologies)
-    ?(dynamics = default_dynamics) ?(aqm = Scenario.Drop_tail) ?remy_table ?remy_phi_table
-    ?duration_s ~seeds () =
-  if seeds = [] then invalid_arg "Cc_matrix.run_matrix: no seeds";
-  if algorithms = [] then invalid_arg "Cc_matrix.run_matrix: no algorithms";
-  if topologies = [] then invalid_arg "Cc_matrix.run_matrix: no topologies";
-  if dynamics = [] then invalid_arg "Cc_matrix.run_matrix: no dynamics";
+let run ?jobs ?(algorithms = Cc_algo.all) ?remy_table ?remy_phi_table ?duration_s ~seeds cells =
+  if algorithms = [] then invalid_arg "Cc_matrix.run: no algorithms";
+  if cells = [] then invalid_arg "Cc_matrix.run: no cells";
   (* Validate the names before fanning out, so a typo fails fast
      instead of inside a worker. *)
-  List.iter (fun t -> ignore (Topology.Zoo.by_name t)) topologies;
-  List.iter (fun d -> ignore (Dynamics.by_name d)) dynamics;
-  let remy_table =
-    Compiled_table.compile
-      (match remy_table with Some t -> t | None -> Phi_remy.Pretrained.remy ())
-  in
-  let remy_phi_table =
-    Compiled_table.compile
-      (match remy_phi_table with Some t -> t | None -> Phi_remy.Pretrained.remy_phi ())
-  in
-  (* (algorithm, topology, dynamics)-major, seed-minor: the pool
-     returns results in submission order, so the regrouping below is
-     positional — jobs-invariant by construction. *)
-  let groups =
-    List.concat_map
-      (fun algo ->
-        List.concat_map
-          (fun topology -> List.map (fun dyn -> (algo, topology, dyn)) dynamics)
-          topologies)
-      algorithms
-  in
-  let cells =
-    List.concat_map
-      (fun (algo, topology, dyn) -> List.map (fun seed -> (algo, topology, dyn, seed)) seeds)
-      groups
-  in
-  let results =
-    Pool.map ?jobs
-      (fun (algo, topology, dyn, seed) ->
-        run_one_zoo ~remy_table ~remy_phi_table ~aqm ?duration_s ~seed ~topology ~dynamics:dyn
-          algo)
-      cells
-  in
-  let n_seeds = List.length seeds in
-  let arr = Array.of_list results in
-  List.mapi
-    (fun i (algo, topology, dyn) ->
-      matrix_cell_of ~algorithm:(Cc_algo.name algo) ~topology ~dynamics:dyn ~aqm
-        (Array.sub arr (i * n_seeds) n_seeds))
-    groups
+  List.iter
+    (function
+      | Zoo { topology; dynamics; _ } ->
+        ignore (Topology.Zoo.by_name topology);
+        ignore (Dynamics.by_name dynamics)
+      | Paper _ -> ())
+    cells;
+  (* Compile once before fanning out: every cell shares the two flat
+     tables. *)
+  let select = Cc_select.create ?remy_table ?remy_phi_table () in
+  List.map
+    (fun (_, by_seed) -> mean_row by_seed)
+    (Pool.fan_out ?jobs ~seeds
+       (fun (algo, cell) seed -> run_cell select ?duration_s ~seed algo cell)
+       (List.concat_map (fun algo -> List.map (fun cell -> (algo, cell)) cells) algorithms))

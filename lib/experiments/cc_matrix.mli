@@ -1,61 +1,25 @@
-(** Cross-algorithm matrix: every registered congestion-control algorithm
-    over the low- and high-utilization dumbbells.
+(** The algorithm matrix: every selected congestion-control algorithm
+    in every cell of a list, one seeded run per (algorithm, cell, seed).
 
-    The CoCo-Beholder-style harness check for the unified control plane:
-    one scenario runner, one sender transport, five algorithms selected
-    through the {!Phi.Cc_algo} registry.  Cells fan out one
-    [(algorithm, workload, seed)] run per pool job; per-workload rows are
-    means over seeds. *)
-
-type cell = {
-  algorithm : string;  (** registry name *)
-  workload : string;  (** ["low"] or ["high"] *)
-  mean_throughput_bps : float;
-  mean_queueing_delay_s : float;
-  mean_loss_rate : float;
-  mean_power : float;
-  connections : int;  (** total completed connections across seeds *)
-}
-
-val workloads : (string * Scenario.config) list
-(** [("low", Scenario.low_utilization); ("high", Scenario.high_utilization)]. *)
-
-val run :
-  ?jobs:int ->
-  ?algorithms:Phi.Cc_algo.t list ->
-  ?remy_table:Phi_remy.Rule_table.t ->
-  ?remy_phi_table:Phi_remy.Rule_table.t ->
-  ?duration_s:float ->
-  seeds:int list ->
-  unit ->
-  cell list
-(** Cells come back algorithm-major, workload-minor, in registry order
-    (default [algorithms]: {!Phi.Cc_algo.all}).  [duration_s] overrides
-    both workloads' durations (for quick runs).  Results are identical
-    for every [jobs] value. *)
-
-(** {2 The WAN evaluation matrix}
-
-    Algorithm x topology x dynamics, one [Scenario.run_zoo] cell per
-    seeded combination.  Topologies and regimes travel as names and
-    are materialized from the registries inside each pool worker
-    (nothing mutable crosses the pool boundary), so the matrix is
+    The CoCo-Beholder-style harness of the unified control plane: one
+    sender transport, algorithms selected through the {!Phi.Cc_algo}
+    registry and wired by {!Cc_select.wire}, one row layout.  A cell is
+    either one of the paper's dumbbell loads, measured whole-run by
+    {!Scenario.run}, or a topology zoo x dynamics x AQM combination run
+    by {!Scenario.run_zoo}.  Cells travel to pool workers as immutable
+    descriptions — a zoo cell as names, materialized inside the worker
+    since a [Zoo.t] holds a mutable graph — so the matrix is
     jobs-invariant. *)
 
-type matrix_cell = {
-  m_algorithm : string;  (** registry name *)
-  m_topology : string;  (** {!Phi_net.Topology.Zoo.names} entry *)
-  m_dynamics : string;  (** {!Dynamics.names} entry *)
-  m_aqm : string;  (** {!Scenario.aqm_names} entry *)
-  m_throughput_bps : float;  (** Pareto throughput coordinate, mean over seeds *)
-  m_delay_s : float;  (** Pareto delay coordinate (base RTT + queueing) *)
-  m_queueing_delay_s : float;
-  m_loss_rate : float;
-  m_power : float;  (** the paper's P_l *)
-  m_jain : float;  (** Jain fairness over per-source delivered bytes *)
-  m_p99_fct_s : float;  (** 99th-percentile flow completion time *)
-  m_connections : int;  (** total completed connections across seeds *)
-}
+type cell =
+  | Paper of [ `Low | `High ]
+      (** Figure 2a's ({!Scenario.low_utilization}) or Figure 2b's
+          ({!Scenario.high_utilization}) load on the paper dumbbell *)
+  | Zoo of { topology : string; dynamics : string; aqm : Scenario.aqm }
+      (** {!Phi_net.Topology.Zoo.names} x {!Dynamics.names} entries *)
+
+val paper_cells : cell list
+(** [[Paper `Low; Paper `High]], named ["low"] and ["high"]. *)
 
 val default_topologies : string list
 (** [["dumbbell"; "parking_lot"; "wan"]] — the three structurally
@@ -65,19 +29,37 @@ val default_dynamics : string list
 (** [["steady"; "flap"; "incast"]] — baseline, link-level adversity,
     workload-level adversity. *)
 
-val run_matrix :
+val zoo_cells : aqm:Scenario.aqm -> topologies:string list -> dynamics:string list -> cell list
+(** Every topology x dynamics combination, topology-major. *)
+
+type row = {
+  algorithm : string;  (** registry name *)
+  cell : string;  (** the paper load's name, or ["topology/dynamics"] *)
+  aqm : string;  (** {!Scenario.aqm_names} entry (["droptail"] on the paper dumbbell) *)
+  throughput_bps : float;  (** aggregate on-time throughput *)
+  delay_s : float;  (** base RTT + queueing delay *)
+  queueing_delay_s : float;
+  loss_rate : float;
+  power : float;  (** the paper's P_l *)
+  jain : float;  (** Jain fairness over per-source delivered bytes *)
+  p99_fct_s : float;  (** 99th-percentile flow completion time *)
+  connections : int;  (** total completed connections across seeds *)
+}
+(** Every float is a mean over seeds.  Paper cells take their link
+    figures whole-run, zoo cells over the second half. *)
+
+val run :
   ?jobs:int ->
   ?algorithms:Phi.Cc_algo.t list ->
-  ?topologies:string list ->
-  ?dynamics:string list ->
-  ?aqm:Scenario.aqm ->
   ?remy_table:Phi_remy.Rule_table.t ->
   ?remy_phi_table:Phi_remy.Rule_table.t ->
   ?duration_s:float ->
   seeds:int list ->
-  unit ->
-  matrix_cell list
-(** Cells come back algorithm-major, then topology, then dynamics, in
-    the given list orders; each is a mean over [seeds].  Unknown
-    topology or dynamics names raise [Invalid_argument] before any
-    work fans out.  Results are identical for every [jobs] value. *)
+  cell list ->
+  row list
+(** Rows come back algorithm-major, then in cell order (default
+    [algorithms]: {!Phi.Cc_algo.all}).  [duration_s] overrides every
+    cell's duration (default: a paper load's own, 30 s for a zoo
+    cell).  Unknown topology or dynamics names raise
+    [Invalid_argument] before any work fans out.  Results are identical
+    for every [jobs] value. *)

@@ -79,22 +79,13 @@ let average_groups groups =
   }
 
 let fraction_sweep ?jobs ~fractions ~params_modified ~seeds config =
-  if seeds = [] then invalid_arg "Incremental.fraction_sweep: no seeds";
-  let cells =
-    List.concat_map (fun f -> List.map (fun seed -> (f, seed)) seeds) fractions
-  in
-  let results =
-    Phi_runner.Pool.map ?jobs
-      (fun (fraction, seed) ->
-        run ~fraction_modified:fraction ~params_modified { config with Scenario.seed })
-      cells
-  in
-  let n_seeds = List.length seeds in
-  let arr = Array.of_list results in
-  List.mapi
-    (fun i fraction ->
-      let per_seed = Array.to_list (Array.sub arr (i * n_seeds) n_seeds) in
+  List.map
+    (fun (fraction, by_seed) ->
+      let per_seed = Array.to_list by_seed in
       ( fraction,
         average_groups (List.map (fun r -> r.modified) per_seed),
         average_groups (List.map (fun r -> r.unmodified) per_seed) ))
-    fractions
+    (Phi_runner.Pool.fan_out ?jobs ~seeds
+       (fun fraction seed ->
+         run ~fraction_modified:fraction ~params_modified { config with Scenario.seed })
+       fractions)

@@ -133,9 +133,9 @@ let run ?(jobs = 1) ?(spec = default_spec) () =
   let jobs_used = if Invariant.enabled () then 1 else Stdlib.min jobs s_count in
   let window_s = Pdes.lookahead_s coordinator in
   let window_s = if Float.is_finite window_s then window_s else spec.duration_s in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   Pdes.run ~jobs:jobs_used ~window_s ~until:spec.duration_s coordinator;
-  let wall_s = Float.max 1e-9 (Unix.gettimeofday () -. t0) in
+  let wall_s = Float.max 1e-9 (Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9) in
   (* Harvest (serial again). *)
   let events = Topology.total_events built in
   let labeled kind s = Topology.link_of built (Topology.find_link built ~label:(Printf.sprintf "%s:%d" kind s)) in

@@ -1,7 +1,4 @@
-module Engine = Phi_sim.Engine
-module Topology = Phi_net.Topology
 module Flow = Phi_tcp.Flow
-module Prng = Phi_util.Prng
 
 type flow_share = { weight : float; throughput_bps : float }
 
@@ -13,49 +10,24 @@ type result = {
   competitor_reference_bps : float;
 }
 
-(* Persistent flows, each with its own congestion controller; measured
-   over the second half of the run.  Returns per-flow delivered bits/s. *)
-let run_persistent_mixed ~spec ~duration_s ~seed ~ccs =
-  let n = Array.length ccs in
-  let spec = { spec with Topology.n } in
-  let engine = Engine.create () in
-  let dumbbell = Topology.dumbbell engine spec in
-  let rng = Prng.create ~seed in
-  let flows = Flow.allocator () in
-  let senders =
-    Array.init n (fun i ->
-        let flow = Flow.fresh flows in
-        let _receiver =
-          Phi_tcp.Receiver.create engine
-            ~node:dumbbell.Topology.receivers.(i)
-            ~flow
-            ~peer:(Topology.sender_id dumbbell i)
-        in
-        Phi_tcp.Sender.create engine
-          ~node:dumbbell.Topology.senders.(i)
-          ~flow
-          ~dst:(Topology.receiver_id dumbbell i)
-          ~cc:(ccs.(i) ()) ~total_segments:Phi_tcp.Sender.persistent_total ~source_index:i ())
+(* Per-flow delivered bits/s over the second half of a persistent run,
+   one controller factory per flow: the acked bytes at the end minus
+   those at the half.  A persistent run up to any instant does not
+   depend on its horizon, so the same seeded run stopped at the half
+   snapshots them exactly. *)
+let second_half_shares ~spec ~duration_s ~seed ccs =
+  let acked duration_s =
+    (Scenario.run_persistent
+       ~cc_factory:(fun i -> ccs.(i))
+       ~n_flows:(Array.length ccs) ~duration_s ~spec ~seed ())
+      .Scenario.records
   in
-  Array.iter
-    (fun sender ->
-      ignore
-        (Engine.schedule_after engine ~delay:(Prng.float rng) (fun () ->
-             Phi_tcp.Sender.start sender)))
-    senders;
   let half = duration_s /. 2. in
-  Engine.run ~until:half engine;
-  let acked0 = Array.map Phi_tcp.Sender.acked_segments senders in
-  Engine.run ~until:duration_s engine;
-  let throughputs =
-    Array.mapi
-      (fun i sender ->
-        float_of_int ((Phi_tcp.Sender.acked_segments sender - acked0.(i)) * Phi_net.Packet.mss * 8)
-        /. half)
-      senders
-  in
-  Array.iter Phi_tcp.Sender.abort senders;
-  throughputs
+  Array.of_list
+    (List.map2
+       (fun (a : Flow.conn_stats) (b : Flow.conn_stats) ->
+         float_of_int ((b.Flow.bytes - a.Flow.bytes) * 8) /. half)
+       (acked half) (acked duration_s))
 
 let sum a = Array.fold_left ( +. ) 0. a
 
@@ -69,13 +41,11 @@ let run ?(priorities = [| 4.; 1.; 1.; 1. |]) ?(n_competitors = 4) ?(duration_s =
   let competitor_ccs = Array.make n_competitors standard in
   (* Treatment: weighted entity flows + standard competitors. *)
   let treatment =
-    run_persistent_mixed ~spec ~duration_s ~seed
-      ~ccs:(Array.append entity_ccs competitor_ccs)
+    second_half_shares ~spec ~duration_s ~seed (Array.append entity_ccs competitor_ccs)
   in
   (* Control: same number of flows, all standard. *)
   let control =
-    run_persistent_mixed ~spec ~duration_s ~seed
-      ~ccs:(Array.make (k + n_competitors) standard)
+    second_half_shares ~spec ~duration_s ~seed (Array.make (k + n_competitors) standard)
   in
   let entity = Array.sub treatment 0 k in
   let competitors = Array.sub treatment k n_competitors in

@@ -109,9 +109,7 @@ let run ?(cc_factory = default_factory) ?(on_conn_end = fun _ -> ()) ?(observe =
   result_of_run ~spec:config.spec ~duration_s:config.duration_s
     ~bottleneck:dumbbell.Topology.bottleneck !records
 
-let run_cubic ~params config = run ~cc_factory:(fun _ () -> Cubic.make params) config
-
-let run_persistent ?(params = Cubic.default_params) ~n_flows ~duration_s ~spec ~seed () =
+let run_persistent ?(cc_factory = default_factory) ~n_flows ~duration_s ~spec ~seed () =
   let spec = { spec with Topology.n = n_flows } in
   let engine = Engine.create () in
   let dumbbell = Topology.dumbbell engine spec in
@@ -126,15 +124,12 @@ let run_persistent ?(params = Cubic.default_params) ~n_flows ~duration_s ~spec ~
             ~flow
             ~peer:(Topology.sender_id dumbbell i)
         in
-        let sender =
-          Phi_tcp.Sender.create engine
-            ~node:dumbbell.Topology.senders.(i)
-            ~flow
-            ~dst:(Topology.receiver_id dumbbell i)
-            ~cc:(Cubic.make params) ~total_segments:Phi_tcp.Sender.persistent_total
-            ~source_index:i ()
-        in
-        sender)
+        Phi_tcp.Sender.create engine
+          ~node:dumbbell.Topology.senders.(i)
+          ~flow
+          ~dst:(Topology.receiver_id dumbbell i)
+          ~cc:(cc_factory i ()) ~total_segments:Phi_tcp.Sender.persistent_total
+          ~source_index:i ())
   in
   (* Stagger flow starts over the first second to desynchronize. *)
   Array.iter
@@ -163,6 +158,22 @@ let run_persistent ?(params = Cubic.default_params) ~n_flows ~duration_s ~spec ~
     connections = n_flows;
     records;
   }
+
+let jain ~n_sources records =
+  if n_sources = 0 then 1.
+  else begin
+    let bytes = Array.make n_sources 0. in
+    List.iter
+      (fun r ->
+        let i = r.Flow.source_index in
+        if i >= 0 && i < n_sources then bytes.(i) <- bytes.(i) +. float_of_int r.Flow.bytes)
+      records;
+    Stats.jain bytes
+  end
+
+let p99_fct_s = function
+  | [] -> 0.
+  | records -> Stats.percentile (Array.of_list (List.map Flow.duration records)) ~p:99.
 
 (* {2 The generalized scenario plane}
 
@@ -313,24 +324,6 @@ let run_zoo ?(cc_factory = default_factory) ?(aqm = Drop_tail) ?(dynamics = Dyna
       /. float_of_int n_flows
   in
   let delay_s = base_rtt_s +. queueing_delay_s in
-  let n_sources = n_flows + Array.length extras in
-  let jain =
-    if n_sources = 0 then 1.
-    else begin
-      let bytes = Array.make n_sources 0. in
-      List.iter
-        (fun r ->
-          let i = r.Flow.source_index in
-          if i >= 0 && i < n_sources then bytes.(i) <- bytes.(i) +. float_of_int r.Flow.bytes)
-        records;
-      Stats.jain bytes
-    end
-  in
-  let p99_fct_s =
-    match records with
-    | [] -> 0.
-    | _ -> Stats.percentile (Array.of_list (List.map Flow.duration records)) ~p:99.
-  in
   {
     z_throughput_bps = throughput_bps;
     z_queueing_delay_s = queueing_delay_s;
@@ -338,8 +331,8 @@ let run_zoo ?(cc_factory = default_factory) ?(aqm = Drop_tail) ?(dynamics = Dyna
     z_loss_rate = loss_rate;
     z_utilization = utilization;
     z_power = Phi.Metric.power_with_loss ~throughput_bps ~loss_rate ~delay_s;
-    z_jain = jain;
-    z_p99_fct_s = p99_fct_s;
+    z_jain = jain ~n_sources:(n_flows + Array.length extras) records;
+    z_p99_fct_s = p99_fct_s records;
     z_connections = List.length records;
     z_flows = n_flows;
     z_records = records;

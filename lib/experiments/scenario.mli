@@ -53,22 +53,30 @@ val run :
     parameters).  [observe] runs right after topology construction — the
     hook for attaching monitors or context servers. *)
 
-val run_cubic : params:Phi_tcp.Cubic.params -> config -> result
-(** All senders use the same fixed Cubic parameters (the paper's
-    simplified setting of Section 2.2.1). *)
-
 val run_persistent :
-  ?params:Phi_tcp.Cubic.params ->
+  ?cc_factory:(int -> unit -> Phi_tcp.Cc.t) ->
   n_flows:int ->
   duration_s:float ->
   spec:Phi_net.Topology.spec ->
   seed:int ->
   unit ->
   result
-(** Figure 2c's setting: [n_flows] long-running Cubic connections
-    (one per sender/receiver pair, [spec.n] forced to [n_flows]),
-    measured over the second half of the run to skip the start-up
-    transient.  Throughput is the aggregate delivery rate. *)
+(** Figure 2c's setting: [n_flows] long-running connections (one per
+    sender/receiver pair, [spec.n] forced to [n_flows]; [cc_factory
+    index] builds sender [index]'s controller, default Cubic with
+    default parameters), measured over the second half of the run to
+    skip the start-up transient.  Throughput is the aggregate delivery
+    rate; [records] are the senders' stats at the end of the run, in
+    sender order.  The run up to any instant does not depend on
+    [duration_s], so a run of half the duration snapshots the first
+    half exactly. *)
+
+val jain : n_sources:int -> Phi_tcp.Flow.conn_stats list -> float
+(** Jain fairness over the bytes each source index in [0, n_sources)
+    delivered ([1.] without sources). *)
+
+val p99_fct_s : Phi_tcp.Flow.conn_stats list -> float
+(** 99th-percentile connection duration ([0.] without records). *)
 
 (** {2 The generalized scenario plane}
 

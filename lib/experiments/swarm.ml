@@ -169,6 +169,10 @@ let generate config =
 
 (* {2 Cell execution} *)
 
+(* CLOCK_MONOTONIC in ns (bechamel's allocation-free clock_gettime
+   stub): latencies and elapsed time never see a wall-clock step. *)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
+
 type cell_out = {
   c_lookups : int;
   c_reports : int;
@@ -212,9 +216,9 @@ let run_cell config policy ops =
       match Context_wire.decode_request op.wire with
       | Error e -> invalid_arg ("Swarm.run: corrupt pre-encoded request: " ^ e)
       | Ok req ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = now_ns () in
         let resp = Context_server.handle server req in
-        let t1 = Unix.gettimeofday () in
+        let t1 = now_ns () in
         let resp_wire = Context_wire.response_to_string resp in
         (* The client half of the protocol: decode the response and, for
            lookups, run the decoded context through the compiled policy —
@@ -229,7 +233,7 @@ let run_cell config policy ops =
         (match req with
         | Context_wire.Lookup _ ->
           incr lookups;
-          Float.Array.set lat !lat_n (t1 -. t0);
+          Float.Array.set lat !lat_n (float_of_int (t1 - t0) *. 1e-9);
           incr lat_n
         | Context_wire.Report _ -> incr reports))
     ops;
@@ -256,9 +260,9 @@ let run ?jobs ?(config = default_config) () =
   let buckets = generate config in
   (* Compiled once; immutable, so all cells share it across domains. *)
   let policy = Policy.Compiled.compile (swarm_policy ()) in
-  let t0 = Unix.gettimeofday () in
+  let t0 = now_ns () in
   let outs = Pool.map ?jobs (run_cell config policy) (Array.to_list buckets) in
-  let elapsed_s = Float.max 1e-9 (Unix.gettimeofday () -. t0) in
+  let elapsed_s = Float.max 1e-9 (float_of_int (now_ns () - t0) *. 1e-9) in
   let sum f = List.fold_left (fun acc o -> acc + f o) 0 outs in
   let lookups = sum (fun o -> o.c_lookups) and reports = sum (fun o -> o.c_reports) in
   let checksum =

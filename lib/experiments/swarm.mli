@@ -19,7 +19,7 @@
       is — the cell partition is fixed by the workload, not by the
       worker count;
     - {e timing} (lookups/s, reports/s, p50/p99 lookup service latency)
-      from the wall clock, which CI gates against committed floors. *)
+      from CLOCK_MONOTONIC, which CI gates against committed floors. *)
 
 type config = {
   n_flows : int;

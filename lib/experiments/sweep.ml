@@ -67,32 +67,26 @@ let point_of ~params by_seed =
     mean_power = mean_of (fun (r : Scenario.result) -> r.Scenario.power) by_seed;
   }
 
-(* Group a flat (setting-major, seed-minor) cell-result list back into
-   one point per setting.  The pool returns results in submission order,
-   so the regrouping is positional and the parallel sweep is bit-for-bit
-   identical to the serial one. *)
-let regroup ~n_seeds settings results =
-  let arr = Array.of_list results in
-  List.mapi (fun i params -> point_of ~params (Array.sub arr (i * n_seeds) n_seeds)) settings
+(* One point per setting, each from one Scenario.run per seed.  Every
+   (setting, seed) pair is its own pool job, so the pool balances
+   across both axes and the parallel sweep is bit-for-bit the serial
+   one. *)
+let points ?jobs ~seeds run settings =
+  List.map
+    (fun (params, by_seed) -> point_of ~params by_seed)
+    (Pool.fan_out ?jobs ~seeds run settings)
+
+let cubic params _index () = Cubic.make params
 
 let run ?(progress = fun _ _ -> ()) ?jobs config grid ~seeds =
-  if seeds = [] then invalid_arg "Sweep.run: no seeds";
   let all = settings grid in
-  let total = List.length all in
-  (* One cell per (setting, seed) — the finest independent unit, so the
-     pool load-balances across both axes.  The Table 1 default setting
-     rides along as the last group of cells. *)
-  let cells =
-    List.concat_map
-      (fun params -> List.map (fun seed -> (params, seed)) seeds)
+  (* The Table 1 default setting rides along as the last point. *)
+  let points =
+    points ?jobs ~seeds
+      (fun params seed -> Scenario.run ~cc_factory:(cubic params) { config with Scenario.seed })
       (all @ [ Cubic.default_params ])
   in
-  let results =
-    Pool.map ?jobs
-      (fun (params, seed) -> Scenario.run_cubic ~params { config with Scenario.seed })
-      cells
-  in
-  let points = regroup ~n_seeds:(List.length seeds) (all @ [ Cubic.default_params ]) results in
+  let total = List.length all in
   List.iteri (fun i _ -> progress (i + 1) total) all;
   match List.rev points with
   | default_point :: rev_points ->
@@ -106,20 +100,11 @@ let optimal t =
     List.fold_left (fun best p -> if p.mean_power > best.mean_power then p else best) first rest
 
 let run_longrunning ?jobs ~spec ~n_flows ~duration_s ~seeds ~betas () =
-  let cells = List.concat_map (fun beta -> List.map (fun seed -> (beta, seed)) seeds) betas in
-  let results =
-    Pool.map ?jobs
-      (fun (beta, seed) ->
-        let params = Cubic.with_knobs ~beta Cubic.default_params in
-        Scenario.run_persistent ~params ~n_flows ~duration_s ~spec ~seed ())
-      cells
-  in
-  let params_of beta = Cubic.with_knobs ~beta Cubic.default_params in
-  let n_seeds = List.length seeds in
-  let arr = Array.of_list results in
-  List.mapi
-    (fun i beta -> (beta, point_of ~params:(params_of beta) (Array.sub arr (i * n_seeds) n_seeds)))
-    betas
+  List.combine betas
+    (points ?jobs ~seeds
+       (fun params seed ->
+         Scenario.run_persistent ~cc_factory:(cubic params) ~n_flows ~duration_s ~spec ~seed ())
+       (List.map (fun beta -> Cubic.with_knobs ~beta Cubic.default_params) betas))
 
 type validation = { default_power : float; optimal_power : float; common_power : float }
 

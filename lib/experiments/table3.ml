@@ -1,10 +1,5 @@
 module Topology = Phi_net.Topology
-module Monitor = Phi_net.Monitor
-module Flow = Phi_tcp.Flow
-module Stats = Phi_util.Stats
 module Pool = Phi_runner.Pool
-module Remy_cc = Phi_remy.Remy_cc
-module Compiled_table = Phi_remy.Compiled_table
 
 type row = {
   name : string;
@@ -23,129 +18,54 @@ let paper_rows =
     ("Cubic", 1.03, 9.3, 1.87);
   ]
 
-let conn_objective (r : Flow.conn_stats) =
-  let thr = Flow.throughput_bps r in
-  if thr <= 0. || not (Float.is_finite r.Flow.mean_rtt) || r.Flow.mean_rtt <= 0. then None
-  else Some (Phi.Metric.log_power ~throughput_bps:thr ~delay_s:r.Flow.mean_rtt)
-
-let row_of ~name ~server_messages records =
-  let arr f = Array.of_list (List.filter_map f records) in
-  let throughputs =
-    arr (fun r ->
-        let t = Flow.throughput_bps r in
-        if t > 0. then Some t else None)
-  in
-  let qdelays =
-    arr (fun r ->
-        let q = Flow.queueing_delay r in
-        if Float.is_finite q && q >= 0. then Some q else None)
-  in
-  let objectives = arr conn_objective in
-  let median xs = if Array.length xs = 0 then nan else Stats.median xs in
-  {
-    name;
-    median_throughput_bps = median throughputs;
-    median_queueing_delay_s = median qdelays;
-    median_objective = median objectives;
-    connections = List.length records;
-    server_messages;
-  }
-
-type variant =
-  | Cubic_default
-  | Remy_classic
-  | Remy_phi of [ `Ideal | `Practical ]
-
-(* One seeded run of one variant on the shared scenario runner; returns
-   (records, server messages).  The Remy variants are ordinary
-   controllers on the unified sender: [observe] attaches the context
-   server (and, for the ideal feed, a bottleneck monitor) right after
-   topology construction, and the controller factory consumes the feed. *)
-let run_variant ~remy_table ~remy_phi_table ~seed (config : Scenario.config) variant =
-  match variant with
-  | Cubic_default ->
-    let result = Scenario.run { config with Scenario.seed } in
-    (result.Scenario.records, 0)
-  | Remy_classic | Remy_phi _ ->
-    let server_messages = ref 0 in
-    let util_feed : Remy_cc.util_feed ref = ref `None in
-    let on_conn_end = ref (fun (_ : Flow.conn_stats) -> ()) in
-    let observe engine (dumbbell : Topology.dumbbell) =
-      let server =
-        Phi.Context_server.create engine
-          ~capacity_bps:config.Scenario.spec.Topology.bottleneck_bw_bps ()
-      in
-      match variant with
-      | Remy_classic | Cubic_default -> ignore server
-      | Remy_phi `Ideal ->
-        let monitor = Monitor.create engine dumbbell.Topology.bottleneck ~interval_s:0.1 in
-        util_feed := `Live (fun () -> Monitor.current_utilization monitor)
-      | Remy_phi `Practical ->
-        util_feed :=
-          `At_start
-            (fun () ->
-              incr server_messages;
-              (Phi.Context_server.lookup server ~path:"dumbbell").Phi.Context.utilization);
-        on_conn_end :=
-          fun stats ->
-            incr server_messages;
-            Phi.Context_server.report_stats server ~path:"dumbbell" stats
-    in
-    let table =
-      match variant with
-      | Remy_phi _ -> remy_phi_table
-      | Remy_classic | Cubic_default -> remy_table
-    in
-    let result =
-      Scenario.run
-        ~cc_factory:(fun _ () -> Remy_cc.make ~table ~util:!util_feed ())
-        ~on_conn_end:(fun stats -> !on_conn_end stats)
-        ~observe
-        { config with Scenario.seed }
-    in
-    (result.Scenario.records, !server_messages)
-
+(* The four rows: three registry algorithms wired by Cc_select (the
+   practical row is Remy-Phi's context-server protocol), and the
+   training-time oracle feeding Remy-Phi live bottleneck utilization. *)
 let variants =
   [
-    ("Remy-Phi-practical", Remy_phi `Practical);
-    ("Remy-Phi-ideal", Remy_phi `Ideal);
-    ("Remy", Remy_classic);
-    ("Cubic", Cubic_default);
+    ("Remy-Phi-practical", `Registry Phi.Cc_algo.Remy_phi);
+    ("Remy-Phi-ideal", `Ideal);
+    ("Remy", `Registry Phi.Cc_algo.Remy);
+    ("Cubic", `Registry (Phi.Cc_algo.Cubic Phi_tcp.Cubic.default_params));
   ]
 
+(* One seeded run of one row: (records, context-server messages). *)
+let run_variant select (config : Scenario.config) variant =
+  match variant with
+  | `Registry algo ->
+    let w =
+      Cc_select.wire select ~capacity_bps:config.Scenario.spec.Topology.bottleneck_bw_bps
+        ~path:"dumbbell" algo
+    in
+    let r =
+      Scenario.run ~cc_factory:w.Cc_select.cc_factory
+        ~observe:(fun e _ -> w.Cc_select.attach e)
+        ~on_conn_end:w.Cc_select.on_conn_end config
+    in
+    (r.Scenario.records, w.Cc_select.messages ())
+  | `Ideal ->
+    let observe, cc_factory = Trainer.remy ~table:select.Cc_select.remy_phi_table `Ideal in
+    ((Scenario.run ~observe ~cc_factory config).Scenario.records, 0)
+
 let run ?jobs ?remy_table ?remy_phi_table ~seeds config =
-  if seeds = [] then invalid_arg "Table3.run: no seeds";
-  (* Compile once before fanning out.  Lookups are pure and the compiled
-     form immutable, so — unlike the old usage-mutating tables, which
-     needed a private copy per cell — every (variant, seed) cell shares
-     the same two flat tables across worker domains. *)
-  let remy_table =
-    Compiled_table.compile
-      (match remy_table with Some t -> t | None -> Phi_remy.Pretrained.remy ())
-  in
-  let remy_phi_table =
-    Compiled_table.compile
-      (match remy_phi_table with Some t -> t | None -> Phi_remy.Pretrained.remy_phi ())
-  in
-  (* One cell per (variant, seed), variant-major so the regrouping is
-     positional. *)
-  let cells =
-    List.concat_map (fun (_, variant) -> List.map (fun seed -> (variant, seed)) seeds) variants
-  in
-  let results =
-    Pool.map ?jobs
-      (fun (variant, seed) -> run_variant ~remy_table ~remy_phi_table ~seed config variant)
-      cells
-  in
-  let n_seeds = List.length seeds in
-  let arr = Array.of_list results in
-  List.mapi
-    (fun i (name, _) ->
-      let records, msgs =
-        Array.fold_left
-          (fun (records, msgs) (r, m) -> (r @ records, m + msgs))
-          ([], 0)
-          (Array.sub arr (i * n_seeds) n_seeds)
+  (* Compile once before fanning out: lookups are pure and the compiled
+     form immutable, so every (row, seed) job shares the same two flat
+     tables across worker domains. *)
+  let select = Cc_select.create ?remy_table ?remy_phi_table () in
+  List.map
+    (fun ((name, _), by_seed) ->
+      let records, server_messages =
+        Array.fold_left (fun (records, msgs) (r, m) -> (r @ records, m + msgs)) ([], 0) by_seed
       in
-      row_of ~name ~server_messages:msgs records)
-    variants
+      let e = Trainer.summarize records in
+      {
+        name;
+        median_throughput_bps = e.Trainer.median_throughput_bps;
+        median_queueing_delay_s = e.Trainer.median_queueing_delay_s;
+        median_objective = e.Trainer.median_objective;
+        connections = e.Trainer.connections;
+        server_messages;
+      })
+    (Pool.fan_out ?jobs ~seeds
+       (fun (_, variant) seed -> run_variant select { config with Scenario.seed } variant)
+       variants)

@@ -244,7 +244,7 @@ let walk_body ~self ~acc body =
     let n = String.length p in
     let suffix s = n >= String.length s && String.sub p (n - String.length s) (String.length s) = s in
     if
-      suffix "Pool.map" || suffix "Pool.try_map" || suffix "Pdes.run"
+      suffix "Pool.map" || suffix "Pool.try_map" || suffix "Pool.fan_out" || suffix "Pdes.run"
       || suffix "Pdes.on_drain"
       (* The dynamics-script combinators register engine callbacks: a
          scenario installing them is fanned over pool domains by the

@@ -58,7 +58,7 @@ type func = {
   f_calls : call list;
   f_pool_spawn : bool;
       (** references a multi-domain entry point: [Pool.map] /
-          [Pool.try_map], the parallel-DES coordinator's [Pdes.run]
+          [Pool.try_map] / [Pool.fan_out], the parallel-DES coordinator's [Pdes.run]
           / [Pdes.on_drain] (island window and drain bodies run on
           worker domains), or the dynamics-script combinators
           [Dynamics.at] / [Dynamics.every] (their callbacks run when

@@ -88,7 +88,7 @@ val rules : (string * string) list
     - [domain-race] (AST): module-level mutable state referenced by any
       function reachable (through the call graph, cold edges included)
       from a function that fans work out via [Pool.map] /
-      [Pool.try_map] — reported at the global's definition line.
+      [Pool.try_map] / [Pool.fan_out] — reported at the global's definition line.
       Unlike [domain-global] (which polices where pool-adjacent code
       {e lives}), this follows actual reachability from the fan-out
       sites across modules.

@@ -5,7 +5,7 @@
    waiting for a reproduction nobody will enjoy.  The old check was a
    column-0 lexical heuristic over files under lib/experiments and
    lib/runner; this pass instead takes every function that references
-   a multi-domain entry point — Pool.map / Pool.try_map, the Pdes
+   a multi-domain entry point — Pool.map / Pool.try_map / Pool.fan_out, the Pdes
    window and drain hooks, or the Dynamics.at / Dynamics.every script
    combinators whose callbacks run inside pool-fanned scenario cells —
    as a root, walks the call graph including cold edges (a race in an

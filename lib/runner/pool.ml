@@ -104,4 +104,13 @@ let map ?jobs f xs =
   if errors <> [] then raise (Job_failed errors);
   List.map (function Ok v -> v | Error _ -> assert false) results
 
+let fan_out ?jobs ~seeds f groups =
+  if seeds = [] then invalid_arg "Pool.fan_out: no seeds";
+  let n = List.length seeds in
+  let results =
+    Array.of_list
+      (map ?jobs (fun (g, s) -> f g s) (List.concat_map (fun g -> List.map (fun s -> (g, s)) seeds) groups))
+  in
+  List.mapi (fun i g -> (g, Array.sub results (i * n) n)) groups
+
 let error_to_string e = Printf.sprintf "job %d: %s" e.index (Printexc.to_string e.exn)

@@ -80,5 +80,16 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
     @raise Job_failed when any job raised, after all jobs finished. *)
 
+val fan_out : ?jobs:int -> seeds:'s list -> ('g -> 's -> 'r) -> 'g list -> ('g * 'r array) list
+(** The seeded-experiment shape: [fan_out ~seeds f groups] runs
+    [f g s] for every group [g] and seed [s] as one {!map} job each
+    (group-major, seed-minor, so the pool balances across both axes)
+    and hands every group back, in order, with its results in seed
+    order.  Regrouping is positional, so the outcome is identical for
+    every [jobs] value.
+
+    @raise Invalid_argument when [seeds] is empty.
+    @raise Job_failed as {!map} does. *)
+
 val error_to_string : error -> string
 (** [job 17: Failure("boom")] — one line per failure, for reports. *)

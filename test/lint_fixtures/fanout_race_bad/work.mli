@@ -1,0 +1,3 @@
+(** Seeded job fixture. *)
+
+val step : int -> int -> int

@@ -1,0 +1,3 @@
+(** Seeded fan-out fixture. *)
+
+val launch : int list -> (int * int array) list

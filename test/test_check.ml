@@ -1,4 +1,4 @@
-(* The CI report gate (Phi_check.Report_check): well-formed /8 reports
+(* The CI report gate (Phi_check.Report_check): well-formed /9 reports
    pass, whole or from a single experiment, and injected regressions
    trip it — swarm throughput below the floor, p99 over budget,
    allocation over budget, decision-plane speedup below the floor or
@@ -18,24 +18,44 @@ let alloc ?(minor_words_per_packet = 0.0) () =
       ("pool_high_water", J.Int 64);
     ]
 
-(* One cell per registered algorithm: the gate requires full coverage. *)
-let cc_matrix ?(drop_first_algorithm = false) () =
+(* One row of the algorithm matrix, physically sane by default. *)
+let matrix_row ?(algorithm = "cubic") ?(cell = "wan/flap") ?(throughput_bps = 3.7e6)
+    ?(loss_rate = 0.02) ?(jain = 0.54) ?(p99_fct_s = 1.8) ?(connections = 54) () =
+  J.Obj
+    [
+      ("algorithm", J.String algorithm);
+      ("cell", J.String cell);
+      ("aqm", J.String "droptail");
+      ("throughput_bps", J.float throughput_bps);
+      ("delay_s", J.float 0.138);
+      ("queueing_delay_s", J.float 0.018);
+      ("loss_rate", J.float loss_rate);
+      ("power", J.float 26.3);
+      ("jain", J.float jain);
+      ("p99_fct_s", J.float p99_fct_s);
+      ("connections", J.Int connections);
+    ]
+
+(* The layout both matrix sections share. *)
+let matrix ?(duration_s = 6.) ?(extra = []) rows =
+  J.Obj
+    ([
+       ("duration_s", J.float duration_s);
+       ("seeds", J.Int 1);
+       ("jobs", J.Int 4);
+       ("cells", J.List rows);
+     ]
+    @ extra)
+
+(* One row per registered algorithm: the gate requires full coverage. *)
+let cc_matrix ?(drop_first_algorithm = false)
+    ?(row = fun algorithm -> matrix_row ~algorithm ~cell:"low" ()) () =
   let names =
     match Phi.Cc_algo.names with
     | _ :: rest when drop_first_algorithm -> rest
     | names -> names
   in
-  J.List
-    (List.map
-       (fun name ->
-         J.Obj
-           [
-             ("algorithm", J.String name);
-             ("workload", J.String "paper");
-             ("mean_power", J.float 1.0);
-             ("connections", J.Int 8);
-           ])
-       names)
+  matrix (List.map row names)
 
 let swarm ?(lookups_per_s = 60_000.) ?(p99_lookup_s = 4e-6) ?(jain = 0.3) ?(lookups = 1_000_000)
     () =
@@ -97,46 +117,21 @@ let pdes ?(cores = 4)
       ("runs", J.List runs);
     ]
 
-(* One cell of the topology-zoo evaluation matrix, physically sane by
-   default. *)
-let wan_cell ?(algorithm = "cubic") ?(topology = "wan") ?(dynamics = "flap")
-    ?(throughput_bps = 3.7e6) ?(loss_rate = 0.02) ?(jain = 0.54) ?(p99_fct_s = 1.8)
-    ?(connections = 54) () =
-  J.Obj
-    [
-      ("algorithm", J.String algorithm);
-      ("topology", J.String topology);
-      ("dynamics", J.String dynamics);
-      ("aqm", J.String "droptail");
-      ("throughput_bps", J.float throughput_bps);
-      ("delay_s", J.float 0.138);
-      ("queueing_delay_s", J.float 0.018);
-      ("loss_rate", J.float loss_rate);
-      ("power", J.float 26.3);
-      ("jain", J.float jain);
-      ("p99_fct_s", J.float p99_fct_s);
-      ("connections", J.Int connections);
-    ]
-
-let wan_matrix ?(duration_s = 6.) ?(cells = [ wan_cell () ])
+let wan_matrix ?duration_s ?(cells = [ matrix_row () ])
     ?(serial = "0x1.c4fp+21;0x1.1aap-3;0x1.169p-1;0x1.c89p+0;0x1.a3fp+4;54")
     ?probe_parallel () =
   let parallel = match probe_parallel with Some p -> p | None -> serial in
-  J.Obj
-    [
-      ("duration_s", J.float duration_s);
-      ("seeds", J.Int 1);
-      ("jobs", J.Int 4);
-      ("aqm", J.String "droptail");
-      ("cells", J.List cells);
-      ( "determinism",
-        J.Obj
-          [
-            ("cell", J.String "cubic/wan/flap");
-            ("parallel", J.String parallel);
-            ("serial", J.String serial);
-          ] );
-    ]
+  matrix ?duration_s cells
+    ~extra:
+      [
+        ( "determinism",
+          J.Obj
+            [
+              ("cell", J.String "cubic/wan/flap");
+              ("parallel", J.String parallel);
+              ("serial", J.String serial);
+            ] );
+      ]
 
 let micro ?(new_events_per_s = 3.7e6) () =
   J.Obj
@@ -239,7 +234,7 @@ let missing section =
     ()
 
 let test_valid_reports_pass () =
-  expect_pass "a full /8 report" (report ());
+  expect_pass "a full /9 report" (report ());
   List.iter
     (fun id -> expect_pass (Printf.sprintf "an --only %s report" id) (only id))
     (experiments_of full_sections);
@@ -274,7 +269,11 @@ let test_alloc_gate () =
 
 let test_cc_matrix_gate () =
   expect_fail "cc_matrix missing a registered algorithm" ~mentioning:"does not cover"
-    (with_section "cc_matrix" (cc_matrix ~drop_first_algorithm:true ()))
+    (with_section "cc_matrix" (cc_matrix ~drop_first_algorithm:true ()));
+  (* Both matrix sections share the per-row sanity gates. *)
+  expect_fail "cc_matrix row with jain over 1" ~mentioning:"\"jain\" must be in (0, 1]"
+    (with_section "cc_matrix"
+       (cc_matrix ~row:(fun algorithm -> matrix_row ~algorithm ~cell:"high" ~jain:1.2 ()) ()))
 
 let test_decision_speedup_gate () =
   (* The flat table degenerating back into a scan must fail CI. *)
@@ -331,30 +330,30 @@ let test_pdes_structure_gate () =
   expect_fail "run without a fingerprint" ~mentioning:"fingerprint"
     (with_pdes ~runs:[ pdes_run ~fingerprint:"" () ] ())
 
-let with_wan_cell cell = with_section "wan_matrix" (wan_matrix ~cells:[ cell ] ())
+let with_wan_row cell = with_section "wan_matrix" (wan_matrix ~cells:[ cell ] ())
 
 let test_wan_matrix_sanity_gate () =
   (* Jain is a mean of ratios in (0, 1]; anything outside means the
      per-source byte accounting broke. *)
   expect_fail "jain over 1" ~mentioning:"\"jain\" must be in (0, 1]"
-    (with_wan_cell (wan_cell ~jain:1.2 ()));
+    (with_wan_row (matrix_row ~jain:1.2 ()));
   expect_fail "jain of 0" ~mentioning:"\"jain\" must be in (0, 1]"
-    (with_wan_cell (wan_cell ~jain:0. ()));
+    (with_wan_row (matrix_row ~jain:0. ()));
   (* FCTs are measured inside the run, so p99 past the cell duration is
      a bookkeeping bug, not a slow network. *)
   expect_fail "p99 FCT past the cell duration" ~mentioning:"outside (0, 6]"
-    (with_wan_cell (wan_cell ~p99_fct_s:7.5 ()));
+    (with_wan_row (matrix_row ~p99_fct_s:7.5 ()));
   expect_fail "cell with no completed connections" ~mentioning:"positive \"connections\""
-    (with_wan_cell (wan_cell ~connections:0 ()));
+    (with_wan_row (matrix_row ~connections:0 ()));
   expect_fail "loss rate over 1" ~mentioning:"\"loss_rate\" must be in [0, 1]"
-    (with_wan_cell (wan_cell ~loss_rate:1.5 ()));
+    (with_wan_row (matrix_row ~loss_rate:1.5 ()));
   (* The --quick --only wan_matrix smoke is gated too. *)
   expect_fail "an --only wan_matrix report with an unfair cell" ~mentioning:"(0, 1]"
-    (report ~sections:[ ("wan_matrix", wan_matrix ~cells:[ wan_cell ~jain:1.2 () ] ()) ] ())
+    (report ~sections:[ ("wan_matrix", wan_matrix ~cells:[ matrix_row ~jain:1.2 () ] ()) ] ())
 
 let test_wan_matrix_determinism_gate () =
   (* A pool-fanned cell that disagrees with its serial replay means the
-     matrix is jobs-dependent — the contract run_matrix promises. *)
+     matrix is jobs-dependent — the contract Cc_matrix.run promises. *)
   expect_fail "serial probe divergence" ~mentioning:"determinism broken"
     (with_section "wan_matrix" (wan_matrix ~probe_parallel:"0x1.deadbeefp+0;54" ()))
 
@@ -365,15 +364,15 @@ let test_wan_matrix_structure_gate () =
     (with_section "wan_matrix" (wan_matrix ~cells:[] ()));
   expect_fail "missing determinism probe" ~mentioning:"\"determinism\" probe"
     (with_section "wan_matrix"
-       (J.Obj [ ("duration_s", J.float 6.); ("cells", J.List [ wan_cell () ]) ]))
+       (matrix [ matrix_row () ]))
 
 let test_schema_gate () =
   expect_fail "unknown schema" ~mentioning:"unknown \"schema\""
     (report ~schema:"phi-bench-report/99" ());
   (* One schema is accepted: the previous version's report is rejected
      however complete it is. *)
-  expect_fail "a /7 report" ~mentioning:"unknown \"schema\""
-    (report ~schema:(Printf.sprintf "phi-bench-report/%d" 7) ())
+  expect_fail "a /8 report" ~mentioning:"unknown \"schema\""
+    (report ~schema:(Printf.sprintf "phi-bench-report/%d" 8) ())
 
 let test_sections_follow_experiments () =
   (* Every row of the table, both ways: an experiment that ran without

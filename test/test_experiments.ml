@@ -40,12 +40,9 @@ let test_scenario_load_ordering () =
    Table 1 defaults on the power metric. *)
 let test_tuned_beats_default () =
   let config = { Scenario.high_utilization with Scenario.duration_s = 60. } in
-  let default = Scenario.run_cubic ~params:Cubic.default_params config in
-  let tuned =
-    Scenario.run_cubic
-      ~params:(Cubic.with_knobs ~initial_cwnd:8. ~initial_ssthresh:32. Cubic.default_params)
-      config
-  in
+  let run params = Scenario.run ~cc_factory:(fun _ () -> Cubic.make params) config in
+  let default = run Cubic.default_params in
+  let tuned = run (Cubic.with_knobs ~initial_cwnd:8. ~initial_ssthresh:32. Cubic.default_params) in
   Alcotest.(check bool) "tuned beats default on P_l" true
     (tuned.Scenario.power > default.Scenario.power);
   Alcotest.(check bool) "tuned has lower queueing delay" true
@@ -62,8 +59,9 @@ let test_persistent_run () =
    queue (lower queueing delay). *)
 let test_beta_lowers_queueing_delay_for_long_flows () =
   let run beta =
+    let params = Cubic.with_knobs ~beta Cubic.default_params in
     Scenario.run_persistent
-      ~params:(Cubic.with_knobs ~beta Cubic.default_params)
+      ~cc_factory:(fun _ () -> Cubic.make params)
       ~n_flows:20 ~duration_s:40. ~spec:Topology.paper_spec ~seed:2 ()
   in
   let small = run 0.1 and large = run 0.7 in
@@ -341,36 +339,53 @@ let test_cc_select_builds_every_algorithm () =
         (Float.is_finite cc.Phi_tcp.Cc.cwnd && cc.Phi_tcp.Cc.cwnd >= 1.))
     Phi.Cc_algo.all
 
+(* Hex-float captures of every registry algorithm over the low/high
+   dumbbell loads (seed 1, 8 s), recorded before the two matrices were
+   folded into one: the unified matrix must reproduce every bit, at any
+   pool width.  Rows: throughput, queueing delay, loss rate, power,
+   connections. *)
+let golden_cc_matrix =
+  [
+    "cubic/low 0x1.144a895cd49fp+21 0x1.25ecca37ceb21p-4 0x0p+0 0x1.469b6a45d60f5p+3 20";
+    "cubic/high 0x1.a77ba0846af9ep+20 0x1.2f74f258899a5p-3 0x0p+0 0x1.745034cea838dp+2 26";
+    "reno/low 0x1.f3c078bf68038p+20 0x1.37a8d8ca431aap-4 0x0p+0 0x1.21b97ed99d9d6p+3 19";
+    "reno/high 0x1.d6ba6a51ba31fp+20 0x1.0ae6d87fdeba3p-3 0x0p+0 0x1.b8338138e353dp+2 27";
+    "vegas/low 0x1.8eb773ad73f04p+20 0x1.1092488d910afp-8 0x0p+0 0x1.530112424eb44p+3 16";
+    "vegas/high 0x1.8427fc74a4252p+20 0x1.f2d17630ba9bp-8 0x0p+0 0x1.42cbeccedac17p+3 24";
+    "remy/low 0x1.a5ccf7583f343p+21 0x1.4efc0dd11d1aep-8 0x0p+0 0x1.646de0a47697cp+4 24";
+    "remy/high 0x1.8efe4ff433117p+20 0x1.ab100de4f3004p-5 0x0p+0 0x1.02ba0990ba359p+3 24";
+    "remy-phi/low 0x1.a47fd2713c79ep+21 0x1.8a0d51ebd8db1p-7 0x0p+0 0x1.542aad1711d5bp+4 24";
+    "remy-phi/high 0x1.9c262295847cfp+20 0x1.9883c7dfeda56p-5 0x0p+0 0x1.0e48f422e66d9p+3 25";
+  ]
+
 let test_cc_matrix_covers_registry () =
-  let cells = Cc_matrix.run ~jobs:2 ~duration_s:8. ~seeds:[ 1 ] () in
+  let capture jobs =
+    List.map
+      (fun (r : Cc_matrix.row) ->
+        Printf.sprintf "%s/%s %h %h %h %h %d" r.Cc_matrix.algorithm r.Cc_matrix.cell
+          r.Cc_matrix.throughput_bps r.Cc_matrix.queueing_delay_s r.Cc_matrix.loss_rate
+          r.Cc_matrix.power r.Cc_matrix.connections)
+      (Cc_matrix.run ~jobs ~duration_s:8. ~seeds:[ 1 ] Cc_matrix.paper_cells)
+  in
+  let cells = capture 4 in
   Alcotest.(check int) "5 algorithms x 2 workloads" 10 (List.length cells);
   List.iter
     (fun name ->
       List.iter
         (fun workload ->
-          match
-            List.find_opt
-              (fun (c : Cc_matrix.cell) ->
-                c.Cc_matrix.algorithm = name && c.Cc_matrix.workload = workload)
-              cells
-          with
-          | Some cell ->
-            Alcotest.(check bool)
-              (Printf.sprintf "%s/%s ran connections" name workload)
-              true (cell.Cc_matrix.connections > 0)
-          | None -> Alcotest.fail (Printf.sprintf "missing cell %s/%s" name workload))
+          let prefix = Printf.sprintf "%s/%s " name workload in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%s ran connections" name workload)
+            true
+            (List.exists
+               (fun c ->
+                 String.starts_with ~prefix c && not (String.ends_with ~suffix:" 0" c))
+               cells))
         [ "low"; "high" ])
     Phi.Cc_algo.names;
   (* Pool fan-out must not perturb the cells. *)
-  let serial = Cc_matrix.run ~jobs:1 ~duration_s:8. ~seeds:[ 1 ] () in
-  Alcotest.(check bool) "jobs-invariant" true
-    (List.for_all2
-       (fun (a : Cc_matrix.cell) (b : Cc_matrix.cell) ->
-         a.Cc_matrix.algorithm = b.Cc_matrix.algorithm
-         && a.Cc_matrix.workload = b.Cc_matrix.workload
-         && Float.equal a.Cc_matrix.mean_throughput_bps b.Cc_matrix.mean_throughput_bps
-         && Float.equal a.Cc_matrix.mean_power b.Cc_matrix.mean_power)
-       cells serial)
+  Alcotest.(check (list string)) "parallel replay" golden_cc_matrix cells;
+  Alcotest.(check (list string)) "serial replay" golden_cc_matrix (capture 1)
 
 (* {2 Incremental deployment (Figure 4)} *)
 
@@ -434,39 +449,66 @@ let test_sharing_experiment_shape () =
   Alcotest.(check bool) "ccdf decreasing" true (frac 5 >= frac 100)
 
 (* The WAN matrix: algorithm x topology x dynamics cells, constructed
-   from name tuples inside pool workers, jobs-invariant. *)
+   from name tuples inside pool workers, jobs-invariant.  The hex-float
+   captures were recorded before the two matrices were folded into one.
+   Rows: throughput, delay, queueing delay, loss rate, power, Jain, p99
+   FCT, connections. *)
+let golden_wan_matrix =
+  [
+    "cubic/dumbbell/steady 0x1.76f0fa83c6dbap+20 0x1.7bbfe9c7dc391p-3 0x1.2232da52a4179p-5 \
+     0x0p+0 0x1.09095c2f2fae9p+3 0x1.9accc538bba05p-1 0x1.032919b655523p+1 23";
+    "cubic/dumbbell/flap 0x1.5fd8fffca195dp+20 0x1.906537b6508d2p-3 0x1.74c8120c7567ep-5 \
+     0x1.8be82fa0be83p-4 0x1.aa2cd9cda3a73p+2 0x1.636e130203902p-1 0x1.2bb3854a27cedp+1 19";
+    "cubic/dumbbell/incast 0x1.59a91f12aeffcp+20 0x1.b5965607cb9a8p-3 0x1.04c645a930ceap-4 \
+     0x0p+0 0x1.a81650ab39bd6p+2 0x1.63d3c8752b519p-1 0x1.2e1a076b1a7bap+1 23";
+    "cubic/parking_lot/steady 0x1.4e4bdc1c1b626p+23 0x1.99696567f4d26p-5 0x1.787495906cb74p-6 \
+     0x1.f43b1d6c36717p-6 0x1.a8fc791dda4f4p+7 0x1.8389bacbdb331p-1 0x1.299c10bcb1271p+0 93";
+    "cubic/parking_lot/flap 0x1.31020d68f5476p+23 0x1.74cf34ea699d8p-5 0x1.2f403495564d6p-6 \
+     0x1.250690d3e24dap-7 0x1.b34df3a122c09p+7 0x1.7bb29239a4047p-1 0x1.bc7dded4fb3aap+0 89";
+    "cubic/parking_lot/incast 0x1.4de9ec1b24f5p+23 0x1.b547329e1a81cp-5 0x1.b0302ffcb815fp-6 \
+     0x1.13c393aa05fd3p-5 0x1.8c2a098e4bc5ep+7 0x1.7fcb6b5e3248bp-1 0x1.7ffaaabe82c84p+0 92";
+    "cubic/wan/steady 0x1.ebb787488e69ap+21 0x1.1acc54130527ap-3 0x1.07898a10fe3b1p-6 \
+     0x1.5b3241ac10a54p-7 0x1.cdcc5a54f7a07p+4 0x1.1911e5bcc9992p-1 0x1.c73e61e050d1cp+0 55";
+    "cubic/wan/flap 0x1.c4f2335053183p+21 0x1.1aa3e4e62d5acp-3 0x1.064610aa3fd3cp-6 \
+     0x1.84144934b30bbp-6 0x1.a3fe225e972fbp+4 0x1.169896225fd19p-1 0x1.c89981dbef549p+0 54";
+    "cubic/wan/incast 0x1.ebe1245f6f12ap+21 0x1.1a37064fc61bbp-3 0x1.02df1bf705db9p-6 \
+     0x1.5ab800834d415p-7 0x1.cee99262ee5d4p+4 0x1.1911e5bcc9992p-1 0x1.c73e61e050d1cp+0 55";
+  ]
+
 let test_wan_matrix_structure_and_jobs_invariance () =
   let algorithms = [ List.hd Phi.Cc_algo.all ] in
-  let run jobs =
-    Cc_matrix.run_matrix ~jobs ~algorithms ~duration_s:6. ~seeds:[ 1 ] ()
+  let run ?(topologies = Cc_matrix.default_topologies) jobs =
+    Cc_matrix.run ~jobs ~algorithms ~duration_s:6. ~seeds:[ 1 ]
+      (Cc_matrix.zoo_cells ~aqm:Scenario.Drop_tail ~topologies
+         ~dynamics:Cc_matrix.default_dynamics)
   in
-  let cells = run 4 in
-  Alcotest.(check int) "1 algorithm x 3 topologies x 3 regimes" 9 (List.length cells);
+  let capture rows =
+    List.map
+      (fun (r : Cc_matrix.row) ->
+        Printf.sprintf "%s/%s %h %h %h %h %h %h %h %d" r.Cc_matrix.algorithm r.Cc_matrix.cell
+          r.Cc_matrix.throughput_bps r.Cc_matrix.delay_s r.Cc_matrix.queueing_delay_s
+          r.Cc_matrix.loss_rate r.Cc_matrix.power r.Cc_matrix.jain r.Cc_matrix.p99_fct_s
+          r.Cc_matrix.connections)
+      rows
+  in
+  let rows = run 4 in
+  Alcotest.(check int) "1 algorithm x 3 topologies x 3 regimes" 9 (List.length rows);
   List.iter
-    (fun (c : Cc_matrix.matrix_cell) ->
-      let cell = Printf.sprintf "%s/%s/%s" c.Cc_matrix.m_algorithm c.Cc_matrix.m_topology c.Cc_matrix.m_dynamics in
-      Alcotest.(check bool) (cell ^ ": connections") true (c.Cc_matrix.m_connections > 0);
+    (fun (r : Cc_matrix.row) ->
+      let cell = r.Cc_matrix.algorithm ^ "/" ^ r.Cc_matrix.cell in
+      Alcotest.(check bool) (cell ^ ": connections") true (r.Cc_matrix.connections > 0);
       Alcotest.(check bool) (cell ^ ": jain in (0,1]") true
-        (c.Cc_matrix.m_jain > 0. && c.Cc_matrix.m_jain <= 1.);
+        (r.Cc_matrix.jain > 0. && r.Cc_matrix.jain <= 1.);
       Alcotest.(check bool) (cell ^ ": p99 fct sane") true
-        (c.Cc_matrix.m_p99_fct_s > 0. && c.Cc_matrix.m_p99_fct_s <= 6.);
+        (r.Cc_matrix.p99_fct_s > 0. && r.Cc_matrix.p99_fct_s <= 6.);
       Alcotest.(check bool) (cell ^ ": pareto point") true
-        (c.Cc_matrix.m_throughput_bps > 0. && c.Cc_matrix.m_delay_s > 0.))
-    cells;
-  let serial = run 1 in
-  Alcotest.(check bool) "jobs-invariant" true
-    (List.for_all2
-       (fun (a : Cc_matrix.matrix_cell) (b : Cc_matrix.matrix_cell) ->
-         a.Cc_matrix.m_topology = b.Cc_matrix.m_topology
-         && a.Cc_matrix.m_dynamics = b.Cc_matrix.m_dynamics
-         && Float.equal a.Cc_matrix.m_throughput_bps b.Cc_matrix.m_throughput_bps
-         && Float.equal a.Cc_matrix.m_jain b.Cc_matrix.m_jain
-         && Float.equal a.Cc_matrix.m_p99_fct_s b.Cc_matrix.m_p99_fct_s
-         && Float.equal a.Cc_matrix.m_power b.Cc_matrix.m_power)
-       cells serial);
+        (r.Cc_matrix.throughput_bps > 0. && r.Cc_matrix.delay_s > 0.))
+    rows;
+  Alcotest.(check (list string)) "parallel replay" golden_wan_matrix (capture rows);
+  Alcotest.(check (list string)) "serial replay" golden_wan_matrix (capture (run 1));
   Alcotest.check_raises "unknown topology fails fast"
     (Invalid_argument "Zoo.by_name: unknown topology \"ring\"") (fun () ->
-      ignore (Cc_matrix.run_matrix ~topologies:[ "ring" ] ~seeds:[ 1 ] ()))
+      ignore (run ~topologies:[ "ring" ] 1))
 
 (* {2 The generalized scenario plane (run_zoo)} *)
 
@@ -556,8 +598,27 @@ let test_dynamics_registry () =
 
 (* {2 Priority (Section 3.3)} *)
 
+(* Hex-float capture of the seed-1 run, recorded while the experiment
+   still ran its own persistent-flow loop: every weight/share pair, then
+   the entity, reference, competitor and competitor-reference
+   aggregates. *)
+let golden_priority =
+  "0x1.2492492492492p+1/0x1.bf2bp+21 0x1.2492492492492p-1/0x1.c426p+19 \
+   0x1.2492492492492p-1/0x1.c426p+19 0x1.2492492492492p-1/0x1.bf12p+19 | 0x1.88814p+22 \
+   0x1.8c504p+22 0x1.0582ep+23 0x1.039b6p+23"
+
 let test_priority_differentiation_and_friendliness () =
   let r = Priority_experiment.run ~spec:Topology.paper_spec ~seed:1 () in
+  Alcotest.(check string) "bit-exact replay" golden_priority
+    (String.concat " "
+       (List.map
+          (fun (f : Priority_experiment.flow_share) ->
+            Printf.sprintf "%h/%h" f.Priority_experiment.weight f.Priority_experiment.throughput_bps)
+          r.Priority_experiment.entity_flows)
+    ^ Printf.sprintf " | %h %h %h %h" r.Priority_experiment.entity_aggregate_bps
+        r.Priority_experiment.reference_aggregate_bps
+        r.Priority_experiment.competitor_aggregate_bps
+        r.Priority_experiment.competitor_reference_bps);
   (match r.Priority_experiment.entity_flows with
   | { Priority_experiment.throughput_bps = hd_thr; _ } :: rest ->
     let bulk_mean =

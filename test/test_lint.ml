@@ -497,6 +497,21 @@ let test_fixture_dynamics_race () =
   check_locs "per-cell twin is clean" []
     (Lint.lint_tree (fixture_tree "dynamics_race_good" domain_race_files))
 
+let test_fixture_fanout_race () =
+  (* Same rule, the seeded fan-out helper: every (group, seed) job of
+     Pool.fan_out runs on a worker domain, so a module-level mutable
+     reachable from it is a race. *)
+  let vs = Lint.lint_tree (fixture_tree "fanout_race_bad" domain_race_files) in
+  check_locs "global reachable from seeded job" [ ("domain-race", 3) ] vs;
+  (match vs with
+  | [ v ] ->
+    Alcotest.(check string) "at the global's definition" "lib/fix/metrics.ml" v.Lint.file;
+    Alcotest.(check bool) "chain rendered" true
+      (contains v.Lint.message "Runner.launch -> Work.step -> Metrics.bump")
+  | _ -> Alcotest.fail "expected exactly one violation");
+  check_locs "per-job twin is clean" []
+    (Lint.lint_tree (fixture_tree "fanout_race_good" domain_race_files))
+
 (* {2 --json report schema} *)
 
 let test_json_report_roundtrip () =
@@ -601,5 +616,6 @@ let suite =
     Alcotest.test_case "fixture corpus: domain-race" `Quick test_fixture_domain_race;
     Alcotest.test_case "fixture corpus: pdes domain-race" `Quick test_fixture_pdes_race;
     Alcotest.test_case "fixture corpus: dynamics domain-race" `Quick test_fixture_dynamics_race;
+    Alcotest.test_case "fixture corpus: fan-out domain-race" `Quick test_fixture_fanout_race;
     Alcotest.test_case "json report round-trips" `Quick test_json_report_roundtrip;
   ]

@@ -305,20 +305,35 @@ let test_remy_cc_dims_validation () =
   in
   Alcotest.(check bool) "dims mismatch rejected" true raised
 
+(* Hex-float captures of both evaluations (seed 1, 10 s), recorded
+   while the trainer still ran its own dumbbell loop: mean objective,
+   median objective, median throughput, median queueing delay,
+   connections.  The default action ignores utilization, so the oracle
+   run replays the same bits. *)
+let golden_trainer_eval =
+  "0x1.6b6f406f4164ep+0 0x1.766075e1674cap+0 0x1.3fdce4845dc1bp+19 0x1.94067bb093cp-11 60"
+
+module Trainer = Phi_experiments.Trainer
+module Scenario = Phi_experiments.Scenario
+
+let eval_capture (r : Trainer.eval_result) =
+  Printf.sprintf "%h %h %h %h %d" r.Trainer.objective r.Trainer.median_objective
+    r.Trainer.median_throughput_bps r.Trainer.median_queueing_delay_s r.Trainer.connections
+
 let test_trainer_evaluate_smoke () =
   let table = Rule_table.create ~dims:3 Whisker.default_action in
-  let scenario =
-    { Trainer.paper_scenario with Trainer.duration_s = 10. }
-  in
+  let scenario = { Scenario.table3 with Scenario.duration_s = 10. } in
   let r = Trainer.evaluate ~table ~util:`None ~seeds:[ 1 ] [ scenario ] in
   Alcotest.(check bool) "connections ran" true (r.Trainer.connections > 0);
-  Alcotest.(check bool) "objective finite" true (Float.is_finite r.Trainer.objective)
+  Alcotest.(check bool) "objective finite" true (Float.is_finite r.Trainer.objective);
+  Alcotest.(check string) "bit-exact replay" golden_trainer_eval (eval_capture r)
 
 let test_trainer_ideal_uses_4dims () =
   let table = Rule_table.create ~dims:4 Whisker.default_action in
-  let scenario = { Trainer.paper_scenario with Trainer.duration_s = 10. } in
+  let scenario = { Scenario.table3 with Scenario.duration_s = 10. } in
   let r = Trainer.evaluate ~table ~util:`Ideal ~seeds:[ 1 ] [ scenario ] in
-  Alcotest.(check bool) "runs with oracle" true (r.Trainer.connections > 0)
+  Alcotest.(check bool) "runs with oracle" true (r.Trainer.connections > 0);
+  Alcotest.(check string) "bit-exact replay" golden_trainer_eval (eval_capture r)
 
 let suite =
   [
