@@ -58,10 +58,12 @@ let rate n wall = if wall > 0. then float_of_int n /. wall else 0.
 
    65536 outstanding chains; every fired event reschedules itself 1 s
    out, and every 8th event also schedules a bystander and cancels it —
-   the TCP-timer pattern (RTO armed per segment, cancelled by the ACK).
-   The outstanding-event count matches a very busy many-flow simulation
-   (tens of thousands of flows each holding a timer or two), so the
-   heap is deep. *)
+   the cancel path, whose dead entry stays in the heap until its time
+   comes.  (The sender's RTO does not take this path: it is re-armed in
+   place with [Engine.rearm_after].)  The outstanding-event count matches a
+   very busy many-flow simulation (tens of thousands of flows each
+   holding a timer or two), so in the closure variant the heap is
+   deep. *)
 
 let churn_closures chains total () =
   let e = Engine.create () in
@@ -83,11 +85,15 @@ let churn_closures chains total () =
    cancellable).  This is exactly how the real code divides the work:
    links reschedule ports, TCP timers are cancellable closures.  Both
    variants perform the identical event sequence, so the rates are
-   directly comparable. *)
+   directly comparable — but not the heaps: every chain reschedules one
+   port 1 s out, in nondecreasing time, so the 65536 chains wait in
+   that port's FIFO behind a single heap entry, and the heap holds only
+   it and the bystanders' dead entries.  The port variant measures the
+   FIFO path, not a deep heap. *)
 let churn_ports chains total () =
   let e = Engine.create () in
   let count = ref 0 in
-  let p = ref (Engine.port e ignore) in
+  let p = ref Engine.null_port in
   p :=
     Engine.port e (fun () ->
         incr count;

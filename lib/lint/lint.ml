@@ -4,8 +4,10 @@ let rules =
   [
     ("obj-magic", "Obj.magic defeats the type system; use a typed representation");
     ( "poly-compare",
-      "polymorphic compare is unsound on floats (NaN) and float-carrying records; use \
-       Float.compare / Int.compare / String.compare or a dedicated comparator" );
+      "polymorphic compare is unsound on floats (NaN) and float-carrying records, and in \
+       lib/sim, lib/net and lib/tcp a polymorphic min/max costs a C call per use; use \
+       Float.compare / Int.compare / String.compare / Int.min / Float.max or a dedicated \
+       comparator" );
     ( "float-equal",
       "(=) or (<>) against a float constant; use Float.equal or an epsilon comparison" );
     ("list-nth", "List.nth is partial and O(n); use List.nth_opt or an array");
@@ -94,6 +96,11 @@ let in_domain_pool path = path_has_dir path "lib/experiments" || path_has_dir pa
 (* The per-packet hot path: every simulated packet crosses lib/net and
    lib/sim, so container choices there are perf-critical. *)
 let in_hot_path path = path_has_dir path "lib/net" || path_has_dir path "lib/sim"
+
+(* Where [poly-compare] also covers [min]/[max]: the simulation core and
+   the transport, whose per-event paths would pay a [caml_lessequal]
+   call for each polymorphic use. *)
+let in_minmax_scope path = in_hot_path path || path_has_dir path "lib/tcp"
 
 let in_lib path =
   let path = if String.length path > 2 && String.sub path 0 2 = "./" then
@@ -336,14 +343,25 @@ let token_violations ~path { tokens; _ } =
   let packet_scope = in_packet_scope path in
   let transport_scope = in_transport_scope path in
   let decision_scope = in_decision_scope path in
+  let minmax_scope = in_minmax_scope path in
   let out = ref [] in
   let add line rule = out := violation path line rule :: !out in
   let text k = if k >= 0 && k < Array.length tokens then snd tokens.(k) else "" in
+  (* A bare [min]/[max] that names a label, a definition or a record
+     field rather than calling the polymorphic function. *)
+  let names_something_else k =
+    let prev = text (k - 1) and next = text (k + 1) in
+    List.mem prev [ "~"; "?"; "let"; "and"; "rec"; "val"; "external"; "mutable" ]
+    || ((next = "=" || next = ":") && List.mem prev binding_context)
+  in
   Array.iteri
     (fun k (line, tok) ->
       (match tok with
       | "Obj.magic" -> add line "obj-magic"
       | "compare" | "Stdlib.compare" -> add line "poly-compare"
+      | "Stdlib.min" | "Stdlib.max" -> if minmax_scope then add line "poly-compare"
+      | "min" | "max" ->
+        if minmax_scope && not (names_something_else k) then add line "poly-compare"
       | "List.nth" -> add line "list-nth"
       | "Hashtbl.find" -> add line "hashtbl-find"
       | "failwith" | "Stdlib.failwith" -> if lib then add line "failwith"

@@ -39,7 +39,11 @@ val rules : (string * string) list
 (** Every rule the analyzer knows, as [(name, description)]:
     - [obj-magic]: any use of [Obj.magic].
     - [poly-compare]: bare [compare] / [Stdlib.compare]; require a typed
-      comparator ([Float.compare], [Int.compare], ...).
+      comparator ([Float.compare], [Int.compare], ...).  In [lib/sim],
+      [lib/net] and [lib/tcp] also bare [min] / [max] and
+      [Stdlib.min] / [Stdlib.max] (labels, definitions and record
+      fields of those names excepted); require [Int.min], [Float.max],
+      ...
     - [float-equal]: [=] or [<>] against a float literal (or [nan],
       [infinity], ...); require [Float.equal] or an epsilon test.
     - [list-nth]: [List.nth]; require [List.nth_opt] or an array.

@@ -262,7 +262,7 @@ let create coordinator ~src ~dst ~src_pool ~dst_pool ~bandwidth_bps ~delay_s ~ca
       p_cap;
       p_head = 0;
       p_len = 0;
-      deliver_port = Engine.port dst_engine (fun () -> ());
+      deliver_port = Engine.null_port;
       armed = false;
       receiver = (fun _ -> invalid_arg "Boundary_link: receiver not set");
       delivered = 0;

@@ -11,7 +11,7 @@ type red_params = {
 }
 
 let default_red ?(ecn = false) ~capacity_pkts () =
-  let min_threshold = Stdlib.max 5 (capacity_pkts / 12) in
+  let min_threshold = Int.max 5 (capacity_pkts / 12) in
   {
     min_threshold;
     max_threshold = 3 * min_threshold;
@@ -198,8 +198,8 @@ let create engine pool ~bandwidth_bps ~delay_s ~capacity_pkts =
       capacity_pkts;
       queue = Ring.create ();
       in_flight = Ring.create ();
-      tx_done_port = Engine.port engine (fun () -> ());
-      deliver_port = Engine.port engine (fun () -> ());
+      tx_done_port = Engine.null_port;
+      deliver_port = Engine.null_port;
       memo_size = -1;
       receiver = (fun _ -> invalid_arg "Link: receiver not set");
       handoff = None;

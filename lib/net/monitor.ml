@@ -44,7 +44,7 @@ let create engine link ~interval_s =
       link;
       interval_s;
       started_at = Engine.now engine;
-      sample_port = Engine.port engine (fun () -> ());
+      sample_port = Engine.null_port;
       last_busy_time = Link.busy_time link;
       last_clock = Engine.now engine;
       current_utilization = 0.;

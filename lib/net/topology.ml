@@ -22,10 +22,10 @@ let paper_spec =
 
 let bdp_packets spec =
   let bdp_bytes = spec.bottleneck_bw_bps *. spec.rtt_s /. 8. in
-  Stdlib.max 1 (int_of_float (Float.round (bdp_bytes /. float_of_int Packet.mss)))
+  Int.max 1 (int_of_float (Float.round (bdp_bytes /. float_of_int Packet.mss)))
 
 let buffer_packets spec =
-  Stdlib.max 1 (int_of_float (Float.round (spec.buffer_bdp_factor *. float_of_int (bdp_packets spec))))
+  Int.max 1 (int_of_float (Float.round (spec.buffer_bdp_factor *. float_of_int (bdp_packets spec))))
 
 type dumbbell = {
   engine : Engine.t;
@@ -798,7 +798,7 @@ module Zoo = struct
       Array.init n_flows (fun f ->
           let i, j = pairs.(f mod Array.length pairs) in
           let slot = f / Array.length pairs mod hosts_per_site in
-          let d = wan_pair_delay_s ~sites ~i:(Stdlib.min i j) ~j:(Stdlib.max i j) in
+          let d = wan_pair_delay_s ~sites ~i:(Int.min i j) ~j:(Int.max i j) in
           {
             src = wan_host_id ~site:i ~slot;
             dst = wan_host_id ~site:j ~slot;

@@ -38,7 +38,7 @@ let less t i j =
 let grow t filler =
   let cap = Array.length t.seq in
   if t.len = cap then begin
-    let ncap = Stdlib.max 16 (2 * cap) in
+    let ncap = Int.max 16 (2 * cap) in
     let nprio = Float.Array.create ncap in
     Float.Array.blit t.prio 0 nprio 0 t.len;
     t.prio <- nprio;
@@ -73,7 +73,7 @@ let rec sift_up t i =
 let rec sift_down t i =
   let first = (4 * i) + 1 in
   if first < t.len then begin
-    let last = Stdlib.min (first + 3) (t.len - 1) in
+    let last = Int.min (first + 3) (t.len - 1) in
     let smallest = ref i in
     for c = first to last do
       if less t c !smallest then smallest := c

@@ -11,6 +11,8 @@
     Checks performed when armed:
     - [non-finite-time], [time-in-past], [negative-delay]: scheduling
       anomalies (recorded, then clamped to "now" so the run proceeds).
+    - [port-fifo]: a port scheduled earlier than its latest pending
+      event (recorded, then clamped to that event's time).
     - [event-time-monotonic]: the engine popped an event timestamped
       before the current clock.
     - [link-conservation], [byte-conservation], [queue-occupancy]:

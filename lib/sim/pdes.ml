@@ -169,14 +169,14 @@ let run ?jobs ?window_s ~until t =
   let window = if window > 0. then window else until in
   let n_windows =
     if window <= 0. then 1
-    else Stdlib.max 1 (int_of_float (Float.ceil (until /. window)))
+    else Int.max 1 (int_of_float (Float.ceil (until /. window)))
   in
   let jobs =
     let requested = match jobs with Some j -> j | None -> n in
     if requested < 1 then invalid_arg "Pdes.run: jobs must be >= 1";
     (* The invariant sanitizer accumulates into a process-global,
        unsynchronized buffer; armed runs must stay serial. *)
-    if Invariant.enabled () then 1 else Stdlib.min requested n
+    if Invariant.enabled () then 1 else Int.min requested n
   in
   Atomic.set t.failure None;
   let parties = jobs in

@@ -11,7 +11,7 @@ let is_empty t = t.len = 0
 let grow t x =
   let cap = Array.length t.data in
   if t.len = cap then begin
-    let ncap = Stdlib.max 16 (2 * cap) in
+    let ncap = Int.max 16 (2 * cap) in
     (* Amortized doubling; steady-state pushes reuse the existing array. *)
     let ndata = Array.make ncap x in (* phi-lint: allow hot-alloc *)
     for i = 0 to t.len - 1 do

@@ -43,7 +43,7 @@ let rec compact t ~drop i w =
 
 let remember_recent t seq =
   let kept = compact t ~drop:seq 0 0 in
-  let keep = Stdlib.min kept (Packet.max_sack_blocks * 2) in
+  let keep = Int.min kept (Packet.max_sack_blocks * 2) in
   for i = keep downto 1 do
     t.recent.(i) <- t.recent.(i - 1)
   done;

@@ -197,8 +197,8 @@ let mark_sacked t seq =
 (* Mark every segment the ACK's inline SACK ranges cover. *)
 let merge_sack t pkt =
   for i = 0 to Packet.sack_count t.pool pkt - 1 do
-    let lo = Stdlib.max (Packet.sack_lo t.pool pkt i) t.snd_una
-    and hi = Stdlib.min (Packet.sack_hi t.pool pkt i) t.snd_nxt in
+    let lo = Int.max (Packet.sack_lo t.pool pkt i) t.snd_una
+    and hi = Int.min (Packet.sack_hi t.pool pkt i) t.snd_nxt in
     for seq = lo to hi - 1 do
       mark_sacked t seq
     done
@@ -276,10 +276,12 @@ let rec next_retransmit t =
     else next_retransmit t
   end
 
+(* (Re)start the retransmission timer.  Every ACK that advances
+   [snd_una] lands here, so the timer moves in place rather than being
+   cancelled and scheduled afresh. *)
 let rec arm_rto t =
-  cancel_rto t;
   let delay = Rto.current t.rto in
-  t.rto_handle <- Engine.schedule_after t.engine ~delay t.rto_cb
+  t.rto_handle <- Engine.rearm_after t.engine t.rto_handle ~delay t.rto_cb
 
 and on_rto t =
   t.rto_handle <- Engine.null;
@@ -383,7 +385,7 @@ let on_ack t pkt =
      retransmit ever fires. *)
   (match t.cc.Cc.recovery with Cc.Sack -> merge_sack t pkt | Cc.Go_back_n -> ());
   requeue_lost_retransmissions t;
-  let newly_acked = Stdlib.max 0 (ack_seq - t.snd_una) in
+  let newly_acked = Int.max 0 (ack_seq - t.snd_una) in
   if newly_acked > 0 then begin
     advance_una t ack_seq;
     if has_echo then record_rtt t (now -. echo_sent_at)

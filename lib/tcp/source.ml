@@ -28,7 +28,7 @@ let off_delay t =
 
 let transfer_segments t =
   let bytes = Dist.exponential t.rng ~mean:t.config.mean_on_bytes in
-  Stdlib.max 1 (int_of_float (Float.round (bytes /. float_of_int Packet.mss)))
+  Int.max 1 (int_of_float (Float.round (bytes /. float_of_int Packet.mss)))
 
 let rec launch t =
   if t.running then begin

@@ -52,6 +52,21 @@ let test_time_in_past_recorded () =
   in
   check_rules "rule" [ "time-in-past" ] vs
 
+(* A port scheduled earlier than its pending event breaks its FIFO: the
+   time is clamped to that event's, so the port still fires in order. *)
+let test_port_out_of_order_recorded () =
+  let fired_at = ref [] in
+  let (), vs =
+    Invariant.with_capture (fun () ->
+        let engine = Engine.create () in
+        let p = Engine.port engine (fun () -> fired_at := Engine.now engine :: !fired_at) in
+        Engine.schedule_port_at engine ~time:2. p;
+        Engine.schedule_port_at engine ~time:1. p;
+        Engine.run engine)
+  in
+  check_rules "rule" [ "port-fifo" ] vs;
+  Alcotest.(check (list (float 0.))) "clamped to the pending event" [ 2.; 2. ] !fired_at
+
 (* {2 Context-server metric sanitization} *)
 
 let server () =
@@ -281,6 +296,7 @@ let suite =
       test_negative_delay_recorded;
     Alcotest.test_case "non-finite time recorded" `Quick test_nonfinite_time_recorded;
     Alcotest.test_case "time in past recorded" `Quick test_time_in_past_recorded;
+    Alcotest.test_case "port out of order recorded" `Quick test_port_out_of_order_recorded;
     Alcotest.test_case "NaN metric recorded" `Quick test_nan_metric_recorded;
     Alcotest.test_case "both-NaN rtt pair is clean" `Quick test_both_nan_rtt_is_clean;
     Alcotest.test_case "negative bytes recorded" `Quick test_negative_bytes_recorded;

@@ -16,7 +16,17 @@ let test_obj_magic_fires () =
 let test_poly_compare_fires () =
   check_rules "bare compare" [ "poly-compare" ] (lint "let s l = List.sort compare l\n");
   check_rules "Stdlib.compare" [ "poly-compare" ]
-    (lint "let s l = List.sort Stdlib.compare l\n")
+    (lint "let s l = List.sort Stdlib.compare l\n");
+  (* min/max are policed only where they sit on per-event paths. *)
+  List.iter
+    (fun path ->
+      check_rules ("bare max in " ^ path) [ "poly-compare" ]
+        (lint ~path "let f cap = max 64 (2 * cap)\n");
+      check_rules ("Stdlib.min in " ^ path) [ "poly-compare" ]
+        (lint ~path "let f a b = Stdlib.min a b\n");
+      check_rules ("Int.max in " ^ path) [] (lint ~path "let f cap = Int.max 64 (2 * cap)\n"))
+    [ "lib/sim/fixture.ml"; "lib/net/fixture.ml"; "lib/tcp/fixture.ml" ];
+  check_rules "bare max elsewhere" [] (lint "let f cap = max 64 (2 * cap)\n")
 
 let test_float_equal_fires () =
   check_rules "= on float literal" [ "float-equal" ] (lint "let f x = x = 0.5\n");
@@ -388,6 +398,7 @@ let single_file_cases =
   [
     ("obj_magic", "lib/fake/fixture.ml", [ ("obj-magic", 2) ]);
     ("poly_compare", "lib/fake/fixture.ml", [ ("poly-compare", 2) ]);
+    ("poly_minmax", "lib/sim/fixture.ml", [ ("poly-compare", 2); ("poly-compare", 3) ]);
     ("float_equal", "lib/fake/fixture.ml", [ ("float-equal", 2) ]);
     ("list_nth", "lib/fake/fixture.ml", [ ("list-nth", 2) ]);
     ("hashtbl_find", "lib/fake/fixture.ml", [ ("hashtbl-find", 2) ]);

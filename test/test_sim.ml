@@ -95,7 +95,18 @@ let prop_heap_sorts =
       in
       drain neg_infinity)
 
-(* The SoA 4-ary heap against a sorted-list reference model: 10k mixed
+(* The reference model of every queue below: a list of (priority, seq,
+   payload) kept sorted by (priority, seq) ascending. *)
+let sorted_insert model p s v =
+  let rec go = function
+    | [] -> [ (p, s, v) ]
+    | ((p', s', _) as hd) :: tl ->
+      let c = Float.compare p p' in
+      if c < 0 || (c = 0 && s < s') then (p, s, v) :: hd :: tl else hd :: go tl
+  in
+  model := go !model
+
+(* The SoA 4-ary heap against the sorted-list reference model: 10k mixed
    push/pop operations with tie-heavy priorities (8 distinct values, so
    the FIFO tie-break is exercised constantly), then a full drain.
    Every pop must match the model exactly — priority, seq and payload. *)
@@ -105,17 +116,8 @@ let prop_heap_matches_reference =
     (fun seed ->
       let rng = Random.State.make [| seed |] in
       let h = Heap.create () in
-      (* Reference: a list kept sorted by (priority, seq) ascending. *)
       let model = ref [] in
-      let insert p s v =
-        let rec go = function
-          | [] -> [ (p, s, v) ]
-          | ((p', s', _) as hd) :: tl ->
-            let c = Float.compare p p' in
-            if c < 0 || (c = 0 && s < s') then (p, s, v) :: hd :: tl else hd :: go tl
-        in
-        model := go !model
-      in
+      let insert = sorted_insert model in
       let seq = ref 0 in
       let ok = ref true in
       let check_pop () =
@@ -317,7 +319,7 @@ let test_engine_cancel_other_inside_handler () =
 let test_engine_ports () =
   let engine = Engine.create () in
   let count = ref 0 in
-  let p = ref (Engine.port engine (fun () -> ())) in
+  let p = ref Engine.null_port in
   p :=
     Engine.port engine (fun () ->
         incr count;
@@ -389,6 +391,257 @@ let test_engine_negative_delay_rejected () =
   in
   Alcotest.(check bool) "negative delay rejected" true raised
 
+(* Only a firing moves the clock: popping a cancelled entry must not. *)
+let test_engine_cancelled_entry_keeps_clock () =
+  let engine = Engine.create () in
+  ignore (Engine.schedule_at engine ~time:1. (fun () -> ()));
+  Engine.cancel engine (Engine.schedule_at engine ~time:5. (fun () -> ()));
+  Engine.run engine;
+  Alcotest.(check (float 0.)) "clock at the last firing" 1. (Engine.now engine);
+  Alcotest.(check int) "one event executed" 1 (Engine.executed engine)
+
+(* A timer re-armed later in place keeps its heap entry; when that entry
+   reaches the root it is re-seated without firing or moving the clock,
+   and the event fires at the re-armed time. *)
+let test_engine_rearm_in_place () =
+  let engine = Engine.create () in
+  let fired_at = ref [] in
+  let note () = fired_at := Engine.now engine :: !fired_at in
+  let h = Engine.schedule_at engine ~time:1. note in
+  let h' = Engine.rearm_after engine h ~delay:5. note in
+  Alcotest.(check bool) "old handle stale" true (Engine.cancelled engine h);
+  Alcotest.(check bool) "new handle live" false (Engine.cancelled engine h');
+  Engine.cancel engine h;
+  Alcotest.(check bool) "cancelling the old handle is a no-op" false
+    (Engine.cancelled engine h');
+  Alcotest.(check int) "one heap entry" 1 (Engine.pending engine);
+  Alcotest.(check bool) "step re-seats" true (Engine.step engine);
+  Alcotest.(check (float 0.)) "clock unmoved by the re-seat" 0. (Engine.now engine);
+  Alcotest.(check int) "nothing executed yet" 0 (Engine.executed engine);
+  Engine.run ~until:3. engine;
+  Alcotest.(check (list (float 0.))) "not fired before its time" [] !fired_at;
+  Engine.run engine;
+  Alcotest.(check (list (float 0.))) "fired once at the re-armed time" [ 5. ] !fired_at;
+  Alcotest.(check bool) "fired handle stale" true (Engine.cancelled engine h')
+
+(* In place or not, a re-arm returns the handle [cancel] +
+   [schedule_after] would, on a twin engine given the same calls. *)
+let test_engine_rearm_handle_matches_cancel_schedule () =
+  let a = Engine.create () and b = Engine.create () in
+  let ha = ref (Engine.schedule_at a ~time:2. ignore) in
+  let hb = ref (Engine.schedule_at b ~time:2. ignore) in
+  List.iter
+    (fun delay ->
+      ha := Engine.rearm_after a !ha ~delay ignore;
+      Engine.cancel b !hb;
+      hb := Engine.schedule_after b ~delay ignore;
+      Alcotest.(check bool) (Printf.sprintf "same handle after re-arm to +%g" delay) true
+        (!ha = !hb))
+    [ 3.; 4.; 1.; 1.; 6. ];
+  Engine.run a;
+  Engine.run b;
+  Alcotest.(check (float 0.)) "same clock" (Engine.now b) (Engine.now a);
+  Alcotest.(check int) "same executed" (Engine.executed b) (Engine.executed a)
+
+(* A port's events fire in scheduling order while only the earliest sits
+   in the heap, interleaved by (time, seq) with another port and with
+   closure events. *)
+let test_engine_port_fifo () =
+  let engine = Engine.create () in
+  let log = ref [] in
+  let note tag () = log := (tag, Engine.now engine) :: !log in
+  let a = Engine.port engine (note "a") and b = Engine.port engine (note "b") in
+  List.iter (fun time -> Engine.schedule_port_at engine ~time a) [ 1.; 1.; 2.; 4. ];
+  List.iter (fun time -> Engine.schedule_port_at engine ~time b) [ 1.; 3. ];
+  ignore (Engine.schedule_at engine ~time:2. (note "c"));
+  Alcotest.(check int) "one heap entry per port plus the cell" 3 (Engine.pending engine);
+  Engine.run engine;
+  Alcotest.(check (list (pair string (float 0.))))
+    "(time, seq) order"
+    [ ("a", 1.); ("a", 1.); ("b", 1.); ("a", 2.); ("c", 2.); ("b", 3.); ("a", 4.) ]
+    (List.rev !log);
+  Alcotest.(check int) "all executed" 7 (Engine.executed engine)
+
+let test_engine_port_out_of_order_raises () =
+  let engine = Engine.create () in
+  let p = Engine.port engine ignore in
+  Engine.schedule_port_at engine ~time:2. p;
+  let raised =
+    with_sanitizer_disarmed (fun () ->
+        try
+          Engine.schedule_port_at engine ~time:1. p;
+          false
+        with Invalid_argument _ -> true)
+  in
+  Alcotest.(check bool) "earlier than the port's pending event rejected" true raised;
+  Engine.run engine;
+  Alcotest.(check int) "the rejected schedule left nothing behind" 1 (Engine.executed engine);
+  Alcotest.(check (float 0.)) "clock" 2. (Engine.now engine)
+
+let test_engine_null_port_rejected () =
+  let engine = Engine.create () in
+  let raised =
+    try
+      Engine.schedule_port_after engine ~delay:1. Engine.null_port;
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "null port rejected" true raised
+
+(* {3 The engine against a reference model}
+
+   Random programs of closure schedules, cancels, re-arms (later,
+   earlier, on fired, cancelled and null handles) and port schedules in
+   nondecreasing time per port, interleaved with runs with and without
+   a horizon.  The reference is the sorted-list model plus a clock, a
+   live set and an executed count; after every run the engine must have
+   fired the same events in the same order at the same times, and agree
+   on [executed], [now] and which handles are [cancelled]. *)
+
+type label = Cell of int | Port of int
+
+type op =
+  | At of int  (* schedule_at now + k/2 *)
+  | After of int  (* schedule_after k/2 *)
+  | Cancel of int  (* cancel a handle picked by index *)
+  | Rearm of int * int  (* rearm_after a handle picked by index, delay k/2 *)
+  | Port_at of int * int  (* port p at max (now, its latest time) + k/2 *)
+  | Run_until of int  (* run ~until:(now + k/2) *)
+  | Run
+
+let n_model_ports = 3
+
+let print_op = function
+  | At k -> Printf.sprintf "At %d" k
+  | After k -> Printf.sprintf "After %d" k
+  | Cancel i -> Printf.sprintf "Cancel %d" i
+  | Rearm (i, k) -> Printf.sprintf "Rearm (%d, %d)" i k
+  | Port_at (p, k) -> Printf.sprintf "Port_at (%d, %d)" p k
+  | Run_until k -> Printf.sprintf "Run_until %d" k
+  | Run -> "Run"
+
+let gen_op =
+  QCheck.Gen.(
+    let k = int_bound 6 and i = int_bound 1000 in
+    frequency
+      [
+        (4, map (fun k -> At k) k);
+        (4, map (fun k -> After k) k);
+        (2, map (fun i -> Cancel i) i);
+        (4, map2 (fun i k -> Rearm (i, k)) i k);
+        (5, map2 (fun p k -> Port_at (p, k)) (int_bound (n_model_ports - 1)) k);
+        (2, map (fun k -> Run_until k) k);
+        (1, return Run);
+      ])
+
+let run_program prog =
+  let half k = float_of_int k /. 2. in
+  let e = Engine.create () in
+  let log = ref [] in
+  let ports =
+    Array.init n_model_ports (fun p ->
+        Engine.port e (fun () -> log := (Port p, Engine.now e) :: !log))
+  in
+  (* Handle [j] is the j-th one returned; the model knows it by [j]. *)
+  let handles = Array.make (List.length prog) Engine.null in
+  let n_handles = ref 0 in
+  let clock = ref 0. and seq = ref 0 and executed = ref 0 in
+  let pending = ref [] and expected = ref [] in
+  let live = Array.make (List.length prog) false in
+  let port_last = Array.make n_model_ports 0. in
+  let insert time label =
+    sorted_insert pending time !seq label;
+    incr seq
+  in
+  let add_cell time h =
+    let j = !n_handles in
+    handles.(j) <- h;
+    live.(j) <- true;
+    incr n_handles;
+    insert time (Cell j)
+  in
+  let fire j () = log := (Cell j, Engine.now e) :: !log in
+  (* Index [i] picks a handle, or {!Engine.null} one time in [n + 1]. *)
+  let pick i = if i mod (!n_handles + 1) = !n_handles then -1 else i mod (!n_handles + 1) in
+  let model_cancel j =
+    if j >= 0 && live.(j) then begin
+      live.(j) <- false;
+      let other (_, _, l) = match l with Cell c -> c <> j | Port _ -> true in
+      pending := List.filter other !pending
+    end
+  in
+  let model_run ?until () =
+    let limit = Option.value until ~default:infinity in
+    let rec go () =
+      match !pending with
+      | (time, _, l) :: rest when time <= limit ->
+        pending := rest;
+        clock := time;
+        incr executed;
+        expected := (l, time) :: !expected;
+        (match l with Cell j -> live.(j) <- false | Port _ -> ());
+        go ()
+      | _ -> ()
+    in
+    go ();
+    (* A horizon run leaves the clock at the horizon; otherwise it rests
+       at the last firing. *)
+    match until with Some limit when limit > !clock -> clock := limit | _ -> ()
+  in
+  let agrees () =
+    List.rev !log = List.rev !expected
+    && Engine.executed e = !executed
+    && Float.equal (Engine.now e) !clock
+    && List.for_all
+         (fun j -> Engine.cancelled e handles.(j) = not live.(j))
+         (List.init !n_handles Fun.id)
+  in
+  List.for_all
+    (fun op ->
+      match op with
+      | At k ->
+        let time = !clock +. half k in
+        add_cell time (Engine.schedule_at e ~time (fire !n_handles));
+        true
+      | After k ->
+        add_cell (!clock +. half k) (Engine.schedule_after e ~delay:(half k) (fire !n_handles));
+        true
+      | Cancel i ->
+        let j = pick i in
+        Engine.cancel e (if j < 0 then Engine.null else handles.(j));
+        model_cancel j;
+        true
+      | Rearm (i, k) ->
+        let j = pick i in
+        let h = if j < 0 then Engine.null else handles.(j) in
+        let h' = Engine.rearm_after e h ~delay:(half k) (fire !n_handles) in
+        model_cancel j;
+        add_cell (!clock +. half k) h';
+        true
+      | Port_at (p, k) ->
+        let time = Float.max !clock port_last.(p) +. half k in
+        port_last.(p) <- time;
+        Engine.schedule_port_at e ~time ports.(p);
+        insert time (Port p);
+        true
+      | Run_until k ->
+        let limit = !clock +. half k in
+        Engine.run ~until:limit e;
+        model_run ~until:limit ();
+        agrees ()
+      | Run ->
+        Engine.run e;
+        model_run ();
+        agrees ())
+    (prog @ [ Run ])
+
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"engine matches sorted-list reference over random programs" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list print_op)
+       QCheck.Gen.(list_size (int_range 0 150) gen_op))
+    run_program
+
 let prop_engine_fires_all_in_order =
   QCheck.Test.make ~name:"engine fires every event in time order" ~count:200
     QCheck.(list_of_size Gen.(int_range 0 50) (float_bound_exclusive 100.))
@@ -432,5 +685,12 @@ let suite =
     ("engine stop", `Quick, test_engine_stop);
     ("engine step", `Quick, test_engine_step);
     ("engine negative delay", `Quick, test_engine_negative_delay_rejected);
+    ("engine cancelled entry keeps clock", `Quick, test_engine_cancelled_entry_keeps_clock);
+    ("engine rearm in place", `Quick, test_engine_rearm_in_place);
+    ("engine rearm handle", `Quick, test_engine_rearm_handle_matches_cancel_schedule);
+    ("engine port fifo", `Quick, test_engine_port_fifo);
+    ("engine port out of order", `Quick, test_engine_port_out_of_order_raises);
+    ("engine null port", `Quick, test_engine_null_port_rejected);
+    QCheck_alcotest.to_alcotest prop_engine_matches_reference;
     QCheck_alcotest.to_alcotest prop_engine_fires_all_in_order;
   ]
