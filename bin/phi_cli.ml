@@ -16,20 +16,48 @@ let pct x = Table.fmt_float (100. *. x) ^ "%"
 
 (* {2 Common arguments} *)
 
+(* A bad number is a usage error that names the option, not an
+   exception deep in a run. *)
+let checked ~expected ~print parse =
+  let parse s =
+    match parse s with
+    | Some v -> Ok v
+    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+  in
+  Arg.conv (parse, print)
+
 let seeds_arg =
   let doc = "Comma-separated list of run seeds." in
-  Arg.(value & opt (list int) [ 1; 2; 3 ] & info [ "seeds" ] ~docv:"SEEDS" ~doc)
+  let seeds =
+    checked ~expected:"a comma-separated list of integers"
+      ~print:Format.(pp_print_list ~pp_sep:(fun ppf () -> pp_print_char ppf ',') pp_print_int)
+      (fun s ->
+        let parts = String.split_on_char ',' s in
+        let seeds = List.filter_map int_of_string_opt parts in
+        if List.compare_lengths seeds parts = 0 then Some seeds else None)
+  in
+  Arg.(value & opt seeds [ 1; 2; 3 ] & info [ "seeds" ] ~docv:"SEEDS" ~doc)
 
 let duration_arg default =
   let doc = "Simulated seconds per run." in
-  Arg.(value & opt float default & info [ "duration" ] ~docv:"SECONDS" ~doc)
+  let seconds =
+    checked ~expected:"a finite number above 0" ~print:Format.pp_print_float (fun s ->
+        match float_of_string_opt s with
+        | Some x when Float.is_finite x && x > 0. -> Some x
+        | Some _ | None -> None)
+  in
+  Arg.(value & opt seconds default & info [ "duration" ] ~docv:"SECONDS" ~doc)
 
 let jobs_arg =
   let doc =
     "Worker domains for grid-shaped experiments (default: the core count; 1 = serial). \
      Results are identical for every value."
   in
-  Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  let jobs =
+    checked ~expected:"an integer of at least 1" ~print:Format.pp_print_int (fun s ->
+        match int_of_string_opt s with Some n when n >= 1 -> Some n | Some _ | None -> None)
+  in
+  Arg.(value & opt (some jobs) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let seed_arg =
   let doc = "Random seed." in

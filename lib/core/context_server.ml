@@ -18,7 +18,6 @@ type path_state = {
   q_ewma : Stats.ewma;
   loss_ewma : Stats.ewma;
   mutable learned_capacity : float;
-  mutable oracle : (unit -> float) option;
   mutable last_touch : int;  (* epoch of the last flush that touched this path *)
 }
 
@@ -189,7 +188,6 @@ let fresh_state t ~epoch =
     q_ewma = Stats.ewma ~alpha:0.2;
     loss_ewma = Stats.ewma ~alpha:0.2;
     learned_capacity = 0.;
-    oracle = None;
     last_touch = epoch;
   }
 
@@ -235,29 +233,21 @@ let merge_agg t ~now_e st agg =
 (* Decay/LRU eviction.  A TTL pass drops prefixes idle for more than
    [ttl_epochs]; if the shard is still over its path budget, the
    least-recently-touched prefixes go next (ties broken by name so
-   eviction is deterministic).  Oracle-pinned paths are never evicted —
-   an oracle is an explicit installation, not learned state. *)
+   eviction is deterministic). *)
 let evict t shard ~now_e =
   shard.next_sweep <- now_e + t.ttl_epochs;
   let dead =
     Hashtbl.fold
-      (fun path st acc ->
-        match st.oracle with
-        | Some _ -> acc
-        | None -> if now_e - st.last_touch > t.ttl_epochs then path :: acc else acc)
+      (fun path st acc -> if now_e - st.last_touch > t.ttl_epochs then path :: acc else acc)
       shard.paths []
   in
   List.iter (fun path -> Hashtbl.remove shard.paths path) dead;
   shard.s_evictions <- shard.s_evictions + List.length dead;
   let over = Hashtbl.length shard.paths - t.max_paths in
   if over > 0 then begin
-    let entries =
-      Hashtbl.fold
-        (fun path st acc ->
-          match st.oracle with Some _ -> acc | None -> (st.last_touch, path) :: acc)
-        shard.paths []
+    let arr =
+      Array.of_list (Hashtbl.fold (fun path st acc -> (st.last_touch, path) :: acc) shard.paths [])
     in
-    let arr = Array.of_list entries in
     Array.sort
       (fun (ta, pa) (tb, pb) ->
         match Int.compare ta tb with 0 -> String.compare pa pb | c -> c)
@@ -343,39 +333,20 @@ let merged_rate t ~now st_opt agg_opt =
   in
   bytes *. 8. /. t.window_s
 
-let oracle_utilization t f =
-  let u = f () in
-  if Float.is_finite u then Float.max 0. (Float.min 1. u)
-  else begin
-    (* A NaN here would poison every context lookup on the path. *)
-    Invariant.record ~rule:"metric-finite" ~time:(Engine.now t.engine)
-      (Printf.sprintf "utilization oracle returned %g" u);
-    0.
-  end
-
 (* The freshness-0 view: committed state overlaid with the shard's
    pending batch for this prefix, computed without committing either. *)
 let merged_context t ~now st_opt agg_opt =
-  (match st_opt with
-  | Some { oracle = Some f; _ } -> Some (oracle_utilization t f)
-  | Some _ | None -> None)
-  |> fun oracle_u ->
   let utilization =
-    match oracle_u with
-    | Some u -> u
-    | None ->
-      let rate = merged_rate t ~now st_opt agg_opt in
-      let cap =
-        match t.capacity_bps with
-        | Some c -> c
-        | None ->
-          let learned =
-            match st_opt with Some st -> st.learned_capacity | None -> 0.
-          in
-          let learned = Float.max learned rate in
-          if learned > 0. then learned else infinity
-      in
-      if not (Float.is_finite cap) then 0. else Float.min 1. (rate /. cap)
+    let rate = merged_rate t ~now st_opt agg_opt in
+    let cap =
+      match t.capacity_bps with
+      | Some c -> c
+      | None ->
+        let learned = match st_opt with Some st -> st.learned_capacity | None -> 0. in
+        let learned = Float.max learned rate in
+        if learned > 0. then learned else infinity
+    in
+    if not (Float.is_finite cap) then 0. else Float.min 1. (rate /. cap)
   in
   let preview ewma_of sum n =
     let mean = sum /. float_of_int n in
@@ -521,26 +492,6 @@ let handle t req =
     ->
     report t ~path ~bytes ~duration_s ~min_rtt ~mean_rtt ~retransmitted ~segments;
     Context_wire.Accepted { epoch = (shard_of t path).epoch }
-
-(* Installing an oracle pins the path: it is committed state immediately
-   and the eviction passes skip it. *)
-let set_oracle t ~path f =
-  let shard = shard_of t path in
-  refresh t shard ~max_staleness:0;
-  let st =
-    match Hashtbl.find_opt shard.paths path with
-    | Some st -> st
-    | None ->
-      let st = fresh_state t ~epoch:(current_epoch t) in
-      Hashtbl.add shard.paths path st;
-      st
-  in
-  st.oracle <- Some f
-
-let clear_oracle t ~path =
-  match Hashtbl.find_opt (shard_of t path).paths path with
-  | Some st -> st.oracle <- None
-  | None -> ()
 
 let active_connections t ~path =
   let shard = shard_of t path in

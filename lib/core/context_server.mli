@@ -32,10 +32,10 @@
       prefixes that only get looked up never enter the committed table,
       and a TTL/LRU sweep evicts prefixes that stop reporting.
 
-    For the "ideal" variants of the paper's experiments an oracle (e.g. a
-    {!Phi_net.Monitor} on the bottleneck) can be attached, replacing the
-    report-driven utilization estimate with up-to-the-minute truth.
-    Oracle-pinned paths are never evicted. *)
+    The server learns path state only from its own senders' reports.
+    The "ideal" variants of the paper's experiments read live bottleneck
+    utilization from a {!Phi_net.Monitor} instead, without going
+    through the server. *)
 
 type t
 
@@ -98,12 +98,6 @@ val flush : t -> unit
 (** Commit every shard's pending batch now, regardless of epoch — used
     at quiesce points (end of an experiment, tests comparing sharded
     and reference servers at an epoch boundary). *)
-
-val set_oracle : t -> path:string -> (unit -> float) -> unit
-(** Override the utilization estimate for [path] with live truth.  Pins
-    [path]: oracle paths are exempt from eviction. *)
-
-val clear_oracle : t -> path:string -> unit
 
 val active_connections : t -> path:string -> int
 

@@ -81,8 +81,14 @@ let result_of_run ~spec ~duration_s ~bottleneck records =
 
 let default_factory _index () = Cubic.make Cubic.default_params
 
+let check_duration ~who duration_s =
+  if not (Float.is_finite duration_s && duration_s > 0.) then
+    invalid_arg
+      (Printf.sprintf "Scenario.%s: duration must be finite and positive, got %g" who duration_s)
+
 let run ?(cc_factory = default_factory) ?(on_conn_end = fun _ -> ()) ?(observe = fun _ _ -> ())
     config =
+  check_duration ~who:"run" config.duration_s;
   let engine = Engine.create () in
   let dumbbell = Topology.dumbbell engine config.spec in
   observe engine dumbbell;
@@ -110,6 +116,7 @@ let run ?(cc_factory = default_factory) ?(on_conn_end = fun _ -> ()) ?(observe =
     ~bottleneck:dumbbell.Topology.bottleneck !records
 
 let run_persistent ?(cc_factory = default_factory) ~n_flows ~duration_s ~spec ~seed () =
+  check_duration ~who:"run_persistent" duration_s;
   let spec = { spec with Topology.n = n_flows } in
   let engine = Engine.create () in
   let dumbbell = Topology.dumbbell engine spec in
@@ -212,7 +219,7 @@ let default_zoo_workload = { mean_on_bytes = 300e3; mean_off_s = 0.5 }
 let run_zoo ?(cc_factory = default_factory) ?(aqm = Drop_tail) ?(dynamics = Dynamics.Steady)
     ?(workload = default_zoo_workload) ?(duration_s = 30.) ?(seed = 1)
     ?(on_conn_end = fun _ -> ()) ?(observe = fun _ _ -> ()) (zoo : Zoo.t) =
-  if duration_s <= 0. then invalid_arg "Scenario.run_zoo: duration must be positive";
+  check_duration ~who:"run_zoo" duration_s;
   let engine = Engine.create () in
   let built = Topology.build engine zoo.Zoo.graph in
   observe engine built;

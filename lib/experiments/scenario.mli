@@ -51,7 +51,10 @@ val run :
 (** Run the scenario.  [cc_factory index] builds the controller for each
     new connection of sender [index] (default: Cubic with default
     parameters).  [observe] runs right after topology construction — the
-    hook for attaching monitors or context servers. *)
+    hook for attaching monitors or context servers.  Raises
+    [Invalid_argument] unless [config.duration_s] is finite and
+    positive; {!run_persistent} and {!run_zoo} check theirs the same
+    way. *)
 
 val run_persistent :
   ?cc_factory:(int -> unit -> Phi_tcp.Cc.t) ->

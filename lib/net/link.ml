@@ -365,8 +365,3 @@ let drops t = t.drops
 let packets_offered t = t.packets_offered
 let busy_time t = fs_get t fs_busy_time
 let total_queue_wait t = fs_get t fs_total_queue_wait
-
-let utilization_since t ~since_busy_time ~since_clock ~now =
-  let elapsed = now -. since_clock in
-  if elapsed <= 0. then 0.
-  else Float.min 1. ((fs_get t fs_busy_time -. since_busy_time) /. elapsed)

@@ -167,7 +167,3 @@ val busy_time : t -> float
 
 val total_queue_wait : t -> float
 (** Sum over delivered packets of time spent waiting before service. *)
-
-val utilization_since : t -> since_busy_time:float -> since_clock:float -> now:float -> float
-(** Utilization over a window given a snapshot of [busy_time] and the clock
-    at the window start. *)

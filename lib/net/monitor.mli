@@ -1,33 +1,17 @@
-(** Periodic link instrumentation.
+(** Periodic link utilization sampler.
 
-    Samples a link on a fixed interval and keeps per-bin utilization and
-    queue-occupancy series.  This is both the measurement device behind
-    the reproduced figures and the oracle feeding "up-to-the-minute"
-    bottleneck utilization to Remy-Phi-ideal senders (Section 2.2.4). *)
+    Samples a link on a fixed interval and keeps the busy fraction of
+    the most recently completed bin.  This is the oracle feeding
+    "up-to-the-minute" bottleneck utilization to Remy-Phi-ideal senders
+    (Section 2.2.4); the reproduced figures measure links through
+    {!Link}'s own counters, not through a monitor. *)
 
 type t
 
 val create : Phi_sim.Engine.t -> Link.t -> interval_s:float -> t
-(** Starts sampling immediately; one sample is recorded at the end of each
-    interval. *)
+(** Starts sampling immediately; one sample is taken at the end of each
+    interval, for the rest of the run. *)
 
 val current_utilization : t -> float
 (** Utilization of the most recently completed bin (0 before the first
     bin closes). *)
-
-val current_queue : t -> int
-(** Instantaneous queue length of the monitored link. *)
-
-val mean_utilization : t -> float
-(** Busy fraction since the monitor was created. *)
-
-val mean_queue : t -> float
-(** Average of the per-bin queue samples (0 if none yet). *)
-
-val utilization_series : t -> (float * float) array
-(** [(bin_end_time, busy_fraction)] pairs. *)
-
-val queue_series : t -> (float * int) array
-
-val stop : t -> unit
-(** Stop sampling (series remain readable). *)

@@ -13,11 +13,11 @@
      (time, seq): [hp.(i)] holds entry [i]'s timestamp in a [floatarray]
      (unboxed), and [hm] interleaves the FIFO tie-break sequence number
      ([hm.(2i)]) with the payload key ([hm.(2i+1)]) so both land on the
-     same cache line.  The heap is inlined here rather than reusing the
-     generic {!Heap}: without flambda, [Heap.pop]'s cross-module call
-     and the [Some (time, seq, v)] tuple it allocates (including a
-     freshly boxed float) cost about 2x on the event-churn
-     microbenchmark (the bench's [micro] experiment).
+     same cache line.  The heap is inlined here rather than kept as a
+     generic module: without flambda, a cross-module [pop] call and the
+     [Some (time, seq, v)] tuple it would allocate (including a freshly
+     boxed float) cost about 2x on the event-churn microbenchmark (the
+     bench's [micro] experiment).
 
    - Cancellable events live in a slab of reusable cells in parallel
      arrays.  A handle packs a cell's index with its generation counter,
@@ -551,6 +551,10 @@ let step t =
 let stop t = t.stopping <- true
 
 let run ?until t =
+  (match until with
+  | Some limit when not (Float.is_finite limit) ->
+    invalid_arg "Engine.run: until must be finite"
+  | Some _ | None -> ());
   t.stopping <- false;
   (* Two closures per [run] call, not per event; runs span millions of
      events so this is outside the per-event budget. *)

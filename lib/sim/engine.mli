@@ -137,7 +137,11 @@ val step : t -> bool
 
 val run : ?until:float -> t -> unit
 (** Drain the queue.  With [until], stops once the next event lies
-    strictly beyond that time and advances the clock to [until]. *)
+    strictly beyond that time and advances the clock to [until].
+    Raises [Invalid_argument] when [until] is NaN or infinite: a NaN
+    horizon would never stop a self-rescheduling source, and an
+    infinite one would set the clock to infinity once the queue
+    drains. *)
 
 val stop : t -> unit
 (** Make the current [run] return after the in-flight event completes. *)

@@ -195,56 +195,3 @@ let run ?jobs ?window_s ~until t =
     List.iter Domain.join spawned
   end;
   match Atomic.get t.failure with Some e -> raise e | None -> ()
-
-(* {2 Partition planning} *)
-
-let plan_cuts ~delays ~islands =
-  let n = Array.length delays in
-  if islands < 1 then invalid_arg "Pdes.plan_cuts: islands must be >= 1";
-  if islands > n + 1 then invalid_arg "Pdes.plan_cuts: more islands than nodes";
-  Array.iter
-    (fun d ->
-      if not (Float.is_finite d) || d < 0. then
-        invalid_arg "Pdes.plan_cuts: delays must be non-negative and finite")
-    delays;
-  let k = islands - 1 in
-  if k = 0 then []
-  else begin
-    (* Maximize the minimum delay over the chosen cut edges — the cut
-       with the smallest delay is the lookahead, hence the window, hence
-       the synchronization rate.  The optimum is the k-th largest delay
-       [d*]; any k edges with delay >= d* achieve it, so among those
-       candidates pick the set that best balances segment lengths. *)
-    let sorted = Array.copy delays in
-    Array.sort (fun a b -> Float.compare b a) sorted;
-    let d_star = sorted.(k - 1) in
-    let candidates =
-      Array.of_list
-        (List.filter
-           (fun i -> delays.(i) >= d_star)
-           (List.init n (fun i -> i)))
-    in
-    let m = Array.length candidates in
-    let chosen = ref [] in
-    let prev = ref (-1) in
-    for j = 0 to k - 1 do
-      (* Ideal cut position for the j-th boundary of an even split. *)
-      let ideal = float_of_int ((j + 1) * n) /. float_of_int islands -. 0.5 in
-      let best = ref (-1) in
-      let best_dist = ref infinity in
-      for c = 0 to m - 1 do
-        (* Feasible: after [prev], and leaving enough candidates for the
-           remaining boundaries. *)
-        if candidates.(c) > !prev && m - c >= k - j then begin
-          let dist = Float.abs (float_of_int candidates.(c) -. ideal) in
-          if dist < !best_dist then begin
-            best := candidates.(c);
-            best_dist := dist
-          end
-        end
-      done;
-      chosen := !best :: !chosen;
-      prev := !best
-    done;
-    List.rev !chosen
-  end

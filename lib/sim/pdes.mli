@@ -26,9 +26,11 @@
     so oversubscribed runs (more workers than cores) degrade gracefully
     instead of starving the island they wait for.
 
-    Cross-island traffic itself is carried by [Phi_net.Boundary_link],
-    which registers its rings here via {!on_drain} and its propagation
-    delay via {!note_lookahead}. *)
+    The partition comes from the topology description, not from this
+    module: [Phi_net.Topology.build_partitioned] adds one island per
+    island the graph declares.  Cross-island traffic itself is carried
+    by [Phi_net.Boundary_link], which registers its rings here via
+    {!on_drain} and its propagation delay via {!note_lookahead}. *)
 
 type t
 (** A coordinator: a set of islands plus the window barrier state. *)
@@ -92,14 +94,3 @@ val run : ?jobs:int -> ?window_s:float -> until:float -> t -> unit
     Raises [Invalid_argument] on an empty coordinator, a non-finite or
     negative [until], [jobs < 1], or a [window_s] that is not positive
     or exceeds the lookahead bound. *)
-
-val plan_cuts : delays:float array -> islands:int -> int list
-(** Partition a line of [n + 1] nodes joined by [n] edges (edge [i]
-    has propagation delay [delays.(i)]) into [islands] contiguous
-    segments: returns the [islands - 1] cut-edge indices, in
-    increasing order.  The cut set maximizes the minimum delay over
-    the chosen edges — the smallest cut delay is the lookahead, hence
-    the window size, hence how often the islands must synchronize —
-    and among the optimal sets prefers evenly sized segments.  Raises
-    [Invalid_argument] when [islands < 1], when there are more islands
-    than nodes, or on a negative/non-finite delay. *)

@@ -6,8 +6,8 @@ let length t = t.len
 let is_empty t = t.len = 0
 
 (* Doubling growth; the first pushed element doubles as the filler for
-   the unused slots (same trick as Heap), so no dummy value is needed and
-   ['a] stays unconstrained. *)
+   the unused slots, so no dummy value is needed and ['a] stays
+   unconstrained. *)
 let grow t x =
   let cap = Array.length t.data in
   if t.len = cap then begin

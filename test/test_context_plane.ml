@@ -142,7 +142,6 @@ let test_eviction () =
     Server.create engine ~capacity_bps:1e9 ~epoch_s:1. ~shards:1 ~max_paths_per_shard:4
       ~ttl_epochs:2 ()
   in
-  Server.set_oracle server ~path:"pinned" (fun () -> 0.5);
   let names = [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ] in
   List.iter
     (fun path ->
@@ -152,17 +151,14 @@ let test_eviction () =
     names;
   Engine.run ~until:1. engine;
   Server.flush server;
-  (* Capacity eviction: 9 resident, budget 4 — the overflow goes, the
-     oracle-pinned path is exempt. *)
+  (* Capacity eviction: 8 resident, budget 4 — the overflow goes. *)
   Alcotest.(check int) "trimmed to budget" 4 (Server.resident_paths server);
-  Alcotest.(check int) "evictions counted" 5 (Server.eviction_count server);
+  Alcotest.(check int) "evictions counted" 4 (Server.eviction_count server);
   Alcotest.(check bool) "flushes counted" true (Server.flush_count server > 0);
-  (* TTL decay: every unpinned path idles past the ttl. *)
+  (* TTL decay: every path idles past the ttl. *)
   Engine.run ~until:10. engine;
   Server.flush server;
-  Alcotest.(check int) "only the pinned path survives" 1 (Server.resident_paths server);
-  Alcotest.(check (float 1e-9)) "pinned oracle still answers" 0.5
-    (Server.peek server ~path:"pinned").Context.utilization
+  Alcotest.(check int) "no path survives the ttl" 0 (Server.resident_paths server)
 
 (* {2 Wire dispatch} *)
 
@@ -225,7 +221,7 @@ let suite =
       test_lookup_does_not_persist;
     QCheck_alcotest.to_alcotest prop_sharded_matches_reference;
     Alcotest.test_case "bounded staleness honours its budget" `Quick test_staleness_bounds;
-    Alcotest.test_case "ttl + lru eviction, oracle pinned" `Quick test_eviction;
+    Alcotest.test_case "ttl + lru eviction" `Quick test_eviction;
     Alcotest.test_case "wire handle matches the direct api" `Quick
       test_handle_matches_direct_api;
   ]

@@ -36,6 +36,30 @@ let test_scenario_load_ordering () =
   Alcotest.(check bool) "high load busier" true
     (high.Scenario.utilization > low.Scenario.utilization)
 
+(* A duration that is not finite and positive is rejected before the
+   run starts: a NaN or infinite one would never stop the on/off
+   sources, and a zero or negative one would report 0 Mb/s with
+   Jain 1. *)
+let bad_durations = [ 0.; -1.; Float.infinity; Float.nan ]
+
+let check_rejects_durations run =
+  List.iter
+    (fun d ->
+      let rejected = try ignore (run d); false with Invalid_argument _ -> true in
+      Alcotest.(check bool) (Printf.sprintf "duration %g rejected" d) true rejected)
+    bad_durations
+
+let test_scenario_run_rejects_bad_duration () =
+  check_rejects_durations (fun d ->
+      Scenario.run { Scenario.low_utilization with Scenario.duration_s = d })
+
+let test_run_persistent_rejects_bad_duration () =
+  check_rejects_durations (fun d ->
+      Scenario.run_persistent ~n_flows:2 ~duration_s:d ~spec:Topology.paper_spec ~seed:1 ())
+
+let test_run_zoo_rejects_bad_duration () =
+  check_rejects_durations (fun d -> Scenario.run_zoo ~duration_s:d (Topology.Zoo.dumbbell ()))
+
 (* The paper's headline claim (Figure 2): tuned Cubic parameters beat the
    Table 1 defaults on the power metric. *)
 let test_tuned_beats_default () =
@@ -693,4 +717,7 @@ let suite =
     ("priority differentiation (s3.3)", `Slow, test_priority_differentiation_and_friendliness);
     ("prediction beats global (s3.5)", `Quick, test_predict_experiment_beats_global);
     ("adaptation informed (s3.2)", `Quick, test_adaptation_experiment);
+    ("scenario run rejects bad duration", `Quick, test_scenario_run_rejects_bad_duration);
+    ("run_persistent rejects bad duration", `Quick, test_run_persistent_rejects_bad_duration);
+    ("run_zoo rejects bad duration", `Quick, test_run_zoo_rejects_bad_duration);
   ]

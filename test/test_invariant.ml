@@ -101,16 +101,6 @@ let test_negative_bytes_recorded () =
   in
   check_rules "negative bytes" [ "metric-range" ] vs
 
-let test_oracle_nan_recorded_and_clamped () =
-  let utilization, vs =
-    Invariant.with_capture (fun () ->
-        let _engine, srv = server () in
-        Phi.Context_server.set_oracle srv ~path:"p" (fun () -> nan);
-        (Phi.Context_server.peek srv ~path:"p").Phi.Context.utilization)
-  in
-  check_rules "oracle NaN" [ "metric-finite" ] vs;
-  Alcotest.(check (float 0.)) "clamped to 0" 0. utilization
-
 (* {2 Connection-stats sanitization} *)
 
 let test_flow_sanitize_mean_below_min () =
@@ -300,8 +290,6 @@ let suite =
     Alcotest.test_case "NaN metric recorded" `Quick test_nan_metric_recorded;
     Alcotest.test_case "both-NaN rtt pair is clean" `Quick test_both_nan_rtt_is_clean;
     Alcotest.test_case "negative bytes recorded" `Quick test_negative_bytes_recorded;
-    Alcotest.test_case "NaN oracle recorded and clamped" `Quick
-      test_oracle_nan_recorded_and_clamped;
     Alcotest.test_case "flow stats: mean rtt below min" `Quick
       test_flow_sanitize_mean_below_min;
     Alcotest.test_case "flow stats: negative counters" `Quick

@@ -1,8 +1,8 @@
 (* Tests for the conservative parallel-DES coordinator ([Phi_sim.Pdes])
-   and the cross-island [Boundary_link]: partition planning, window
-   validation, and the central determinism contract — a partitioned run
-   must replay the serial engine's delivery trace bit for bit, whatever
-   the worker count. *)
+   and the cross-island [Boundary_link]: window validation, and the
+   central determinism contract — a partitioned run must replay the
+   serial engine's delivery trace bit for bit, whatever the worker
+   count. *)
 
 module Engine = Phi_sim.Engine
 module Pdes = Phi_sim.Pdes
@@ -10,66 +10,6 @@ module Packet = Phi_net.Packet
 module Link = Phi_net.Link
 module Boundary_link = Phi_net.Boundary_link
 module Prng = Phi_util.Prng
-
-(* {2 Partition planning} *)
-
-let test_plan_cuts_uniform () =
-  (* Uniform delays: every edge is a candidate, so the planner falls
-     back to pure balance — cuts land at the even-split boundaries. *)
-  Alcotest.(check (list int)) "even thirds" [ 2; 5 ]
-    (Pdes.plan_cuts ~delays:(Array.make 8 1e-3) ~islands:3);
-  Alcotest.(check (list int)) "halves" [ 3 ]
-    (Pdes.plan_cuts ~delays:(Array.make 8 1e-3) ~islands:2);
-  Alcotest.(check (list int)) "single island needs no cut" []
-    (Pdes.plan_cuts ~delays:(Array.make 8 1e-3) ~islands:1);
-  Alcotest.(check (list int)) "one island per node cuts everything" [ 0; 1; 2 ]
-    (Pdes.plan_cuts ~delays:(Array.make 3 1e-3) ~islands:4)
-
-let test_plan_cuts_prefers_large_delays () =
-  (* The smallest chosen delay is the lookahead: the planner must pick
-     the k largest-delay edges even when they are badly placed. *)
-  Alcotest.(check (list int)) "picks the 5 ms and 4 ms edges" [ 1; 3 ]
-    (Pdes.plan_cuts ~delays:[| 1e-3; 5e-3; 2e-3; 4e-3; 3e-3 |] ~islands:3);
-  Alcotest.(check (list int)) "single cut at the max" [ 1 ]
-    (Pdes.plan_cuts ~delays:[| 1e-3; 5e-3; 2e-3; 4e-3; 3e-3 |] ~islands:2)
-
-let prop_plan_cuts_maximizes_lookahead =
-  QCheck.Test.make ~name:"plan_cuts lookahead = k-th largest delay, segments contiguous"
-    ~count:200
-    QCheck.(pair (int_range 0 1_000_000) (int_range 1 12))
-    (fun (seed, n) ->
-      let rng = Prng.create ~seed in
-      let delays = Array.init n (fun _ -> Prng.float_range rng ~lo:1e-4 ~hi:1e-1) in
-      let islands = 1 + Prng.int rng ~bound:(n + 1) in
-      let cuts = Pdes.plan_cuts ~delays ~islands in
-      let k = islands - 1 in
-      if List.length cuts <> k then QCheck.Test.fail_report "wrong cut count";
-      (* Strictly increasing, in range. *)
-      let rec ordered prev = function
-        | [] -> true
-        | c :: rest -> c > prev && c < n && ordered c rest
-      in
-      if not (ordered (-1) cuts) then QCheck.Test.fail_report "cuts not increasing";
-      (* The minimum chosen delay equals the k-th largest overall. *)
-      (match cuts with
-      | [] -> true
-      | _ ->
-        let sorted = Array.copy delays in
-        Array.sort (fun a b -> Float.compare b a) sorted;
-        let d_star = sorted.(k - 1) in
-        let d_min = List.fold_left (fun acc c -> Float.min acc delays.(c)) infinity cuts in
-        Float.equal d_min d_star))
-
-let test_plan_cuts_rejects_bad_inputs () =
-  let rejects f = try ignore (f ()); false with Invalid_argument _ -> true in
-  Alcotest.(check bool) "islands 0" true
-    (rejects (fun () -> Pdes.plan_cuts ~delays:[| 1. |] ~islands:0));
-  Alcotest.(check bool) "more islands than nodes" true
-    (rejects (fun () -> Pdes.plan_cuts ~delays:[| 1. |] ~islands:3));
-  Alcotest.(check bool) "negative delay" true
-    (rejects (fun () -> Pdes.plan_cuts ~delays:[| 1.; -1. |] ~islands:2));
-  Alcotest.(check bool) "nan delay" true
-    (rejects (fun () -> Pdes.plan_cuts ~delays:[| 1.; Float.nan |] ~islands:2))
 
 (* {2 Coordinator validation} *)
 
@@ -336,27 +276,6 @@ let test_zoo_cut_lookaheads () =
   Alcotest.(check (float 0.)) "fat tree pod is one island" infinity
     (lookahead "fat_tree_pod")
 
-let test_zoo_plan_cuts_interop () =
-  (* The parking lot as plan_cuts sees it: a line of segments joined by
-     alternating 5 ms hop and 10 ms inter-segment edges.  The planner
-     must choose exactly the 10 ms edges — the same cuts Zoo.parking_lot
-     bakes into its island assignment — and the plan's lookahead (its
-     smallest cut delay) must equal what the realized graph registers. *)
-  let spec = Topology.Zoo.default_parking_lot in
-  let s = spec.Topology.Zoo.segments in
-  let delays =
-    Array.init
-      ((2 * s) - 1)
-      (fun i ->
-        if i mod 2 = 0 then spec.Topology.Zoo.hop_delay_s else spec.Topology.Zoo.cut_delay_s)
-  in
-  let cuts = Pdes.plan_cuts ~delays ~islands:s in
-  Alcotest.(check (list int)) "cuts land on the inter-segment edges" [ 1; 3 ] cuts;
-  let plan_lookahead = List.fold_left (fun acc c -> Float.min acc delays.(c)) infinity cuts in
-  Alcotest.(check (float 0.)) "plan lookahead = realized cut lookahead"
-    (Topology.Graph.cut_lookahead_s (Topology.Zoo.parking_lot ()).Topology.Zoo.graph)
-    plan_lookahead
-
 (* One partitioned run of the WAN zoo under persistent Cubic senders on
    every flow path, folded to a fingerprint.  Flow ids and rng draws
    follow flow-path order, so the fingerprint is a pure function of the
@@ -416,18 +335,12 @@ let test_zoo_wan_partitioned_determinism () =
 
 let suite =
   [
-    Alcotest.test_case "plan_cuts: uniform delays" `Quick test_plan_cuts_uniform;
-    Alcotest.test_case "plan_cuts: prefers large delays" `Quick test_plan_cuts_prefers_large_delays;
-    QCheck_alcotest.to_alcotest prop_plan_cuts_maximizes_lookahead;
-    Alcotest.test_case "plan_cuts: rejects bad inputs" `Quick test_plan_cuts_rejects_bad_inputs;
     Alcotest.test_case "run validation" `Quick test_run_validation;
     Alcotest.test_case "lookahead is the minimum" `Quick test_lookahead_is_minimum;
     QCheck_alcotest.to_alcotest prop_partitioned_replays_serial;
     Alcotest.test_case "ring overflow raises" `Quick test_ring_overflow_raises;
     Alcotest.test_case "boundary create validation" `Quick test_boundary_create_validation;
     Alcotest.test_case "zoo graphs register their cut lookaheads" `Quick test_zoo_cut_lookaheads;
-    Alcotest.test_case "plan_cuts agrees with the parking-lot islands" `Quick
-      test_zoo_plan_cuts_interop;
     Alcotest.test_case "partitioned WAN zoo is jobs-invariant" `Quick
       test_zoo_wan_partitioned_determinism;
   ]

@@ -109,15 +109,6 @@ let test_server_loss_ewma () =
   let c = Context_server.peek server ~path:"p" in
   Alcotest.(check (float 1e-9)) "loss seeded" 0.05 c.Context.loss_rate
 
-let test_server_oracle_override () =
-  let _, server = server_fixture ~capacity_bps:1e6 () in
-  Context_server.set_oracle server ~path:"p" (fun () -> 0.73);
-  Alcotest.(check (float 0.)) "oracle wins" 0.73
-    (Context_server.peek server ~path:"p").Context.utilization;
-  Context_server.clear_oracle server ~path:"p";
-  Alcotest.(check (float 0.)) "back to estimate" 0.
-    (Context_server.peek server ~path:"p").Context.utilization
-
 let test_server_learns_capacity () =
   let engine, server = server_fixture () in
   Engine.run ~until:10. engine;
@@ -377,7 +368,6 @@ let suite =
     ("server utilization estimate", `Quick, test_server_utilization_estimate);
     ("server window expiry", `Quick, test_server_window_expiry);
     ("server loss ewma", `Quick, test_server_loss_ewma);
-    ("server oracle override", `Quick, test_server_oracle_override);
     ("server learns capacity", `Quick, test_server_learns_capacity);
     ("policy heuristic monotone", `Quick, test_policy_heuristic_monotone);
     ("policy learned exact hit", `Quick, test_policy_learned_exact_hit);

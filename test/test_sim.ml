@@ -1,7 +1,6 @@
-(* Tests for phi_sim: the 4-ary heap, the ring buffer, and the
-   discrete-event engine with its recycled event cells. *)
+(* Tests for phi_sim: the ring buffer and the discrete-event engine
+   with its recycled event cells. *)
 
-module Heap = Phi_sim.Heap
 module Ring = Phi_sim.Ring
 module Engine = Phi_sim.Engine
 module Invariant = Phi_sim.Invariant
@@ -12,135 +11,6 @@ let with_sanitizer_disarmed f =
   let prev = Invariant.enabled () in
   Invariant.set_enabled false;
   Fun.protect ~finally:(fun () -> Invariant.set_enabled prev) f
-
-(* {2 Heap} *)
-
-let test_heap_empty () =
-  let h : int Heap.t = Heap.create () in
-  Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
-  Alcotest.(check int) "size" 0 (Heap.size h);
-  Alcotest.(check bool) "pop none" true (Heap.pop h = None);
-  Alcotest.(check bool) "peek none" true (Heap.peek h = None)
-
-let test_heap_orders_by_priority () =
-  let h = Heap.create () in
-  List.iteri (fun i p -> Heap.push h ~priority:p ~seq:i p) [ 3.; 1.; 2.; 0.5; 5. ];
-  let order = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some (_, _, v) ->
-      order := v :: !order;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list (float 0.))) "ascending" [ 0.5; 1.; 2.; 3.; 5. ] (List.rev !order)
-
-let test_heap_fifo_ties () =
-  let h = Heap.create () in
-  for i = 0 to 9 do
-    Heap.push h ~priority:1. ~seq:i i
-  done;
-  for i = 0 to 9 do
-    match Heap.pop h with
-    | Some (_, seq, v) ->
-      Alcotest.(check int) "fifo order" i seq;
-      Alcotest.(check int) "payload" i v
-    | None -> Alcotest.fail "heap exhausted early"
-  done
-
-let test_heap_grows () =
-  let h = Heap.create () in
-  for i = 999 downto 0 do
-    Heap.push h ~priority:(float_of_int i) ~seq:i i
-  done;
-  Alcotest.(check int) "size" 1000 (Heap.size h);
-  (match Heap.peek h with
-  | Some (p, _, _) -> Alcotest.(check (float 0.)) "min on top" 0. p
-  | None -> Alcotest.fail "empty");
-  Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Heap.is_empty h)
-
-(* [Float.compare] is a total order with nan below every other float, so
-   a nan priority must sort first deterministically rather than poison
-   the sift comparisons (every [<] against nan is false, which under the
-   old polymorphic-style comparison could strand elements). *)
-let test_heap_nan_total_order () =
-  let h = Heap.create () in
-  Heap.push h ~priority:1. ~seq:0 "one";
-  Heap.push h ~priority:Float.nan ~seq:1 "nan";
-  Heap.push h ~priority:2. ~seq:2 "two";
-  (match Heap.pop h with
-  | Some (p, _, v) ->
-    Alcotest.(check bool) "nan first" true (Float.is_nan p);
-    Alcotest.(check string) "nan payload" "nan" v
-  | None -> Alcotest.fail "empty");
-  let rest =
-    List.init 2 (fun _ ->
-        match Heap.pop h with Some (_, _, v) -> v | None -> Alcotest.fail "short")
-  in
-  Alcotest.(check (list string)) "rest in order" [ "one"; "two" ] rest;
-  Alcotest.(check bool) "drained" true (Heap.is_empty h)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap pops in sorted order" ~count:300
-    QCheck.(list (float_bound_exclusive 1000.))
-    (fun priorities ->
-      let h = Heap.create () in
-      List.iteri (fun i p -> Heap.push h ~priority:p ~seq:i ()) priorities;
-      let rec drain last =
-        match Heap.pop h with
-        | None -> true
-        | Some (p, _, ()) -> if p < last then false else drain p
-      in
-      drain neg_infinity)
-
-(* The reference model of every queue below: a list of (priority, seq,
-   payload) kept sorted by (priority, seq) ascending. *)
-let sorted_insert model p s v =
-  let rec go = function
-    | [] -> [ (p, s, v) ]
-    | ((p', s', _) as hd) :: tl ->
-      let c = Float.compare p p' in
-      if c < 0 || (c = 0 && s < s') then (p, s, v) :: hd :: tl else hd :: go tl
-  in
-  model := go !model
-
-(* The SoA 4-ary heap against the sorted-list reference model: 10k mixed
-   push/pop operations with tie-heavy priorities (8 distinct values, so
-   the FIFO tie-break is exercised constantly), then a full drain.
-   Every pop must match the model exactly — priority, seq and payload. *)
-let prop_heap_matches_reference =
-  QCheck.Test.make ~name:"heap matches sorted-list reference over 10k ops" ~count:5
-    QCheck.(int_bound 0xFFFFFF)
-    (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let h = Heap.create () in
-      let model = ref [] in
-      let insert = sorted_insert model in
-      let seq = ref 0 in
-      let ok = ref true in
-      let check_pop () =
-        match (Heap.pop h, !model) with
-        | Some (p, s, v), (p', s', v') :: tl ->
-          model := tl;
-          if not (Float.compare p p' = 0 && s = s' && v = v') then ok := false
-        | None, [] -> ()
-        | Some _, [] | None, _ :: _ -> ok := false
-      in
-      for _ = 1 to 10_000 do
-        if Random.State.int rng 3 < 2 || !model = [] then begin
-          let p = float_of_int (Random.State.int rng 8) in
-          Heap.push h ~priority:p ~seq:!seq !seq;
-          insert p !seq !seq;
-          incr seq
-        end
-        else check_pop ()
-      done;
-      while !model <> [] || not (Heap.is_empty h) do
-        check_pop ()
-      done;
-      !ok)
 
 (* {2 Ring} *)
 
@@ -360,6 +230,33 @@ let test_engine_until_horizon () =
   Engine.run engine;
   Alcotest.(check (float 0.)) "resumes past horizon" 10. (Engine.now engine)
 
+(* [next > nan] is false, so a NaN horizon would never stop a source
+   that keeps rescheduling itself.  It is rejected before anything
+   runs. *)
+let test_engine_rejects_nan_horizon () =
+  let engine = Engine.create () in
+  List.iter (fun t -> ignore (Engine.schedule_at engine ~time:t ignore)) [ 1.; 2.; 3. ];
+  Alcotest.check_raises "nan horizon" (Invalid_argument "Engine.run: until must be finite")
+    (fun () -> Engine.run ~until:Float.nan engine);
+  Alcotest.(check int) "nothing ran" 0 (Engine.executed engine);
+  Engine.run ~until:2.5 engine;
+  Alcotest.(check int) "a finite horizon still runs" 2 (Engine.executed engine)
+
+(* An infinite horizon would never return under a self-rescheduling
+   source, or would set the clock to infinity once the queue drained. *)
+let test_engine_rejects_infinite_horizon () =
+  let engine = Engine.create () in
+  ignore (Engine.schedule_at engine ~time:1. ignore);
+  List.iter
+    (fun limit ->
+      Alcotest.check_raises (Printf.sprintf "%g horizon" limit)
+        (Invalid_argument "Engine.run: until must be finite") (fun () ->
+          Engine.run ~until:limit engine))
+    [ Float.infinity; Float.neg_infinity ];
+  Alcotest.(check int) "nothing ran" 0 (Engine.executed engine);
+  Engine.run engine;
+  Alcotest.(check (float 0.)) "clock at the last event" 1. (Engine.now engine)
+
 let test_engine_stop () =
   let engine = Engine.create () in
   let count = ref 0 in
@@ -497,6 +394,17 @@ let test_engine_null_port_rejected () =
    live set and an executed count; after every run the engine must have
    fired the same events in the same order at the same times, and agree
    on [executed], [now] and which handles are [cancelled]. *)
+
+(* The reference queue: a list of (priority, seq, payload) kept sorted
+   by (priority, seq) ascending. *)
+let sorted_insert model p s v =
+  let rec go = function
+    | [] -> [ (p, s, v) ]
+    | ((p', s', _) as hd) :: tl ->
+      let c = Float.compare p p' in
+      if c < 0 || (c = 0 && s < s') then (p, s, v) :: hd :: tl else hd :: go tl
+  in
+  model := go !model
 
 type label = Cell of int | Port of int
 
@@ -658,13 +566,6 @@ let prop_engine_fires_all_in_order =
 
 let suite =
   [
-    ("heap empty", `Quick, test_heap_empty);
-    ("heap orders by priority", `Quick, test_heap_orders_by_priority);
-    ("heap fifo ties", `Quick, test_heap_fifo_ties);
-    ("heap grows", `Quick, test_heap_grows);
-    ("heap nan total order", `Quick, test_heap_nan_total_order);
-    QCheck_alcotest.to_alcotest prop_heap_sorts;
-    QCheck_alcotest.to_alcotest prop_heap_matches_reference;
     ("ring fifo", `Quick, test_ring_fifo);
     ("ring wraparound", `Quick, test_ring_wraparound);
     ("ring peek/fold/clear", `Quick, test_ring_peek_fold_clear);
@@ -682,6 +583,8 @@ let suite =
     ("engine ports", `Quick, test_engine_ports);
     ("engine slab churn", `Quick, test_engine_slab_churn);
     ("engine run until", `Quick, test_engine_until_horizon);
+    ("engine rejects nan horizon", `Quick, test_engine_rejects_nan_horizon);
+    ("engine rejects infinite horizon", `Quick, test_engine_rejects_infinite_horizon);
     ("engine stop", `Quick, test_engine_stop);
     ("engine step", `Quick, test_engine_step);
     ("engine negative delay", `Quick, test_engine_negative_delay_rejected);

@@ -533,23 +533,6 @@ let test_ecn_reacts_at_most_once_per_rtt () =
   Alcotest.(check bool) "reductions rate-limited" true
     (Sender.ecn_reductions f.sender <= 200)
 
-let test_cwnd_trace_records_growth () =
-  let f = sender_fixture ~total:Sender.persistent_total () in
-  let trace = Cwnd_trace.attach f.engine f.sender ~interval_s:0.1 in
-  Sender.start f.sender;
-  Engine.run ~until:5. f.engine;
-  let series = Cwnd_trace.series trace in
-  Alcotest.(check bool) "sampled" true (Array.length series >= 40);
-  let times = Array.map fst series in
-  let sorted = Array.copy times in
-  Array.sort Float.compare sorted;
-  Alcotest.(check (array (float 0.))) "time ordered" sorted times;
-  Alcotest.(check bool) "window grew" true (Cwnd_trace.max_cwnd trace > 2.);
-  Cwnd_trace.stop trace;
-  let before = Array.length (Cwnd_trace.series trace) in
-  Engine.run ~until:6. f.engine;
-  Alcotest.(check int) "stop stops sampling" before (Array.length (Cwnd_trace.series trace))
-
 let prop_delivery_integrity =
   QCheck.Test.make ~name:"tcp delivers everything exactly once under random loss" ~count:25
     QCheck.(pair (int_range 1 400) (pair (int_range 0 10_000) (int_range 0 15)))
@@ -667,7 +650,6 @@ let suite =
     ("sender timeout on blackout", `Quick, test_sender_timeout_on_blackout);
     ("ecn marks instead of drops", `Quick, test_ecn_marks_instead_of_drops);
     ("ecn once per rtt", `Quick, test_ecn_reacts_at_most_once_per_rtt);
-    ("cwnd trace", `Quick, test_cwnd_trace_records_growth);
     QCheck_alcotest.to_alcotest ~long:true prop_delivery_integrity;
     QCheck_alcotest.to_alcotest prop_sender_floors_buggy_controllers;
   ]
