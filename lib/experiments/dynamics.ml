@@ -32,8 +32,6 @@ let by_name = function
   | "flash_crowd" -> default_flash_crowd
   | other -> invalid_arg (Printf.sprintf "Dynamics.by_name: unknown regime %S" other)
 
-let all = [ steady; default_flap; default_jitter; default_incast; default_flash_crowd ]
-
 let at engine ~time f =
   if not (Float.is_finite time) || time < 0. then
     invalid_arg "Dynamics.at: time must be finite and non-negative";

@@ -50,8 +50,6 @@ val by_name : string -> t
     inside a pool worker from its name alone.  Raises
     [Invalid_argument] on an unknown name. *)
 
-val all : t list
-
 (** {2 Script combinators}
 
     The primitives every dynamics script is built from.  phi-lint

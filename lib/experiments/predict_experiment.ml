@@ -103,8 +103,3 @@ let run ?(n_p16 = 8) ?(p24_per_p16 = 32) ?(samples_per_p24 = 20) ~seed () =
     cold_prefixes_served = !cold;
     example_mos;
   }
-
-let run_many ?jobs ?n_p16 ?p24_per_p16 ?samples_per_p24 ~seeds () =
-  Phi_runner.Pool.map ?jobs
-    (fun seed -> run ?n_p16 ?p24_per_p16 ?samples_per_p24 ~seed ())
-    seeds

@@ -21,14 +21,3 @@ type result = {
 
 val run : ?n_p16:int -> ?p24_per_p16:int -> ?samples_per_p24:int -> seed:int -> unit -> result
 (** Defaults: 8 /16 regions x 32 /24s, ~20 training samples per /24. *)
-
-val run_many :
-  ?jobs:int ->
-  ?n_p16:int ->
-  ?p24_per_p16:int ->
-  ?samples_per_p24:int ->
-  seeds:int list ->
-  unit ->
-  result list
-(** One independent run per seed, fanned across [jobs] domains via
-    {!Phi_runner.Pool}; results are in seed order. *)

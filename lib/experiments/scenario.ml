@@ -214,10 +214,11 @@ type zoo_result = {
   z_records : Flow.conn_stats list;
 }
 
-let default_zoo_workload = { mean_on_bytes = 300e3; mean_off_s = 0.5 }
+(* 300 KB mean transfers, 0.5 s mean idle. *)
+let zoo_workload = { Phi_tcp.Source.mean_on_bytes = 300e3; mean_off_s = 0.5 }
 
 let run_zoo ?(cc_factory = default_factory) ?(aqm = Drop_tail) ?(dynamics = Dynamics.Steady)
-    ?(workload = default_zoo_workload) ?(duration_s = 30.) ?(seed = 1)
+    ?(duration_s = 30.) ?(seed = 1)
     ?(on_conn_end = fun _ -> ()) ?(observe = fun _ _ -> ()) (zoo : Zoo.t) =
   check_duration ~who:"run_zoo" duration_s;
   let engine = Engine.create () in
@@ -244,7 +245,7 @@ let run_zoo ?(cc_factory = default_factory) ?(aqm = Drop_tail) ?(dynamics = Dyna
       ~on_conn_end:(fun stats ->
         records := stats :: !records;
         on_conn_end stats)
-      { Phi_tcp.Source.mean_on_bytes = workload.mean_on_bytes; mean_off_s = workload.mean_off_s }
+      zoo_workload
   in
   let primaries = Array.mapi (fun i fp -> mk_source ~index:i fp) zoo.Zoo.flow_paths in
   (* Workload-level dynamics own transport, so they are interpreted

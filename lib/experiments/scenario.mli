@@ -123,23 +123,20 @@ type zoo_result = {
   z_records : Phi_tcp.Flow.conn_stats list;
 }
 
-val default_zoo_workload : workload
-(** 300 KB mean transfers, 0.5 s mean idle — busy enough that every
-    zoo bottleneck sees contention within a 30 s cell. *)
-
 val run_zoo :
   ?cc_factory:(int -> unit -> Phi_tcp.Cc.t) ->
   ?aqm:aqm ->
   ?dynamics:Dynamics.t ->
-  ?workload:workload ->
   ?duration_s:float ->
   ?seed:int ->
   ?on_conn_end:(Phi_tcp.Flow.conn_stats -> unit) ->
   ?observe:(Phi_sim.Engine.t -> Phi_net.Topology.built -> unit) ->
   Phi_net.Topology.Zoo.t ->
   zoo_result
-(** Run one matrix cell (defaults: drop-tail, steady dynamics,
-    {!default_zoo_workload}, 30 s, seed 1).  The topology is realized
+(** Run one matrix cell (defaults: drop-tail, steady dynamics, 30 s,
+    seed 1).  Every flow path runs {!run}'s on/off workload at 300 KB
+    mean transfers and 0.5 s mean idle, busy enough that every zoo
+    bottleneck sees contention within a 30 s cell.  The topology is realized
     serially through [Topology.build]; link-level dynamics are
     installed via [Dynamics.install] on the zoo's bottleneck links;
     incast bursts converge on the zoo's [incast_sink] from its

@@ -23,6 +23,3 @@ let run ?(config = Cloud_trace.default_config) ?(rate = Sampler.default_rate) ~s
     slices = Sharing.slices stats;
     ccdf = Sharing.ccdf stats ~thresholds:[ 1; 5; 10; 50; 100 ];
   }
-
-let run_many ?jobs ?config ?rate ~seeds () =
-  Phi_runner.Pool.map ?jobs (fun seed -> run ?config ?rate ~seed ()) seeds

@@ -17,13 +17,3 @@ val paper_points : (int * float) list
 (** [(5, 0.50); (100, 0.12)]. *)
 
 val run : ?config:Phi_workload.Cloud_trace.config -> ?rate:int -> seed:int -> unit -> result
-
-val run_many :
-  ?jobs:int ->
-  ?config:Phi_workload.Cloud_trace.config ->
-  ?rate:int ->
-  seeds:int list ->
-  unit ->
-  result list
-(** One independent trace analysis per seed, fanned across [jobs]
-    domains via {!Phi_runner.Pool}; results are in seed order. *)

@@ -78,16 +78,13 @@ let points ?jobs ~seeds run settings =
 
 let cubic params _index () = Cubic.make params
 
-let run ?(progress = fun _ _ -> ()) ?jobs config grid ~seeds =
-  let all = settings grid in
+let run ?jobs config grid ~seeds =
   (* The Table 1 default setting rides along as the last point. *)
   let points =
     points ?jobs ~seeds
       (fun params seed -> Scenario.run ~cc_factory:(cubic params) { config with Scenario.seed })
-      (all @ [ Cubic.default_params ])
+      (settings grid @ [ Cubic.default_params ])
   in
-  let total = List.length all in
-  List.iteri (fun i _ -> progress (i + 1) total) all;
   match List.rev points with
   | default_point :: rev_points ->
     { config; seeds; points = List.rev rev_points; default_point }

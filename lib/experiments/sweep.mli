@@ -37,15 +37,12 @@ type t = {
 
 val settings : grid -> Phi_tcp.Cubic.params list
 
-val run :
-  ?progress:(int -> int -> unit) -> ?jobs:int -> Scenario.config -> grid -> seeds:int list -> t
+val run : ?jobs:int -> Scenario.config -> grid -> seeds:int list -> t
 (** Runs every (setting, seed) cell as an independent job on a
     {!Phi_runner.Pool} of [jobs] domains (default
     {!Phi_runner.Pool.default_jobs}; [jobs:1] is the serial path).
     Results are reassembled in grid order, so the outcome is identical
-    for every [jobs] value.  [progress done_ total] is called once per
-    grid setting after the batch completes (with [jobs:1] the pool still
-    drains the whole batch before progress fires). *)
+    for every [jobs] value. *)
 
 val optimal : t -> point
 (** Highest mean [P_l]. *)

@@ -40,10 +40,17 @@ let compile table =
   let dims = Rule_table.dims table in
   let whiskers = Rule_table.whiskers table in
   let bounds = Array.init dims (fun axis -> boundaries whiskers axis) in
-  let sizes = Array.map (fun b -> Array.length b - 1) bounds in
+  (* The grid must be the unit cube: a lookup clamps every point into
+     the grid, so a table covering less would silently stretch its edge
+     whiskers over the rest.  Gaps inside the cube raise below, when a
+     cell center matches no whisker. *)
   Array.iter
-    (fun n -> if n < 1 then invalid_arg "Compiled_table.compile: degenerate axis")
-    sizes;
+    (fun b ->
+      let n = Array.length b in
+      if n < 2 || not (Float.equal b.(0) 0. && Float.equal b.(n - 1) 1.) then
+        invalid_arg "Compiled_table.compile: the whiskers do not span [0, 1] on every axis")
+    bounds;
+  let sizes = Array.map (fun b -> Array.length b - 1) bounds in
   let cell_count = Array.fold_left ( * ) 1 sizes in
   if cell_count > max_cells then
     invalid_arg

@@ -65,20 +65,23 @@ let to_line t =
 exception Parse_error of string
 
 let of_line line =
-  let fail () = raise (Parse_error ("Whisker.of_line: malformed line: " ^ line)) in
+  let fail reason = raise (Parse_error (Printf.sprintf "Whisker.of_line: %s: %s" reason line)) in
+  let number x =
+    match float_of_string_opt x with
+    | Some v when Float.is_finite v -> v
+    | Some _ -> fail "non-finite field"
+    | None -> fail "malformed line"
+  in
+  let numbers sep s = Array.of_list (List.map number (String.split_on_char sep s)) in
   match String.split_on_char '|' line with
   | [ "w"; lo; hi; action ] -> (
-    let parse_floats s =
-      String.split_on_char ',' s
-      |> List.map (fun x -> try float_of_string x with Failure _ -> fail ())
-      |> Array.of_list
-    in
-    let lo = parse_floats lo and hi = parse_floats hi in
-    if Array.length lo <> Array.length hi || Array.length lo = 0 then fail ();
-    match String.split_on_char ';' action with
-    | [ inc; mult; isend ] ->
-      let f x = try float_of_string x with Failure _ -> fail () in
-      create { lo; hi }
-        { window_increment = f inc; window_multiple = f mult; intersend_s = f isend }
-    | _ -> fail ())
-  | _ -> fail ()
+    let lo = numbers ',' lo and hi = numbers ',' hi in
+    if Array.length lo <> Array.length hi || Array.length lo = 0 then fail "malformed line";
+    Array.iteri
+      (fun i l -> if not (0. <= l && l < hi.(i) && hi.(i) <= 1.) then fail "empty or out-of-cube box")
+      lo;
+    match numbers ';' action with
+    | [| inc; mult; isend |] ->
+      create { lo; hi } { window_increment = inc; window_multiple = mult; intersend_s = isend }
+    | _ -> fail "malformed line")
+  | _ -> fail "malformed line"

@@ -59,4 +59,6 @@ exception Parse_error of string
 val to_line : t -> string
 
 val of_line : string -> t
-(** Raises {!Parse_error} on malformed input. *)
+(** Raises {!Parse_error} on malformed input, a non-finite box or action
+    field, or a box that leaves [\[0, 1\]] or is empty on some axis
+    ([lo >= hi]). *)

@@ -253,6 +253,23 @@ let test_policy_staleness () =
   Alcotest.(check bool) "other policy is never fresh" false
     (Policy.Compiled.is_fresh recompiled (Policy.create ()))
 
+(* A table that leaves part of the cube uncovered does not compile:
+   lookups would clamp the missing region onto an edge whisker. *)
+let test_rejects_partial_cube () =
+  let table whiskers = Rule_table.deserialize (String.concat "\n" ("remy-table|dims=2" :: whiskers)) in
+  List.iter
+    (fun (what, whiskers) ->
+      let raised =
+        try ignore (Compiled_table.compile (table whiskers)); false with Invalid_argument _ -> true
+      in
+      Alcotest.(check bool) what true raised)
+    [
+      ("short of 1", [ "w|0,0|0.5,1|1;1;0.001" ]);
+      ("short of 0", [ "w|0,0.25|1,1|1;1;0.001" ]);
+      ("gap inside", [ "w|0,0|0.25,1|1;1;0.001"; "w|0.5,0|1,1|1;1;0.001" ]);
+    ];
+  ignore (Compiled_table.compile (table [ "w|0,0|0.5,1|1;1;0.001"; "w|0.5,0|1,1|2;1;0.001" ]))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_equivalence;
@@ -265,4 +282,5 @@ let suite =
     Alcotest.test_case "policy choices physically identical" `Quick
       test_policy_compiled_identical;
     Alcotest.test_case "compiled policy staleness" `Quick test_policy_staleness;
+    Alcotest.test_case "partial cube rejected" `Quick test_rejects_partial_cube;
   ]

@@ -116,6 +116,26 @@ let test_whisker_of_line_rejects_garbage () =
   in
   Alcotest.(check bool) "garbage rejected" true raised
 
+(* Well-formed lines whose numbers no table can hold: every one must be
+   a parse error, not a whisker that lookups clamp into or that acts
+   with a NaN. *)
+let test_whisker_of_line_rejects_bad_numbers () =
+  List.iter
+    (fun (what, line) ->
+      let raised = try ignore (Whisker.of_line line); false with Whisker.Parse_error _ -> true in
+      Alcotest.(check bool) what true raised)
+    [
+      ("missing action", "w|0,0|1,1");
+      ("nan action", "w|0,0|1,1|nan;1;0.001");
+      ("infinite action", "w|0,0|1,1|1;inf;0.001");
+      ("nan box", "w|0,nan|1,1|1;1;0.001");
+      ("infinite box", "w|0,0|1,infinity|1;1;0.001");
+      ("box below 0", "w|-0.5,0|1,1|1;1;0.001");
+      ("box above 1", "w|0,0|1.5,1|1;1;0.001");
+      ("empty box", "w|0.5,0|0.5,1|1;1;0.001");
+      ("inverted box", "w|0.75,0|0.25,1|1;1;0.001");
+    ]
+
 (* {2 Rule_table} *)
 
 let test_table_lookup_pure () =
@@ -364,4 +384,5 @@ let suite =
     ("remy cc dims validation", `Quick, test_remy_cc_dims_validation);
     ("trainer evaluate smoke", `Slow, test_trainer_evaluate_smoke);
     ("trainer ideal 4 dims", `Slow, test_trainer_ideal_uses_4dims);
+    ("whisker rejects bad numbers", `Quick, test_whisker_of_line_rejects_bad_numbers);
   ]
