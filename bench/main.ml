@@ -511,10 +511,10 @@ let () =
          prerr_endline "bench: --jobs expects a positive integer";
          exit 2)
      | None -> Pool.default_jobs ());
-  (* The invariant sanitizer accumulates into a process-global buffer
-     that is not domain-safe; armed runs must stay serial. *)
+  (* Across domains the invariant sanitizer would keep violations in
+     scheduling order; armed runs stay serial so reports replay. *)
   if Phi_sim.Invariant.enabled () && !jobs > 1 then begin
-    Printf.printf "(PHI_SANITIZE=1: forcing --jobs 1, the sanitizer is not domain-safe)\n";
+    Printf.printf "(PHI_SANITIZE=1: forcing --jobs 1 so the sanitizer report replays)\n";
     jobs := 1
   end;
   (* Figures 3 and 4 reuse the Figure 2a/2b sweeps, run (and timed

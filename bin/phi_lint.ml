@@ -1,6 +1,7 @@
 (* phi-lint driver: walk the given roots (default: the current
-   directory), lint every .ml/.mli found, print diagnostics, and exit
-   non-zero on any violation.  Wired into the build as [dune build
+   directory), lint every .ml/.mli found, print diagnostics, and exit 1
+   on any violation.  A missing root or a source that does not parse
+   is an input error: exit 2.  Wired into the build as [dune build
    @lint].  [--json PATH] additionally writes the machine-readable
    report (Lint.json_report) that CI uploads as an artifact. *)
 
@@ -47,7 +48,12 @@ let () =
     roots;
   let files = List.sort String.compare (List.concat_map (walk []) roots) in
   let sources = List.map (fun path -> (path, read_file path)) files in
-  let violations = Lint.lint_tree sources in
+  let violations =
+    try Lint.lint_tree sources
+    with Lint.Syntax_error { file; line; message } ->
+      Printf.eprintf "%s:%d: syntax error: %s\n" file line message;
+      exit 2
+  in
   Option.iter
     (fun path -> Phi_util.Json.to_file ~path (Lint.json_report violations))
     json;

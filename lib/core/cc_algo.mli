@@ -9,8 +9,8 @@
     Construction is split from selection: this module (and the core
     library) knows how to build the window-based controllers, while the
     Remy variants need a trained rule table the core cannot depend on — a
-    {!builder} injected into {!Phi_client.create} (or used directly)
-    supplies those.  The builder receives the looked-up {!Context.t}, so a
+    richer {!builder} ([Phi_experiments.Cc_select.builder]) supplies
+    those.  The builder receives the looked-up {!Context.t}, so a
     Remy-Phi controller gets its utilization signal from the same
     one-lookup-per-connection protocol as every other algorithm. *)
 

@@ -2,18 +2,16 @@ type t = {
   server : Context_server.t;
   policy : Policy.t;
   path : string;
-  builder : Cc_algo.builder;
   mutable compiled : Policy.Compiled.t;
   mutable last_context : Context.t option;
   mutable last_choice : Cc_algo.t option;
 }
 
-let create ?(builder = Cc_algo.basic_builder) ~server ~policy ~path () =
+let create ~server ~policy ~path () =
   {
     server;
     policy;
     path;
-    builder;
     compiled = Policy.Compiled.compile policy;
     last_context = None;
     last_choice = None;
@@ -28,7 +26,7 @@ let factory t () =
   let choice = Policy.Compiled.choice_for t.compiled ctx in
   t.last_context <- Some ctx;
   t.last_choice <- Some choice;
-  t.builder ~ctx choice
+  Cc_algo.basic_builder ~ctx choice
 
 let on_conn_end t stats = Context_server.report_stats t.server ~path:t.path stats
 

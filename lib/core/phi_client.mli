@@ -7,21 +7,14 @@
     callback (which reports back).
 
     [factory] replaces the old Cubic-only [cubic_factory]: the policy now
-    returns a {!Cc_algo.t} choice and the client's [builder] constructs
-    it.  The default {!Cc_algo.basic_builder} covers Cubic/Reno/Vegas;
-    pass a richer builder at {!create} to serve the Remy variants from
-    the same single lookup. *)
+    returns a {!Cc_algo.t} choice and {!Cc_algo.basic_builder} constructs
+    it, so the client serves Cubic/Reno/Vegas.  The Remy variants need a
+    rule table; the experiments build them through
+    [Phi_experiments.Cc_select]. *)
 
 type t
 
-val create :
-  ?builder:Cc_algo.builder ->
-  server:Context_server.t ->
-  policy:Policy.t ->
-  path:string ->
-  unit ->
-  t
-(** [builder] defaults to {!Cc_algo.basic_builder}. *)
+val create : server:Context_server.t -> policy:Policy.t -> path:string -> unit -> t
 
 val factory : t -> unit -> Phi_tcp.Cc.t
 (** Looks the context up, asks the policy for an algorithm choice and

@@ -1,7 +1,9 @@
 type event = { alarm_min : int; start_min : int; end_min : int }
 
-let detect ?(reference = 0.5) ?(alarm_threshold = 8.0) ~actual ~baseline () =
-  if reference < 0. then invalid_arg "Cusum.detect: negative reference";
+(* The per-minute drift tolerated ([k]). *)
+let reference = 0.5
+
+let detect ?(alarm_threshold = 8.0) ~actual ~baseline () =
   if alarm_threshold <= 0. then invalid_arg "Cusum.detect: alarm threshold must be positive";
   let z = Series.robust_z ~actual ~baseline in
   let n = Array.length z in

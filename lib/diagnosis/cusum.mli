@@ -15,15 +15,10 @@ type event = {
 }
 
 val detect :
-  ?reference:float ->
-  ?alarm_threshold:float ->
-  actual:float array ->
-  baseline:float array ->
-  unit ->
-  event list
-(** [reference] ([k], default 0.5) is the per-minute drift that is
-    tolerated; [alarm_threshold] ([h], default 8.0) trades detection
-    latency against false alarms.  Events come back in time order. *)
+  ?alarm_threshold:float -> actual:float array -> baseline:float array -> unit -> event list
+(** The per-minute drift tolerated ([k]) is 0.5; [alarm_threshold] ([h],
+    default 8.0) trades detection latency against false alarms.  Events
+    come back in time order. *)
 
 val detection_latency : injected_start:int -> event list -> int option
 (** Minutes from the injected change to the first alarm at or after it. *)

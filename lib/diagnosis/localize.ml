@@ -73,10 +73,10 @@ let rank ~cells ~window =
   findings ~cells ~window
   |> List.sort (fun a b -> Float.compare b.deficit_share a.deficit_share)
 
-let localize ?(explain_threshold = 0.6) ?(drop_threshold = 0.3) ~cells ~window () =
+let localize ~cells ~window () =
   let explaining =
     List.filter
-      (fun f -> f.deficit_share >= explain_threshold && f.own_drop >= drop_threshold)
+      (fun f -> f.deficit_share >= 0.6 && f.own_drop >= 0.3)
       (findings ~cells ~window)
   in
   (* Most specific first; ties broken by hardest own drop. *)

@@ -19,15 +19,12 @@ val candidate_scopes :
 (** Every single-value slice plus every (metro, ISP) pair present. *)
 
 val localize :
-  ?explain_threshold:float ->
-  ?drop_threshold:float ->
   cells:(Phi_workload.Request_stream.cell * float array) list ->
   window:int * int ->
   unit ->
   finding option
-(** The most specific candidate whose deficit share is at least
-    [explain_threshold] (default 0.6) and whose own drop is at least
-    [drop_threshold] (default 0.3).  [None] means the event is global or
+(** The most specific candidate whose deficit share is at least 0.6 and
+    whose own drop is at least 0.3.  [None] means the event is global or
     unexplained by any single slice.  Specificity order: (metro, ISP)
     pairs first, then single dimensions. *)
 

@@ -2,8 +2,8 @@ module Stats = Phi_util.Stats
 
 let minutes_per_day = 1440
 
-let seasonal_baseline ?(period = minutes_per_day) ?(smooth = 2) series =
-  if period < 1 then invalid_arg "Series.seasonal_baseline: period must be positive";
+let seasonal_baseline ?(smooth = 2) series =
+  let period = minutes_per_day in
   if smooth < 0 then invalid_arg "Series.seasonal_baseline: negative smooth";
   let n = Array.length series in
   if n = 0 then [||]

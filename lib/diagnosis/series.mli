@@ -8,12 +8,12 @@
 val minutes_per_day : int
 (** 1440. *)
 
-val seasonal_baseline : ?period:int -> ?smooth:int -> float array -> float array
+val seasonal_baseline : ?smooth:int -> float array -> float array
 (** [seasonal_baseline series] has the same length as [series]; element
-    [i] is the median of the observations at the same phase
-    [(i mod period)] across all periods, averaged over a [2 * smooth + 1]
-    phase window (defaults: [period = 1440], [smooth = 2]).  The series
-    need not be a whole number of periods. *)
+    [i] is the median of the observations at the same minute of day
+    [(i mod minutes_per_day)] across all days, averaged over a
+    [2 * smooth + 1] phase window (default [smooth = 2]).  The series
+    need not be a whole number of days. *)
 
 val robust_z : actual:float array -> baseline:float array -> float array
 (** Per-element robust z-score: [(actual - baseline) / (1.4826 * MAD)],

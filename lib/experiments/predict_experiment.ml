@@ -19,7 +19,12 @@ type result = {
    rate, correlated within the /16. *)
 type truth = { prefix24 : int; thr : float; rtt : float; loss : float }
 
-let build_truths rng ~n_p16 ~p24_per_p16 =
+(* 8 /16 regions x 32 /24s, ~20 training samples per /24. *)
+let n_p16 = 8
+let p24_per_p16 = 32
+let samples_per_p24 = 20
+
+let build_truths rng =
   List.concat
     (List.init n_p16 (fun r ->
          (* Region-level latent performance. *)
@@ -41,9 +46,9 @@ let observe rng (t : truth) =
     loss_rate = Float.min 1. (t.loss *. Dist.lognormal rng ~mu:0. ~sigma:0.3);
   }
 
-let run ?(n_p16 = 8) ?(p24_per_p16 = 32) ?(samples_per_p24 = 20) ~seed () =
+let run ~seed () =
   let rng = Prng.create ~seed in
-  let truths = build_truths rng ~n_p16 ~p24_per_p16 in
+  let truths = build_truths rng in
   let history = History.create () in
   let training = ref 0 in
   let global_samples = ref [] in

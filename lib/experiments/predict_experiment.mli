@@ -19,5 +19,5 @@ type result = {
       (** illustrative (path label, predicted MOS) pairs *)
 }
 
-val run : ?n_p16:int -> ?p24_per_p16:int -> ?samples_per_p24:int -> seed:int -> unit -> result
-(** Defaults: 8 /16 regions x 32 /24s, ~20 training samples per /24. *)
+val run : seed:int -> unit -> result
+(** 8 /16 regions x 32 /24s, ~20 training samples per /24. *)

@@ -1,11 +1,11 @@
 (* AST fact extraction for the cross-module analyses.
 
-   [Parse.implementation] (compiler-libs, the exact parser the build
-   uses) turns each source into a Parsetree; one recursive walk then
-   distils the per-module facts the dataflow passes consume: every
-   module-level function with its allocation sites, outgoing references
-   and cold regions, plus every module-level binding that constructs
-   mutable state.
+   {!Lint} parses each source once with [Ppxlib.Parse] (the OCaml 5.2
+   Parsetree on every supported compiler); one recursive walk over a
+   library implementation then distils the per-module facts the
+   dataflow passes consume: every module-level function with its
+   allocation sites, outgoing references and cold regions, plus every
+   module-level binding that constructs mutable state.
 
    Cold regions — code that cannot run on a steady-state hot path — are
    excluded from allocation-effect propagation at the source:
@@ -17,12 +17,11 @@
 
    The walk is syntactic: it sees no types, so a handful of judgement
    calls are encoded as tables below (which stdlib entry points
-   allocate, which expressions produce a boxed float).  Both engines'
-   shared limitations — calls through record fields (the [Cc]
-   controllers, link receivers) and through escaping function
-   parameters are not resolved — are documented in the interface; the
-   runtime allocation gate and sanitizer remain the backstop for those
-   paths. *)
+   allocate, which expressions produce a boxed float).  Its
+   limitations — calls through record fields (the [Cc] controllers,
+   link receivers) and through escaping function parameters are not
+   resolved — are documented in the interface; the runtime allocation
+   gate and sanitizer remain the backstop for those paths. *)
 
 type alloc_kind = Closure | Block | Boxed_float | Array_alloc | Extern
 
@@ -63,9 +62,9 @@ let module_name path =
 (* {2 Name tables} *)
 
 let strip_stdlib p =
-  let prefix = "Stdlib." in
-  let pn = String.length prefix in
-  if String.length p > pn && String.sub p 0 pn = prefix then String.sub p pn (String.length p - pn)
+  let pn = String.length "Stdlib." in
+  if String.length p > pn && String.starts_with ~prefix:"Stdlib." p then
+    String.sub p pn (String.length p - pn)
   else p
 
 (* Stdlib entry points that allocate on every call (approximate,
@@ -115,7 +114,7 @@ let float_ops = [ "+."; "-."; "*."; "/."; "**"; "~-."; "float_of_int"; "float_of
 
 (* {2 Parsetree helpers} *)
 
-open Parsetree
+open Ppxlib
 
 let line_of_loc (loc : Location.t) = loc.loc_start.pos_lnum
 
@@ -126,6 +125,22 @@ let rec flatten_lid (lid : Longident.t) =
   | Lapply (l, _) -> flatten_lid l
 
 let path_of_lid lid = String.concat "." (flatten_lid lid)
+
+(* Apply [f] to every expression directly below [e] (through patterns,
+   bindings and module expressions too) without descending further. *)
+let iter_children f e =
+  (object
+     inherit Ast_traverse.iter as super
+
+     method! expression e' = if e' == e then super#expression e' else f e'
+  end)
+    #expression e
+
+(* The default-argument expressions of a parameter list. *)
+let param_defaults params =
+  List.filter_map
+    (fun p -> match p.pparam_desc with Pparam_val (_, d, _) -> d | Pparam_newtype _ -> None)
+    params
 
 let has_inline_never (attrs : attributes) =
   List.exists
@@ -177,27 +192,12 @@ let ref_eliminable x body =
       when y = x ->
       if in_fun then ok := false;
       List.iter (fun (_, a) -> go ~in_fun a) rest
-    | Pexp_fun (_, d, _, b) ->
-      Option.iter (go ~in_fun:true) d;
-      go ~in_fun:true b
-    | Pexp_function cases ->
-      List.iter
-        (fun c ->
-          Option.iter (go ~in_fun:true) c.pc_guard;
-          go ~in_fun:true c.pc_rhs)
-        cases
+    | Pexp_function _ -> iter_children (go ~in_fun:true) e
     | Pexp_let (_, vbs, b) ->
       List.iter (fun vb -> go ~in_fun vb.pvb_expr) vbs;
       (* A rebinding of [x] shadows it for the rest of the body. *)
       if not (List.exists (fun vb -> pat_name vb.pvb_pat = Some x) vbs) then go ~in_fun b
-    | _ ->
-      let it =
-        {
-          Ast_iterator.default_iterator with
-          expr = (fun _ e' -> if e' != e then go ~in_fun e');
-        }
-      in
-      Ast_iterator.default_iterator.expr it e
+    | _ -> iter_children (go ~in_fun) e
   in
   go ~in_fun:false body;
   !ok
@@ -210,26 +210,22 @@ type acc = {
 
 let sanitizer_guard ~self cond =
   let found = ref false in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.pexp_desc with
-          | Pexp_ident { txt; _ } ->
-            let p = path_of_lid txt in
-            let hit =
-              let n = String.length p in
-              let suffix s = n >= String.length s && String.sub p (n - String.length s) (String.length s) = s in
-              suffix "Invariant.enabled" || suffix "Invariant.armed"
-              || (self = "Invariant" && (p = "enabled" || p = "armed"))
-            in
-            if hit then found := true
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e)
-    }
-  in
-  it.expr it cond;
+  (object
+     inherit Ast_traverse.iter as super
+
+     method! expression e =
+       (match e.pexp_desc with
+       | Pexp_ident { txt; _ } ->
+         let p = path_of_lid txt in
+         if
+           String.ends_with ~suffix:"Invariant.enabled" p
+           || String.ends_with ~suffix:"Invariant.armed" p
+           || (self = "Invariant" && (p = "enabled" || p = "armed"))
+         then found := true
+       | _ -> ());
+       super#expression e
+  end)
+    #expression cond;
   !found
 
 (* Walk one function body, attributing every fact to [acc].  [cold]
@@ -240,9 +236,7 @@ let walk_body ~self ~acc body =
   in
   let add_call ~cold line path =
     acc.calls <- { c_line = line; c_path = path; c_cold = cold } :: acc.calls;
-    let p = strip_stdlib path in
-    let n = String.length p in
-    let suffix s = n >= String.length s && String.sub p (n - String.length s) (String.length s) = s in
+    let suffix s = String.ends_with ~suffix:s (strip_stdlib path) in
     if
       suffix "Pool.map" || suffix "Pool.try_map" || suffix "Pool.fan_out" || suffix "Pdes.run"
       || suffix "Pdes.on_drain"
@@ -257,13 +251,12 @@ let walk_body ~self ~acc body =
     let line = line_of_loc e.pexp_loc in
     match e.pexp_desc with
     | Pexp_ident { txt; _ } -> add_call ~cold line (path_of_lid txt)
-    | Pexp_fun (_, default, _, body') ->
-      add_alloc ~cold line Closure "fun";
-      Option.iter (go ~cold) default;
-      go ~cold body'
-    | Pexp_function cases ->
-      add_alloc ~cold line Closure "function";
-      List.iter (case ~cold) cases
+    | Pexp_function (params, _, body') ->
+      add_alloc ~cold line Closure (match params with [] -> "function" | _ -> "fun");
+      List.iter (go ~cold) (param_defaults params);
+      (match body' with
+      | Pfunction_body b -> go ~cold b
+      | Pfunction_cases (cases, _, _) -> List.iter (case ~cold) cases)
     | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) ->
       let p = path_of_lid txt in
       let sp = strip_stdlib p in
@@ -318,155 +311,110 @@ let walk_body ~self ~acc body =
           | _ -> go ~cold vb.pvb_expr)
         vbs;
       go ~cold body'
-    | Pexp_sequence (a, b) ->
-      go ~cold a;
-      go ~cold b
     | Pexp_match (scrut, cases) | Pexp_try (scrut, cases) ->
       go ~cold scrut;
       List.iter (case ~cold) cases
-    | Pexp_while (c, b) ->
-      go ~cold c;
-      go ~cold b
-    | Pexp_for (_, lo, hi, _, b) ->
-      go ~cold lo;
-      go ~cold hi;
-      go ~cold b
-    | Pexp_constraint (e', _) | Pexp_coerce (e', _, _) | Pexp_open (_, e')
-    | Pexp_newtype (_, e') | Pexp_assert e' | Pexp_field (e', _) ->
-      go ~cold e'
-    | Pexp_letmodule (_, _, e') -> go ~cold e'
-    | Pexp_send (e', _) -> go ~cold e'
-    | Pexp_setinstvar (_, e') -> go ~cold e'
+    | Pexp_open (_, e') | Pexp_letmodule (_, _, e') -> go ~cold e'
     | _ ->
-      (* Constants, unreachable forms, objects: walk children generically
-         so no reference is lost. *)
-      let it =
-        {
-          Ast_iterator.default_iterator with
-          expr = (fun _ e' -> if e' != e then go ~cold e');
-        }
-      in
-      Ast_iterator.default_iterator.expr it e
+      (* Sequences, loops, constraints, field reads, objects: walk
+         children generically so no reference is lost. *)
+      iter_children (go ~cold) e
   and case ~cold c =
     Option.iter (go ~cold) c.pc_guard;
     go ~cold c.pc_rhs
   in
   go ~cold:false body
 
-(* Strip the leading curried-parameter spine: [let f a b = e] is one
-   function, not a chain of closure allocations. *)
-let rec peel_params e n =
+type binding = Value of expression | Body of expression | Cases of case list
+
+(* Strip the curried-parameter spine: [let f a b = e] is one function,
+   not a chain of closure allocations.  Locally abstract types and
+   constraints are not parameters. *)
+let rec peel_params e =
   match e.pexp_desc with
-  | Pexp_fun (_, _, _, body) -> peel_params body (n + 1)
-  | Pexp_newtype (_, body) -> peel_params body n
-  | Pexp_constraint (body, _) -> peel_params body n
-  | Pexp_function cases -> (`Cases cases, n + 1)
-  | _ -> (`Body e, n)
+  | Pexp_function (_, _, Pfunction_cases (cases, _, _)) -> Cases cases
+  | Pexp_function (params, _, Pfunction_body body) -> (
+    let is_val p = match p.pparam_desc with Pparam_val _ -> true | Pparam_newtype _ -> false in
+    match peel_params body with
+    | Value b when List.exists is_val params -> Body b
+    | binding -> binding)
+  | Pexp_newtype (_, body) | Pexp_constraint (body, _) -> peel_params body
+  | _ -> Value e
 
 (* Does [e] construct mutable state anywhere outside a nested function?
    (State built inside a [fun] is per-call — the isolation the pool
    wants.)  Returns the innermost construction found. *)
 let rec find_mutable_ctor e =
   match e.pexp_desc with
-  | Pexp_fun _ | Pexp_function _ -> None
+  | Pexp_function _ -> None
   | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) ->
     let p = strip_stdlib (path_of_lid txt) in
     if List.mem p mutable_ctors then Some (line_of_loc e.pexp_loc, p)
-    else List.fold_left (fun acc (_, a) -> match acc with Some _ -> acc | None -> find_mutable_ctor a) None args
+    else List.find_map (fun (_, a) -> find_mutable_ctor a) args
   | Pexp_array _ -> Some (line_of_loc e.pexp_loc, "array literal")
   | _ ->
     let found = ref None in
-    let it =
-      {
-        Ast_iterator.default_iterator with
-        expr =
-          (fun _ e' ->
-            if e' != e && !found = None then
-              match e'.pexp_desc with
-              | Pexp_fun _ | Pexp_function _ -> ()
-              | _ -> found := find_mutable_ctor e');
-      }
-    in
-    Ast_iterator.default_iterator.expr it e;
+    iter_children (fun e' -> if Option.is_none !found then found := find_mutable_ctor e') e;
     !found
 
-let scan_structure ~path ~mod_path str =
-  let funcs = ref [] and globals = ref [] in
-  let rec item ~mod_path (si : structure_item) =
+(* Every module-level value binding of [str], nested submodules
+   included, with the dotted module path it lives in. *)
+let iter_bindings ~mod_path f str =
+  let rec items ~mod_path str = List.iter (item ~mod_path) str
+  and item ~mod_path si =
     match si.pstr_desc with
-    | Pstr_value (_, vbs) ->
-      List.iter
-        (fun vb ->
-          let line = line_of_loc vb.pvb_loc in
-          let name = match pat_name vb.pvb_pat with Some n -> n | None -> Printf.sprintf "_init_%d" line in
-          let id = mod_path ^ "." ^ name in
-          match peel_params vb.pvb_expr 0 with
-          | `Body body, 0 ->
-            (* A module-level value: the [domain-race] pass cares whether
-               it constructs mutable state (anywhere in the right-hand
-               side — nested, indented, inside a record: all the shapes
-               the old column-0 heuristic missed). *)
-            (match find_mutable_ctor body with
-            | Some (_, what) ->
-              globals := { g_id = id; g_file = path; g_line = line; g_what = what } :: !globals
-            | None -> ())
-          | `Body body, _ ->
-            let acc = { allocs = []; calls = []; pool_spawn = false } in
-            walk_body ~self:mod_path ~acc body;
-            funcs :=
-              {
-                f_id = id;
-                f_file = path;
-                f_line = line;
-                f_cold = has_inline_never vb.pvb_attributes;
-                f_allocs = List.rev acc.allocs;
-                f_calls = List.rev acc.calls;
-                f_pool_spawn = acc.pool_spawn;
-              }
-              :: !funcs
-          | `Cases cases, _ ->
-            let acc = { allocs = []; calls = []; pool_spawn = false } in
-            List.iter
-              (fun c ->
-                Option.iter (fun g -> walk_body ~self:mod_path ~acc g) c.pc_guard;
-                walk_body ~self:mod_path ~acc c.pc_rhs)
-              cases;
-            funcs :=
-              {
-                f_id = id;
-                f_file = path;
-                f_line = line;
-                f_cold = has_inline_never vb.pvb_attributes;
-                f_allocs = List.rev acc.allocs;
-                f_calls = List.rev acc.calls;
-                f_pool_spawn = acc.pool_spawn;
-              }
-              :: !funcs)
-        vbs
-    | Pstr_module { pmb_name = { txt = Some sub; _ }; pmb_expr; _ } -> module_expr ~mod_path:(mod_path ^ "." ^ sub) pmb_expr
-    | Pstr_recmodule mbs ->
-      List.iter
-        (fun mb ->
-          match mb.pmb_name.txt with
-          | Some sub -> module_expr ~mod_path:(mod_path ^ "." ^ sub) mb.pmb_expr
-          | None -> ())
-        mbs
+    | Pstr_value (_, vbs) -> List.iter (f ~mod_path) vbs
+    | Pstr_module mb -> submodule ~mod_path mb
+    | Pstr_recmodule mbs -> List.iter (submodule ~mod_path) mbs
     | _ -> ()
+  and submodule ~mod_path mb =
+    Option.iter (fun sub -> module_expr ~mod_path:(mod_path ^ "." ^ sub) mb.pmb_expr) mb.pmb_name.txt
   and module_expr ~mod_path me =
     match me.pmod_desc with
-    | Pmod_structure str -> List.iter (item ~mod_path) str
+    | Pmod_structure str -> items ~mod_path str
     | Pmod_constraint (me', _) -> module_expr ~mod_path me'
     | _ -> ()
   in
-  List.iter (item ~mod_path) str;
-  (List.rev !funcs, List.rev !globals)
+  items ~mod_path str
 
-let scan ~path src =
-  let lexbuf = Lexing.from_string src in
-  Lexing.set_filename lexbuf path;
-  match Parse.implementation lexbuf with
-  | str ->
-    let m_name = module_name path in
-    let m_funcs, m_globals = scan_structure ~path ~mod_path:m_name str in
-    Ok { m_name; m_file = path; m_funcs; m_globals }
-  | exception e -> Error (Printexc.to_string e)
+let scan ~path str =
+  let m_name = module_name path in
+  let funcs = ref [] and globals = ref [] in
+  let binding ~mod_path vb =
+    let line = line_of_loc vb.pvb_loc in
+    let name = match pat_name vb.pvb_pat with Some n -> n | None -> Printf.sprintf "_init_%d" line in
+    let id = mod_path ^ "." ^ name in
+    let func walk =
+      let acc = { allocs = []; calls = []; pool_spawn = false } in
+      walk acc;
+      funcs :=
+        {
+          f_id = id;
+          f_file = path;
+          f_line = line;
+          f_cold = has_inline_never vb.pvb_attributes;
+          f_allocs = List.rev acc.allocs;
+          f_calls = List.rev acc.calls;
+          f_pool_spawn = acc.pool_spawn;
+        }
+        :: !funcs
+    in
+    match peel_params vb.pvb_expr with
+    | Value body -> (
+      (* A module-level value: the [domain-race] pass cares whether it
+         constructs mutable state (anywhere in the right-hand side —
+         nested, indented, inside a record). *)
+      match find_mutable_ctor body with
+      | Some (_, what) -> globals := { g_id = id; g_file = path; g_line = line; g_what = what } :: !globals
+      | None -> ())
+    | Body body -> func (fun acc -> walk_body ~self:mod_path ~acc body)
+    | Cases cases ->
+      func (fun acc ->
+          List.iter
+            (fun c ->
+              Option.iter (fun g -> walk_body ~self:mod_path ~acc g) c.pc_guard;
+              walk_body ~self:mod_path ~acc c.pc_rhs)
+            cases)
+  in
+  iter_bindings ~mod_path:m_name binding str;
+  { m_name; m_file = path; m_funcs = List.rev !funcs; m_globals = List.rev !globals }

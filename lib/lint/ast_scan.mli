@@ -1,10 +1,11 @@
-(** Parsetree fact extraction: the front end of phi-lint's AST engine.
+(** Parsetree fact extraction for phi-lint's cross-module passes.
 
-    Each [.ml] source is parsed with the compiler's own parser
-    ([Parse.implementation] from compiler-libs) and reduced to the facts
-    the dataflow passes consume: per-module function summaries
-    (allocation sites, outgoing references, cold regions, pool fan-out
-    markers) and module-level mutable-state bindings.
+    Each library implementation, parsed once by {!Lint} with
+    [Ppxlib.Parse] (the OCaml 5.2 Parsetree on every supported
+    compiler), is reduced to the facts the dataflow passes consume:
+    per-module function summaries (allocation sites, outgoing
+    references, cold regions, pool fan-out markers) and module-level
+    mutable-state bindings.
 
     {2 Cold regions}
 
@@ -69,8 +70,7 @@ type func = {
 type global = { g_id : string; g_file : string; g_line : int; g_what : string }
 (** A module-level binding that constructs mutable state ([ref],
     [Hashtbl.create], an array, ...) anywhere in its right-hand side
-    outside a nested [fun] — including the nested and indented shapes
-    the old column-0 lexical heuristic missed. *)
+    outside a nested [fun], in submodules and indented bindings too. *)
 
 type modinfo = {
   m_name : string;
@@ -83,20 +83,39 @@ val module_name : string -> string
 (** ["lib/net/link.ml"] -> ["Link"] — the unprefixed module name used in
     analysis ids. *)
 
-(** {2 Parsetree helpers shared with {!Handle_flow}} *)
+(** {2 Parsetree helpers shared with {!Lint} and {!Handle_flow}} *)
 
-val flatten_lid : Longident.t -> string list
+val strip_stdlib : string -> string
+(** ["Stdlib.compare"] -> ["compare"]; other paths unchanged. *)
 
-val pat_name : Parsetree.pattern -> string option
+val flatten_lid : Ppxlib.Longident.t -> string list
 
-val peel_params :
-  Parsetree.expression ->
-  int ->
-  [ `Body of Parsetree.expression | `Cases of Parsetree.case list ] * int
-(** Strip the curried-parameter spine; returns the innermost body (or
-    the cases of a final [function]) and the parameter count. *)
+val path_of_lid : Ppxlib.Longident.t -> string
+(** The dotted path as written: ["Phi_net.Link.send"]. *)
 
-val scan : path:string -> string -> (modinfo, string) result
-(** Parse and distil one source.  [Error] carries the parser's message
-    (a file that does not parse cannot be analyzed — the build itself
-    will reject it; the token engine still scans it). *)
+val iter_children : (Ppxlib.expression -> unit) -> Ppxlib.expression -> unit
+(** Apply a function to every expression directly below the given one
+    (through patterns, bindings and module expressions too) without
+    descending further. *)
+
+val param_defaults : Ppxlib.function_param list -> Ppxlib.expression list
+(** The default-argument expressions of a [fun] parameter list. *)
+
+val pat_name : Ppxlib.pattern -> string option
+
+type binding =
+  | Value of Ppxlib.expression  (** no parameters: a module-level value *)
+  | Body of Ppxlib.expression  (** a function's body below its parameters *)
+  | Cases of Ppxlib.case list  (** the cases of a final [function] *)
+
+val peel_params : Ppxlib.expression -> binding
+(** Strip the curried-parameter spine of a binding's right-hand side;
+    locally abstract types and constraints are not parameters. *)
+
+val iter_bindings :
+  mod_path:string -> (mod_path:string -> Ppxlib.value_binding -> unit) -> Ppxlib.structure -> unit
+(** Every module-level value binding, nested submodules included, with
+    the dotted module path it lives in (rooted at [mod_path]). *)
+
+val scan : path:string -> Ppxlib.structure -> modinfo
+(** Distil one parsed library implementation. *)

@@ -3,10 +3,10 @@
    Packet handles are generation-stamped ints with single-owner
    semantics: [acquire_*] hands the caller a cell, exactly one owner
    must eventually [release] it, and no read may follow the release.
-   The token engine can only see same-statement patterns; this pass
-   runs a small abstract interpretation over each function's Parsetree,
-   so the release and the offending use (or the leaking early return)
-   can be any distance apart and on different control-flow paths.
+   [packet-escape] sees only a same-line reuse; this pass runs a small
+   abstract interpretation over each function's Parsetree, so the
+   release and the offending use (or the leaking early return) can be
+   any distance apart and on different control-flow paths.
 
    The abstraction: each tracked variable maps to a cell; a cell's
    state is Live, Rel (released) or Maybe (released on some path but
@@ -26,12 +26,12 @@
    - release of a Rel/Maybe   -> double release
    - acquired, never transferred, Live/Maybe at exit -> leak-on-path
 
-   Purely syntactic, like the rest of the engine: handles that escape
+   Purely syntactic, like the rest of phi-lint: handles that escape
    into closures or data structures count as transferred and drop out
    of tracking; the armed sanitizer (PHI_SANITIZE=1) is the dynamic
    backstop there. *)
 
-open Parsetree
+open Ppxlib
 
 type state = Live | Maybe | Rel
 
@@ -45,25 +45,22 @@ module IMap = Map.Make (Int)
 let line_of e = e.pexp_loc.Location.loc_start.pos_lnum
 
 let path_of e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> Some (String.concat "." (Ast_scan.flatten_lid txt))
-  | _ -> None
-
-let has_suffix s suf =
-  let n = String.length s and m = String.length suf in
-  n >= m && String.sub s (n - m) m = suf
+  match e.pexp_desc with Pexp_ident { txt; _ } -> Some (Ast_scan.path_of_lid txt) | _ -> None
 
 (* The three shapes of Packet call the lattice distinguishes. *)
 type pkt_call = Acquire | Release | Read | Not_packet
 
 let classify path =
-  if has_suffix path "Packet.acquire_data" || has_suffix path "Packet.acquire_ack" then Acquire
-  else if has_suffix path "Packet.release" then Release
+  if
+    String.ends_with ~suffix:"Packet.acquire_data" path
+    || String.ends_with ~suffix:"Packet.acquire_ack" path
+  then Acquire
+  else if String.ends_with ~suffix:"Packet.release" path then Release
   else if
     (* Any other Packet.* entry point: accessors and [add_sack] read or
        write fields through the pool without taking ownership. *)
-    has_suffix path "Packet.create_pool" = false
-    && (String.length path >= 7 && String.sub path 0 7 = "Packet.")
+    (not (String.ends_with ~suffix:"Packet.create_pool" path))
+    && String.starts_with ~prefix:"Packet." path
   then Read
   else Not_packet
 
@@ -142,8 +139,7 @@ let rec interp ctx env st e =
     st
   | Pexp_ident _ | Pexp_constant _ | Pexp_unreachable -> st
   | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) -> (
-    let p = String.concat "." (Ast_scan.flatten_lid txt) in
-    match classify p with
+    match classify (Ast_scan.path_of_lid txt) with
     | Release -> (
       let st = List.fold_left (fun st (_, a) -> match a.pexp_desc with Pexp_ident _ -> st | _ -> interp ctx env st a) st args in
       match handle_arg args with
@@ -195,7 +191,7 @@ let rec interp ctx env st e =
           let name = Ast_scan.pat_name vb.pvb_pat in
           match (name, vb.pvb_expr.pexp_desc) with
           | Some n, Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args)
-            when classify (String.concat "." (Ast_scan.flatten_lid txt)) = Acquire ->
+            when classify (Ast_scan.path_of_lid txt) = Acquire ->
             let st = List.fold_left (fun st (_, a) -> interp ctx env st a) st args in
             let c = fresh ctx ~line:(line_of vb.pvb_expr) ~acquired:true in
             (IMap.add c.id Live st, SMap.add n c env')
@@ -236,18 +232,19 @@ let rec interp ctx env st e =
     let st = interp ctx env st lo in
     let st = interp ctx env st hi in
     merge st (interp ctx env st body)
-  | Pexp_fun (_, default, _, body) ->
+  | Pexp_function (params, _, body) -> (
     (* A nested closure: interpret for uses (a closure reading a
        released handle is still a bug at arm time), but any tracked
        handle it mentions escapes — transferred. *)
-    let st = match default with Some d -> interp ctx env st d | None -> st in
-    interp ctx env st body
-  | Pexp_function cases ->
-    List.fold_left
-      (fun st c ->
-        let st = match c.pc_guard with Some g -> interp ctx env st g | None -> st in
-        interp ctx env st c.pc_rhs)
-      st cases
+    let st = List.fold_left (interp ctx env) st (Ast_scan.param_defaults params) in
+    match body with
+    | Pfunction_body b -> interp ctx env st b
+    | Pfunction_cases (cases, _, _) ->
+      List.fold_left
+        (fun st c ->
+          let st = match c.pc_guard with Some g -> interp ctx env st g | None -> st in
+          interp ctx env st c.pc_rhs)
+        st cases)
   | Pexp_tuple es | Pexp_array es -> List.fold_left (fun st e' -> interp ctx env st e') st es
   | Pexp_record (fields, base) ->
     let st = List.fold_left (fun st (_, v) -> interp ctx env st v) st fields in
@@ -263,17 +260,9 @@ let rec interp ctx env st e =
     interp ctx env st e'
   | Pexp_letmodule (_, _, e') -> interp ctx env st e'
   | _ ->
-    (* Remaining forms (objects, extensions): walk children for uses
-       via the generic iterator, keeping the state unchanged. *)
-    let it =
-      {
-        Ast_iterator.default_iterator with
-        expr =
-          (fun _ e' ->
-            if e' != e then ignore (interp ctx env st e'));
-      }
-    in
-    Ast_iterator.default_iterator.expr it e;
+    (* Remaining forms (objects, extensions): walk children for uses,
+       keeping the state unchanged. *)
+    Ast_scan.iter_children (fun e' -> ignore (interp ctx env st e')) e;
     st
 
 let check_function ~fname body =
@@ -294,46 +283,14 @@ let check_function ~fname body =
     ctx.cells;
   List.rev ctx.findings
 
-let check ~path src =
-  let lexbuf = Lexing.from_string src in
-  Lexing.set_filename lexbuf path;
-  match Parse.implementation lexbuf with
-  | exception _ -> [] (* unparseable: the build and token engine own it *)
-  | str ->
-    let out = ref [] in
-    let rec item ~mod_path (si : structure_item) =
-      match si.pstr_desc with
-      | Pstr_value (_, vbs) ->
-        List.iter
-          (fun vb ->
-            let name =
-              match Ast_scan.pat_name vb.pvb_pat with Some n -> n | None -> "_"
-            in
-            let fname = mod_path ^ "." ^ name in
-            match Ast_scan.peel_params vb.pvb_expr 0 with
-            | `Body _, 0 -> ()
-            | `Body body, _ -> out := check_function ~fname body @ !out
-            | `Cases cases, _ ->
-              List.iter
-                (fun c ->
-                  out := check_function ~fname c.pc_rhs @ !out)
-                cases)
-          vbs
-      | Pstr_module { pmb_name = { txt = Some sub; _ }; pmb_expr; _ } ->
-        module_expr ~mod_path:(mod_path ^ "." ^ sub) pmb_expr
-      | Pstr_recmodule mbs ->
-        List.iter
-          (fun mb ->
-            match mb.pmb_name.txt with
-            | Some sub -> module_expr ~mod_path:(mod_path ^ "." ^ sub) mb.pmb_expr
-            | None -> ())
-          mbs
-      | _ -> ()
-    and module_expr ~mod_path me =
-      match me.pmod_desc with
-      | Pmod_structure s -> List.iter (item ~mod_path) s
-      | Pmod_constraint (me', _) -> module_expr ~mod_path me'
-      | _ -> ()
-    in
-    List.iter (item ~mod_path:(Ast_scan.module_name path)) str;
-    List.sort (fun (a : finding) b -> Int.compare a.line b.line) !out
+let check ~path str =
+  let out = ref [] in
+  Ast_scan.iter_bindings ~mod_path:(Ast_scan.module_name path)
+    (fun ~mod_path vb ->
+      let fname = mod_path ^ "." ^ Option.value (Ast_scan.pat_name vb.pvb_pat) ~default:"_" in
+      match Ast_scan.peel_params vb.pvb_expr with
+      | Value _ -> ()
+      | Body body -> out := check_function ~fname body @ !out
+      | Cases cases -> List.iter (fun c -> out := check_function ~fname c.pc_rhs @ !out) cases)
+    str;
+  List.sort (fun (a : finding) b -> Int.compare a.line b.line) !out

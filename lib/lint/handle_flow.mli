@@ -10,7 +10,7 @@
     loop bodies unrolled once.
 
     Findings: use-after-release (including the cross-line and
-    some-path cases the token engine cannot see), double release, and
+    some-path cases [packet-escape] cannot see), double release, and
     leak-on-path (acquired, never transferred, not released on every
     path).  Handles that escape into closures or data structures count
     as transferred — the [PHI_SANITIZE=1] runtime sanitizer backs those
@@ -18,7 +18,6 @@
 
 type finding = { line : int; message : string }
 
-val check : path:string -> string -> finding list
-(** Analyze one source; returns findings sorted by line.  Sources that
-    do not parse return no findings (the build and the token engine own
-    them). *)
+val check : path:string -> Ppxlib.structure -> finding list
+(** Analyze every module-level function of one parsed implementation;
+    returns findings sorted by line. *)

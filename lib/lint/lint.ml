@@ -50,44 +50,11 @@ let rules =
        Policy.Compiled.choice_for)" )
   ]
 
-let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
-let is_digit c = c >= '0' && c <= '9'
-let is_ident_char c = is_ident_start c || is_digit c || c = '\''
-let is_op_char c = String.contains "!$%&*+-/<=>@^|~:" c
-
-(* Tokens that may precede [ident = <float>] when the [=] is a binding
-   (let, record field, functor arg, optional-argument default) rather
-   than a comparison. *)
-let binding_context =
-  [ "let"; "and"; "rec"; "{"; ";"; ","; "with"; "mutable"; "method"; "val"; "module" ]
-
-let float_constants =
-  [
-    "nan"; "infinity"; "neg_infinity"; "epsilon_float"; "max_float"; "min_float";
-    "Float.nan"; "Float.infinity"; "Float.neg_infinity"; "Float.epsilon"; "Float.pi";
-    "Float.max_float"; "Float.min_float"
-  ]
-
-let is_float_literal s =
-  String.length s > 0
-  && is_digit s.[0]
-  && (not
-        (String.length s > 1
-        && s.[0] = '0'
-        && (s.[1] = 'x' || s.[1] = 'X' || s.[1] = 'o' || s.[1] = 'O' || s.[1] = 'b'
-          || s.[1] = 'B')))
-  && (String.contains s '.' || String.contains s 'e' || String.contains s 'E')
-
-let is_floatish s = is_float_literal s || List.mem s float_constants
-
 let path_has_dir path dir =
   let needle = "/" ^ dir ^ "/" in
   let n = String.length path and m = String.length needle in
   let rec scan i = i + m <= n && (String.sub path i m = needle || scan (i + 1)) in
-  let prefix = dir ^ "/" in
-  (String.length path >= String.length prefix
-  && String.sub path 0 (String.length prefix) = prefix)
-  || scan 0
+  String.starts_with ~prefix:(dir ^ "/") path || scan 0
 
 (* Directories whose code runs inside Phi_runner.Pool worker domains:
    top-level mutable state there is shared mutable state. *)
@@ -102,24 +69,54 @@ let in_hot_path path = path_has_dir path "lib/net" || path_has_dir path "lib/sim
    call for each polymorphic use. *)
 let in_minmax_scope path = in_hot_path path || path_has_dir path "lib/tcp"
 
-let in_lib path =
-  let path = if String.length path > 2 && String.sub path 0 2 = "./" then
-      String.sub path 2 (String.length path - 2)
-    else path
-  in
-  let starts = String.length path >= 4 && String.sub path 0 4 = "lib/" in
-  let contains =
-    let n = String.length path in
-    let rec scan i = i + 5 <= n && (String.sub path i 5 = "/lib/" || scan (i + 1)) in
-    scan 0
-  in
-  starts || contains
+let in_lib path = path_has_dir path "lib"
 
-(* {2 Scanner} *)
+(* [packet-escape] polices the pooled-packet ownership contract in the
+   layers that handle live packets (lib/net, lib/tcp).  The pool module
+   itself is exempt — it is the one place allowed to mint handles. *)
+let in_packet_scope path =
+  (path_has_dir path "lib/net" || path_has_dir path "lib/tcp")
+  && not (String.ends_with ~suffix:"/packet.ml" path)
+  && not (String.ends_with ~suffix:"/packet.mli" path)
 
-type scan = {
-  tokens : (int * string) array;  (* (line, text), comments and strings stripped *)
+(* [transport-unified] polices the single-sender-transport invariant:
+   only lib/tcp (the transport itself) and lib/net (the substrate it
+   binds to) may touch flow binding; everything above goes through
+   Phi_tcp.Sender / Phi_tcp.Source with a Cc controller. *)
+let in_transport_scope path =
+  in_lib path && not (path_has_dir path "lib/tcp") && not (path_has_dir path "lib/net")
+
+(* [interpreted-lookup] keeps the decision plane compiled where it is
+   hot: the per-ack sender paths (lib/tcp, the Remy controller),
+   per-connection setup (Phi_client), and the swarm's million-lookup
+   client half.  The compilers themselves (Compiled_table,
+   Policy.Compiled) must call the interpreted forms to lower them, and
+   live outside this scope. *)
+let in_decision_scope path =
+  path_has_dir path "lib/tcp"
+  || (path_has_dir path "lib/remy"
+     && (String.ends_with ~suffix:"/remy_cc.ml" path
+        || String.ends_with ~suffix:"/remy_cc.mli" path))
+  || (path_has_dir path "lib/experiments" && String.ends_with ~suffix:"/swarm.ml" path)
+  || (path_has_dir path "lib/core" && String.ends_with ~suffix:"/phi_client.ml" path)
+
+open Ppxlib
+
+(* {2 Parsing}
+
+   Every source is parsed once; the tree and the comment-hosted allow
+   directives feed every rule. *)
+
+exception Syntax_error of { file : string; line : int; message : string }
+
+type ast = Impl of structure | Intf of signature
+
+type source = {
+  path : string;
+  text : string;
+  ast : ast;
   allows : (int * string) list;  (* (line, rule) from "phi-lint: allow" comments *)
+  facts : Ast_scan.modinfo option;  (* library implementations only *)
 }
 
 (* Extract [allow] directives from one comment body. *)
@@ -127,7 +124,7 @@ let parse_allows ~line text acc =
   let n = String.length text in
   let directive = "phi-lint:" in
   let dn = String.length directive in
-  let is_word c = (c >= 'a' && c <= 'z') || is_digit c || c = '-' in
+  let is_word c = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '-' in
   let rec skip_soft i =
     if i < n && (text.[i] = ' ' || text.[i] = '\t' || text.[i] = ',') then skip_soft (i + 1)
     else i
@@ -156,143 +153,32 @@ let parse_allows ~line text acc =
   in
   find 0 acc
 
-let scan_source src =
-  let n = String.length src in
-  let tokens = ref [] and allows = ref [] in
-  let line = ref 1 and i = ref 0 in
-  let emit text = tokens := (!line, text) :: !tokens in
-  let bump c = if c = '\n' then incr line in
-  let peek k = if !i + k < n then src.[!i + k] else '\000' in
-  (* Skip a string literal; [!i] is on the opening quote. *)
-  let skip_string () =
-    incr i;
-    let fin = ref false in
-    while (not !fin) && !i < n do
-      (match src.[!i] with
-      | '\\' -> if !i + 1 < n then (bump src.[!i + 1]; incr i)
-      | '"' -> fin := true
-      | c -> bump c);
-      incr i
-    done
+let parse (path, text) =
+  let lexbuf = Lexing.from_string text in
+  Lexing.set_filename lexbuf path;
+  let ast =
+    try
+      if Filename.check_suffix path ".mli" then Intf (Parse.interface lexbuf)
+      else Impl (Parse.implementation lexbuf)
+    with exn ->
+      let line, message =
+        match Location.Error.of_exn exn with
+        | Some err ->
+          ((Location.Error.get_location err).loc_start.pos_lnum, Location.Error.message err)
+        | None -> (lexbuf.lex_curr_p.pos_lnum, Printexc.to_string exn)
+      in
+      raise (Syntax_error { file = path; line; message })
   in
-  (* Skip a quotation {id|...|id}; [!i] is on '{'. Returns false when it
-     is not actually a quotation opener. *)
-  let skip_quotation () =
-    let j = ref (!i + 1) in
-    while !j < n && (src.[!j] >= 'a' && src.[!j] <= 'z' || src.[!j] = '_') do incr j done;
-    if !j < n && src.[!j] = '|' then begin
-      let id = String.sub src (!i + 1) (!j - !i - 1) in
-      let closing = "|" ^ id ^ "}" in
-      let cn = String.length closing in
-      i := !j + 1;
-      let fin = ref false in
-      while (not !fin) && !i < n do
-        if !i + cn <= n && String.sub src !i cn = closing then begin
-          i := !i + cn;
-          fin := true
-        end
-        else begin
-          bump src.[!i];
-          incr i
-        end
-      done;
-      true
-    end
-    else false
+  let allows =
+    List.fold_left
+      (fun acc (comment, (loc : Location.t)) ->
+        parse_allows ~line:loc.loc_start.pos_lnum comment acc)
+      [] (Lexer.comments ())
   in
-  (* Skip a (possibly nested) comment; [!i] is on the '('. Collects any
-     phi-lint directives found inside. *)
-  let skip_comment () =
-    let start_line = !line in
-    let buf = Buffer.create 64 in
-    let depth = ref 0 in
-    let fin = ref false in
-    while (not !fin) && !i < n do
-      if src.[!i] = '(' && peek 1 = '*' then begin
-        incr depth;
-        i := !i + 2
-      end
-      else if src.[!i] = '*' && peek 1 = ')' then begin
-        decr depth;
-        i := !i + 2;
-        if !depth = 0 then fin := true
-      end
-      else if src.[!i] = '"' then begin
-        (* String literals inside comments follow string lexing rules. *)
-        let s0 = !i in
-        skip_string ();
-        Buffer.add_string buf (String.sub src s0 (Stdlib.min (!i - s0) (n - s0)))
-      end
-      else begin
-        bump src.[!i];
-        Buffer.add_char buf src.[!i];
-        incr i
-      end
-    done;
-    allows := parse_allows ~line:start_line (Buffer.contents buf) !allows
+  let facts =
+    match ast with Impl str when in_lib path -> Some (Ast_scan.scan ~path str) | _ -> None
   in
-  while !i < n do
-    let c = src.[!i] in
-    if c = '\n' then begin
-      incr line;
-      incr i
-    end
-    else if c = ' ' || c = '\t' || c = '\r' then incr i
-    else if c = '(' && peek 1 = '*' then skip_comment ()
-    else if c = '"' then skip_string ()
-    else if c = '{' && not (skip_quotation ()) then begin
-      emit "{";
-      incr i
-    end
-    else if c = '\'' then begin
-      (* Char literal vs. type variable / polymorphic variant tick. *)
-      if peek 1 = '\\' then begin
-        i := !i + 2;
-        while !i < n && src.[!i] <> '\'' do incr i done;
-        incr i
-      end
-      else if peek 2 = '\'' && peek 1 <> '\'' then i := !i + 3
-      else incr i
-    end
-    else if is_ident_start c then begin
-      let start = !i in
-      while !i < n && is_ident_char src.[!i] do incr i done;
-      (* Merge dotted access paths (Stdlib.compare, t.field) into one
-         token so qualified names can be matched exactly. *)
-      while !i + 1 < n && src.[!i] = '.' && is_ident_start src.[!i + 1] do
-        incr i;
-        while !i < n && is_ident_char src.[!i] do incr i done
-      done;
-      emit (String.sub src start (!i - start))
-    end
-    else if is_digit c then begin
-      let start = !i in
-      while
-        !i < n
-        && (is_ident_char src.[!i]
-           || src.[!i] = '.'
-           || ((src.[!i] = '+' || src.[!i] = '-')
-              && !i > start
-              && (src.[!i - 1] = 'e' || src.[!i - 1] = 'E')))
-      do
-        incr i
-      done;
-      emit (String.sub src start (!i - start))
-    end
-    else if is_op_char c then begin
-      let start = !i in
-      while !i < n && is_op_char src.[!i] do incr i done;
-      emit (String.sub src start (!i - start))
-    end
-    else begin
-      (match c with
-      | '(' | ')' | '}' | '[' | ']' | ';' | ',' | '?' | '`' | '#' | '.' ->
-        emit (String.make 1 c)
-      | _ -> ());
-      incr i
-    end
-  done;
-  { tokens = Array.of_list (List.rev !tokens); allows = !allows }
+  { path; text; ast; allows; facts }
 
 (* {2 Rules} *)
 
@@ -301,222 +187,166 @@ let message_of rule =
 
 let violation file line rule = { file; line; rule; message = message_of rule }
 
-let starts_with ~prefix s =
-  let pn = String.length prefix in
-  String.length s >= pn && String.sub s 0 pn = prefix
+let float_constants =
+  [
+    "nan"; "infinity"; "neg_infinity"; "epsilon_float"; "max_float"; "min_float";
+    "Float.nan"; "Float.infinity"; "Float.neg_infinity"; "Float.epsilon"; "Float.pi";
+    "Float.max_float"; "Float.min_float"
+  ]
 
-let ends_with ~suffix s =
-  let sn = String.length suffix and n = String.length s in
-  n >= sn && String.sub s (n - sn) sn = suffix
+(* An operand that makes [=] / [<>] a float-equality test. *)
+let float_constant e =
+  match e.pexp_desc with
+  | Pexp_constant (Pconst_float _) -> true
+  | Pexp_ident { txt; _ } -> List.mem (Ast_scan.path_of_lid txt) float_constants
+  | _ -> false
 
-(* [packet-escape] polices the pooled-packet ownership contract in the
-   layers that handle live packets (lib/net, lib/tcp).  The pool module
-   itself is exempt — it is the one place allowed to mint handles. *)
-let in_packet_scope path =
-  (path_has_dir path "lib/net" || path_has_dir path "lib/tcp")
-  && not (ends_with ~suffix:"/packet.ml" path)
-  && not (ends_with ~suffix:"/packet.mli" path)
+(* The [Packet.handle] a mutable field's type retains.  A handle
+   reachable only under an arrow belongs to a handle-consuming callback
+   ([Packet.handle -> unit]), which stores a function, not a handle. *)
+let rec retained_handle t =
+  match t.ptyp_desc with
+  | Ptyp_constr ({ txt; loc }, args) ->
+    if Ast_scan.path_of_lid txt = "Packet.handle" then Some loc
+    else List.find_map retained_handle args
+  | Ptyp_tuple ts -> List.find_map retained_handle ts
+  | Ptyp_alias (t, _) | Ptyp_poly (_, t) -> retained_handle t
+  | _ -> None
 
-(* [transport-unified] polices the single-sender-transport invariant:
-   only lib/tcp (the transport itself) and lib/net (the substrate it
-   binds to) may touch flow binding; everything above goes through
-   Phi_tcp.Sender / Phi_tcp.Source with a Cc controller. *)
-let in_transport_scope path =
-  in_lib path && not (path_has_dir path "lib/tcp") && not (path_has_dir path "lib/net")
-
-(* [interpreted-lookup] keeps the decision plane compiled where it is
-   hot: the per-ack sender paths (lib/tcp, the Remy controller),
-   per-connection setup (Phi_client), and the swarm's million-lookup
-   client half.  The compilers themselves (Compiled_table,
-   Policy.Compiled) must call the interpreted forms to lower them, and
-   live outside this scope. *)
-let in_decision_scope path =
-  path_has_dir path "lib/tcp"
-  || (path_has_dir path "lib/remy"
-     && (ends_with ~suffix:"/remy_cc.ml" path || ends_with ~suffix:"/remy_cc.mli" path))
-  || (path_has_dir path "lib/experiments" && ends_with ~suffix:"/swarm.ml" path)
-  || (path_has_dir path "lib/core" && ends_with ~suffix:"/phi_client.ml" path)
-
-let token_violations ~path { tokens; _ } =
+(* The pattern rules: one traversal over identifiers, type
+   constructors, module paths and record declarations, on
+   implementations and interfaces alike.  Each finding sits at the line
+   of the offending identifier or operator. *)
+let pattern_violations src =
+  let path = src.path in
   let lib = in_lib path in
-  let hot = in_hot_path path in
   let packet_scope = in_packet_scope path in
   let transport_scope = in_transport_scope path in
   let decision_scope = in_decision_scope path in
   let minmax_scope = in_minmax_scope path in
   let out = ref [] in
-  let add line rule = out := violation path line rule :: !out in
-  let text k = if k >= 0 && k < Array.length tokens then snd tokens.(k) else "" in
-  (* A bare [min]/[max] that names a label, a definition or a record
-     field rather than calling the polymorphic function. *)
-  let names_something_else k =
-    let prev = text (k - 1) and next = text (k + 1) in
-    List.mem prev [ "~"; "?"; "let"; "and"; "rec"; "val"; "external"; "mutable" ]
-    || ((next = "=" || next = ":") && List.mem prev binding_context)
+  let add (loc : Location.t) rule =
+    out := (loc.loc_start.pos_cnum, violation path loc.loc_start.pos_lnum rule) :: !out
   in
-  Array.iteri
-    (fun k (line, tok) ->
-      (match tok with
-      | "Obj.magic" -> add line "obj-magic"
-      | "compare" | "Stdlib.compare" -> add line "poly-compare"
-      | "Stdlib.min" | "Stdlib.max" -> if minmax_scope then add line "poly-compare"
-      | "min" | "max" ->
-        if minmax_scope && not (names_something_else k) then add line "poly-compare"
-      | "List.nth" -> add line "list-nth"
-      | "Hashtbl.find" -> add line "hashtbl-find"
-      | "failwith" | "Stdlib.failwith" -> if lib then add line "failwith"
-      | "exit" | "Stdlib.exit" -> if lib then add line "exit"
-      (* The legacy heap-allocating packet constructors: everything must
-         go through the pool's acquire_data/acquire_ack. *)
-      | "Packet.data" | "Packet.ack" -> if packet_scope then add line "packet-escape"
-      (* A [mutable f : Packet.handle] record field retains a handle
-         across events — it dangles the moment the packet is released.
-         A handle-consuming callback field ([...: Packet.handle -> unit])
-         stores a function, not a handle, and is fine. *)
-      | "Packet.handle" ->
-        if
-          packet_scope
-          && text (k - 1) = ":"
-          && text (k - 3) = "mutable"
-          && text (k + 1) <> "->"
-        then add line "packet-escape"
-      (* Touching a handle after releasing it on the same line: the
-         cheap lexical slice of use-after-free (the [handle-lifetime]
-         AST pass and the sanitizer's generation stamps own the
-         cross-line cases).  Argument-shape-aware: [release pool h]
-         takes the second argument, the partially applied or
-         locally-opened [release h] takes the first. *)
-      | "Packet.release" ->
-        if packet_scope then begin
-          let is_ident s = s <> "" && is_ident_start s.[0] in
-          let a1 = text (k + 1) and a2 = text (k + 2) in
-          let h, after =
-            if is_ident a1 && is_ident a2 then (a2, k + 3)
-            else if is_ident a1 then (a1, k + 2)
-            else ("", k)
-          in
-          if h <> "" then begin
-            let rec reused j =
-              j < Array.length tokens
-              && fst tokens.(j) = line
-              && (snd tokens.(j) = h || reused (j + 1))
-            in
-            if reused after then add line "packet-escape"
-          end
-        end
-      | "Node.bind_flow" | "Phi_net.Node.bind_flow" ->
-        if transport_scope then add line "transport-unified"
-      | _ -> ());
-      if
-        transport_scope
-        && (tok = "Remy_sender"
-           || starts_with ~prefix:"Remy_sender." tok
-           || tok = "Phi_remy.Remy_sender"
-           || starts_with ~prefix:"Phi_remy.Remy_sender." tok)
-      then add line "transport-unified";
-      (* Prefix-matched on purpose: [Rule_table.lookup_index] is the
-         same list walk.  [Policy.Compiled.choice_for] is a different
-         dotted token and stays legal. *)
+  let value { txt; loc } =
+    match Ast_scan.strip_stdlib (Ast_scan.path_of_lid txt) with
+    | "Obj.magic" -> add loc "obj-magic"
+    | "compare" -> add loc "poly-compare"
+    | "min" | "max" -> if minmax_scope then add loc "poly-compare"
+    | "List.nth" -> add loc "list-nth"
+    | "Hashtbl.find" -> add loc "hashtbl-find"
+    | "failwith" -> if lib then add loc "failwith"
+    | "exit" -> if lib then add loc "exit"
+    (* The legacy heap-allocating packet constructors: everything must
+       go through the pool's acquire_data/acquire_ack. *)
+    | "Packet.data" | "Packet.ack" -> if packet_scope then add loc "packet-escape"
+    | "Node.bind_flow" | "Phi_net.Node.bind_flow" ->
+      if transport_scope then add loc "transport-unified"
+    (* Prefix-matched on purpose: [Rule_table.lookup_index] is the same
+       list walk.  [Policy.Compiled.choice_for] stays legal. *)
+    | "Policy.choice_for" | "Phi.Policy.choice_for" ->
+      if decision_scope then add loc "interpreted-lookup"
+    | p ->
       if
         decision_scope
-        && (starts_with ~prefix:"Rule_table.lookup" tok
-           || starts_with ~prefix:"Phi_remy.Rule_table.lookup" tok
-           || tok = "Policy.choice_for" || tok = "Phi.Policy.choice_for")
-      then add line "interpreted-lookup";
-      if
-        hot
-        && (tok = "Queue" || starts_with ~prefix:"Queue." tok || tok = "Stdlib.Queue"
-          || starts_with ~prefix:"Stdlib.Queue." tok)
-      then add line "hot-queue";
-      if tok = "=" || tok = "<>" then begin
-        let next = text (k + 1) and prev = text (k - 1) in
-        if is_floatish next || is_floatish prev then begin
-          (* [ident = <float>] directly after let/field/default syntax is
-             a binding, not a comparison. *)
-          let before = text (k - 2) in
-          let binding =
-            List.mem before binding_context || (before = "(" && text (k - 3) = "?")
+        && (String.starts_with ~prefix:"Rule_table.lookup" p
+           || String.starts_with ~prefix:"Phi_remy.Rule_table.lookup" p)
+      then add loc "interpreted-lookup"
+  in
+  (* Any path through a module: values, types, constructors, module
+     expressions. *)
+  let module_path { txt; loc } =
+    match Ast_scan.flatten_lid txt with
+    | "Queue" :: _ | "Stdlib" :: "Queue" :: _ -> if in_hot_path path then add loc "hot-queue"
+    | "Remy_sender" :: _ | "Phi_remy" :: "Remy_sender" :: _ ->
+      if transport_scope then add loc "transport-unified"
+    | _ -> ()
+  in
+  (* Touching a handle after releasing it on the same line: the cheap
+     slice of use-after-free (the [handle-lifetime] pass and the
+     sanitizer's generation stamps own the cross-line cases).  The
+     handle is the release's last bare-identifier argument. *)
+  let releases = ref [] and uses = ref [] in
+  let iter =
+    object
+      inherit Ast_traverse.iter as super
+
+      method! longident_loc lid = module_path lid
+
+      method! expression e =
+        (match e.pexp_desc with
+        | Pexp_ident ({ txt; loc } as lid) -> (
+          value lid;
+          match txt with Lident x when packet_scope -> uses := (loc, x) :: !uses | _ -> ())
+        | Pexp_apply ({ pexp_desc = Pexp_ident { txt = Lident ("=" | "<>"); loc }; _ }, args) ->
+          if List.exists (fun (_, a) -> float_constant a) args then add loc "float-equal"
+        | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, args)
+          when packet_scope && Ast_scan.path_of_lid txt = "Packet.release" ->
+          let handle =
+            List.fold_left
+              (fun acc (_, a) ->
+                match a.pexp_desc with Pexp_ident { txt = Lident h; loc } -> Some (loc, h) | _ -> acc)
+              None args
           in
-          if not binding then add line "float-equal"
-        end
-      end)
-    tokens;
-  List.rev !out
+          Option.iter (fun (hloc, h) -> releases := (loc, hloc, h) :: !releases) handle
+        | _ -> ());
+        super#expression e
+
+      (* A [mutable] field of type [Packet.handle] retains a handle
+         across events: it dangles the moment the packet is released. *)
+      method! label_declaration ld =
+        (match ld.pld_mutable with
+        | Mutable when packet_scope ->
+          Option.iter (fun loc -> add loc "packet-escape") (retained_handle ld.pld_type)
+        | Mutable | Immutable -> ());
+        super#label_declaration ld
+    end
+  in
+  (match src.ast with Impl str -> iter#structure str | Intf sg -> iter#signature sg);
+  List.iter
+    (fun ((loc : Location.t), (hloc : Location.t), h) ->
+      let reused ((u : Location.t), x) =
+        x = h
+        && u.loc_start.pos_lnum = loc.loc_start.pos_lnum
+        && u.loc_start.pos_cnum >= hloc.loc_end.pos_cnum
+      in
+      if List.exists reused !uses then add loc "packet-escape")
+    !releases;
+  List.map snd (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) !out)
 
 let suppressed allows v =
   List.exists (fun (line, rule) -> rule = v.rule && (line = v.line || line = v.line - 1)) allows
 
 let suppressed_anywhere allows rule = List.exists (fun (_, r) -> r = rule) allows
 
-(* [domain-global]: a module-level [let] in a pool-driven library that
-   binds a value built from a mutable-state constructor.
-
-   Primary detection is the AST engine ({!Ast_scan}): any zero-parameter
-   module-level binding whose right-hand side constructs mutable state
-   anywhere outside a nested [fun] — nested in a record, indented over
-   several lines, inside a submodule.  The lexical scan below remains as
-   the fallback for sources that do not parse, with its historical
-   limits: column-0 [let], constructor on the same line. *)
-let mutable_constructors =
-  [
-    "ref"; "Hashtbl.create"; "Queue.create"; "Stack.create"; "Buffer.create";
-    "Atomic.make"; "Array.make"; "Bytes.create"; "Bytes.make"
-  ]
-
-let lexical_domain_global_violations ~path src { tokens; _ } =
-  begin
-    let by_line = Hashtbl.create 64 in
-    Array.iter
-      (fun (line, tok) ->
-        let prev = match Hashtbl.find_opt by_line line with Some l -> l | None -> [] in
-        Hashtbl.replace by_line line (tok :: prev))
-      tokens;
-    let line_tokens line =
-      match Hashtbl.find_opt by_line line with Some l -> List.rev l | None -> []
-    in
-    let out = ref [] in
-    List.iteri
-      (fun i0 raw ->
-        let line = i0 + 1 in
-        if String.length raw >= 4 && String.sub raw 0 4 = "let " then
-          match line_tokens line with
-          | "let" :: rest ->
-            let rest = match rest with "rec" :: r -> r | r -> r in
-            (match rest with
-            | _name :: next :: _ when next = "=" || next = ":" || next = "," ->
-              if List.exists (fun t -> List.mem t mutable_constructors) rest then
-                out := violation path line "domain-global" :: !out
-            | _ -> ())
-          | _ -> ())
-      (String.split_on_char '\n' src);
-    List.rev !out
-  end
-
-let domain_global_violations ~path src scan =
-  if not (in_domain_pool path && ends_with ~suffix:".ml" path) then []
-  else
-    match Ast_scan.scan ~path src with
-    | Error _ -> lexical_domain_global_violations ~path src scan
-    | Ok m ->
-      List.map
-        (fun (g : Ast_scan.global) ->
-          {
-            file = path;
-            line = g.g_line;
-            rule = "domain-global";
-            message = Printf.sprintf "%s (binds %s): %s" g.g_id g.g_what (message_of "domain-global");
-          })
-        m.m_globals
+(* [domain-global]: a module-level binding in a pool-driven library
+   whose right-hand side constructs mutable state anywhere outside a
+   nested [fun] — nested in a record, indented over several lines,
+   inside a submodule (see {!Ast_scan}). *)
+let domain_global_violations src =
+  match src.facts with
+  | Some m when in_domain_pool src.path ->
+    List.map
+      (fun (g : Ast_scan.global) ->
+        {
+          file = src.path;
+          line = g.g_line;
+          rule = "domain-global";
+          message = Printf.sprintf "%s (binds %s): %s" g.g_id g.g_what (message_of "domain-global");
+        })
+      m.m_globals
+  | _ -> []
 
 (* [handle-lifetime]: the per-function dataflow pass over pooled packet
    handles (see {!Handle_flow}), in the same scope as [packet-escape]. *)
-let handle_lifetime_violations ~path src =
-  if not (in_packet_scope path && ends_with ~suffix:".ml" path) then []
-  else
+let handle_lifetime_violations src =
+  match src.ast with
+  | Impl str when in_packet_scope src.path ->
     List.map
       (fun (f : Handle_flow.finding) ->
-        { file = path; line = f.line; rule = "handle-lifetime"; message = f.message })
-      (Handle_flow.check ~path src)
+        { file = src.path; line = f.line; rule = "handle-lifetime"; message = f.message })
+      (Handle_flow.check ~path:src.path str)
+  | _ -> []
 
 let starts_with_doc_comment src =
   let n = String.length src in
@@ -526,23 +356,23 @@ let starts_with_doc_comment src =
   done;
   !i + 2 < n && src.[!i] = '(' && src.[!i + 1] = '*' && src.[!i + 2] = '*'
 
-let lint_source ~path src =
-  let scan = scan_source src in
+let file_violations src =
+  let vs = pattern_violations src @ domain_global_violations src @ handle_lifetime_violations src in
   let vs =
-    token_violations ~path scan
-    @ domain_global_violations ~path src scan
-    @ handle_lifetime_violations ~path src
-  in
-  let vs =
-    if ends_with ~suffix:".mli" path && in_lib path && not (starts_with_doc_comment src)
-    then violation path 1 "mli-doc" :: vs
+    if
+      String.ends_with ~suffix:".mli" src.path
+      && in_lib src.path
+      && not (starts_with_doc_comment src.text)
+    then violation src.path 1 "mli-doc" :: vs
     else vs
   in
   List.filter
     (fun v ->
-      if v.rule = "mli-doc" then not (suppressed_anywhere scan.allows v.rule)
-      else not (suppressed scan.allows v))
+      if v.rule = "mli-doc" then not (suppressed_anywhere src.allows v.rule)
+      else not (suppressed src.allows v))
     vs
+
+let lint_source ~path text = file_violations (parse (path, text))
 
 (* {2 Cross-module passes}
 
@@ -550,18 +380,10 @@ let lint_source ~path src =
    per-file facts feed one call graph, the dataflow passes run on top,
    and each finding is filtered against its own file's allow
    directives (same line or the line above, like every other rule). *)
-let cross_module_violations files =
-  let mods =
-    List.filter_map
-      (fun (path, src) ->
-        if in_lib path && ends_with ~suffix:".ml" path then
-          match Ast_scan.scan ~path src with Ok m -> Some m | Error _ -> None
-        else None)
-      files
-  in
-  match mods with
+let cross_module_violations sources =
+  match List.filter_map (fun src -> src.facts) sources with
   | [] -> []
-  | _ ->
+  | mods ->
     let graph = Callgraph.build mods in
     let vs =
       List.map
@@ -573,41 +395,29 @@ let cross_module_violations files =
             { file = f.file; line = f.line; rule = "domain-race"; message = f.message })
           (Race.violations graph)
     in
-    let allows_by_file = Hashtbl.create 16 in
-    let allows_of path =
-      match Hashtbl.find_opt allows_by_file path with
-      | Some a -> a
-      | None ->
-        let a =
-          match List.assoc_opt path files with
-          | Some src -> (scan_source src).allows
-          | None -> []
-        in
-        Hashtbl.replace allows_by_file path a;
-        a
+    let allows_of file =
+      match List.find_opt (fun src -> src.path = file) sources with
+      | Some src -> src.allows
+      | None -> []
     in
     List.filter (fun v -> not (suppressed (allows_of v.file) v)) vs
 
 let lint_tree files =
-  let paths = List.map fst files in
-  let have path = List.mem path paths in
+  let sources = List.map parse files in
+  let have path = List.exists (fun src -> src.path = path) sources in
   let missing =
     List.filter_map
-      (fun (path, src) ->
+      (fun src ->
         if
-          ends_with ~suffix:".ml" path
-          && in_lib path
-          && not (have (path ^ "i"))
-          && not (suppressed_anywhere (scan_source src).allows "missing-mli")
-        then Some (violation path 1 "missing-mli")
+          String.ends_with ~suffix:".ml" src.path
+          && in_lib src.path
+          && not (have (src.path ^ "i"))
+          && not (suppressed_anywhere src.allows "missing-mli")
+        then Some (violation src.path 1 "missing-mli")
         else None)
-      files
+      sources
   in
-  let all =
-    List.concat_map (fun (path, src) -> lint_source ~path src) files
-    @ missing
-    @ cross_module_violations files
-  in
+  let all = List.concat_map file_violations sources @ missing @ cross_module_violations sources in
   List.sort
     (fun a b ->
       match String.compare a.file b.file with

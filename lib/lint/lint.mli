@@ -1,32 +1,28 @@
 (** phi-lint: project-specific static analysis over OCaml sources.
 
-    A line/token-level analyzer enforcing the correctness conventions of
-    this repository: no polymorphic comparison (a silent NaN hazard on
-    the float-carrying records that dominate this codebase), no partial
-    stdlib lookups, no [failwith]/[exit] in library code, and a
-    documented [.mli] for every library module.
+    Enforces the correctness conventions of this repository: no
+    polymorphic comparison (a silent NaN hazard on the float-carrying
+    records that dominate this codebase), no partial stdlib lookups, no
+    [failwith]/[exit] in library code, pooled-packet ownership, an
+    allocation-free per-packet path, and a documented [.mli] for every
+    library module.
 
-    Two engines share one violation stream and one suppression
-    mechanism:
+    One engine: each source is parsed once with [Ppxlib.Parse] (the
+    OCaml 5.2 Parsetree on every supported compiler), and that one tree
+    feeds every rule.  The pattern rules are one traversal over
+    identifiers, type constructors, module paths and record
+    declarations.  On top of the same trees run an allocation-effect
+    lattice propagated over a project-wide call graph ([hot-alloc], see
+    {!Effects}), an intraprocedural handle-lifetime analysis for pooled
+    packets ([handle-lifetime], see {!Handle_flow}), and a reachability
+    analysis from pool jobs to module-level mutable state
+    ([domain-race], see {!Race}).  A source that does not parse is an
+    input error ({!Syntax_error}), never a partially linted file.
 
-    - The {b token engine} tokenizes the source (stripping comments and
-      string literals) — dependency-free, microseconds per file.  It
-      owns everything lexical: comment-hosted allow directives, [.mli]
-      checks, and the pattern rules below.
-    - The {b AST engine} parses each [.ml] with the compiler's own
-      parser (compiler-libs) and runs dataflow on top: an
-      allocation-effect lattice propagated over a project-wide call
-      graph ([hot-alloc], see {!Effects}), an intraprocedural
-      handle-lifetime analysis for pooled packets ([handle-lifetime],
-      see {!Handle_flow}), and a reachability analysis from pool jobs
-      to module-level mutable state ([domain-race], see {!Race};
-      [domain-global] also uses the AST scan, falling back to the old
-      lexical heuristic only for sources that do not parse).
-
-    Violations from either engine can be suppressed with a
+    Any violation can be suppressed with a
     [(* phi-lint: allow <rule> *)] comment on the same line or the line
-    directly above.  Both engines run under the same [dune build @lint]
-    tier-1 gate. *)
+    directly above; the directives are read from the lexer's comment
+    list.  Every rule runs under the [dune build @lint] tier-1 gate. *)
 
 type violation = {
   file : string;
@@ -56,9 +52,9 @@ val rules : (string * string) list
       [Hashtbl.create], [Atomic.make], ...) in a library whose code runs
       inside {!Phi_runner.Pool} worker domains ([lib/experiments],
       [lib/runner]) — such state is shared across domains and breaks the
-      pool's per-job isolation.  Lexical approximation: the [let] must
-      start in column 0, bind a value (not a function), and construct
-      the mutable state on the same line.
+      pool's per-job isolation.  Any module-level value binding counts,
+      in submodules too, when its right-hand side constructs the state
+      outside a nested function.
     - [hot-queue]: any [Queue]/[Stdlib.Queue] use inside the per-packet
       hot-path libraries ([lib/net], [lib/sim]) — the stdlib queue
       allocates a cons cell per element; use {!Phi_sim.Ring}.
@@ -76,7 +72,7 @@ val rules : (string * string) list
       deleted [Remy_sender] transport — there is exactly one sender
       transport; algorithms are [Phi_tcp.Cc] controllers driven by
       [Phi_tcp.Sender]/[Phi_tcp.Source].
-    - [hot-alloc] (AST): an allocation site (closure, tuple/record/
+    - [hot-alloc]: an allocation site (closure, tuple/record/
       constructor, boxed-float store, array, or a curated allocating
       stdlib call) in a function reachable from the hot entry points
       (engine loop, link pipeline, per-packet transport handlers)
@@ -84,12 +80,12 @@ val rules : (string * string) list
       [invalid_arg] arguments), sanitizer-guarded branches
       ([Invariant.enabled ()] / [!Invariant.armed]) and
       [@inline never] cold helpers are excluded.
-    - [handle-lifetime] (AST): per-function dataflow over pooled packet
+    - [handle-lifetime]: per-function dataflow over pooled packet
       handles in the [packet-escape] scope — use after
       [Packet.release] (any distance, any control flow), double
       release, and handles acquired but neither released nor
       ownership-transferred on every path.
-    - [domain-race] (AST): module-level mutable state referenced by any
+    - [domain-race]: module-level mutable state referenced by any
       function reachable (through the call graph, cold edges included)
       from a function that fans work out via [Pool.map] /
       [Pool.try_map] / [Pool.fan_out] — reported at the global's definition line.
@@ -136,17 +132,26 @@ val in_decision_scope : string -> bool
     compilers ([lib/remy/compiled_table.ml], [lib/core/policy.ml]) are
     deliberately outside — lowering needs the interpreted forms. *)
 
+exception Syntax_error of { file : string; line : int; message : string }
+(** A source that does not parse: its path, the line the parser stopped
+    at, and the parser's message. *)
+
 val lint_source : path:string -> string -> violation list
-(** Token-level rules plus (for [.mli] paths) the [mli-doc] rule, with
+(** Every single-file rule (the pattern rules, [domain-global],
+    [handle-lifetime], and [mli-doc] for [.mli] paths), with
     [phi-lint: allow] suppressions already applied.  [path] is used for
-    diagnostics and to decide whether library-only rules apply; the
-    source itself is passed as a string, so fixtures need no files. *)
+    diagnostics, to choose the parser ([.mli] is an interface) and to
+    decide which scoped rules apply; the source itself is passed as a
+    string, so fixtures need no files.
+    @raise Syntax_error when the source does not parse. *)
 
 val lint_tree : (string * string) list -> violation list
-(** [lint_tree files] lints every [(path, contents)] pair, adds the
-    cross-file [missing-mli] check, and runs the cross-module AST
-    passes ([hot-alloc], [domain-race]) over the [lib/] sources in the
-    set.  Results are sorted by file and line. *)
+(** [lint_tree files] parses every [(path, contents)] pair once, runs
+    the single-file rules, adds the cross-file [missing-mli] check, and
+    runs the cross-module passes ([hot-alloc], [domain-race]) over the
+    [lib/] implementations in the set.  Results are sorted by file and
+    line.
+    @raise Syntax_error on the first source that does not parse. *)
 
 val to_string : violation -> string
 (** Renders as [file:line: rule: message] — one diagnostic per line. *)

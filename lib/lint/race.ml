@@ -2,15 +2,14 @@
 
    Phi_runner.Pool fans work out across domains; any module-level
    mutable binding touched by code a pool job can reach is a data race
-   waiting for a reproduction nobody will enjoy.  The old check was a
-   column-0 lexical heuristic over files under lib/experiments and
-   lib/runner; this pass instead takes every function that references
-   a multi-domain entry point — Pool.map / Pool.try_map / Pool.fan_out, the Pdes
-   window and drain hooks, or the Dynamics.at / Dynamics.every script
-   combinators whose callbacks run inside pool-fanned scenario cells —
-   as a root, walks the call graph including cold edges (a race in an
-   error path is still a race), and flags each module-level mutable
-   global any reachable function refers to.
+   waiting for a reproduction nobody will enjoy.  This pass takes every
+   function that references a multi-domain entry point — Pool.map /
+   Pool.try_map / Pool.fan_out, the Pdes window and drain hooks, or the
+   Dynamics.at / Dynamics.every script combinators whose callbacks run
+   inside pool-fanned scenario cells — as a root, walks the call graph
+   including cold edges (a race in an error path is still a race), and
+   flags each module-level mutable global any reachable function refers
+   to.
 
    Reports are deduplicated per global and placed at the global's
    definition line — that is where the fix (thread the state through

@@ -626,10 +626,9 @@ module Zoo = struct
   let ft_edge_id e = 10_000 + e
   let ft_agg_id a = 20_000 + a
 
-  let fat_tree_pod ?(k = 4) ?(core_bw_bps = 40e6) ?(core_delay_s = 0.002)
-      ?(host_bw_bps = 400e6) ?(host_delay_s = 0.0005) ?(buffer_pkts = 200) () =
-    if k < 2 || k mod 2 <> 0 then invalid_arg "Zoo.fat_tree_pod: k must be even and >= 2";
-    let half = k / 2 in
+  let fat_tree_pod () =
+    let half = 2 (* k = 4 *) and core_bw_bps = 40e6 and core_delay_s = 0.002 in
+    let host_bw_bps = 400e6 and host_delay_s = 0.0005 and buffer_pkts = 200 in
     let g = Graph.create () in
     for e = 0 to half - 1 do
       Graph.add_node g (ft_edge_id e)
@@ -731,10 +730,9 @@ module Zoo = struct
     in
     0.015 +. (0.018 *. float_of_int (pair_index ~i ~j 0 0 1))
 
-  let wan ?(sites = 4) ?(hosts_per_site = 3) ?(wan_bw_bps = 30e6) ?(access_bw_bps = 1e9)
-      ?(access_delay_s = 0.0005) ?(buffer_pkts = 400) () =
-    if sites < 2 then invalid_arg "Zoo.wan: need at least two sites";
-    if hosts_per_site < 1 then invalid_arg "Zoo.wan: need at least one host per site";
+  let wan () =
+    let sites = 4 and hosts_per_site = 3 and wan_bw_bps = 30e6 in
+    let access_bw_bps = 1e9 and access_delay_s = 0.0005 and buffer_pkts = 400 in
     let g = Graph.create () in
     for i = 0 to sites - 1 do
       Graph.add_node g ~island:i (wan_site_router_id i)

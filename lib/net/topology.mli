@@ -220,36 +220,22 @@ module Zoo : sig
   val pl_left_router_id : int -> int
   val pl_right_router_id : int -> int
 
-  val fat_tree_pod :
-    ?k:int ->
-    ?core_bw_bps:float ->
-    ?core_delay_s:float ->
-    ?host_bw_bps:float ->
-    ?host_delay_s:float ->
-    ?buffer_pkts:int ->
-    unit ->
-    t
-  (** One pod of a [k]-ary fat tree ([k] even): k/2 edge switches, k/2
-      aggregation switches, k/2 hosts per edge.  Inter-edge paths climb
-      to an aggregation switch chosen deterministically by destination,
-      so routing stays destination-based.  Flows pair each host with
-      its slot-mate one edge over. *)
+  val fat_tree_pod : unit -> t
+  (** One pod of a 4-ary fat tree: 2 edge switches, 2 aggregation
+      switches, 2 hosts per edge; 40 Mb/s, 2 ms core links with
+      200-packet buffers, 400 Mb/s, 0.5 ms host links.  Inter-edge paths
+      climb to an aggregation switch chosen deterministically by
+      destination, so routing stays destination-based.  Flows pair each
+      host with its slot-mate one edge over. *)
 
-  val wan :
-    ?sites:int ->
-    ?hosts_per_site:int ->
-    ?wan_bw_bps:float ->
-    ?access_bw_bps:float ->
-    ?access_delay_s:float ->
-    ?buffer_pkts:int ->
-    unit ->
-    t
-  (** Inter-datacenter mesh: [sites] routers fully meshed by long-haul
-      links with heterogeneous one-way delays (15 ms + 18 ms per pair
-      enumeration step, so ~15–105 ms at 4 sites), one island per site.
-      Flows round-robin over the ordered site pairs.  Every long-haul
-      link is a cut, so the partition lookahead is the smallest pair
-      delay. *)
+  val wan : unit -> t
+  (** Inter-datacenter mesh: 4 site routers fully meshed by 30 Mb/s
+      long-haul links with 400-packet buffers and heterogeneous one-way
+      delays (15 ms + 18 ms per pair enumeration step, so ~15–105 ms),
+      one island per site, 3 hosts per site on 1 Gb/s, 0.5 ms access
+      links.  Flows round-robin over the ordered site pairs.  Every
+      long-haul link is a cut, so the partition lookahead is the
+      smallest pair delay. *)
 
   val wan_site_router_id : int -> int
   val wan_host_id : site:int -> slot:int -> int

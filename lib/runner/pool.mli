@@ -15,11 +15,11 @@
     job builds its own {!Phi_util.Prng.t}, engine, topology and result
     records, and returns a pure value.  Global accumulators are the one
     exception in this codebase — the {!Phi_sim.Invariant} sanitizer's
-    report buffer is process-global and unsynchronized, so armed
-    sanitizer runs ([PHI_SANITIZE=1]) must use [jobs:1] (the bench
-    driver enforces this).  A phi-lint rule ([domain-global]) guards
-    against introducing new top-level mutable state under
-    [lib/experiments] and [lib/runner]. *)
+    report buffer is process-global.  The pool does not consult it, so
+    armed runs ([PHI_SANITIZE=1]) fan out like any other; the
+    sanitizer serializes its own writes.  A phi-lint rule
+    ([domain-global]) guards against introducing new top-level mutable
+    state under [lib/experiments] and [lib/runner]. *)
 
 type error = {
   index : int;  (** position of the failed job in the submission list *)

@@ -1,8 +1,8 @@
 type violation = { rule : string; time : float; detail : string }
 
-(* These globals are the sanctioned exception to the no-shared-state rule:
-   pool.mli documents that armed (PHI_SANITIZE=1) runs use [jobs:1], so the
-   recorder is never touched from more than one domain at a time. *)
+(* These globals are the sanctioned exception to the no-shared-state rule.
+   Pool jobs may run armed (PHI_SANITIZE=1 does not force Pool to one
+   worker), so every write to the accumulator below takes [lock]. *)
 let armed = (* phi-lint: allow domain-race *)
   ref (match Sys.getenv_opt "PHI_SANITIZE" with Some "1" -> true | _ -> false)
 
@@ -17,14 +17,17 @@ let kept : violation list ref = ref []  (* newest first *) (* phi-lint: allow do
 let n_kept = ref 0 (* phi-lint: allow domain-race *)
 let total = ref 0 (* phi-lint: allow domain-race *)
 
+(* Taken only when armed: the disarmed path stays one load of [armed]. *)
+let lock = Mutex.create ()
+
 let record ~rule ~time detail =
-  if !armed then begin
-    incr total;
-    if !n_kept < max_kept then begin
-      kept := { rule; time; detail } :: !kept;
-      incr n_kept
-    end
-  end
+  if !armed then
+    Mutex.protect lock (fun () ->
+        incr total;
+        if !n_kept < max_kept then begin
+          kept := { rule; time; detail } :: !kept;
+          incr n_kept
+        end)
 
 let check_finite ~rule ~time ~what v =
   if Float.is_finite v then true

@@ -22,9 +22,9 @@
     - [metric-finite], [metric-range], [conn-stats]: NaN/Inf or
       out-of-range values in metrics reported to the context server.
 
-    The accumulator is global (simulations are single-threaded); tests
-    use {!with_capture} to arm the sanitizer for one closure and inspect
-    exactly the violations it produced.
+    The accumulator is process-global; tests use {!with_capture} to arm
+    the sanitizer for one closure and inspect exactly the violations it
+    produced.
 
     {2 Domain-safety}
 
@@ -32,14 +32,16 @@
     all constructed from the seed inside one run and never shared, which
     is what lets [Phi_runner.Pool] fan (setting, seed) cells across
     domains.  This module is the deliberate exception: the violation
-    accumulator is process-global and unsynchronized, so armed runs
-    ([PHI_SANITIZE=1] or {!set_enabled}) must stay serial ([--jobs 1];
-    the bench driver enforces this, and {!with_capture} likewise must
-    not wrap a parallel batch).  When dormant (the default) the checks
-    only read {!enabled} and record nothing, so parallel unarmed runs
-    are safe.  The phi-lint [domain-global] rule guards against
-    introducing further shared mutable globals under [lib/experiments]
-    and [lib/runner]. *)
+    accumulator is process-global, and armed runs ([PHI_SANITIZE=1] or
+    {!set_enabled}) may record from several domains at once ([Pool]
+    does not force one worker).  {!record} therefore takes a mutex
+    when armed, so {!count} stays exact; across domains the kept
+    prefix holds violations in arrival order, which follows
+    scheduling.  The parallel engine, the parking-lot experiment and
+    the bench driver still run armed runs serially.  When dormant (the
+    default) the checks only read {!enabled} and record nothing.  The
+    phi-lint [domain-global] rule guards against introducing further
+    shared mutable globals under [lib/experiments] and [lib/runner]. *)
 
 type violation = {
   rule : string;  (** stable rule name, e.g. ["negative-delay"] *)
@@ -60,8 +62,9 @@ val armed : bool ref
 val set_enabled : bool -> unit
 
 val record : rule:string -> time:float -> string -> unit
-(** Accumulate one violation.  No-op when disabled.  At most 1000
-    violations are kept; further ones only bump {!count}. *)
+(** Accumulate one violation.  No-op when disabled; safe to call from
+    several domains when armed.  At most 1000 violations are kept;
+    further ones only bump {!count}. *)
 
 val check_finite : rule:string -> time:float -> what:string -> float -> bool
 (** [check_finite ~rule ~time ~what v] returns [true] when [v] is

@@ -174,8 +174,8 @@ let run ?jobs ?window_s ~until t =
   let jobs =
     let requested = match jobs with Some j -> j | None -> n in
     if requested < 1 then invalid_arg "Pdes.run: jobs must be >= 1";
-    (* The invariant sanitizer accumulates into a process-global,
-       unsynchronized buffer; armed runs must stay serial. *)
+    (* Across domains the invariant sanitizer would keep violations in
+       scheduling order; armed runs stay serial so reports replay. *)
     if Invariant.enabled () then 1 else Int.min requested n
   in
   Atomic.set t.failure None;

@@ -5,8 +5,10 @@ type state = {
   mutable next_adjust_at : float;  (* end of the current observation epoch *)
 }
 
-let make ?(alpha = 2.) ?(beta = 4.) ?(gamma = 1.) ?(initial_cwnd = 2.)
-    ?(initial_ssthresh = 65536.) () =
+(* Slow start halts once more than this many segments are queued. *)
+let gamma = 1.
+
+let make ?(alpha = 2.) ?(beta = 4.) ?(initial_cwnd = 2.) ?(initial_ssthresh = 65536.) () =
   if alpha > beta then invalid_arg "Vegas.make: alpha must be <= beta";
   if alpha <= 0. then invalid_arg "Vegas.make: alpha must be positive";
   let s = { base_rtt = infinity; rtt_sum = 0.; rtt_count = 0; next_adjust_at = 0. } in

@@ -8,16 +8,9 @@
     Per RTT, with [diff = cwnd * (1 - base_rtt / rtt)] (segments resident
     in queues): grow by one segment if [diff < alpha], shrink by one if
     [diff > beta], hold otherwise.  Slow start is halted once
-    [diff > gamma]. *)
+    [diff > 1] segment (Vegas's [gamma]). *)
 
 val make :
-  ?alpha:float ->
-  ?beta:float ->
-  ?gamma:float ->
-  ?initial_cwnd:float ->
-  ?initial_ssthresh:float ->
-  unit ->
-  Cc.t
-(** Defaults: [alpha = 2.], [beta = 4.], [gamma = 1.] segments,
-    [initial_cwnd = 2.], [initial_ssthresh = 65536.].  Requires
-    [alpha <= beta]. *)
+  ?alpha:float -> ?beta:float -> ?initial_cwnd:float -> ?initial_ssthresh:float -> unit -> Cc.t
+(** Defaults: [alpha = 2.], [beta = 4.] segments, [initial_cwnd = 2.],
+    [initial_ssthresh = 65536.].  Requires [alpha <= beta]. *)

@@ -270,6 +270,22 @@ let test_report_lists_rules () =
   in
   Alcotest.(check bool) "report names the rule" true (contains ~needle:"test-rule" report)
 
+(* Pool jobs may run armed, so the recorder must count exactly when
+   several domains record at once. *)
+let test_record_across_domains () =
+  let count, vs =
+    Invariant.with_capture (fun () ->
+        let worker d () =
+          for i = 1 to 500 do
+            Invariant.record ~rule:"test-rule" ~time:(float_of_int i) (string_of_int d)
+          done
+        in
+        List.iter Domain.join (List.init 4 (fun d -> Domain.spawn (worker d)));
+        Invariant.count ())
+  in
+  Alcotest.(check int) "every violation counted" 2000 count;
+  Alcotest.(check int) "kept prefix capped" 1000 (List.length vs)
+
 let test_disabled_record_is_noop () =
   let prev = Invariant.enabled () in
   Invariant.set_enabled false;
@@ -308,5 +324,6 @@ let suite =
     Alcotest.test_case "with_capture isolates and restores" `Quick
       test_with_capture_isolates_and_restores;
     Alcotest.test_case "report names the rule" `Quick test_report_lists_rules;
+    Alcotest.test_case "record counts exactly across domains" `Quick test_record_across_domains;
     Alcotest.test_case "record is a no-op when disabled" `Quick test_disabled_record_is_noop;
   ]

@@ -26,13 +26,20 @@ let test_poly_compare_fires () =
         (lint ~path "let f a b = Stdlib.min a b\n");
       check_rules ("Int.max in " ^ path) [] (lint ~path "let f cap = Int.max 64 (2 * cap)\n"))
     [ "lib/sim/fixture.ml"; "lib/net/fixture.ml"; "lib/tcp/fixture.ml" ];
-  check_rules "bare max elsewhere" [] (lint "let f cap = max 64 (2 * cap)\n")
+  check_rules "bare max elsewhere" [] (lint "let f cap = max 64 (2 * cap)\n");
+  (* A label, a definition or a record field named min is not a call. *)
+  let sim = "lib/sim/fixture.ml" in
+  check_rules "min as a label" [] (lint ~path:sim "let f g = g ~min:3\nlet h ~min:lo = lo\n");
+  check_rules "min as a definition" [] (lint ~path:sim "let min a b = if a < b then a else b\n");
+  check_rules "min as a record field" []
+    (lint ~path:sim "type r = { min : int }\nlet f r = r.min\nlet g x = { min = x }\n")
 
 let test_float_equal_fires () =
   check_rules "= on float literal" [ "float-equal" ] (lint "let f x = x = 0.5\n");
   check_rules "<> on float literal" [ "float-equal" ] (lint "let f x = x <> 1.\n");
   check_rules "= on nan" [ "float-equal" ] (lint "let f x = x = nan\n");
-  check_rules "= on infinity" [ "float-equal" ] (lint "let f x = x = infinity\n")
+  check_rules "= on infinity" [ "float-equal" ] (lint "let f x = x = infinity\n");
+  check_rules "= after a comma" [ "float-equal" ] (lint "let f a b = (a, b = 0.5)\n")
 
 let test_list_nth_fires () =
   check_rules "List.nth" [ "list-nth" ] (lint "let f l = List.nth l 3\n")
@@ -77,6 +84,20 @@ let test_line_numbers () =
     Alcotest.(check int) "line 3" 3 v.Lint.line;
     Alcotest.(check string) "rule" "list-nth" v.Lint.rule
   | vs -> Alcotest.fail (Printf.sprintf "expected 1 violation, got %d" (List.length vs))
+
+let test_syntax_error_is_an_input_error () =
+  let expect_syntax_error msg f =
+    match f () with
+    | _ -> Alcotest.fail (msg ^ ": expected Lint.Syntax_error")
+    | exception Lint.Syntax_error { file; line; message } ->
+      Alcotest.(check string) (msg ^ ": file") "lib/fake/broken.ml" file;
+      Alcotest.(check int) (msg ^ ": line") 2 line;
+      Alcotest.(check bool) (msg ^ ": parser message") true (String.length message > 0)
+  in
+  let broken = "let ok = 1\nlet x = )\nlet z = 3\n" in
+  expect_syntax_error "lint_source" (fun () -> Lint.lint_source ~path:"lib/fake/broken.ml" broken);
+  expect_syntax_error "lint_tree" (fun () ->
+      Lint.lint_tree [ ("lib/fake/ok.ml", "let y = 2\n"); ("lib/fake/broken.ml", broken) ])
 
 (* {2 Suppression} *)
 
@@ -232,8 +253,8 @@ let test_packet_escape_fires_on_mutable_handle_field () =
     (lint ~path:net_path "type t = { mutable last : Packet.handle }\n")
 
 let test_packet_escape_fires_on_use_after_release () =
-  (* Both engines see this one: the lexical scan flags the same-line use,
-     and the AST lifetime pass tracks the handle's state. *)
+  (* Both passes see this one: packet-escape flags the same-line use,
+     and the lifetime pass tracks the handle's state. *)
   check_rules "handle touched after release" [ "packet-escape"; "handle-lifetime" ]
     (lint ~path:net_path "let f pool pkt = Packet.release pool pkt; consume pkt\n")
 
@@ -368,9 +389,10 @@ let test_in_transport_scope () =
 
    The files under [lint_fixtures/] are data, not build inputs; each is
    linted under a pretend path so the rule's scoping applies.  The bad
-   fixtures seed the shapes the token engine provably misses (cross-line
-   use-after-release, nested mutable globals, allocation two calls below
-   a hot entry point); the good twins must stay perfectly clean. *)
+   fixtures seed the shapes only a dataflow or cross-module pass sees
+   (cross-line use-after-release, nested mutable globals, allocation two
+   calls below a hot entry point); the good twins must stay perfectly
+   clean. *)
 
 let read_fixture name =
   let ic = open_in_bin (Filename.concat "lint_fixtures" name) in
@@ -404,7 +426,7 @@ let single_file_cases =
     ("hashtbl_find", "lib/fake/fixture.ml", [ ("hashtbl-find", 2) ]);
     ("failwith", "lib/fake/fixture.ml", [ ("failwith", 2) ]);
     ("exit", "lib/fake/fixture.ml", [ ("exit", 2) ]);
-    (* Nested and indented bindings: only the AST engine sees them. *)
+    (* Nested and indented bindings count too. *)
     ("domain_global", "lib/runner/fixture.ml",
      [ ("domain-global", 6); ("domain-global", 9) ]);
     ("hot_queue", "lib/net/fixture.ml", [ ("hot-queue", 2) ]);
@@ -414,9 +436,9 @@ let single_file_cases =
      [ ("transport-unified", 2) ]);
     ("interpreted_lookup", "lib/tcp/fixture.ml",
      [ ("interpreted-lookup", 3); ("interpreted-lookup", 4) ]);
-    (* Release and use lines apart: the token packet-escape check stays
-       silent (no packet-escape entry expected) — the lifetime pass owns
-       all three findings. *)
+    (* Release and use lines apart: the same-line packet-escape check
+       stays silent (no packet-escape entry expected) — the lifetime pass
+       owns all three findings. *)
     ("handle_lifetime", "lib/net/fixture.ml",
      [ ("handle-lifetime", 6); ("handle-lifetime", 10); ("handle-lifetime", 13) ]);
   ]
@@ -446,9 +468,9 @@ let test_fixture_missing_mli () =
 let hot_alloc_files = [ "link.ml"; "link.mli"; "chain.ml"; "chain.mli" ]
 
 let test_fixture_hot_alloc_chain () =
-  (* The seeded bug: a closure allocated two calls below Link.send.  The
-     token engine has no cross-module view at all; the effect pass must
-     report it at the allocation site with the full call chain. *)
+  (* The seeded bug: a closure allocated two calls below Link.send.  No
+     single-file rule can see it; the effect pass must report it at the
+     allocation site with the full call chain. *)
   let vs = Lint.lint_tree (fixture_tree "hot_alloc_bad" hot_alloc_files) in
   check_locs "closure two calls deep" [ ("hot-alloc", 3) ] vs;
   (match vs with
@@ -580,6 +602,7 @@ let suite =
     Alcotest.test_case "float bindings not flagged" `Quick test_float_binding_not_flagged;
     Alcotest.test_case "comments and strings immune" `Quick test_comments_and_strings_immune;
     Alcotest.test_case "line numbers" `Quick test_line_numbers;
+    Alcotest.test_case "syntax error is an input error" `Quick test_syntax_error_is_an_input_error;
     Alcotest.test_case "allow on same line" `Quick test_allow_same_line;
     Alcotest.test_case "allow on previous line" `Quick test_allow_previous_line;
     Alcotest.test_case "allow is rule-specific" `Quick test_allow_is_rule_specific;
