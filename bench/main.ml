@@ -402,7 +402,7 @@ let bench_wan_matrix budget =
   section "WAN evaluation matrix: algorithm x topology zoo x adversarial dynamics";
   (* The quick budget keeps the matrix to a single smoke cell (first
      algorithm over the WAN zoo under link flaps) so CI exercises the
-     whole plumbing — graph builder, dynamics script, report gates —
+     whole plumbing — topology builder, dynamics script, report gates —
      in seconds; default and full budgets sweep the three structural
      topology classes x three regimes for every selected algorithm. *)
   let quick = budget.label = quick_budget.label in

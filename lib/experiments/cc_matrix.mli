@@ -8,8 +8,7 @@
     {!Scenario.run}, or a topology zoo x dynamics x AQM combination run
     by {!Scenario.run_zoo}.  Cells travel to pool workers as immutable
     descriptions — a zoo cell as names, materialized inside the worker
-    since a [Zoo.t] holds a mutable graph — so the matrix is
-    jobs-invariant. *)
+    — so the matrix is jobs-invariant. *)
 
 type cell =
   | Paper of [ `Low | `High ]

@@ -1,4 +1,3 @@
-module Engine = Phi_sim.Engine
 module Pdes = Phi_sim.Pdes
 module Invariant = Phi_sim.Invariant
 module Topology = Phi_net.Topology
@@ -8,8 +7,6 @@ module Boundary_link = Phi_net.Boundary_link
 module Packet = Phi_net.Packet
 module Flow = Phi_tcp.Flow
 module Sender = Phi_tcp.Sender
-module Receiver = Phi_tcp.Receiver
-module Cubic = Phi_tcp.Cubic
 module Prng = Phi_util.Prng
 
 type spec = {
@@ -85,7 +82,7 @@ type result = {
 let fnv_int h v = (h lxor (v land 0xffffffff)) * 0x01000193 land 0xffffffff
 
 (* The multi-bottleneck parking lot, partitioned one island per
-   segment: [Zoo.parking_lot] describes the graph (a bottleneck hop per
+   segment: [Zoo.parking_lot] declares the topology (a bottleneck hop per
    segment with a reverse twin for ACKs, [local_pairs] host pairs
    loading exactly that hop, long flows traversing every segment) and
    [Topology.build_partitioned] realizes each island cut as a pair of
@@ -99,35 +96,13 @@ let run ?(jobs = 1) ?(spec = default_spec) () =
   let s_count = spec.segments in
   let coordinator = Pdes.create () in
   let zoo = Zoo.parking_lot ~spec:(zoo_spec spec) () in
-  let built = Topology.build_partitioned coordinator zoo.Zoo.graph in
-  (* Transport.  Flow ids are allocated in the zoo's flow-path order
-     (all local pairs segment-major, then the long flows — the order
-     the ad-hoc builder always used), so ids — and the Prng draws
-     staggering the starts — are identical whatever the worker count. *)
-  let flows = Flow.allocator () in
-  let rng = Prng.create ~seed:spec.seed in
-  let params = Cubic.default_params in
+  let built = Topology.build_partitioned coordinator zoo.Zoo.declare in
+  (* Transport in the zoo's flow-path order (all local pairs
+     segment-major, then the long flows), so flow ids — and the Prng
+     draws staggering the starts — are identical whatever the worker
+     count. *)
   let tcp =
-    Array.map
-      (fun (fp : Zoo.flow_path) ->
-        let flow = Flow.fresh flows in
-        let _receiver =
-          Receiver.create
-            (Topology.node_engine built ~id:fp.Zoo.dst)
-            ~node:(Topology.node built ~id:fp.Zoo.dst)
-            ~flow ~peer:fp.Zoo.src
-        in
-        let engine = Topology.node_engine built ~id:fp.Zoo.src in
-        let sender =
-          Sender.create engine
-            ~node:(Topology.node built ~id:fp.Zoo.src)
-            ~flow ~dst:fp.Zoo.dst ~cc:(Cubic.make params)
-            ~total_segments:Sender.persistent_total ~source_index:flow ()
-        in
-        ignore
-          (Engine.schedule_after engine ~delay:(Prng.float rng) (fun () -> Sender.start sender));
-        sender)
-      zoo.Zoo.flow_paths
+    Scenario.persistent_senders built ~rng:(Prng.create ~seed:spec.seed) zoo.Zoo.flow_paths
   in
   (* Execute. *)
   let jobs_used = if Invariant.enabled () then 1 else Stdlib.min jobs s_count in

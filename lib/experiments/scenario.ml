@@ -115,40 +115,47 @@ let run ?(cc_factory = default_factory) ?(on_conn_end = fun _ -> ()) ?(observe =
   result_of_run ~spec:config.spec ~duration_s:config.duration_s
     ~bottleneck:dumbbell.Topology.bottleneck !records
 
-let run_persistent ?(cc_factory = default_factory) ~n_flows ~duration_s ~spec ~seed () =
-  check_duration ~who:"run_persistent" duration_s;
-  let spec = { spec with Topology.n = n_flows } in
-  let engine = Engine.create () in
-  let dumbbell = Topology.dumbbell engine spec in
-  let rng = Prng.create ~seed in
-  let flows = Flow.allocator () in
+let persistent_senders ?(cc_factory = default_factory) built ~rng paths =
   let senders =
-    Array.init n_flows (fun i ->
-        let flow = Flow.fresh flows in
+    Array.mapi
+      (fun i (fp : Zoo.flow_path) ->
         let _receiver =
-          Phi_tcp.Receiver.create engine
-            ~node:dumbbell.Topology.receivers.(i)
-            ~flow
-            ~peer:(Topology.sender_id dumbbell i)
+          Phi_tcp.Receiver.create
+            (Topology.node_engine built ~id:fp.Zoo.dst)
+            ~node:(Topology.node built ~id:fp.Zoo.dst)
+            ~flow:i ~peer:fp.Zoo.src
         in
-        Phi_tcp.Sender.create engine
-          ~node:dumbbell.Topology.senders.(i)
-          ~flow
-          ~dst:(Topology.receiver_id dumbbell i)
-          ~cc:(cc_factory i ()) ~total_segments:Phi_tcp.Sender.persistent_total
-          ~source_index:i ())
+        Phi_tcp.Sender.create
+          (Topology.node_engine built ~id:fp.Zoo.src)
+          ~node:(Topology.node built ~id:fp.Zoo.src)
+          ~flow:i ~dst:fp.Zoo.dst ~cc:(cc_factory i ())
+          ~total_segments:Phi_tcp.Sender.persistent_total ~source_index:i ())
+      paths
   in
   (* Stagger flow starts over the first second to desynchronize. *)
-  Array.iter
-    (fun sender ->
+  Array.iteri
+    (fun i sender ->
       ignore
-        (Engine.schedule_after engine ~delay:(Prng.float rng) (fun () ->
-             Phi_tcp.Sender.start sender)))
+        (Engine.schedule_after
+           (Topology.node_engine built ~id:paths.(i).Zoo.src)
+           ~delay:(Prng.float rng)
+           (fun () -> Phi_tcp.Sender.start sender)))
     senders;
+  senders
+
+let run_persistent ?cc_factory ~n_flows ~duration_s ~spec ~seed () =
+  check_duration ~who:"run_persistent" duration_s;
+  let spec = { spec with Topology.n = n_flows } in
+  let zoo = Zoo.dumbbell ~spec () in
+  let engine = Engine.create () in
+  let built = Topology.build engine zoo.Zoo.declare in
+  let senders =
+    persistent_senders ?cc_factory built ~rng:(Prng.create ~seed) zoo.Zoo.flow_paths
+  in
   (* Warm-up half, then measure deltas over the second half. *)
   let half = duration_s /. 2. in
   Engine.run ~until:half engine;
-  let bottleneck = dumbbell.Topology.bottleneck in
+  let bottleneck = Topology.link_of built zoo.Zoo.bottlenecks.(0) in
   let window = Link.window_open bottleneck in
   Engine.run ~until:duration_s engine;
   let queueing_delay_s = Link.window_queue_delay_s bottleneck window in
@@ -185,7 +192,7 @@ let p99_fct_s = function
 (* {2 The generalized scenario plane}
 
    [run_zoo] evaluates topology x workload x dynamics x AQM: any
-   {!Zoo} topology realized through the graph builder, the same on/off
+   {!Zoo} topology realized through the topology builder, the same on/off
    workload as {!run}, one {!Dynamics} regime, and an AQM regime on
    the bottleneck links.  One call is one matrix cell. *)
 
@@ -222,7 +229,7 @@ let run_zoo ?(cc_factory = default_factory) ?(aqm = Drop_tail) ?(dynamics = Dyna
     ?(on_conn_end = fun _ -> ()) ?(observe = fun _ _ -> ()) (zoo : Zoo.t) =
   check_duration ~who:"run_zoo" duration_s;
   let engine = Engine.create () in
-  let built = Topology.build engine zoo.Zoo.graph in
+  let built = Topology.build engine zoo.Zoo.declare in
   observe engine built;
   let rng = Prng.create ~seed in
   let bottlenecks = Array.map (Topology.link_of built) zoo.Zoo.bottlenecks in

@@ -74,6 +74,19 @@ val run_persistent :
     [duration_s], so a run of half the duration snapshots the first
     half exactly. *)
 
+val persistent_senders :
+  ?cc_factory:(int -> unit -> Phi_tcp.Cc.t) ->
+  Phi_net.Topology.built ->
+  rng:Phi_util.Prng.t ->
+  Phi_net.Topology.Zoo.flow_path array ->
+  Phi_tcp.Sender.t array
+(** One receiver and one persistent sender per flow path, on the path's
+    nodes and their engines.  Path [i] carries flow id and source index
+    [i], and [cc_factory i] builds its controller (default Cubic with
+    default parameters).  Each sender then starts after a
+    [Prng.float rng] delay, drawn in path order, so the starts spread
+    over the first second. *)
+
 val jain : n_sources:int -> Phi_tcp.Flow.conn_stats list -> float
 (** Jain fairness over the bytes each source index in [0, n_sources)
     delivered ([1.] without sources). *)

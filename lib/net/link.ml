@@ -186,9 +186,11 @@ let on_tx_done t =
 let on_deliver t = t.receiver (Ring.pop t.in_flight)
 
 let create engine pool ~bandwidth_bps ~delay_s ~capacity_pkts =
-  if bandwidth_bps <= 0. then invalid_arg "Link.create: bandwidth must be positive";
-  if delay_s < 0. then invalid_arg "Link.create: negative delay";
-  if capacity_pkts < 1 then invalid_arg "Link.create: capacity must be >= 1";
+  if not (Float.is_finite bandwidth_bps && bandwidth_bps > 0.) then
+    invalid_arg "Link.create: bandwidth_bps must be finite and positive";
+  if not (Float.is_finite delay_s && delay_s >= 0.) then
+    invalid_arg "Link.create: delay_s must be finite and non-negative";
+  if capacity_pkts < 1 then invalid_arg "Link.create: capacity_pkts must be >= 1";
   let t =
     {
       engine;

@@ -41,8 +41,10 @@ val create :
   delay_s:float ->
   capacity_pkts:int ->
   t
-(** All parameters must be positive ([capacity_pkts >= 1]).  Every
-    packet offered to the link must come from the given pool. *)
+(** [bandwidth_bps] must be finite and positive, [delay_s] finite and
+    non-negative and [capacity_pkts] at least 1; otherwise raises
+    [Invalid_argument] naming the field.  Every packet offered to the
+    link must come from the given pool. *)
 
 val set_receiver : t -> (Packet.handle -> unit) -> unit
 (** Where delivered packets go.  Must be set before traffic flows.  The

@@ -32,8 +32,8 @@
     [packet-escape] rule polices retention patterns statically. *)
 
 type pool
-(** A packet slab.  Topology builders create one per simulation
-    ([Topology.dumbbell], [Topology.build]; one per island under
+(** A packet slab.  The topology builder creates one per simulation
+    ([Topology.build] and [Topology.dumbbell]; one per island under
     [Topology.build_partitioned]) and every node and link of that
     simulation shares it.  Not domain-safe: never share a pool across
     concurrently running engines. *)

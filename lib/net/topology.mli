@@ -1,8 +1,10 @@
-(** Topology builders.
+(** Topologies, each declared into one builder.
 
     The paper's experiments all run on the Figure 1 dumbbell: [n] senders
     and [n] receivers joined by two routers and a single bottleneck link
-    whose buffer is a multiple of the bandwidth-delay product. *)
+    whose buffer is a multiple of the bandwidth-delay product.  It is one
+    entry of the topology zoo, next to the parking lot, a fat-tree pod
+    and a WAN mesh. *)
 
 type spec = {
   n : int;  (** sender/receiver pairs *)
@@ -23,13 +25,6 @@ val bdp_packets : spec -> int
 val buffer_packets : spec -> int
 (** Bottleneck queue capacity implied by [buffer_bdp_factor]. *)
 
-val cut_lookahead_s : spec -> float
-(** One-way propagation delay of the bottleneck link — the natural
-    island cut of a dumbbell runs through the bottleneck, and this is
-    the lookahead (hence maximum [Phi_sim.Pdes] window) that cut
-    yields.  Raises like {!dumbbell} when the RTT is too small for the
-    access delays. *)
-
 type dumbbell = {
   engine : Phi_sim.Engine.t;
   spec : spec;
@@ -43,32 +38,32 @@ type dumbbell = {
 }
 
 val dumbbell : Phi_sim.Engine.t -> spec -> dumbbell
-(** Build the topology and wire all routes (both directions).  Sender node
-    ids are [0 .. n-1] and receiver ids [n .. 2n-1]. *)
+(** Realize {!Zoo.dumbbell}'s declaration on the engine, with its node
+    ids.  Raises [Invalid_argument] like {!Zoo.dumbbell}. *)
 
 val sender_id : dumbbell -> int -> int
 val receiver_id : dumbbell -> int -> int
 (** Node ids of the i-th sender/receiver (also their array indices). *)
 
-(** {2 The general graph builder}
+(** {2 The topology builder}
 
-    A {!Graph.t} is a pure topology description — nodes with island
-    assignments, directed links, routing entries — with no engine
-    attached.  {!build} realizes it serially on one engine (island
-    assignments ignored); {!build_partitioned} realizes it across
-    [Phi_sim.Pdes] islands, turning every cross-island link into a
-    {!Boundary_link}.  One description serves the serial, pool-fanned
-    and partitioned execution paths. *)
+    A topology is a declaration: a function that declares nodes, links
+    and routes into a {!Graph.t}, in order.  The builder creates each
+    one the moment it is declared: on one engine with one packet pool
+    ({!build}, island assignments ignored), or across [Phi_sim.Pdes]
+    islands with a pool each ({!build_partitioned}, every cross-island
+    link a {!Boundary_link}).  Nodes, links and routes are created in
+    declaration order, so ports and boundary drains register in link
+    order and islands are added in index order — part of the
+    determinism contract. *)
 
 module Graph : sig
   type t
 
-  val create : unit -> t
-
-  val add_node : t -> ?island:int -> int -> unit
-  (** Declare node [id] (any int, globally unique) on [island]
-      (default 0).  Raises [Invalid_argument] on a duplicate id or a
-      negative island. *)
+  val add_node : t -> ?island:int -> unit -> int
+  (** Declare a node on [island] (default 0) and return its id, which
+      is its declaration index.  Raises [Invalid_argument] on a negative
+      island. *)
 
   val add_link :
     t ->
@@ -80,85 +75,65 @@ module Graph : sig
     capacity_pkts:int ->
     unit ->
     int
-  (** Declare a directed link and return its index.  Both endpoints
-      must already be declared.  A cross-island link needs [delay_s]
-      strictly positive to be realizable as a boundary.  [label] makes
-      the link findable via {!find_link} after realization. *)
+  (** Declare a directed link between two declared nodes and return its
+      index, which is its declaration index.  [label] makes the link
+      findable via {!find_link}.  Raises [Invalid_argument], naming the
+      field, unless [bandwidth_bps] is finite and positive, [delay_s]
+      finite and non-negative and [capacity_pkts] at least 1; a
+      partitioned build also rejects a cross-island link with zero
+      delay, since that delay is the lookahead. *)
 
   val add_route : t -> at:int -> dst:int -> via:int -> unit
   (** Packets at node [at] destined to node [dst] leave on link [via].
-      [via]'s source must sit on [at]'s island (checked at
-      realization). *)
+      Raises [Invalid_argument] on an undeclared node or link, and, in a
+      partitioned build, when [via] starts on another island than
+      [at]. *)
 
   val set_default_route : t -> at:int -> via:int -> unit
-
-  val island_of : t -> int -> int
-  (** Island a node was declared on. *)
-
-  val n_nodes : t -> int
-  val n_links : t -> int
-
-  val islands : t -> int
-  (** Highest declared island index + 1. *)
-
-  val cut_lookahead_s : t -> float
-  (** Minimum propagation delay over cross-island links — the lookahead
-      a partitioned realization yields, hence the largest window
-      [Pdes.run] will accept.  [infinity] when no link crosses
-      islands. *)
 end
 
 type built
-(** A realized graph: engines, pools, nodes, links (and boundary links
-    at island cuts). *)
+(** A realized topology: engines, pools, nodes, links (and boundary
+    links at island cuts). *)
 
-val build : Phi_sim.Engine.t -> Graph.t -> built
-(** Serial realization: every node and link on the given engine with
-    one shared packet pool; island assignments are ignored and
-    cross-island links become ordinary links. *)
+val build : Phi_sim.Engine.t -> (Graph.t -> unit) -> built
+(** Serial realization of a declaration: every node and link on the
+    given engine with one shared packet pool; island assignments are
+    ignored and cross-island links become ordinary links. *)
 
-val build_partitioned : Phi_sim.Pdes.t -> Graph.t -> built
-(** Partitioned realization: adds one [Pdes] island per graph island
-    (in index order) to the given coordinator, gives each its own
-    packet pool, and realizes every cross-island link as a
-    {!Boundary_link} (registering its delay as lookahead and its drain
-    in link-insertion order — part of the determinism contract).
-    Raises [Invalid_argument] if any cross-island link has zero
-    delay. *)
+val build_partitioned : Phi_sim.Pdes.t -> (Graph.t -> unit) -> built
+(** Partitioned realization of a declaration: adds one [Pdes] island
+    per declared island (in index order) to the given coordinator,
+    gives each its own packet pool, and realizes every cross-island
+    link as a {!Boundary_link}, which registers its delay as lookahead
+    and its drain on the destination island. *)
 
 val node : built -> id:int -> Node.t
 val node_engine : built -> id:int -> Phi_sim.Engine.t
-val node_pool : built -> id:int -> Packet.pool
-
-val island_engine : built -> island:int -> Phi_sim.Engine.t
-(** The island's engine (a serial build has a single engine, returned
-    for every island). *)
 
 val island_pool : built -> island:int -> Packet.pool
-val islands_of : built -> Phi_sim.Pdes.island array
-(** The coordinator islands of a partitioned build ([[||]] serial). *)
-
-val engines : built -> Phi_sim.Engine.t array
+(** The island's packet pool (a serial build has a single pool,
+    returned for every island). *)
 
 val link_of : built -> int -> Link.t
-(** The realized link at a graph link index.  For a boundary this is
-    the egress half — queue, drop and delivery counters all live
-    there. *)
+(** The realized link at a link index.  For a boundary this is the
+    egress half — queue, drop and delivery counters all live there. *)
 
 val boundary_of : built -> int -> Boundary_link.t option
 (** The boundary at a link index, when the link crosses islands in a
     partitioned build. *)
 
 val find_link : built -> label:string -> int
-(** Index of the link declared with [~label].  Raises
-    [Invalid_argument] when no such label exists. *)
+(** Index of the link declared with [~label] (the latest, if several
+    share it).  Raises [Invalid_argument] when no such label exists. *)
 
 val total_events : built -> int
 (** Sum of [Engine.executed] over the realization's engines. *)
 
 (** {2 The topology zoo}
 
-    Named scenario-plane topologies, all emitted through {!Graph}. *)
+    Named scenario-plane topologies, each a declaration for {!build} or
+    {!build_partitioned}. *)
 
 module Zoo : sig
   type flow_path = {
@@ -169,10 +144,11 @@ module Zoo : sig
 
   type t = {
     name : string;
-    graph : Graph.t;
+    declare : Graph.t -> unit;
+        (** declares the topology, islands included, into a builder *)
     flow_paths : flow_path array;
     bottlenecks : int array;
-        (** graph link indices of the contended links — where AQM
+        (** link indices of the contended links — where AQM
             regimes apply and windowed measurement happens *)
     bottleneck_bw_bps : float;  (** bandwidth of one bottleneck link *)
     incast_sink : int;
@@ -184,11 +160,14 @@ module Zoo : sig
   }
 
   val dumbbell : ?spec:spec -> unit -> t
-  (** The paper's Figure 1 dumbbell through the graph builder — same
-      node ids, link parameters and routes as the legacy {!dumbbell}
-      record constructor (a qcheck property holds the two
-      byte-identical).  Island 0 holds the left side, island 1 the
-      right; the cut runs through the bottleneck. *)
+  (** The paper's Figure 1 dumbbell: senders take node ids [0 .. n-1],
+      receivers [n .. 2n-1] and the left and right routers [2n] and
+      [2n+1].  Island 0 holds the left side, island 1 the right; the
+      cut runs through the bottleneck.  Raises
+      [Invalid_argument] when [n < 1], when [rtt_s] or
+      [buffer_bdp_factor] is not finite and positive, when the RTT
+      leaves no bottleneck delay after the access links, or when a link
+      parameter is out of range. *)
 
   type parking_lot_spec = {
     segments : int;
@@ -209,16 +188,9 @@ module Zoo : sig
 
   val parking_lot : ?spec:parking_lot_spec -> unit -> t
   (** The multi-bottleneck chain: one island per segment, long flows
-      crossing every cut over 10 ms boundaries.  Subsumes the ad-hoc
-      builder the [Parking_lot] experiment carried; node ids keep its
-      global scheme ({!pl_long_sender_id} and friends). *)
-
-  val pl_long_sender_id : int -> int
-  val pl_long_receiver_id : int -> int
-  val pl_local_sender_id : segment:int -> pair:int -> int
-  val pl_local_receiver_id : segment:int -> pair:int -> int
-  val pl_left_router_id : int -> int
-  val pl_right_router_id : int -> int
+      crossing every cut over 10 ms boundaries.  Flow paths list the
+      local pairs segment by segment, then the long flows; bottleneck
+      [s] is segment [s]'s forward hop, labeled ["hop_fwd:s"]. *)
 
   val fat_tree_pod : unit -> t
   (** One pod of a 4-ary fat tree: 2 edge switches, 2 aggregation
@@ -239,6 +211,8 @@ module Zoo : sig
 
   val wan_site_router_id : int -> int
   val wan_host_id : site:int -> slot:int -> int
+  (** Node ids in {!wan}: the 4 site routers come first, then the
+      hosts site by site. *)
 
   val names : string list
   (** The registry: ["dumbbell"; "parking_lot"; "fat_tree_pod"; "wan"]. *)

@@ -332,10 +332,14 @@ let[@inline never] past_time t time =
   end
   else invalid_arg msg
 
-let[@inline never] negative_delay t delay =
-  let msg = Printf.sprintf "Engine.schedule_after: negative delay %g" delay in
+let[@inline never] bad_delay t delay =
+  let rule, what =
+    if Float.is_finite delay then ("negative-delay", "negative")
+    else ("non-finite-time", "non-finite")
+  in
+  let msg = Printf.sprintf "Engine.schedule_after: %s delay %g" what delay in
   if Invariant.enabled () then begin
-    Invariant.record ~rule:"negative-delay" ~time:(now t) msg;
+    Invariant.record ~rule ~time:(now t) msg;
     0.
   end
   else invalid_arg msg
@@ -345,7 +349,9 @@ let[@inline] checked_time t time =
   else if time < now t then past_time t time
   else time
 
-let[@inline] checked_delay t delay = if delay < 0. then negative_delay t delay else delay
+(* NaN fails both comparisons. *)
+let[@inline] checked_delay t delay =
+  if delay >= 0. && delay < Float.infinity then delay else bad_delay t delay
 
 (* The enqueue path hands timestamps to [push] through [tscratch] and is
    forced inline so the timestamp never crosses a call boundary as a

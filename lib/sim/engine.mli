@@ -48,8 +48,10 @@ val schedule_at : t -> time:float -> (unit -> unit) -> handle
     the run can continue and report every violation at once. *)
 
 val schedule_after : t -> delay:float -> (unit -> unit) -> handle
-(** Relative form of {!schedule_at}; [delay] must be non-negative (same
-    raise-or-record contract as {!schedule_at}). *)
+(** Relative form of {!schedule_at}; [delay] must be finite and
+    non-negative.  Same raise-or-record contract as {!schedule_at}: the
+    armed sanitizer records [negative-delay] or [non-finite-time] and
+    clamps the delay to 0. *)
 
 (** {2 Closure-free fast path}
 
@@ -93,6 +95,7 @@ val schedule_port_at : t -> time:float -> port -> unit
     above. *)
 
 val schedule_port_after : t -> delay:float -> port -> unit
+(** Same delay-validation contract as {!schedule_after}. *)
 
 (** {2 Cancellation and re-arming} *)
 

@@ -26,9 +26,9 @@
     so oversubscribed runs (more workers than cores) degrade gracefully
     instead of starving the island they wait for.
 
-    The partition comes from the topology description, not from this
+    The partition comes from the topology declaration, not from this
     module: [Phi_net.Topology.build_partitioned] adds one island per
-    island the graph declares.  Cross-island traffic itself is carried
+    island the declaration names, in index order.  Cross-island traffic itself is carried
     by [Phi_net.Boundary_link], which registers its rings here via
     {!on_drain} and its propagation delay via {!note_lookahead}. *)
 

@@ -41,6 +41,24 @@ let test_nonfinite_time_recorded () =
   in
   check_rules "rule" [ "non-finite-time" ] vs
 
+(* Armed, a non-finite delay is recorded and clamped to 0 on all three
+   relative entry points, so the clock stays finite. *)
+let test_nonfinite_delay_recorded () =
+  let fired_at = ref [] in
+  let (), vs =
+    Invariant.with_capture (fun () ->
+        let engine = Engine.create () in
+        let stamp () = fired_at := Engine.now engine :: !fired_at in
+        ignore (Engine.schedule_after engine ~delay:1. ignore);
+        Engine.run engine;
+        ignore (Engine.schedule_after engine ~delay:nan stamp);
+        Engine.schedule_port_after engine ~delay:infinity (Engine.port engine stamp);
+        ignore (Engine.rearm_after engine Engine.null ~delay:nan stamp);
+        Engine.run engine)
+  in
+  check_rules "rule" [ "non-finite-time"; "non-finite-time"; "non-finite-time" ] vs;
+  Alcotest.(check (list (float 0.))) "clamped to now" [ 1.; 1.; 1. ] !fired_at
+
 let test_time_in_past_recorded () =
   let (), vs =
     Invariant.with_capture (fun () ->
@@ -301,6 +319,8 @@ let suite =
     Alcotest.test_case "negative delay recorded and clamped" `Quick
       test_negative_delay_recorded;
     Alcotest.test_case "non-finite time recorded" `Quick test_nonfinite_time_recorded;
+    Alcotest.test_case "non-finite delay recorded and clamped" `Quick
+      test_nonfinite_delay_recorded;
     Alcotest.test_case "time in past recorded" `Quick test_time_in_past_recorded;
     Alcotest.test_case "port out of order recorded" `Quick test_port_out_of_order_recorded;
     Alcotest.test_case "NaN metric recorded" `Quick test_nan_metric_recorded;

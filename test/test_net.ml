@@ -327,6 +327,25 @@ let test_link_validation () =
     (raised (fun () ->
          ignore (Link.create engine pool ~bandwidth_bps:1. ~delay_s:0. ~capacity_pkts:0)))
 
+(* [bandwidth_bps <= 0.] and [delay_s < 0.] are both false for NaN, and
+   an infinite bandwidth is positive: one probe per case, as (name,
+   bandwidth, delay, the error's field and reason). *)
+let non_finite_link_params =
+  [
+    ("nan bandwidth", nan, 0., "bandwidth_bps must be finite and positive");
+    ("infinite bandwidth", infinity, 0., "bandwidth_bps must be finite and positive");
+    ("nan delay", 1e6, nan, "delay_s must be finite and non-negative");
+  ]
+
+let link_create_rejects (name, bandwidth_bps, delay_s, why) =
+  ( "link create rejects " ^ name,
+    `Quick,
+    fun () ->
+      Alcotest.check_raises name (Invalid_argument ("Link.create: " ^ why)) (fun () ->
+          ignore
+            (Link.create (Engine.create ()) (Packet.create_pool ()) ~bandwidth_bps ~delay_s
+               ~capacity_pkts:1)) )
+
 (* {2 RED} *)
 
 let test_red_no_drops_below_min_threshold () =
@@ -556,85 +575,135 @@ let test_dumbbell_rejects_tiny_rtt () =
   in
   Alcotest.(check bool) "rtt too small rejected" true raised
 
-(* {2 Graph builder vs legacy dumbbell: per-field trace equivalence} *)
+(* A NaN RTT slipped past "rtt too small" and gave the bottleneck a NaN
+   delay; a NaN buffer factor silently built a 1-packet buffer. *)
+let test_dumbbell_rejects_nan_rtt () =
+  Alcotest.check_raises "nan rtt"
+    (Invalid_argument "Topology.dumbbell: rtt_s must be finite and positive") (fun () ->
+      ignore
+        (Topology.dumbbell (Engine.create ()) { Topology.paper_spec with Topology.rtt_s = nan }))
 
-(* Run the same persistent-cubic workload on a dumbbell built either
-   way and fold every observable into one string: per-flow transport
-   stats (floats as %h), bottleneck counters, and the engine's executed
-   event count.  The two constructions must be byte-identical. *)
-let dumbbell_trace ~via_zoo ~spec ~seed ~duration_s =
-  let engine = Engine.create () in
-  let sender_node, receiver_node, bottleneck, reverse =
-    if via_zoo then begin
-      let z = Topology.Zoo.dumbbell ~spec () in
-      let b = Topology.build engine z.Topology.Zoo.graph in
-      ( (fun i -> Topology.node b ~id:i),
-        (fun i -> Topology.node b ~id:(spec.Topology.n + i)),
-        Topology.link_of b (Topology.find_link b ~label:"bottleneck"),
-        Topology.link_of b (Topology.find_link b ~label:"reverse_bottleneck") )
-    end
-    else begin
-      let d = Topology.dumbbell engine spec in
-      ( (fun i -> d.Topology.senders.(i)),
-        (fun i -> d.Topology.receivers.(i)),
-        d.Topology.bottleneck,
-        d.Topology.reverse_bottleneck )
-    end
-  in
-  let rng = Prng.create ~seed in
-  let senders =
-    Array.init spec.Topology.n (fun i ->
-        let _recv = Phi_tcp.Receiver.create engine ~node:(receiver_node i) ~flow:i ~peer:i in
-        let s =
-          Phi_tcp.Sender.create engine ~node:(sender_node i) ~flow:i
-            ~dst:(spec.Topology.n + i)
-            ~cc:(Phi_tcp.Cubic.make Phi_tcp.Cubic.default_params)
-            ~total_segments:Phi_tcp.Sender.persistent_total ~source_index:i ()
-        in
-        ignore
-          (Engine.schedule_after engine ~delay:(Prng.float rng) (fun () ->
-               Phi_tcp.Sender.start s));
-        s)
-  in
-  Engine.run ~until:duration_s engine;
-  let buf = Buffer.create 256 in
-  Array.iter
-    (fun s ->
-      let st = Phi_tcp.Sender.stats s in
-      Buffer.add_string buf
-        (Printf.sprintf "f=%d seg=%d retx=%d to=%d rtt=%h/%h;" st.Phi_tcp.Flow.flow
-           st.Phi_tcp.Flow.segments st.Phi_tcp.Flow.retransmitted_segments
-           st.Phi_tcp.Flow.timeouts st.Phi_tcp.Flow.min_rtt st.Phi_tcp.Flow.mean_rtt))
-    senders;
-  Array.iter Phi_tcp.Sender.abort senders;
-  Buffer.add_string buf
-    (Printf.sprintf "bneck=%d/%d/%d busy=%h wait=%h rev=%d events=%d"
-       (Link.packets_delivered bottleneck) (Link.drops bottleneck)
-       (Link.bytes_delivered bottleneck) (Link.busy_time bottleneck)
-       (Link.total_queue_wait bottleneck)
-       (Link.packets_delivered reverse) (Engine.executed engine));
-  Buffer.contents buf
+let test_dumbbell_rejects_nan_buffer_factor () =
+  Alcotest.check_raises "nan buffer factor"
+    (Invalid_argument "Topology.dumbbell: buffer_bdp_factor must be finite and positive")
+    (fun () ->
+      ignore
+        (Topology.dumbbell (Engine.create ())
+           { Topology.paper_spec with Topology.buffer_bdp_factor = nan }))
 
-let prop_zoo_dumbbell_equivalent =
-  QCheck.Test.make ~name:"zoo dumbbell trace ≡ legacy constructor" ~count:12
-    QCheck.(
-      quad (int_range 1 4) (int_range 0 2) (int_range 0 2) (int_range 0 10_000))
-    (fun (n, bw_ix, rtt_ix, seed) ->
-      let spec =
-        {
-          Topology.paper_spec with
-          Topology.n;
-          bottleneck_bw_bps = [| 5e6; 10e6; 15e6 |].(bw_ix);
-          rtt_s = [| 0.05; 0.1; 0.15 |].(rtt_ix);
-        }
-      in
-      String.equal
-        (dumbbell_trace ~via_zoo:false ~spec ~seed ~duration_s:5.)
-        (dumbbell_trace ~via_zoo:true ~spec ~seed ~duration_s:5.))
-
-(* {2 Parking lot (multi-bottleneck chain)} *)
+(* {2 The topology builder} *)
 
 module Zoo = Topology.Zoo
+
+let graph_add_link_rejects (name, bandwidth_bps, delay_s, why) =
+  ( "graph add_link rejects " ^ name,
+    `Quick,
+    fun () ->
+      Alcotest.check_raises name (Invalid_argument ("Topology.Graph.add_link: " ^ why)) (fun () ->
+          ignore
+            (Topology.build (Engine.create ()) (fun g ->
+                 let a = Topology.Graph.add_node g () in
+                 let b = Topology.Graph.add_node g () in
+                 ignore
+                   (Topology.Graph.add_link g ~src:a ~dst:b ~bandwidth_bps ~delay_s
+                      ~capacity_pkts:1 ())))) )
+
+(* A zoo entry drawn over its sizes, with its node count and the label
+   of each bottleneck as its declaration gives them. *)
+let gen_zoo =
+  QCheck.Gen.(
+    oneof
+      [
+        map
+          (fun n ->
+            ( Zoo.dumbbell ~spec:{ Topology.paper_spec with Topology.n } (),
+              (2 * n) + 2,
+              [| "bottleneck" |] ))
+          (int_range 1 6);
+        map
+          (fun (segments, local_pairs, long_flows) ->
+            ( Zoo.parking_lot
+                ~spec:{ Zoo.default_parking_lot with Zoo.segments; local_pairs; long_flows }
+                (),
+              (2 * segments) + (2 * segments * local_pairs) + (2 * long_flows),
+              Array.init segments (Printf.sprintf "hop_fwd:%d") ))
+          (triple (int_range 1 4) (int_range 0 3) (int_range 0 3));
+        return (Zoo.fat_tree_pod (), 8, [| "up:0:0"; "up:0:1"; "up:1:0"; "up:1:1" |]);
+        return
+          ( Zoo.wan (),
+            16,
+            Array.of_list
+              (List.concat_map
+                 (fun i ->
+                   List.filter_map
+                     (fun j -> if j <> i then Some (Printf.sprintf "wan:%d:%d" i j) else None)
+                     [ 0; 1; 2; 3 ])
+                 [ 0; 1; 2; 3 ]) );
+      ])
+
+(* Realized serially or partitioned, a zoo entry's ids all resolve:
+   node ids are declaration indices, bottleneck indices and flow-path
+   and incast endpoints name realized links and nodes, and each
+   labelled bottleneck is found at the index its declaration returned. *)
+let prop_zoo_ids_resolve =
+  QCheck.Test.make ~name:"zoo ids resolve in both realizations" ~count:30
+    (QCheck.make
+       ~print:(fun ((z : Zoo.t), n, _) -> Printf.sprintf "%s, %d nodes" z.Zoo.name n)
+       gen_zoo)
+    (fun ((zoo : Zoo.t), n_nodes, labels) ->
+      List.for_all
+        (fun b ->
+          let node_ok id = Node.id (Topology.node b ~id) = id in
+          List.for_all node_ok (List.init n_nodes Fun.id)
+          && (match Topology.node b ~id:n_nodes with
+             | _ -> false
+             | exception Invalid_argument _ -> true)
+          && Array.for_all
+               (fun (fp : Zoo.flow_path) -> node_ok fp.Zoo.src && node_ok fp.Zoo.dst)
+               zoo.Zoo.flow_paths
+          && Array.for_all node_ok zoo.Zoo.incast_sources
+          && (zoo.Zoo.incast_sink < 0 || node_ok zoo.Zoo.incast_sink)
+          && Array.for_all2
+               (fun ix label ->
+                 Topology.find_link b ~label = ix
+                 && Float.equal
+                      (Link.bandwidth_bps (Topology.link_of b ix))
+                      zoo.Zoo.bottleneck_bw_bps)
+               zoo.Zoo.bottlenecks labels)
+        [
+          Topology.build (Engine.create ()) zoo.Zoo.declare;
+          Topology.build_partitioned (Phi_sim.Pdes.create ()) zoo.Zoo.declare;
+        ])
+
+(* The WAN's exported id helpers agree with its declaration: flow [f]
+   runs between the hosts of its round-robin site pair. *)
+let test_wan_id_helpers () =
+  let zoo = Zoo.wan () in
+  let pairs =
+    [| (0, 1); (0, 2); (0, 3); (1, 0); (1, 2); (1, 3); (2, 0); (2, 1); (2, 3); (3, 0); (3, 1); (3, 2) |]
+  in
+  Array.iteri
+    (fun f (fp : Zoo.flow_path) ->
+      let i, j = pairs.(f mod 12) and slot = f / 12 in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "flow %d" f)
+        (Zoo.wan_host_id ~site:i ~slot, Zoo.wan_host_id ~site:j ~slot)
+        (fp.Zoo.src, fp.Zoo.dst))
+    zoo.Zoo.flow_paths;
+  Alcotest.(check (list int)) "routers then hosts cover every node" (List.init 16 Fun.id)
+    (List.sort Int.compare
+       (List.init 4 Zoo.wan_site_router_id
+       @ List.concat_map
+           (fun site -> List.init 3 (fun slot -> Zoo.wan_host_id ~site ~slot))
+           [ 0; 1; 2; 3 ]))
+
+let test_find_link_rejects_empty_label () =
+  let b = Topology.build (Engine.create ()) (Zoo.dumbbell ()).Zoo.declare in
+  Alcotest.check_raises "empty label"
+    (Invalid_argument "Topology.find_link: no link labeled \"\"") (fun () ->
+      ignore (Topology.find_link b ~label:""))
+
+(* {2 Parking lot (multi-bottleneck chain)} *)
 
 (* A lot of [Array.length hop_bw] segments realized serially, hop [s]
    forwarding at [hop_bw.(s)].  One long flow crosses every hop, and
@@ -656,12 +725,14 @@ let run_long_flow ?(cross = []) ~hop_bw () =
       buffer_pkts = 200;
     }
   in
-  let built = Topology.build engine (Zoo.parking_lot ~spec ()).Zoo.graph in
+  let zoo = Zoo.parking_lot ~spec () in
+  let built = Topology.build engine zoo.Zoo.declare in
   let hop s =
     Topology.link_of built (Topology.find_link built ~label:(Printf.sprintf "hop_fwd:%d" s))
   in
   Array.iteri (fun s bw -> Link.set_rate_bps (hop s) bw) hop_bw;
-  let start ~flow ~src ~dst =
+  let start ~flow (fp : Zoo.flow_path) =
+    let src = fp.Zoo.src and dst = fp.Zoo.dst in
     ignore (Phi_tcp.Receiver.create engine ~node:(Topology.node built ~id:dst) ~flow ~peer:src);
     let sender =
       Phi_tcp.Sender.create engine ~node:(Topology.node built ~id:src) ~flow ~dst
@@ -673,14 +744,9 @@ let run_long_flow ?(cross = []) ~hop_bw () =
     Phi_tcp.Sender.start sender;
     sender
   in
-  let long = start ~flow:0 ~src:(Zoo.pl_long_sender_id 0) ~dst:(Zoo.pl_long_receiver_id 0) in
-  List.iter
-    (fun s ->
-      ignore
-        (start ~flow:(1000 + s)
-           ~src:(Zoo.pl_local_sender_id ~segment:s ~pair:0)
-           ~dst:(Zoo.pl_local_receiver_id ~segment:s ~pair:0)))
-    cross;
+  (* One local pair per segment, segment-major, then the long flow. *)
+  let long = start ~flow:0 zoo.Zoo.flow_paths.(spec.Zoo.segments) in
+  List.iter (fun s -> ignore (start ~flow:(1000 + s) zoo.Zoo.flow_paths.(s))) cross;
   Engine.run ~until:30. engine;
   (hop, float_of_int (Phi_tcp.Sender.acked_segments long * Packet.mss * 8) /. 30.)
 
@@ -771,10 +837,16 @@ let suite =
     ("dumbbell dimensions", `Quick, test_dumbbell_dimensions);
     ("dumbbell end-to-end rtt", `Quick, test_dumbbell_end_to_end_rtt);
     ("dumbbell rejects tiny rtt", `Quick, test_dumbbell_rejects_tiny_rtt);
+    ("dumbbell rejects nan rtt", `Quick, test_dumbbell_rejects_nan_rtt);
+    ("dumbbell rejects nan buffer factor", `Quick, test_dumbbell_rejects_nan_buffer_factor);
+    ("wan id helpers match its declaration", `Quick, test_wan_id_helpers);
+    ("find_link rejects the empty label", `Quick, test_find_link_rejects_empty_label);
     ("chain slowest hop bounds", `Slow, test_lot_long_flow_bounded_by_slowest_hop);
     ("chain cross traffic squeezes", `Slow, test_lot_cross_traffic_squeezes_long_flow);
     ("chain hops independent", `Slow, test_lot_hops_load_independently);
     ("chain validation", `Quick, test_lot_validation);
     ("monitor utilization bins", `Quick, test_monitor_utilization_bins);
-    QCheck_alcotest.to_alcotest prop_zoo_dumbbell_equivalent;
+    QCheck_alcotest.to_alcotest prop_zoo_ids_resolve;
   ]
+  @ List.map link_create_rejects non_finite_link_params
+  @ List.map graph_add_link_rejects non_finite_link_params

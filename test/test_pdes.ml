@@ -258,23 +258,55 @@ let test_boundary_create_validation () =
 module Topology = Phi_net.Topology
 
 let test_zoo_cut_lookaheads () =
-  (* Every zoo graph declares its island cuts; the registered lookahead
-     is what buys the parallel window, so it must match the topology's
-     documented cut delays. *)
-  let lookahead name =
-    Topology.Graph.cut_lookahead_s (Topology.Zoo.by_name name).Topology.Zoo.graph
+  (* Every zoo entry declares its island cuts; the lookahead a
+     partitioned build registers is what buys the parallel window, so
+     it must match the topology's documented cut delays. *)
+  let lookahead (zoo : Topology.Zoo.t) =
+    let coordinator = Pdes.create () in
+    ignore (Topology.build_partitioned coordinator zoo.Topology.Zoo.declare);
+    Pdes.lookahead_s coordinator
   in
   Alcotest.(check (float 0.)) "parking lot: 10 ms inter-segment cut" 0.01
-    (lookahead "parking_lot");
+    (lookahead (Topology.Zoo.parking_lot ()));
   Alcotest.(check (float 0.)) "wan: smallest long-haul pair delay, 15 ms" 0.015
-    (lookahead "wan");
-  Alcotest.(check (float 0.)) "dumbbell zoo = legacy spec cut"
-    (Topology.cut_lookahead_s Topology.paper_spec)
-    (lookahead "dumbbell");
+    (lookahead (Topology.Zoo.wan ()));
+  let dumbbell = Topology.Zoo.dumbbell () in
+  let serial = Topology.build (Engine.create ()) dumbbell.Topology.Zoo.declare in
+  Alcotest.(check (float 0.)) "dumbbell: the bottleneck's delay"
+    (Link.delay_s (Topology.link_of serial dumbbell.Topology.Zoo.bottlenecks.(0)))
+    (lookahead dumbbell);
   (* The fat-tree pod is a single island (a datacenter pod has no
      useful cut at these delays): no cross-island link, no lookahead. *)
   Alcotest.(check (float 0.)) "fat tree pod is one island" infinity
-    (lookahead "fat_tree_pod")
+    (lookahead (Topology.Zoo.fat_tree_pod ()))
+
+(* Two nodes on two islands. *)
+let two_islands g =
+  let a = Topology.Graph.add_node g ~island:0 () in
+  (a, Topology.Graph.add_node g ~island:1 ())
+
+let test_partition_error_paths () =
+  Alcotest.check_raises "route over a link from another island"
+    (Invalid_argument "Topology.Graph: route at node 0 uses link 0 from another island")
+    (fun () ->
+      ignore
+        (Topology.build_partitioned (Pdes.create ()) (fun g ->
+             let a, b = two_islands g in
+             let ba =
+               Topology.Graph.add_link g ~src:b ~dst:a ~bandwidth_bps:1e6 ~delay_s:0.01
+                 ~capacity_pkts:8 ()
+             in
+             Topology.Graph.add_route g ~at:a ~dst:b ~via:ba)));
+  let zero_delay_cut g =
+    let a, b = two_islands g in
+    ignore
+      (Topology.Graph.add_link g ~src:a ~dst:b ~bandwidth_bps:1e6 ~delay_s:0. ~capacity_pkts:8 ())
+  in
+  Alcotest.check_raises "zero-delay cut"
+    (Invalid_argument "Boundary_link.create: delay must be positive (it is the lookahead)")
+    (fun () -> ignore (Topology.build_partitioned (Pdes.create ()) zero_delay_cut));
+  (* Serially the same link is an ordinary zero-delay link. *)
+  ignore (Topology.build (Engine.create ()) zero_delay_cut)
 
 (* One partitioned run of the WAN zoo under persistent Cubic senders on
    every flow path, folded to a fingerprint.  Flow ids and rng draws
@@ -283,31 +315,9 @@ let test_zoo_cut_lookaheads () =
 let wan_zoo_fingerprint ~jobs =
   let coordinator = Pdes.create () in
   let zoo = Topology.Zoo.wan () in
-  let built = Topology.build_partitioned coordinator zoo.Topology.Zoo.graph in
-  let flows = Phi_tcp.Flow.allocator () in
-  let rng = Prng.create ~seed:19 in
-  let params = Phi_tcp.Cubic.default_params in
+  let built = Topology.build_partitioned coordinator zoo.Topology.Zoo.declare in
   let senders =
-    Array.map
-      (fun (fp : Topology.Zoo.flow_path) ->
-        let flow = Phi_tcp.Flow.fresh flows in
-        let _receiver =
-          Phi_tcp.Receiver.create
-            (Topology.node_engine built ~id:fp.Topology.Zoo.dst)
-            ~node:(Topology.node built ~id:fp.Topology.Zoo.dst)
-            ~flow ~peer:fp.Topology.Zoo.src
-        in
-        let engine = Topology.node_engine built ~id:fp.Topology.Zoo.src in
-        let sender =
-          Phi_tcp.Sender.create engine
-            ~node:(Topology.node built ~id:fp.Topology.Zoo.src)
-            ~flow ~dst:fp.Topology.Zoo.dst ~cc:(Phi_tcp.Cubic.make params)
-            ~total_segments:Phi_tcp.Sender.persistent_total ~source_index:flow ()
-        in
-        ignore
-          (Engine.schedule_after engine ~delay:(Prng.float rng) (fun () ->
-               Phi_tcp.Sender.start sender));
-        sender)
+    Phi_experiments.Scenario.persistent_senders built ~rng:(Prng.create ~seed:19)
       zoo.Topology.Zoo.flow_paths
   in
   Pdes.run ~jobs ~window_s:(Pdes.lookahead_s coordinator) ~until:2. coordinator;
@@ -341,6 +351,7 @@ let suite =
     Alcotest.test_case "ring overflow raises" `Quick test_ring_overflow_raises;
     Alcotest.test_case "boundary create validation" `Quick test_boundary_create_validation;
     Alcotest.test_case "zoo graphs register their cut lookaheads" `Quick test_zoo_cut_lookaheads;
+    Alcotest.test_case "partition error paths raise" `Quick test_partition_error_paths;
     Alcotest.test_case "partitioned WAN zoo is jobs-invariant" `Quick
       test_zoo_wan_partitioned_determinism;
   ]

@@ -288,6 +288,30 @@ let test_engine_negative_delay_rejected () =
   in
   Alcotest.(check bool) "negative delay rejected" true raised
 
+(* [delay < 0.] is false for NaN and infinity: a NaN delay fired at
+   virtual time NaN, and an infinite one (or a NaN port delay) left the
+   clock non-finite once the queue drained. *)
+let test_engine_non_finite_delay_rejected () =
+  with_sanitizer_disarmed (fun () ->
+      let engine = Engine.create () in
+      let port = Engine.port engine ignore in
+      List.iter
+        (fun delay ->
+          let raises what f =
+            Alcotest.check_raises
+              (Printf.sprintf "%s %g" what delay)
+              (Invalid_argument (Printf.sprintf "Engine.schedule_after: non-finite delay %g" delay))
+              f
+          in
+          raises "schedule_after" (fun () -> ignore (Engine.schedule_after engine ~delay ignore));
+          raises "schedule_port_after" (fun () -> Engine.schedule_port_after engine ~delay port);
+          raises "rearm_after" (fun () ->
+              ignore (Engine.rearm_after engine Engine.null ~delay ignore)))
+        [ Float.nan; Float.infinity; Float.neg_infinity ];
+      Engine.run engine;
+      Alcotest.(check int) "nothing was queued" 0 (Engine.executed engine);
+      Alcotest.(check (float 0.)) "clock untouched" 0. (Engine.now engine))
+
 (* Only a firing moves the clock: popping a cancelled entry must not. *)
 let test_engine_cancelled_entry_keeps_clock () =
   let engine = Engine.create () in
@@ -588,6 +612,7 @@ let suite =
     ("engine stop", `Quick, test_engine_stop);
     ("engine step", `Quick, test_engine_step);
     ("engine negative delay", `Quick, test_engine_negative_delay_rejected);
+    ("engine non-finite delay", `Quick, test_engine_non_finite_delay_rejected);
     ("engine cancelled entry keeps clock", `Quick, test_engine_cancelled_entry_keeps_clock);
     ("engine rearm in place", `Quick, test_engine_rearm_in_place);
     ("engine rearm handle", `Quick, test_engine_rearm_handle_matches_cancel_schedule);
