@@ -19,9 +19,9 @@
 
    - decisions/s: the compiled decision plane — per-ack whisker lookup
      (interpreted Rule_table scan against the flat Compiled_table) and
-     per-connection policy choice (interpreted Policy.choice_for
-     against the flat 64-entry Policy.Compiled) on identical
-     pregenerated inputs, with a Gc.minor_words delta around the
+     per-connection choice of the swarm's fleet policy (interpreted
+     Policy.choice_for against the flat 64-entry Policy.Compiled) on
+     identical pregenerated inputs, with a Gc.minor_words delta around the
      compiled whisker loop (the gate is ~0 words/lookup).
 
    [run] returns the report's "micro", "alloc" and "decision"
@@ -32,6 +32,7 @@ module Link = Phi_net.Link
 module Packet = Phi_net.Packet
 module Topology = Phi_net.Topology
 module Scenario = Phi_experiments.Scenario
+module Swarm = Phi_experiments.Swarm
 module Json = Phi_util.Json
 module Pool = Phi_runner.Pool
 module Prng = Phi_util.Prng
@@ -178,23 +179,6 @@ let compiled_lookups table (points : floatarray array) rounds () =
   done;
   !sink
 
-(* The swarm's learned entries: one per registered algorithm, so the
-   choice loops exercise both the flat-array hits and the heuristic
-   fallback. *)
-let decision_policy () =
-  let policy = Policy.create () in
-  let bucket u n q = { Context.u_bucket = u; Context.n_bucket = n; Context.q_bucket = q } in
-  List.iter
-    (fun (b, algo) -> Policy.learn policy b algo)
-    [
-      (bucket 0 0 0, Cc_algo.Remy);
-      (bucket 0 1 0, Cc_algo.Remy_phi);
-      (bucket 1 2 1, Cc_algo.Vegas);
-      (bucket 2 3 1, Cc_algo.Reno 1.);
-      (bucket 3 3 2, Cc_algo.Cubic Phi_tcp.Cubic.default_params);
-    ];
-  policy
-
 let decision_contexts n =
   let rng = Prng.create ~seed:13 in
   Array.init n (fun _ ->
@@ -306,7 +290,7 @@ let run ~quick =
   let comp_rounds = interp_rounds * 20 in
   let points = decision_points (Rule_table.dims table) n_points in
   let box = boxed_points points in
-  let policy = decision_policy () in
+  let policy = Swarm.swarm_policy () in
   let cpolicy = Policy.Compiled.compile policy in
   let n_ctx = if quick then 10_000 else 20_000 in
   let ctx_interp_rounds = if quick then 10 else 50 in

@@ -58,6 +58,13 @@ type result = {
   p99_lookup_s : float;
 }
 
+val swarm_policy : unit -> Phi.Policy.t
+(** The fleet policy every decoded lookup response is run through: a
+    fresh learned table with one bucket per registered algorithm, so
+    choices exercise both the flat-array hits and the heuristic
+    fallback.  The bench's decision-plane microbenchmark measures the
+    same policy. *)
+
 val run : ?jobs:int -> ?config:config -> unit -> result
 (** Generate, partition, and serve the swarm.  [?jobs] only sets the
     domain fan-out of cell execution; the fingerprint must not depend on

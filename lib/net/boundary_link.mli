@@ -4,30 +4,29 @@
     [Phi_sim.Pdes] islands.  The egress half (queue + serialization) is
     a real {!Link} on the {e source} island — identical drop, RED, ECN
     and counter behaviour — while propagation crosses the cut: each
-    serialized packet is flattened into a fixed-capacity SPSC ring (and
-    its source-pool cell released), and the destination island drains
-    the ring between windows, re-materializing each record into its own
-    pool at the recorded arrival time.  Arrival times are computed with
-    the same IEEE expression the serial engine uses, so a partitioned
-    run delivers at bit-identical virtual times.
+    serialized packet is flattened into a growable outbox (and its
+    source-pool cell released).  At every window barrier the
+    destination island drains the outbox, re-materializing each record
+    into its own pool and scheduling its delivery at the recorded
+    arrival time, where it waits like a packet in flight on a serial
+    {!Link}.  Arrival times are computed with the same IEEE expression
+    the serial engine uses, so a partitioned run delivers at
+    bit-identical virtual times.
 
     The link's propagation delay is the boundary's {e lookahead}; it is
     registered with the coordinator at creation, bounding the window
     size ([Pdes.run] refuses windows larger than the minimum lookahead).
 
-    The ring never blocks the producer (the consumer may be parked at
-    the window barrier, so blocking would deadlock): overflow raises
-    {!Fault} with a sizing hint instead.  The default capacity (16384
-    entries) far exceeds what a lookahead-bounded window can serialize
-    on any realistic link. *)
+    The outbox grows by doubling and never blocks the producer (the
+    consumer may be parked at the window barrier, so blocking would
+    deadlock): however many packets one window hands off, all of them
+    are delivered. *)
 
 type t
 
 exception Fault of string
-(** A boundary invariant broke: the SPSC ring overflowed (a window
-    emitted more cross-island packets than the ring holds — raise
-    [~ring_capacity]) or the source island's published horizon fell
-    behind the destination's at drain time (a coordinator bug; the
+(** A boundary invariant broke: the source island's published horizon
+    fell behind the destination's at drain time (a coordinator bug; the
     conservative window scheme is supposed to make this impossible). *)
 
 val create :
@@ -39,20 +38,20 @@ val create :
   bandwidth_bps:float ->
   delay_s:float ->
   capacity_pkts:int ->
-  ?ring_capacity:int ->
-  unit ->
   t
 (** Build the boundary: creates the egress {!Link} on [src]'s engine,
     registers the propagation delay as lookahead with the coordinator,
-    and registers the drain on [dst].  [delay_s] must be strictly
-    positive (zero lookahead admits no parallel window) and the two
-    islands distinct.  Like ordinary links, construction is serial
-    wiring — it must happen before [Pdes.run]. *)
+    and registers the drain on [dst].  Nothing is preallocated for the
+    crossing: the outbox and the in-flight ring grow on first use.
+    [delay_s] must be strictly positive (zero lookahead admits no
+    parallel window) and the two islands distinct.  Like ordinary
+    links, construction is serial wiring — it must happen before
+    [Pdes.run]. *)
 
 val egress : t -> Link.t
 (** The source-side link; route traffic into the boundary by sending to
     this (e.g. from a {!Node} forwarding table).  Its delivery counters
-    count packets that completed serialization and entered the ring. *)
+    count packets that completed serialization and entered the outbox. *)
 
 val set_receiver : t -> (Packet.handle -> unit) -> unit
 (** Where re-materialized packets go on the destination island —
@@ -67,7 +66,8 @@ val delivered : t -> int
 (** Packets materialized and handed to the destination receiver. *)
 
 val in_transit : t -> int
-(** Records currently crossing: still in the ring plus drained but not
-    yet delivered.  After a run ends mid-flight these are dropped on the
-    floor (their pool cells were already released at serialization, so
-    nothing leaks). *)
+(** Packets currently crossing: records still in the outbox plus drained
+    packets not yet delivered.  When a run ends mid-flight the drained
+    ones are live cells of [dst_pool], like the packets in flight on a
+    serial {!Link} (outbox records hold no cell: theirs was released at
+    serialization). *)

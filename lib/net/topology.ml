@@ -165,7 +165,7 @@ module Graph = struct
           let bl =
             Boundary_link.create coordinator ~src:b.islands.(si) ~dst:b.islands.(di)
               ~src_pool:b.pools.(si) ~dst_pool:b.pools.(di) ~bandwidth_bps ~delay_s
-              ~capacity_pkts ()
+              ~capacity_pkts
           in
           Boundary_link.set_receiver bl (Node.receive b.nodes.(dst));
           b.boundaries <- (ix, bl) :: b.boundaries;

@@ -89,6 +89,25 @@ let compile table =
     done;
     cells.(cell) <- Rule_table.lookup_index table center
   done;
+  (* The loop above found a whisker for every cell, so the boxes tile
+     the grid exactly only if no cell lies in two of them, i.e. if the
+     boxes' cell counts sum to the grid's.  On each axis a box spans the
+     intervals between the grid lines of its two faces. *)
+  let line axis x = Option.get (Array.find_index (Float.equal x) bounds.(axis)) in
+  let covered =
+    List.fold_left
+      (fun acc w ->
+        let { Whisker.lo; hi } = w.Whisker.box in
+        let span axis = line axis hi.(axis) - line axis lo.(axis) in
+        acc + Array.fold_left ( * ) 1 (Array.init dims span))
+      0 whiskers
+  in
+  if covered <> cell_count then
+    invalid_arg
+      (Printf.sprintf
+         "Compiled_table.compile: whiskers overlap (their boxes cover %d cells of the %d-cell \
+          grid)"
+         covered cell_count);
   let n = List.length whiskers in
   let inc = Float.Array.create n in
   let mult = Float.Array.create n in

@@ -33,10 +33,10 @@ type t
 val compile : Rule_table.t -> t
 (** Lower the table.  O(cells x whiskers) — done once per trained table,
     off the hot path.  Raises [Invalid_argument] if the whiskers do not
-    cover the unit cube exactly — the grid does not span [\[0, 1\]] on
-    every axis, or a point inside it matches no whisker — or if the
-    induced grid exceeds 2^22 cells (a partition that fine is a training
-    bug). *)
+    tile the unit cube exactly — the grid does not span [\[0, 1\]] on
+    every axis, a point inside it matches no whisker, or two whiskers
+    overlap — or if the induced grid exceeds 2^22 cells (a partition
+    that fine is a training bug). *)
 
 val lookup : t -> floatarray -> int
 (** The whisker index (position in [Rule_table.whiskers] of the source)

@@ -31,7 +31,8 @@ val set_action : t -> Whisker.t -> Whisker.action -> unit
 (** Replace a whisker's action (clamped) and bump the generation.  The
     only sanctioned way to mutate actions — direct field writes would
     leave stale compiled tables undetectable.  Raises [Invalid_argument]
-    if the whisker is not in the table. *)
+    if the whisker is not in the table or a field of the action is not
+    finite. *)
 
 val split : t -> Whisker.t -> unit
 (** Replace a whisker by its [2^d] children, all inheriting its action.

@@ -2,11 +2,19 @@ type action = { window_increment : float; window_multiple : float; intersend_s :
 
 let clamp lo hi x = Float.max lo (Float.min hi x)
 
+(* [Float.max]/[Float.min] pass NaN through, and an infinity would
+   clamp to a bound, so a non-finite field is an error rather than an
+   action. *)
+let clamp_field name lo hi x =
+  if not (Float.is_finite x) then
+    invalid_arg (Printf.sprintf "Whisker.clamp_action: %s is not finite (%g)" name x);
+  clamp lo hi x
+
 let clamp_action a =
   {
-    window_increment = clamp (-10.) 32. a.window_increment;
-    window_multiple = clamp 0.1 2. a.window_multiple;
-    intersend_s = clamp 0.0002 0.5 a.intersend_s;
+    window_increment = clamp_field "window_increment" (-10.) 32. a.window_increment;
+    window_multiple = clamp_field "window_multiple" 0.1 2. a.window_multiple;
+    intersend_s = clamp_field "intersend_s" 0.0002 0.5 a.intersend_s;
   }
 
 let default_action = { window_increment = 1.; window_multiple = 1.; intersend_s = 0.001 }

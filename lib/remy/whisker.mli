@@ -15,7 +15,8 @@ val clamp_action : action -> action
 (** Clamp into the optimizer's search bounds: increment in [-10, 32]
     (large enough that an idle-network whisker can open a whole short
     transfer's window at once), multiple in [0.1, 2], intersend in
-    [0.0002, 0.5] s. *)
+    [0.0002, 0.5] s.  Raises [Invalid_argument] naming the field if
+    one is NaN or infinite. *)
 
 val default_action : action
 (** A sane conservative starting rule (increment 1, multiple 1, 1 ms
@@ -46,6 +47,8 @@ type t = { box : box; mutable action : action }
     shared tables stay pure. *)
 
 val create : box -> action -> t
+(** The action goes through {!clamp_action}, so a non-finite field
+    raises [Invalid_argument]. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -103,7 +103,6 @@ type t = {
   mutable hlen : int;
   mutable next_seq : int;
   mutable n_exec : int;
-  mutable stopping : bool;
   (* Event-cell slab (struct of arrays) plus its free list.  Every cell
      is at all times either live (scheduled, counted by [n_live]) or on
      the free list — the [cell-accounting] sanitizer rule checks this.
@@ -140,7 +139,6 @@ let create () =
     hlen = 0;
     next_seq = 0;
     n_exec = 0;
-    stopping = false;
     cell_gen = [||];
     cell_act = [||];
     cell_due = Float.Array.create 0;
@@ -554,14 +552,11 @@ let step t =
     true
   end
 
-let stop t = t.stopping <- true
-
 let run ?until t =
   (match until with
   | Some limit when not (Float.is_finite limit) ->
     invalid_arg "Engine.run: until must be finite"
   | Some _ | None -> ());
-  t.stopping <- false;
   (* Two closures per [run] call, not per event; runs span millions of
      events so this is outside the per-event budget. *)
   let horizon_reached () = (* phi-lint: allow hot-alloc *)
@@ -570,11 +565,9 @@ let run ?until t =
     | Some limit -> t.hlen = 0 || Float.Array.get t.hp 0 > limit
   in
   let rec loop () = (* phi-lint: allow hot-alloc *)
-    if t.stopping then ()
-    else if horizon_reached () then ()
-    else if step t then loop ()
+    if (not (horizon_reached ())) && step t then loop ()
   in
   loop ();
   match until with
-  | Some limit when not t.stopping -> if limit > now t then set_clock t limit
-  | _ -> ()
+  | Some limit -> if limit > now t then set_clock t limit
+  | None -> ()

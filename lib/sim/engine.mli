@@ -145,6 +145,3 @@ val run : ?until:float -> t -> unit
     horizon would never stop a self-rescheduling source, and an
     infinite one would set the clock to infinity once the queue
     drains. *)
-
-val stop : t -> unit
-(** Make the current [run] return after the in-flight event completes. *)

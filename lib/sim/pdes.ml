@@ -19,12 +19,12 @@
    depend on the number of worker domains.  Two properties deliver it:
 
    - Within a window, islands share no mutable state at all — handoffs
-     are published into SPSC rings (see [Phi_net.Boundary_link]) that
-     the consumer only reads *between* windows.
+     are appended to outboxes (see [Phi_net.Boundary_link]) that the
+     consumer only reads *between* windows.
 
    - Between windows, every island (a) publishes its horizon, (b) waits
      at a barrier until all horizons reach the window end, (c) drains
-     its inbound rings in registration order, and (d) barriers again
+     its inbound outboxes in registration order, and (d) barriers again
      before anyone starts the next window.  All engine scheduling
      therefore happens either inside the island's own window execution
      or in the fixed-order drain phase, so the engine's FIFO tie-break
@@ -128,7 +128,7 @@ let record_failure t e = ignore (Atomic.compare_and_set t.failure None (Some e))
 
 (* One worker's share of a window: execute every owned island up to the
    window end and publish the horizons, barrier, drain every owned
-   island's inbound rings, barrier.  Ownership is by index stride so
+   island's inbound outboxes, barrier.  Ownership is by index stride so
    the assignment is a pure function of (island, jobs) — results do not
    depend on it, only load balance does. *)
 let exec_window t isls ~who ~jobs ~parties ~w_end =

@@ -13,7 +13,7 @@
 
     The schedule per window [k] is: every island executes events up to
     [(k+1) * W] and publishes that horizon through an [Atomic]; a
-    barrier; every island drains its inbound boundary rings (in
+    barrier; every island drains its inbound boundary outboxes (in
     registration order), scheduling the deliveries that arrived from
     its neighbours; a second barrier; next window.  Because islands
     share no mutable state inside a window and all cross-island
@@ -29,7 +29,7 @@
     The partition comes from the topology declaration, not from this
     module: [Phi_net.Topology.build_partitioned] adds one island per
     island the declaration names, in index order.  Cross-island traffic itself is carried
-    by [Phi_net.Boundary_link], which registers its rings here via
+    by [Phi_net.Boundary_link], which registers its drains here via
     {!on_drain} and its propagation delay via {!note_lookahead}. *)
 
 type t
@@ -38,7 +38,7 @@ type t
 type island
 (** One partition: an engine of its own plus its inbound boundary
     drains.  Islands must never touch another island's engine, pools or
-    state except through a boundary ring. *)
+    state except through a boundary link's outbox. *)
 
 val create : unit -> t
 (** A coordinator with no islands yet. *)
@@ -61,7 +61,7 @@ val on_drain : island -> (unit -> unit) -> unit
 (** Register a between-windows callback on the {e destination} island
     of a boundary: it runs at every window barrier (and once more at
     the end of the run), with every other island quiescent, and is
-    where a boundary link moves handed-off traffic from its SPSC ring
+    where a boundary link moves handed-off traffic from its outbox
     into the island's engine.  Callbacks run in registration order —
     that order is part of the determinism contract. *)
 

@@ -270,6 +270,19 @@ let test_rejects_partial_cube () =
     ];
   ignore (Compiled_table.compile (table [ "w|0,0|0.5,1|1;1;0.001"; "w|0.5,0|1,1|2;1;0.001" ]))
 
+(* Whiskers that cover part of the cube twice do not compile either:
+   lookups there would take whichever whisker comes first. *)
+let test_rejects_overlap () =
+  let table =
+    Rule_table.deserialize
+      (String.concat "\n"
+         [ "remy-table|dims=3"; "w|0,0,0|1,1,1|1;1;0.001"; "w|0,0,0|0.5,1,1|1;1;0.001" ])
+  in
+  Alcotest.check_raises "whole cube plus its lower half"
+    (Invalid_argument
+       "Compiled_table.compile: whiskers overlap (their boxes cover 3 cells of the 2-cell grid)")
+    (fun () -> ignore (Compiled_table.compile table))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_equivalence;
@@ -283,4 +296,5 @@ let suite =
       test_policy_compiled_identical;
     Alcotest.test_case "compiled policy staleness" `Quick test_policy_staleness;
     Alcotest.test_case "partial cube rejected" `Quick test_rejects_partial_cube;
+    Alcotest.test_case "overlapping whiskers rejected" `Quick test_rejects_overlap;
   ]

@@ -21,7 +21,7 @@ let two_island_coordinator ~delay_s =
   let dst_pool = Packet.create_pool () in
   let bl =
     Boundary_link.create coord ~src:a ~dst:b ~src_pool ~dst_pool ~bandwidth_bps:1e9
-      ~delay_s ~capacity_pkts:64 ()
+      ~delay_s ~capacity_pkts:64
   in
   (coord, a, b, src_pool, dst_pool, bl)
 
@@ -165,7 +165,7 @@ let partitioned_trace ~jobs ~bw ~delay ~capacity ~until specs =
   let dst_pool = Packet.create_pool () in
   let bl =
     Boundary_link.create coord ~src:a ~dst:b ~src_pool ~dst_pool ~bandwidth_bps:bw
-      ~delay_s:delay ~capacity_pkts:capacity ()
+      ~delay_s:delay ~capacity_pkts:capacity
   in
   let trace = ref [] in
   let dst_engine = Pdes.engine b in
@@ -203,36 +203,40 @@ let prop_partitioned_replays_serial =
       if p2 <> serial then QCheck.Test.fail_report "jobs-2 trace diverged from serial";
       true)
 
-(* {2 Ring overflow} *)
+(* {2 One window's handoff has no fixed bound} *)
 
-let test_ring_overflow_raises () =
-  (* A 1-entry ring with two packets serialized inside one window: the
-     producer must fail loudly (blocking would deadlock the barrier). *)
-  let coord = Pdes.create () in
-  let a = Pdes.add_island coord in
-  let b = Pdes.add_island coord in
-  let src_pool = Packet.create_pool () in
-  let dst_pool = Packet.create_pool () in
-  let bl =
-    Boundary_link.create coord ~src:a ~dst:b ~src_pool ~dst_pool ~bandwidth_bps:1e9
-      ~delay_s:0.01 ~capacity_pkts:16 ~ring_capacity:1 ()
+let test_large_window_handoff () =
+  (* 20,000 ACKs sent at time 0 all finish serializing inside the first
+     10 ms window (6.4 ms at 1 Gb/s), so a single drain carries every
+     one of them across. *)
+  let n = 20_000 in
+  let specs =
+    List.init n (fun seq ->
+        {
+          at = 0.;
+          p_flow = 1;
+          p_src = 0;
+          p_dst = 1;
+          p_seq = seq;
+          is_data = false;
+          retx = false;
+          ce = false;
+          has_echo = false;
+          echo_sent_at = 0.;
+          echo_tx_time = 0.;
+          ece = false;
+          sacks = [];
+        })
   in
-  Boundary_link.set_receiver bl (fun p -> Packet.release dst_pool p);
-  let engine = Pdes.engine a in
-  for seq = 0 to 1 do
-    ignore
-      (Engine.schedule_at engine ~time:0. (fun () ->
-           Link.send (Boundary_link.egress bl)
-             (Packet.acquire_data src_pool ~flow:0 ~src:0 ~dst:1 ~seq ~now:0.
-                ~retransmit:false)))
-  done;
-  let raised =
-    try
-      Pdes.run ~jobs:1 ~until:0.1 coord;
-      false
-    with Boundary_link.Fault msg -> String.length msg > 0
-  in
-  Alcotest.(check bool) "overflow raises Fault" true raised
+  let bw = 1e9 and delay = 0.01 and capacity = n in
+  let serial = serial_trace ~bw ~delay ~capacity specs in
+  Alcotest.(check int) "serial delivers every ACK" n (List.length serial);
+  List.iter
+    (fun jobs ->
+      let trace, delivered = partitioned_trace ~jobs ~bw ~delay ~capacity ~until:0.05 specs in
+      Alcotest.(check int) (Printf.sprintf "jobs %d delivered" jobs) n delivered;
+      Alcotest.(check (list string)) (Printf.sprintf "jobs %d trace = serial" jobs) serial trace)
+    [ 1; 2 ]
 
 (* {2 Boundary construction validation} *)
 
@@ -245,11 +249,11 @@ let test_boundary_create_validation () =
   Alcotest.(check bool) "zero delay rejected" true
     (rejects (fun () ->
          Boundary_link.create coord ~src:a ~dst:b ~src_pool:pool ~dst_pool:pool
-           ~bandwidth_bps:1e9 ~delay_s:0. ~capacity_pkts:4 ()));
+           ~bandwidth_bps:1e9 ~delay_s:0. ~capacity_pkts:4));
   Alcotest.(check bool) "same island rejected" true
     (rejects (fun () ->
          Boundary_link.create coord ~src:a ~dst:a ~src_pool:pool ~dst_pool:pool
-           ~bandwidth_bps:1e9 ~delay_s:0.01 ~capacity_pkts:4 ()));
+           ~bandwidth_bps:1e9 ~delay_s:0.01 ~capacity_pkts:4));
   Alcotest.(check int) "island indices" 1 (Pdes.index b);
   Alcotest.(check int) "island count" 2 (Pdes.islands coord)
 
@@ -348,7 +352,7 @@ let suite =
     Alcotest.test_case "run validation" `Quick test_run_validation;
     Alcotest.test_case "lookahead is the minimum" `Quick test_lookahead_is_minimum;
     QCheck_alcotest.to_alcotest prop_partitioned_replays_serial;
-    Alcotest.test_case "ring overflow raises" `Quick test_ring_overflow_raises;
+    Alcotest.test_case "one window hands off 20,000 packets" `Quick test_large_window_handoff;
     Alcotest.test_case "boundary create validation" `Quick test_boundary_create_validation;
     Alcotest.test_case "zoo graphs register their cut lookaheads" `Quick test_zoo_cut_lookaheads;
     Alcotest.test_case "partition error paths raise" `Quick test_partition_error_paths;

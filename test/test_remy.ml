@@ -78,6 +78,13 @@ let test_whisker_clamp_action () =
   Alcotest.(check (float 0.)) "mult" 0.1 c.Whisker.window_multiple;
   Alcotest.(check (float 0.)) "isend" 0.5 c.Whisker.intersend_s
 
+let test_whisker_create_rejects_non_finite () =
+  Alcotest.check_raises "NaN window_increment"
+    (Invalid_argument "Whisker.clamp_action: window_increment is not finite (nan)") (fun () ->
+      ignore
+        (Whisker.create (Whisker.root_box ~dims:2)
+           { Whisker.default_action with Whisker.window_increment = Float.nan }))
+
 let test_whisker_contains_boundaries () =
   let box = Whisker.root_box ~dims:2 in
   Alcotest.(check bool) "origin" true (Whisker.contains box [| 0.; 0. |]);
@@ -184,6 +191,19 @@ let test_table_generation_and_set_action () =
     with Invalid_argument _ -> true
   in
   Alcotest.(check bool) "unknown whisker rejected" true raised
+
+let test_set_action_rejects_non_finite () =
+  let t = Rule_table.create ~dims:2 Whisker.default_action in
+  let w = List.hd (Rule_table.whiskers t) in
+  Alcotest.check_raises "NaN window_multiple"
+    (Invalid_argument "Whisker.clamp_action: window_multiple is not finite (nan)") (fun () ->
+      Rule_table.set_action t w { Whisker.default_action with Whisker.window_multiple = Float.nan });
+  Alcotest.check_raises "infinite intersend_s"
+    (Invalid_argument "Whisker.clamp_action: intersend_s is not finite (inf)") (fun () ->
+      Rule_table.set_action t w
+        { Whisker.default_action with Whisker.intersend_s = Float.infinity });
+  Alcotest.(check bool) "action kept" true (w.Whisker.action = Whisker.default_action);
+  Alcotest.(check int) "generation kept" 0 (Rule_table.generation t)
 
 let test_table_serialize_roundtrip () =
   let t = Rule_table.create ~dims:4 Whisker.default_action in
@@ -385,4 +405,6 @@ let suite =
     ("trainer evaluate smoke", `Slow, test_trainer_evaluate_smoke);
     ("trainer ideal 4 dims", `Slow, test_trainer_ideal_uses_4dims);
     ("whisker rejects bad numbers", `Quick, test_whisker_of_line_rejects_bad_numbers);
+    ("whisker create rejects non-finite actions", `Quick, test_whisker_create_rejects_non_finite);
+    ("set_action rejects non-finite actions", `Quick, test_set_action_rejects_non_finite);
   ]

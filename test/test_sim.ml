@@ -257,20 +257,6 @@ let test_engine_rejects_infinite_horizon () =
   Engine.run engine;
   Alcotest.(check (float 0.)) "clock at the last event" 1. (Engine.now engine)
 
-let test_engine_stop () =
-  let engine = Engine.create () in
-  let count = ref 0 in
-  for _ = 1 to 10 do
-    ignore
-      (Engine.schedule_after engine ~delay:1. (fun () ->
-           incr count;
-           if !count = 3 then Engine.stop engine))
-  done;
-  Engine.run engine;
-  Alcotest.(check int) "stopped after 3" 3 !count;
-  Engine.run engine;
-  Alcotest.(check int) "resumable" 10 !count
-
 let test_engine_step () =
   let engine = Engine.create () in
   ignore (Engine.schedule_at engine ~time:1. (fun () -> ()));
@@ -609,7 +595,6 @@ let suite =
     ("engine run until", `Quick, test_engine_until_horizon);
     ("engine rejects nan horizon", `Quick, test_engine_rejects_nan_horizon);
     ("engine rejects infinite horizon", `Quick, test_engine_rejects_infinite_horizon);
-    ("engine stop", `Quick, test_engine_stop);
     ("engine step", `Quick, test_engine_step);
     ("engine negative delay", `Quick, test_engine_negative_delay_rejected);
     ("engine non-finite delay", `Quick, test_engine_non_finite_delay_rejected);
