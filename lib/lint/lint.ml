@@ -20,8 +20,12 @@ let rules =
       "top-level mutable state in a pool-driven library is shared across worker domains; \
        allocate it per run (from the seed) or suppress with an explicit justification" );
     ( "hot-queue",
-      "Stdlib.Queue allocates one cons cell per element; hot-path simulation code \
-       (lib/net, lib/sim) must use Phi_sim.Ring instead" );
+      "Stdlib.Queue allocates one cons cell per element; hot-path simulation and \
+       transport code (lib/net, lib/sim, lib/tcp) must use Phi_sim.Ring instead" );
+    ( "hot-hashtbl",
+      "Stdlib.Hashtbl pays a polymorphic hash and compare (two C calls) on every probe; \
+       hot-path simulation code (lib/net, lib/sim) must index a dense array or a masked \
+       slot table instead" );
     ( "packet-escape",
       "pooled packet handles die at release: construct packets only through the pool \
        (Packet.acquire_data / Packet.acquire_ack), never store a handle in a mutable \
@@ -61,13 +65,16 @@ let path_has_dir path dir =
 let in_domain_pool path = path_has_dir path "lib/experiments" || path_has_dir path "lib/runner"
 
 (* The per-packet hot path: every simulated packet crosses lib/net and
-   lib/sim, so container choices there are perf-critical. *)
+   lib/sim, so container choices there are perf-critical.  [hot-hashtbl]
+   stops here: lib/tcp keeps the sender's [retx] table, whose fold order
+   the benchmark's fingerprints pin, until it moves onto the scoreboard
+   ring. *)
 let in_hot_path path = path_has_dir path "lib/net" || path_has_dir path "lib/sim"
 
-(* Where [poly-compare] also covers [min]/[max]: the simulation core and
-   the transport, whose per-event paths would pay a [caml_lessequal]
-   call for each polymorphic use. *)
-let in_minmax_scope path = in_hot_path path || path_has_dir path "lib/tcp"
+(* The hot path plus the transport, whose per-ACK handlers run once per
+   packet too: there [poly-compare] also covers [min]/[max] (each
+   polymorphic use is a [caml_lessequal] call), and [hot-queue] applies. *)
+let in_transport_path path = in_hot_path path || path_has_dir path "lib/tcp"
 
 let in_lib path = path_has_dir path "lib"
 
@@ -223,7 +230,7 @@ let pattern_violations src =
   let packet_scope = in_packet_scope path in
   let transport_scope = in_transport_scope path in
   let decision_scope = in_decision_scope path in
-  let minmax_scope = in_minmax_scope path in
+  let transport_path = in_transport_path path in
   let out = ref [] in
   let add (loc : Location.t) rule =
     out := (loc.loc_start.pos_cnum, violation path loc.loc_start.pos_lnum rule) :: !out
@@ -232,7 +239,7 @@ let pattern_violations src =
     match Ast_scan.strip_stdlib (Ast_scan.path_of_lid txt) with
     | "Obj.magic" -> add loc "obj-magic"
     | "compare" -> add loc "poly-compare"
-    | "min" | "max" -> if minmax_scope then add loc "poly-compare"
+    | "min" | "max" -> if transport_path then add loc "poly-compare"
     | "List.nth" -> add loc "list-nth"
     | "Hashtbl.find" -> add loc "hashtbl-find"
     | "failwith" -> if lib then add loc "failwith"
@@ -257,7 +264,8 @@ let pattern_violations src =
      expressions. *)
   let module_path { txt; loc } =
     match Ast_scan.flatten_lid txt with
-    | "Queue" :: _ | "Stdlib" :: "Queue" :: _ -> if in_hot_path path then add loc "hot-queue"
+    | "Queue" :: _ | "Stdlib" :: "Queue" :: _ -> if transport_path then add loc "hot-queue"
+    | "Hashtbl" :: _ | "Stdlib" :: "Hashtbl" :: _ -> if in_hot_path path then add loc "hot-hashtbl"
     | "Remy_sender" :: _ | "Phi_remy" :: "Remy_sender" :: _ ->
       if transport_scope then add loc "transport-unified"
     | _ -> ()

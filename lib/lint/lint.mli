@@ -56,8 +56,14 @@ val rules : (string * string) list
       in submodules too, when its right-hand side constructs the state
       outside a nested function.
     - [hot-queue]: any [Queue]/[Stdlib.Queue] use inside the per-packet
-      hot-path libraries ([lib/net], [lib/sim]) — the stdlib queue
-      allocates a cons cell per element; use {!Phi_sim.Ring}.
+      hot-path libraries or the transport ([lib/net], [lib/sim],
+      [lib/tcp]) — the stdlib queue allocates a cons cell per element;
+      use {!Phi_sim.Ring}.
+    - [hot-hashtbl]: any [Hashtbl]/[Stdlib.Hashtbl] use inside the
+      per-packet hot-path libraries ([lib/net], [lib/sim]) — every probe
+      is a polymorphic hash and compare; index a dense array or a masked
+      slot table.  [lib/tcp] is out of scope while the sender's [retx]
+      table, whose fold order the benchmark's fingerprints pin, remains.
     - [packet-escape]: violations of the pooled-packet ownership
       contract in the packet-handling layers ([lib/net], [lib/tcp],
       except the pool module itself): constructing a packet through the
@@ -111,7 +117,7 @@ val in_domain_pool : string -> bool
 
 val in_hot_path : string -> bool
 (** Whether a path is under [lib/net/] or [lib/sim/], i.e. subject to
-    the [hot-queue] rule because its code runs once (or more) per
+    the [hot-hashtbl] rule because its code runs once (or more) per
     simulated packet. *)
 
 val in_packet_scope : string -> bool

@@ -121,8 +121,8 @@ module Graph = struct
     let id = b.n_nodes in
     (match b.target with
     | Shape -> ()
-    | Serial engine ->
-      let node = Node.create engine b.pools.(0) ~id in
+    | Serial _ ->
+      let node = Node.create b.pools.(0) ~id in
       if id = Array.length b.nodes then b.nodes <- grow b.nodes node;
       b.nodes.(id) <- node
     | Partitioned coordinator ->
@@ -130,7 +130,7 @@ module Graph = struct
         b.islands <- Array.append b.islands [| Pdes.add_island coordinator |];
         b.pools <- Array.append b.pools [| Packet.create_pool () |]
       done;
-      let node = Node.create (Pdes.engine b.islands.(island)) b.pools.(island) ~id in
+      let node = Node.create b.pools.(island) ~id in
       if id = Array.length b.nodes then begin
         b.nodes <- grow b.nodes node;
         b.node_island <- grow b.node_island island

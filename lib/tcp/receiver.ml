@@ -14,7 +14,7 @@ type t = {
   pool : Packet.pool;
   flow : int;
   peer : int;
-  buffered : (int, unit) Hashtbl.t;  (* received out-of-order segments *)
+  buffered : Seq_ring.t;  (* out-of-order segments held, based at [next_expected] *)
   recent : int array;  (* recently arrived out-of-order seqs, newest first *)
   mutable n_recent : int;
   mutable next_expected : int;
@@ -22,10 +22,14 @@ type t = {
   mutable duplicate_segments : int;
 }
 
+(* Every buffered seq lies above [next_expected]: the in-order branch of
+   [handle] consumes a buffered run as soon as it becomes contiguous. *)
+let[@inline] is_buffered t seq = Seq_ring.get t.buffered ~base:t.next_expected seq <> 0
+
 (* Expand the contiguous buffered run containing a seq into a [lo, hi)
    block (two allocation-free int scans). *)
-let rec block_lo t lo = if Hashtbl.mem t.buffered (lo - 1) then block_lo t (lo - 1) else lo
-let rec block_hi t hi = if Hashtbl.mem t.buffered hi then block_hi t (hi + 1) else hi
+let rec block_lo t lo = if is_buffered t (lo - 1) then block_lo t (lo - 1) else lo
+let rec block_hi t hi = if is_buffered t hi then block_hi t (hi + 1) else hi
 
 (* Compact [recent] in place, keeping (in order) the seqs still above the
    cumulative ACK and distinct from [drop]; returns the new length.
@@ -63,7 +67,7 @@ let rec have_block t ack ~lo ~hi j =
 let rec emit_sack_blocks t ack k =
   if k < t.n_recent && Packet.sack_count t.pool ack < Packet.max_sack_blocks then begin
     let seq = t.recent.(k) in
-    if seq >= t.next_expected && Hashtbl.mem t.buffered seq then begin
+    if is_buffered t seq then begin
       let lo = block_lo t seq in
       let hi = block_hi t (seq + 1) in
       if not (have_block t ack ~lo ~hi (Packet.sack_count t.pool ack - 1)) then
@@ -89,7 +93,7 @@ let handle t pkt =
     let sent_at = Packet.sent_at t.pool pkt in
     let ece = Packet.ce t.pool pkt in
     let retransmitted = Packet.retransmit t.pool pkt in
-    if seq < t.next_expected || Hashtbl.mem t.buffered seq then begin
+    if seq < t.next_expected || is_buffered t seq then begin
       (* Already have it: spurious retransmission; still ACK so the sender
          can make progress. *)
       t.duplicate_segments <- t.duplicate_segments + 1;
@@ -100,8 +104,8 @@ let handle t pkt =
       if seq = t.next_expected then begin
         t.next_expected <- t.next_expected + 1;
         (* Advance over any previously buffered run. *)
-        while Hashtbl.mem t.buffered t.next_expected do
-          Hashtbl.remove t.buffered t.next_expected;
+        while is_buffered t t.next_expected do
+          Seq_ring.set t.buffered ~base:t.next_expected t.next_expected 0;
           t.next_expected <- t.next_expected + 1
         done;
         t.n_recent <- compact t ~drop:min_int 0 0;
@@ -111,7 +115,7 @@ let handle t pkt =
       else begin
         (* Out-of-order arrival: only reordered/lossy episodes buffer;
            in-order delivery never reaches this branch. *)
-        Hashtbl.add t.buffered seq (); (* phi-lint: allow hot-alloc *)
+        Seq_ring.set t.buffered ~base:t.next_expected seq 1;
         remember_recent t seq;
         (* Duplicate ACK: cumulative number unchanged, SACK describes the
            hole; no RTT echo. *)
@@ -128,7 +132,7 @@ let create engine ~node ~flow ~peer =
       pool = Node.pool node;
       flow;
       peer;
-      buffered = Hashtbl.create 64;
+      buffered = Seq_ring.create ();
       recent = Array.make recent_capacity 0;
       n_recent = 0;
       next_expected = 0;

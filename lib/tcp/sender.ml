@@ -2,8 +2,13 @@ module Engine = Phi_sim.Engine
 module Invariant = Phi_sim.Invariant
 module Node = Phi_net.Node
 module Packet = Phi_net.Packet
+module Ring = Phi_sim.Ring
 
 let dupthresh = 3
+
+(* Scoreboard flags, one byte per outstanding segment in [board]. *)
+let sacked = 1
+let lost = 2
 
 (* Hot mutable floats live in [fs], one flat floatarray per sender:
    storing into a mutable float field of this mixed record would box a
@@ -38,14 +43,16 @@ type t = {
   mutable snd_una : int;  (* first unacknowledged segment *)
   mutable snd_nxt : int;  (* next new segment to send *)
   mutable highest_sent : int;  (* one past the highest segment ever sent *)
-  (* SACK scoreboard: all sets hold seqs in [snd_una, snd_nxt). *)
-  sacked : (int, unit) Hashtbl.t;
-  lost : (int, unit) Hashtbl.t;
+  (* SACK scoreboard: every marked seq lies in [snd_una, snd_nxt). *)
+  board : Seq_ring.t;  (* [sacked]/[lost] flags, based at [snd_una] *)
   retx : (int, float) Hashtbl.t;
       (* lost segments retransmitted and not yet cum-acked, mapped to the
          retransmission's send time (used to detect lost
-         retransmissions) *)
-  retx_queue : int Queue.t;  (* lost segments awaiting retransmission *)
+         retransmissions).  A table, not the ring: the order
+         [requeue_lost_retransmissions] requeues in is this table's fold
+         order, which the benchmark's fingerprints pin.  [n_retx] is its
+         size, so every probe sits behind [n_retx > 0]. *)
+  retx_queue : int Ring.t;  (* lost segments awaiting retransmission *)
   mutable n_sacked : int;
   mutable n_lost : int;
   mutable n_retx : int;
@@ -168,10 +175,9 @@ let send_segment t seq =
   if seq >= t.highest_sent then t.highest_sent <- seq + 1
 
 let clear_scoreboard t =
-  Hashtbl.reset t.sacked;
-  Hashtbl.reset t.lost;
+  Seq_ring.clear t.board;
   Hashtbl.reset t.retx;
-  Queue.clear t.retx_queue;
+  Ring.clear t.retx_queue;
   t.n_sacked <- 0;
   t.n_lost <- 0;
   t.n_retx <- 0;
@@ -179,19 +185,18 @@ let clear_scoreboard t =
   t.loss_scan <- t.snd_una
 
 let mark_sacked t seq =
-  if seq >= t.snd_una && seq < t.snd_nxt && not (Hashtbl.mem t.sacked seq) then begin
-    (* SACK bookkeeping: only reordered/lost segments enter this branch. *)
-    Hashtbl.add t.sacked seq (); (* phi-lint: allow hot-alloc *)
-    t.n_sacked <- t.n_sacked + 1;
-    if Hashtbl.mem t.lost seq then begin
-      Hashtbl.remove t.lost seq;
-      t.n_lost <- t.n_lost - 1
-    end;
-    if Hashtbl.mem t.retx seq then begin
-      Hashtbl.remove t.retx seq;
-      t.n_retx <- t.n_retx - 1
-    end;
-    if seq + 1 > t.highest_sacked then t.highest_sacked <- seq + 1
+  if seq >= t.snd_una && seq < t.snd_nxt then begin
+    let flags = Seq_ring.get t.board ~base:t.snd_una seq in
+    if flags land sacked = 0 then begin
+      Seq_ring.set t.board ~base:t.snd_una seq sacked;
+      t.n_sacked <- t.n_sacked + 1;
+      if flags land lost <> 0 then t.n_lost <- t.n_lost - 1;
+      if t.n_retx > 0 && Hashtbl.mem t.retx seq then begin
+        Hashtbl.remove t.retx seq;
+        t.n_retx <- t.n_retx - 1
+      end;
+      if seq + 1 > t.highest_sacked then t.highest_sacked <- seq + 1
+    end
   end
 
 (* Mark every segment the ACK's inline SACK ranges cover. *)
@@ -210,9 +215,9 @@ let merge_sack t pkt =
    cumulatively ACKed by now) or was dropped.  If its segment is still
    outstanding, re-queue it instead of waiting for the RTO. *)
 let requeue_lost_retransmissions t =
-  (* Guarded on table size: the fold's closure would otherwise be an
-     allocation on every ACK of a loss-free steady state. *)
-  if Hashtbl.length t.retx > 0 then begin
+  (* Guarded on the table's size: the fold's closure would otherwise be
+     an allocation on every ACK of a loss-free steady state. *)
+  if t.n_retx > 0 then begin
     let stale =
       Hashtbl.fold (* phi-lint: allow hot-alloc *)
         (fun seq sent_at acc -> (* phi-lint: allow hot-alloc *)
@@ -223,7 +228,7 @@ let requeue_lost_retransmissions t =
       (fun seq -> (* phi-lint: allow hot-alloc *)
         Hashtbl.remove t.retx seq;
         t.n_retx <- t.n_retx - 1;
-        Queue.push seq t.retx_queue) (* phi-lint: allow hot-alloc *)
+        Ring.push t.retx_queue seq)
       stale
   end
 
@@ -232,47 +237,45 @@ let requeue_lost_retransmissions t =
 let detect_losses t =
   while t.loss_scan < t.highest_sacked - dupthresh + 1 do
     let seq = t.loss_scan in
-    if
-      seq >= t.snd_una
-      && (not (Hashtbl.mem t.sacked seq))
-      && not (Hashtbl.mem t.lost seq)
-    then begin
-      (* Loss marking: reached only when SACK reports a hole. *)
-      Hashtbl.add t.lost seq (); (* phi-lint: allow hot-alloc *)
+    if seq >= t.snd_una && Seq_ring.get t.board ~base:t.snd_una seq = 0 then begin
+      Seq_ring.set t.board ~base:t.snd_una seq lost;
       t.n_lost <- t.n_lost + 1;
-      Queue.push seq t.retx_queue (* phi-lint: allow hot-alloc *)
+      Ring.push t.retx_queue seq
     end;
     t.loss_scan <- t.loss_scan + 1
   done
 
-(* Drop scoreboard state for segments below the new cumulative ACK. *)
+(* Drop scoreboard state for segments below the new cumulative ACK.  An
+   empty scoreboard, the loss-free steady state, has nothing to drop. *)
 let advance_una t new_una =
-  for seq = t.snd_una to new_una - 1 do
-    if Hashtbl.mem t.sacked seq then begin
-      Hashtbl.remove t.sacked seq;
-      t.n_sacked <- t.n_sacked - 1
-    end;
-    if Hashtbl.mem t.lost seq then begin
-      Hashtbl.remove t.lost seq;
-      t.n_lost <- t.n_lost - 1
-    end;
-    if Hashtbl.mem t.retx seq then begin
-      Hashtbl.remove t.retx seq;
-      t.n_retx <- t.n_retx - 1
-    end
-  done;
+  if t.n_sacked + t.n_lost + t.n_retx > 0 then
+    for seq = t.snd_una to new_una - 1 do
+      let flags = Seq_ring.get t.board ~base:t.snd_una seq in
+      if flags <> 0 then begin
+        if flags land sacked <> 0 then t.n_sacked <- t.n_sacked - 1;
+        if flags land lost <> 0 then t.n_lost <- t.n_lost - 1;
+        Seq_ring.set t.board ~base:t.snd_una seq 0
+      end;
+      if t.n_retx > 0 && Hashtbl.mem t.retx seq then begin
+        Hashtbl.remove t.retx seq;
+        t.n_retx <- t.n_retx - 1
+      end
+    done;
   t.snd_una <- new_una;
   if t.highest_sacked < new_una then t.highest_sacked <- new_una;
   if t.loss_scan < new_una then t.loss_scan <- new_una
 
 (* Next eligible lost segment to retransmit, or -1 when the queue holds
-   none: a sentinel rather than an option, and [Queue.pop] rather than
-   [take_opt], so the dequeue allocates nothing. *)
+   none: a sentinel rather than an option, and [Ring.pop] rather than
+   [pop_opt], so the dequeue allocates nothing. *)
 let rec next_retransmit t =
-  if Queue.is_empty t.retx_queue then -1
+  if Ring.is_empty t.retx_queue then -1
   else begin
-    let seq = Queue.pop t.retx_queue in
-    if seq >= t.snd_una && Hashtbl.mem t.lost seq && not (Hashtbl.mem t.retx seq) then seq
+    let seq = Ring.pop t.retx_queue in
+    if
+      Seq_ring.get t.board ~base:t.snd_una seq land lost <> 0
+      && not (t.n_retx > 0 && Hashtbl.mem t.retx seq)
+    then seq
     else next_retransmit t
   end
 
@@ -311,7 +314,7 @@ and try_send t =
     if
       gap > 0.
       && now < fget t next_send_at_i
-      && ((not (Queue.is_empty t.retx_queue)) || t.snd_nxt < t.total)
+      && ((not (Ring.is_empty t.retx_queue)) || t.snd_nxt < t.total)
     then begin
       blocked := true;
       continue := false
@@ -441,10 +444,9 @@ let create engine ~node ~flow ~dst ~cc ~total_segments ?(source_index = 0)
       snd_una = 0;
       snd_nxt = 0;
       highest_sent = 0;
-      sacked = Hashtbl.create 64;
-      lost = Hashtbl.create 16;
+      board = Seq_ring.create ();
       retx = Hashtbl.create 16;
-      retx_queue = Queue.create ();
+      retx_queue = Ring.create ();
       n_sacked = 0;
       n_lost = 0;
       n_retx = 0;

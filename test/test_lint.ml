@@ -219,9 +219,9 @@ let test_hot_queue_fires () =
     (lint ~path:"lib/sim/fixture.ml" "type t = { q : int Queue.t }\n")
 
 let test_hot_queue_scope () =
-  (* Only the per-packet hot-path libraries are covered; a queue in a
-     sender or a test is not a hot-path allocation. *)
-  check_rules "lib/tcp out of scope" []
+  (* The per-packet libraries and the transport are covered (a sender's
+     retransmit queue is pushed per lost segment); a test is not. *)
+  check_rules "lib/tcp in scope" [ "hot-queue" ]
     (lint ~path:"lib/tcp/fixture.ml" "let f () = Queue.create ()\n");
   check_rules "test out of scope" []
     (lint ~path:"test/fixture.ml" "let f () = Queue.create ()\n")
@@ -236,6 +236,33 @@ let test_in_hot_path () =
   Alcotest.(check bool) "sim" true (Lint.in_hot_path "lib/sim/engine.ml");
   Alcotest.(check bool) "tcp" false (Lint.in_hot_path "lib/tcp/sender.ml");
   Alcotest.(check bool) "test" false (Lint.in_hot_path "test/test_sim.ml")
+
+(* {2 hot-hashtbl: Stdlib.Hashtbl in per-packet libraries} *)
+
+let test_hot_hashtbl_fires () =
+  check_rules "Hashtbl.create in lib/net" [ "hot-hashtbl" ]
+    (lint ~path:"lib/net/fixture.ml" "let f () = Hashtbl.create 16\n");
+  check_rules "Hashtbl.mem in lib/sim" [ "hot-hashtbl" ]
+    (lint ~path:"lib/sim/fixture.ml" "let f h k = Hashtbl.mem h k\n");
+  check_rules "Stdlib.Hashtbl qualified" [ "hot-hashtbl" ]
+    (lint ~path:"lib/net/fixture.ml" "let f h k = Stdlib.Hashtbl.replace h k ()\n");
+  check_rules "bare Hashtbl type use" [ "hot-hashtbl" ]
+    (lint ~path:"lib/sim/fixture.ml" "type t = { h : (int, int) Hashtbl.t }\n")
+
+let test_hot_hashtbl_scope () =
+  (* lib/tcp keeps the sender's retx table until it moves onto the
+     scoreboard ring; tests and other libraries may hash freely. *)
+  check_rules "lib/tcp out of scope" []
+    (lint ~path:"lib/tcp/fixture.ml" "let f () = Hashtbl.create 16\n");
+  check_rules "lib/experiments out of scope" []
+    (lint ~path:"lib/experiments/fixture.ml" "let f () = Hashtbl.create 16\n");
+  check_rules "test out of scope" []
+    (lint ~path:"test/fixture.ml" "let f () = Hashtbl.create 16\n")
+
+let test_hot_hashtbl_allow () =
+  check_rules "suppressed with allow" []
+    (lint ~path:"lib/net/fixture.ml"
+       "(* phi-lint: allow hot-hashtbl *)\nlet f () = Hashtbl.create 16\n")
 
 (* {2 packet-escape: pooled packet ownership} *)
 
@@ -430,6 +457,7 @@ let single_file_cases =
     ("domain_global", "lib/runner/fixture.ml",
      [ ("domain-global", 6); ("domain-global", 9) ]);
     ("hot_queue", "lib/net/fixture.ml", [ ("hot-queue", 2) ]);
+    ("hot_hashtbl", "lib/net/fixture.ml", [ ("hot-hashtbl", 2) ]);
     ("packet_escape", "lib/net/fixture.ml",
      [ ("packet-escape", 2); ("packet-escape", 4) ]);
     ("transport_unified", "lib/experiments/fixture.ml",
@@ -652,4 +680,7 @@ let suite =
     Alcotest.test_case "fixture corpus: dynamics domain-race" `Quick test_fixture_dynamics_race;
     Alcotest.test_case "fixture corpus: fan-out domain-race" `Quick test_fixture_fanout_race;
     Alcotest.test_case "json report round-trips" `Quick test_json_report_roundtrip;
+    Alcotest.test_case "hot-hashtbl fires" `Quick test_hot_hashtbl_fires;
+    Alcotest.test_case "hot-hashtbl scope" `Quick test_hot_hashtbl_scope;
+    Alcotest.test_case "hot-hashtbl allow" `Quick test_hot_hashtbl_allow;
   ]

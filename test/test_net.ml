@@ -8,7 +8,8 @@ module Topology = Phi_net.Topology
 module Monitor = Phi_net.Monitor
 module Prng = Phi_util.Prng
 
-let data pool ~seq = Packet.acquire_data pool ~flow:0 ~src:0 ~dst:1 ~seq ~now:0. ~retransmit:false
+let data ?(flow = 0) pool ~seq =
+  Packet.acquire_data pool ~flow ~src:0 ~dst:1 ~seq ~now:0. ~retransmit:false
 
 (* {2 Packet pool} *)
 
@@ -465,9 +466,8 @@ let test_red_keeps_cubic_queue_short_end_to_end () =
 (* {2 Node} *)
 
 let test_node_local_delivery () =
-  let engine = Engine.create () in
   let pool = Packet.create_pool () in
-  let node = Node.create engine pool ~id:1 in
+  let node = Node.create pool ~id:1 in
   let got = ref [] in
   Node.bind_flow node ~flow:0 (fun p -> got := Packet.seq pool p :: !got);
   Node.receive node (data pool ~seq:5);
@@ -483,8 +483,8 @@ let test_node_local_delivery () =
 let test_node_forwarding () =
   let engine = Engine.create () in
   let pool = Packet.create_pool () in
-  let a = Node.create engine pool ~id:0 in
-  let b = Node.create engine pool ~id:1 in
+  let a = Node.create pool ~id:0 in
+  let b = Node.create pool ~id:1 in
   let link = make_link engine pool in
   Link.set_receiver link (Node.receive b);
   Node.add_route a ~dst:1 link;
@@ -497,8 +497,8 @@ let test_node_forwarding () =
 let test_node_default_route () =
   let engine = Engine.create () in
   let pool = Packet.create_pool () in
-  let a = Node.create engine pool ~id:0 in
-  let b = Node.create engine pool ~id:9 in
+  let a = Node.create pool ~id:0 in
+  let b = Node.create pool ~id:9 in
   let link = make_link engine pool in
   Link.set_receiver link (Node.receive b);
   Node.set_default_route a link;
@@ -510,9 +510,8 @@ let test_node_default_route () =
   Alcotest.(check int) "default routed" 1 !got
 
 let test_node_no_route_fails () =
-  let engine = Engine.create () in
   let pool = Packet.create_pool () in
-  let a = Node.create engine pool ~id:0 in
+  let a = Node.create pool ~id:0 in
   let raised =
     try
       Node.receive a (data pool ~seq:0);
@@ -522,6 +521,101 @@ let test_node_no_route_fails () =
   Alcotest.(check bool) "no route raises" true raised;
   (* Even the failure path returns the cell. *)
   Alcotest.(check int) "unroutable packet released" 0 (Packet.in_use pool)
+
+(* One rejection per entry point: ids and flows index arrays, and a
+   negative flow would otherwise mask onto a live slot. *)
+let node_rejects_negative =
+  let pool = Packet.create_pool () in
+  let node () = Node.create pool ~id:0 in
+  let link () = make_link (Engine.create ()) pool in
+  [
+    ("create", "id", fun () -> ignore (Node.create pool ~id:(-1)));
+    ("add_route", "dst", fun () -> Node.add_route (node ()) ~dst:(-1) (link ()));
+    ("bind_flow", "flow", fun () -> Node.bind_flow (node ()) ~flow:(-1) ignore);
+    ("unbind_flow", "flow", fun () -> Node.unbind_flow (node ()) ~flow:(-1));
+  ]
+  |> List.map (fun (fn, field, call) ->
+         ( Printf.sprintf "node %s rejects a negative %s" fn field,
+           `Quick,
+           fun () ->
+             Alcotest.check_raises fn
+               (Invalid_argument (Printf.sprintf "Node.%s: %s must be >= 0 (got -1)" fn field))
+               call ))
+
+(* 5, 13 and 4101 share their low three bits, so the slot table must
+   double until each has a slot of its own (4101 = 4096 + 5). *)
+let colliding_flows = [ 5; 13; 4101 ]
+
+let bind_counters node =
+  List.map
+    (fun flow ->
+      let got = ref 0 in
+      Node.bind_flow node ~flow (fun _ -> incr got);
+      (flow, got))
+    colliding_flows
+
+let test_node_colliding_flows_demux () =
+  let pool = Packet.create_pool () in
+  let node = Node.create pool ~id:1 in
+  let counters = bind_counters node in
+  List.iteri
+    (fun i flow ->
+      for _ = 0 to i do
+        Node.receive node (data pool ~flow ~seq:0)
+      done)
+    colliding_flows;
+  Alcotest.(check (list (pair int int)))
+    "each flow reaches its own handler"
+    [ (5, 1); (13, 2); (4101, 3) ]
+    (List.map (fun (flow, got) -> (flow, !got)) counters);
+  Alcotest.(check int) "nothing unclaimed" 0 (Node.unclaimed_deliveries node)
+
+let test_node_unbind_keeps_other_flows () =
+  let pool = Packet.create_pool () in
+  let node = Node.create pool ~id:1 in
+  let counters = bind_counters node in
+  Node.unbind_flow node ~flow:13;
+  List.iter (fun flow -> Node.receive node (data pool ~flow ~seq:0)) colliding_flows;
+  Alcotest.(check int) "13 counts as unclaimed" 1 (Node.unclaimed_deliveries node);
+  Alcotest.(check (list (pair int int)))
+    "5 and 4101 still deliver"
+    [ (5, 1); (13, 0); (4101, 1) ]
+    (List.map (fun (flow, got) -> (flow, !got)) counters);
+  Alcotest.(check int) "every cell released" 0 (Packet.in_use pool)
+
+let test_node_rebind_replaces_handler () =
+  let pool = Packet.create_pool () in
+  let node = Node.create pool ~id:1 in
+  let first = ref 0 and second = ref 0 in
+  Node.bind_flow node ~flow:7 (fun _ -> incr first);
+  Node.bind_flow node ~flow:7 (fun _ -> incr second);
+  Node.receive node (data pool ~flow:7 ~seq:0);
+  Alcotest.(check (pair int int)) "only the new handler runs" (0, 1) (!first, !second)
+
+let test_node_route_table_grows () =
+  let engine = Engine.create () in
+  let pool = Packet.create_pool () in
+  let a = Node.create pool ~id:0 in
+  let hops = ref [] in
+  let link name =
+    let l = make_link engine pool in
+    Link.set_receiver l (fun p ->
+        hops := (name, Packet.dst pool p) :: !hops;
+        Packet.release pool p);
+    l
+  in
+  Node.add_route a ~dst:2 (link "to 2");
+  Node.add_route a ~dst:1000 (link "to 1000");
+  Node.set_default_route a (link "default");
+  List.iter
+    (fun dst ->
+      Node.receive a (Packet.acquire_data pool ~flow:0 ~src:0 ~dst ~seq:0 ~now:0. ~retransmit:false))
+    [ 1000; 2; 3; 5000 ];
+  Engine.run engine;
+  Alcotest.(check (list (pair string int)))
+    "the new highest id is routed, misses take the default"
+    [ ("to 1000", 1000); ("to 2", 2); ("default", 3); ("default", 5000) ]
+    (List.rev !hops)
 
 (* {2 Topology} *)
 
@@ -850,3 +944,10 @@ let suite =
   ]
   @ List.map link_create_rejects non_finite_link_params
   @ List.map graph_add_link_rejects non_finite_link_params
+  @ node_rejects_negative
+  @ [
+      ("node colliding flows each reach their handler", `Quick, test_node_colliding_flows_demux);
+      ("node unbind keeps the other flows", `Quick, test_node_unbind_keeps_other_flows);
+      ("node rebinding replaces the handler", `Quick, test_node_rebind_replaces_handler);
+      ("node route table grows to a new highest id", `Quick, test_node_route_table_grows);
+    ]

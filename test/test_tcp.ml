@@ -230,8 +230,8 @@ let test_vegas_keeps_queue_short_end_to_end () =
 let receiver_fixture () =
   let engine = Engine.create () in
   let pool = Packet.create_pool () in
-  let a = Node.create engine pool ~id:0 in
-  let b = Node.create engine pool ~id:1 in
+  let a = Node.create pool ~id:0 in
+  let b = Node.create pool ~id:1 in
   let ab = Link.create engine pool ~bandwidth_bps:1e9 ~delay_s:0.001 ~capacity_pkts:1000 in
   let ba = Link.create engine pool ~bandwidth_bps:1e9 ~delay_s:0.001 ~capacity_pkts:1000 in
   Link.set_receiver ab (Node.receive b);
@@ -610,6 +610,75 @@ let prop_sender_floors_buggy_controllers =
       done;
       !ok && Sender.completed sender && Receiver.segments_received receiver = 150)
 
+(* The receiver's reorder ring against first principles, on windows wide
+   enough that the ring must grow past {!Seq_ring.initial_capacity}: after
+   every arrival, duplicates included, the cumulative ACK is the lowest
+   missing seq and each SACK block is a maximal received run above it. *)
+let prop_receiver_acks_describe_arrivals =
+  QCheck.Test.make ~name:"receiver acks name the lowest hole and maximal runs above it"
+    ~count:100
+    QCheck.(triple (int_range 0 10_000) (int_range 1 300) (int_range 0 40))
+    (fun (seed, n, n_dups) ->
+      let rng = Prng.create ~seed in
+      let order =
+        Array.append (Array.init n (fun i -> i)) (Array.init n_dups (fun _ -> Prng.int rng ~bound:n))
+      in
+      Prng.shuffle rng order;
+      let engine, a, _recv, acks = receiver_fixture () in
+      Array.iter (fun seq -> send_data engine a ~seq ~retransmit:false) order;
+      Engine.run engine;
+      let received = Array.make (n + 1) false in
+      let holds (seq, (cum, _echo, sack)) =
+        received.(seq) <- true;
+        let lowest_missing = ref 0 in
+        while received.(!lowest_missing) do incr lowest_missing done;
+        let maximal_run (lo, hi) =
+          !lowest_missing < lo && lo < hi && hi <= n
+          && (not received.(lo - 1))
+          && (not received.(hi))
+          && List.for_all (fun s -> received.(s)) (List.init (hi - lo) (fun i -> lo + i))
+        in
+        cum = !lowest_missing
+        && List.length sack <= Packet.max_sack_blocks
+        && List.for_all maximal_run sack
+      in
+      List.length !acks = Array.length order
+      && List.for_all holds (List.combine (Array.to_list order) (List.rev !acks)))
+
+(* A hole wider than the scoreboard ring's first allocation: the SACKed
+   segments above it sit further from [snd_una] than the ring first
+   holds, so it must grow mid-recovery.  A fixed 150-segment window (under
+   the path's 188-packet BDP, so nothing queues) sends the whole hole in
+   one flight; the bottleneck drops each hole segment's first copy. *)
+let test_sender_recovers_wide_hole () =
+  let hole_lo = 20 and hole_width = Seq_ring.initial_capacity + 36 and total = 400 in
+  let fixed_window =
+    Cc.make ~name:"fixed" ~initial_cwnd:150. ~initial_ssthresh:150.
+      ~on_ack:(fun _ ~now:_ ~rtt:_ ~sent_at:_ ~newly_acked:_ -> ())
+      ~on_loss:(fun _ ~now:_ -> ())
+      ~on_timeout:(fun _ ~now:_ -> ())
+      ()
+  in
+  let f = sender_fixture ~cc:fixed_window ~total () in
+  let d = f.dumbbell in
+  let pool = d.Topology.pool in
+  Link.set_receiver d.Topology.bottleneck (fun h ->
+      let seq = Packet.seq pool h in
+      if
+        Packet.is_data pool h
+        && (not (Packet.retransmit pool h))
+        && seq >= hole_lo
+        && seq < hole_lo + hole_width
+      then Packet.release pool h
+      else Node.receive d.Topology.right_router h);
+  Sender.start f.sender;
+  Engine.run f.engine;
+  Alcotest.(check bool) "completed" true (Sender.completed f.sender);
+  Alcotest.(check int) "every segment acknowledged" total (Sender.acked_segments f.sender);
+  Alcotest.(check int) "receiver got every segment" total (Receiver.segments_received f.receiver);
+  Alcotest.(check bool) "the hole was retransmitted" true
+    (Sender.retransmitted_segments f.sender >= hole_width)
+
 let suite =
   [
     ("rto initial", `Quick, test_rto_initial);
@@ -652,4 +721,6 @@ let suite =
     ("ecn once per rtt", `Quick, test_ecn_reacts_at_most_once_per_rtt);
     QCheck_alcotest.to_alcotest ~long:true prop_delivery_integrity;
     QCheck_alcotest.to_alcotest prop_sender_floors_buggy_controllers;
+    QCheck_alcotest.to_alcotest prop_receiver_acks_describe_arrivals;
+    ("sender recovers a hole wider than the scoreboard ring", `Quick, test_sender_recovers_wide_hole);
   ]
