@@ -12,10 +12,12 @@
      counted; ACKs roughly double the true event rate).
 
    Both families also report an allocation profile: [Gc.minor_words]
-   deltas around the port-churn and link-loop runs give minor words per
-   event and per packet (the regression gate [phi_json_check] enforces a
-   committed budget on the latter), and the link-loop packet pool
-   reports its high-water mark.
+   deltas around the port-churn, link-loop and dumbbell runs give minor
+   words per event, per link-loop packet and per delivered dumbbell
+   data packet (the regression gate [phi_json_check] enforces a
+   committed budget on the last two: the bare link and the whole packet
+   path, sender, receiver and controller included), and the link-loop
+   packet pool reports its high-water mark.
 
    - decisions/s: the compiled decision plane — per-ack whisker lookup
      (interpreted Rule_table scan against the flat Compiled_table) and
@@ -277,11 +279,14 @@ let run ~quick =
   Printf.printf "    link loop    %10.4f minor words/packet  (pool high water %d cells)\n%!"
     words_per_packet loop_high_water;
 
+  let m0 = Gc.minor_words () in
   let dumbbell_wall, data_packets = timed (dumbbell_packets dumbbell_s) in
+  let dumbbell_words_per_packet = (Gc.minor_words () -. m0) /. float_of_int data_packets in
   let dumbbell_pps = rate data_packets dumbbell_wall in
   Printf.printf "\n  paper dumbbell, 8 persistent Cubic flows, %.0f simulated s:\n" dumbbell_s;
-  Printf.printf "    %d data packets delivered               %10.0f packets/s (wall %.2f s)\n%!"
+  Printf.printf "    %d data packets delivered               %10.0f packets/s (wall %.2f s)\n"
     data_packets dumbbell_pps dumbbell_wall;
+  Printf.printf "    allocation %10.4f minor words/data packet\n%!" dumbbell_words_per_packet;
 
   let table = decision_table () in
   let compiled = Compiled_table.compile table in
@@ -362,6 +367,7 @@ let run ~quick =
         [
           ("minor_words_per_event", Json.float words_per_event);
           ("minor_words_per_packet", Json.float words_per_packet);
+          ("dumbbell_minor_words_per_packet", Json.float dumbbell_words_per_packet);
           ("pool_high_water", Json.Int loop_high_water);
         ] );
     ( "decision",

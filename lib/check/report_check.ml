@@ -1,6 +1,6 @@
 module J = Phi_util.Json
 
-let schema = "phi-bench-report/9"
+let schema = "phi-bench-report/10"
 
 (* The allocation-regression budget: minor words allocated per packet
    through the saturated link loop (pool acquire -> enqueue -> tx ->
@@ -10,6 +10,15 @@ let schema = "phi-bench-report/9"
    the moment someone reintroduces a per-packet box — one record on the
    hot path costs >= 3 words and blows straight past it. *)
 let max_minor_words_per_packet = 0.5
+
+(* The end-to-end allocation budget: minor words allocated per data
+   packet delivered on the paper dumbbell (8 persistent Cubic flows),
+   sender, receiver, controller and set-up included.  The path reads
+   about 9 to 10 words; what remains is the controller hooks' boxed
+   float arguments and their window stores.  It read 23 to 25 before
+   the transport and controller state was unboxed, so the budget trips
+   when several float boxes come back onto the per-packet path. *)
+let max_dumbbell_minor_words_per_packet = 12.
 
 (* The swarm-regression budgets.  The quick-budget swarm serves one
    million flows (two million wire messages); even a single-core
@@ -115,19 +124,26 @@ let check_micro ~path micro =
       ("packets", [ "link_loop_packets_per_s"; "dumbbell_packets_per_s" ]);
     ]
 
-(* "alloc": the per-packet figure is enforced against the committed
-   budget so an allocation regression on the packet path fails CI, not
+(* "alloc": the per-packet figures are enforced against the committed
+   budgets so an allocation regression on the packet path fails CI, not
    just a benchmark graph. *)
 let check_alloc ~path alloc =
   let alloc = obj ~path "alloc" alloc in
   let number = number ~path ~where:"alloc" alloc in
   let per_packet = number "minor_words_per_packet" in
   let per_event = number "minor_words_per_event" in
-  if per_packet < 0. || per_event < 0. then bad "%s: alloc counters must be non-negative" path;
+  let dumbbell = number "dumbbell_minor_words_per_packet" in
+  if per_packet < 0. || per_event < 0. || dumbbell < 0. then
+    bad "%s: alloc counters must be non-negative" path;
   if number "pool_high_water" < 1. then bad "%s: alloc \"pool_high_water\" must be >= 1" path;
   if per_packet > max_minor_words_per_packet then
     bad "%s: allocation regression: %.4f minor words/packet exceeds the budget of %g" path
-      per_packet max_minor_words_per_packet
+      per_packet max_minor_words_per_packet;
+  if dumbbell > max_dumbbell_minor_words_per_packet then
+    bad
+      "%s: allocation regression: %.4f minor words per dumbbell data packet exceeds the budget \
+       of %g"
+      path dumbbell max_dumbbell_minor_words_per_packet
 
 (* "swarm": the million-flow context-plane benchmark, gated against the
    committed service floors, so a throughput or tail-latency regression

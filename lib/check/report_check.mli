@@ -18,11 +18,17 @@
     gate trips. *)
 
 val schema : string
-(** ["phi-bench-report/9"], the only schema [check] accepts. *)
+(** ["phi-bench-report/10"], the only schema [check] accepts. *)
 
 val max_minor_words_per_packet : float
 (** The allocation budget enforced on the "alloc" section's
-    [minor_words_per_packet] figure. *)
+    [minor_words_per_packet] figure (the bare link loop). *)
+
+val max_dumbbell_minor_words_per_packet : float
+(** The allocation budget enforced on the "alloc" section's
+    [dumbbell_minor_words_per_packet] figure: minor words per data
+    packet delivered on the paper dumbbell, the whole packet path
+    included. *)
 
 val min_swarm_lookups_per_s : float
 (** The committed throughput floor enforced on the "swarm" section's

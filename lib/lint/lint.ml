@@ -26,6 +26,11 @@ let rules =
       "Stdlib.Hashtbl pays a polymorphic hash and compare (two C calls) on every probe; \
        hot-path simulation code (lib/net, lib/sim) must index a dense array or a masked \
        slot table instead" );
+    ( "hot-float-field",
+      "a mutable float field in a record that also has non-float fields: OCaml boxes \
+       every store into it, and transport and controller state (lib/tcp, lib/remy) is \
+       stored per ACK; make the record all-float, which OCaml stores flat, or keep the \
+       floats in a floatarray" );
     ( "packet-escape",
       "pooled packet handles die at release: construct packets only through the pool \
        (Packet.acquire_data / Packet.acquire_ack), never store a handle in a mutable \
@@ -77,6 +82,14 @@ let in_hot_path path = path_has_dir path "lib/net" || path_has_dir path "lib/sim
 let in_transport_path path = in_hot_path path || path_has_dir path "lib/tcp"
 
 let in_lib path = path_has_dir path "lib"
+
+(* [hot-float-field] covers the state the per-ACK handlers store into:
+   the transport and the controllers.  Implementations only, because
+   an interface that exposes a record repeats the declaration its
+   implementation already carries. *)
+let in_float_field_scope path =
+  (path_has_dir path "lib/tcp" || path_has_dir path "lib/remy")
+  && Filename.check_suffix path ".ml"
 
 (* [packet-escape] polices the pooled-packet ownership contract in the
    layers that handle live packets (lib/net, lib/tcp).  The pool module
@@ -220,6 +233,25 @@ let rec retained_handle t =
   | Ptyp_alias (t, _) | Ptyp_poly (_, t) -> retained_handle t
   | _ -> None
 
+let is_float_type t =
+  match t.ptyp_desc with
+  | Ptyp_constr ({ txt; _ }, []) ->
+    List.mem (Ast_scan.strip_stdlib (Ast_scan.path_of_lid txt)) [ "float"; "Float.t" ]
+  | _ -> false
+
+(* The mutable float fields of a record declaration that OCaml cannot
+   store flat, because some other field is not a float. *)
+let boxed_float_fields lds =
+  let is_float ld = is_float_type ld.pld_type in
+  if List.for_all is_float lds then []
+  else
+    List.filter_map
+      (fun ld ->
+        match ld.pld_mutable with
+        | Mutable when is_float ld -> Some ld.pld_name.txt
+        | Mutable | Immutable -> None)
+      lds
+
 (* The pattern rules: one traversal over identifiers, type
    constructors, module paths and record declarations, on
    implementations and interfaces alike.  Each finding sits at the line
@@ -231,9 +263,12 @@ let pattern_violations src =
   let transport_scope = in_transport_scope path in
   let decision_scope = in_decision_scope path in
   let transport_path = in_transport_path path in
+  let float_field_scope = in_float_field_scope path in
   let out = ref [] in
-  let add (loc : Location.t) rule =
-    out := (loc.loc_start.pos_cnum, violation path loc.loc_start.pos_lnum rule) :: !out
+  let add ?message (loc : Location.t) rule =
+    let v = violation path loc.loc_start.pos_lnum rule in
+    let v = match message with Some m -> { v with message = m ^ ": " ^ v.message } | None -> v in
+    out := (loc.loc_start.pos_cnum, v) :: !out
   in
   let value { txt; loc } =
     match Ast_scan.strip_stdlib (Ast_scan.path_of_lid txt) with
@@ -299,6 +334,21 @@ let pattern_violations src =
           Option.iter (fun (hloc, h) -> releases := (loc, hloc, h) :: !releases) handle
         | _ -> ());
         super#expression e
+
+      (* One finding per record type, at its declaration, naming the
+         fields whose stores box. *)
+      method! type_declaration td =
+        (match td.ptype_kind with
+        | Ptype_record lds when float_field_scope -> (
+          match boxed_float_fields lds with
+          | [] -> ()
+          | fields ->
+            add td.ptype_loc "hot-float-field"
+              ~message:
+                (Printf.sprintf "record %s stores %s boxed" td.ptype_name.txt
+                   (String.concat ", " fields)))
+        | _ -> ());
+        super#type_declaration td
 
       (* A [mutable] field of type [Packet.handle] retains a handle
          across events: it dangles the moment the packet is released. *)

@@ -1,6 +1,6 @@
 module Engine = Phi_sim.Engine
 module Pdes = Phi_sim.Pdes
-module Ring = Phi_sim.Ring
+module Fifo = Packet.Fifo
 
 (* A boundary link replaces an ordinary {!Link} at an island cut.  The
    egress half — queueing and serialization — is a real [Link] on the
@@ -79,7 +79,7 @@ type t = {
   mutable out_len : int;
   (* Drained packets still propagating, in arrival order (the egress is
      FIFO and the delay constant): the deliver port pops the head. *)
-  in_flight : Packet.handle Ring.t;
+  in_flight : Fifo.t;
   mutable deliver_port : Engine.port;
   mutable receiver : Packet.handle -> unit;
   mutable delivered : int;
@@ -89,7 +89,7 @@ let set_receiver t f = t.receiver <- f
 let egress t = t.egress
 let delay_s t = t.delay_s
 let delivered t = t.delivered
-let in_transit t = t.out_len + Ring.length t.in_flight
+let in_transit t = t.out_len + Fifo.length t.in_flight
 
 let[@inline never] grow_outbox t =
   let cap = Int.max 16 (2 * t.out_len) in
@@ -182,7 +182,7 @@ let drain t =
     if Pdes.horizon_s t.src_island < Pdes.horizon_s t.dst_island then
       raise (Fault "Boundary_link: source island horizon behind destination");
     for r = 0 to t.out_len - 1 do
-      Ring.push t.in_flight (materialize t r);
+      Fifo.push t.in_flight (materialize t r);
       Engine.schedule_port_at t.dst_engine
         ~time:(Float.Array.get t.out_floats ((r * floats_per) + rf_arrival))
         t.deliver_port
@@ -192,7 +192,7 @@ let drain t =
 
 let on_deliver t =
   t.delivered <- t.delivered + 1;
-  t.receiver (Ring.pop t.in_flight)
+  t.receiver (Fifo.pop t.in_flight)
 
 let create coordinator ~src ~dst ~src_pool ~dst_pool ~bandwidth_bps ~delay_s ~capacity_pkts =
   if not (Float.is_finite delay_s) || delay_s <= 0. then
@@ -215,7 +215,7 @@ let create coordinator ~src ~dst ~src_pool ~dst_pool ~bandwidth_bps ~delay_s ~ca
       out_ints = [||];
       out_floats = Float.Array.create 0;
       out_len = 0;
-      in_flight = Ring.create ();
+      in_flight = Fifo.create ();
       deliver_port = Engine.null_port;
       receiver = (fun _ -> invalid_arg "Boundary_link: receiver not set");
       delivered = 0;

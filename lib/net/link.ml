@@ -1,6 +1,6 @@
 module Engine = Phi_sim.Engine
-module Ring = Phi_sim.Ring
 module Invariant = Phi_sim.Invariant
+module Fifo = Packet.Fifo
 
 type red_params = {
   min_threshold : int;
@@ -32,12 +32,12 @@ type t = {
   mutable bandwidth_bps : float;
   mutable delay_s : float;
   capacity_pkts : int;
-  queue : Packet.handle Ring.t;
+  queue : Fifo.t;
   (* Packets serialized but still propagating.  Every delivery on a link
      takes the same [delay_s], so deliveries complete in FIFO order and
      the pre-registered delivery port can simply pop this ring — no
      per-packet closure capturing the packet. *)
-  in_flight : Packet.handle Ring.t;
+  in_flight : Fifo.t;
   mutable tx_done_port : Engine.port;
   mutable deliver_port : Engine.port;
   mutable memo_size : int;
@@ -114,7 +114,7 @@ let[@inline] tx_time t size =
     tx
   end
 
-let queued_bytes t = Ring.fold (fun acc p -> acc + Packet.size t.pool p) 0 t.queue
+let queued_bytes t = Fifo.fold (fun acc p -> acc + Packet.size t.pool p) 0 t.queue
 
 (* Sanitizer hook: every packet and byte offered to the link must be
    delivered, dropped, or still queued — nothing may vanish or be
@@ -123,7 +123,7 @@ let queued_bytes t = Ring.fold (fun acc p -> acc + Packet.size t.pool p) 0 t.que
 let check_conservation t =
   if Invariant.enabled () then begin
     let now = Engine.now t.engine in
-    let queued = Ring.length t.queue in
+    let queued = Fifo.length t.queue in
     if queued > t.capacity_pkts then
       Invariant.record ~rule:"queue-occupancy" ~time:now
         (Printf.sprintf "Link: queue %d exceeds capacity %d" queued t.capacity_pkts);
@@ -149,9 +149,9 @@ let check_conservation t =
    allocating a single closure — and the rings hold pool handles
    (immediate ints), so no packet is ever boxed either. *)
 let start_service t =
-  if (not t.up) || Ring.is_empty t.queue then t.busy <- false
+  if (not t.up) || Fifo.is_empty t.queue then t.busy <- false
   else begin
-    let pkt = Ring.peek t.queue in
+    let pkt = Fifo.peek t.queue in
     t.busy <- true;
     let now = Engine.now t.engine in
     fs_set t fs_total_queue_wait
@@ -162,13 +162,13 @@ let start_service t =
   end
 
 let on_tx_done t =
-  let pkt = Ring.pop t.queue in
+  let pkt = Fifo.pop t.queue in
   fs_set t fs_busy_time (fs_get t fs_busy_time +. fs_get t fs_in_service_tx);
   t.packets_delivered <- t.packets_delivered + 1;
   t.bytes_delivered <- t.bytes_delivered + Packet.size t.pool pkt;
   (match t.handoff with
   | None ->
-    Ring.push t.in_flight pkt;
+    Fifo.push t.in_flight pkt;
     (* [schedule_port_after] lands at [now +. delay] — the same IEEE
        expression as [due] — so the fast path below is the legacy
        behaviour verbatim; only a mid-run delay {e decrease} can take
@@ -183,7 +183,7 @@ let on_tx_done t =
   check_conservation t;
   start_service t
 
-let on_deliver t = t.receiver (Ring.pop t.in_flight)
+let on_deliver t = t.receiver (Fifo.pop t.in_flight)
 
 let create engine pool ~bandwidth_bps ~delay_s ~capacity_pkts =
   if not (Float.is_finite bandwidth_bps && bandwidth_bps > 0.) then
@@ -198,8 +198,8 @@ let create engine pool ~bandwidth_bps ~delay_s ~capacity_pkts =
       bandwidth_bps;
       delay_s;
       capacity_pkts;
-      queue = Ring.create ();
-      in_flight = Ring.create ();
+      queue = Fifo.create ();
+      in_flight = Fifo.create ();
       tx_done_port = Engine.null_port;
       deliver_port = Engine.null_port;
       memo_size = -1;
@@ -235,7 +235,7 @@ let set_discipline t ~rng discipline =
   | Drop_tail -> ());
   t.discipline <- discipline;
   t.red_rng <- Some rng;
-  fs_set t fs_red_avg (float_of_int (Ring.length t.queue))
+  fs_set t fs_red_avg (float_of_int (Fifo.length t.queue))
 
 (* RED early-drop/mark decision (simplified: no idle-time correction, no
    between-drop spacing).  With [mark_ecn], band "drops" become CE marks
@@ -243,7 +243,7 @@ let set_discipline t ~rng discipline =
 let red_rejects t p pkt =
   let avg =
     ((1. -. p.weight) *. fs_get t fs_red_avg)
-    +. (p.weight *. float_of_int (Ring.length t.queue))
+    +. (p.weight *. float_of_int (Fifo.length t.queue))
   in
   fs_set t fs_red_avg avg;
   if avg < float_of_int p.min_threshold then false
@@ -274,7 +274,7 @@ let send t pkt =
   let size = Packet.size t.pool pkt in
   t.packets_offered <- t.packets_offered + 1;
   t.bytes_offered <- t.bytes_offered + size;
-  if (not t.up) || Ring.length t.queue >= t.capacity_pkts || discipline_rejects t pkt
+  if (not t.up) || Fifo.length t.queue >= t.capacity_pkts || discipline_rejects t pkt
      || faulted t
   then begin
     t.drops <- t.drops + 1;
@@ -284,7 +284,7 @@ let send t pkt =
   end
   else begin
     Packet.set_enqueued_at t.pool pkt (Engine.now t.engine);
-    Ring.push t.queue pkt;
+    Fifo.push t.queue pkt;
     if not t.busy then start_service t
   end;
   check_conservation t
@@ -357,7 +357,7 @@ let window_throughput_bps t w ~elapsed_s =
   float_of_int (window_bytes_delivered t w * 8) /. elapsed_s
 
 let window_utilization t w ~elapsed_s = Float.min 1. (window_busy_s t w /. elapsed_s)
-let queue_length t = Ring.length t.queue
+let queue_length t = Fifo.length t.queue
 let ecn_marks t = t.ecn_marks
 let packets_delivered t = t.packets_delivered
 let bytes_offered t = t.bytes_offered

@@ -1,4 +1,5 @@
 module Invariant = Phi_sim.Invariant
+module Ring = Phi_sim.Ring
 
 let mss = 1500
 let ack_size = 40
@@ -113,7 +114,10 @@ let acquire pool =
   if pool.live > pool.high_water then pool.high_water <- pool.live;
   idx
 
-let acquire_data pool ~flow ~src ~dst ~seq ~now ~retransmit =
+(* [acquire_data] and [acquire_ack] are forced inline: their float
+   arguments would otherwise be boxed at every call, once or more per
+   packet. *)
+let[@inline] acquire_data pool ~flow ~src ~dst ~seq ~now ~retransmit =
   let idx = acquire pool in
   let base = idx * i_stride in
   let ints = pool.ints in
@@ -131,7 +135,7 @@ let acquire_data pool ~flow ~src ~dst ~seq ~now ~retransmit =
   Float.Array.set pool.floats (fbase + f_echo_tx) 0.;
   (pool.gen.(idx) lsl idx_bits) lor idx
 
-let acquire_ack pool ~flow ~src ~dst ~next_expected ~has_echo ~echo_sent_at ~echo_tx_time
+let[@inline] acquire_ack pool ~flow ~src ~dst ~next_expected ~has_echo ~echo_sent_at ~echo_tx_time
     ~ece ~now =
   let idx = acquire pool in
   let base = idx * i_stride in
@@ -273,6 +277,20 @@ let sack_hi pool h i =
   check pool h;
   if i < 0 || i >= pool.ints.(ibase h + i_nsack) then invalid_arg "Packet.sack_hi: bad index";
   pool.ints.(ibase h + i_sack0 + (2 * i) + 1)
+
+(* Here [handle] is [int], so the int ring queues handles as they are;
+   the interface makes the view typed. *)
+module Fifo = struct
+  type t = Ring.t
+
+  let create = Ring.create
+  let length = Ring.length
+  let is_empty = Ring.is_empty
+  let[@inline] push q h = Ring.push q h
+  let[@inline] pop q = Ring.pop q
+  let[@inline] peek q = Ring.peek q
+  let fold = Ring.fold
+end
 
 let pp pool ppf h =
   let kind = if is_data pool h then "data" else "ack" in

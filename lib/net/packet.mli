@@ -151,4 +151,29 @@ val in_use : pool -> int
 val high_water : pool -> int
 (** Maximum simultaneously live cells since creation. *)
 
+(** {2 Handle queues} *)
+
+(** A FIFO of packet handles: {!Phi_sim.Ring}, which holds ints, seen
+    through the handle type.  Links queue and propagate their packets in
+    one, so no handle is ever boxed or stored through a write barrier. *)
+module Fifo : sig
+  type t
+
+  val create : unit -> t
+  val length : t -> int
+  val is_empty : t -> bool
+
+  val push : t -> handle -> unit
+  (** Append at the tail. *)
+
+  val pop : t -> handle
+  (** Remove and return the head.  Raises [Invalid_argument] when empty. *)
+
+  val peek : t -> handle
+  (** Head without removing it.  Raises [Invalid_argument] when empty. *)
+
+  val fold : ('acc -> handle -> 'acc) -> 'acc -> t -> 'acc
+  (** Head-to-tail fold over the queued handles. *)
+end
+
 val pp : pool -> Format.formatter -> handle -> unit

@@ -1,6 +1,10 @@
 let alpha = 1. /. 8.
 let ewma_scale = 0.15
 
+(* All floats, so OCaml stores the record flat and the per-ACK stores
+   box nothing (phi-lint [hot-float-field]).  [last_ack_at] is [nan]
+   until the first ACK: [now] is always finite, so the sentinel never
+   collides with a real arrival. *)
 type t = {
   mutable ack_ewma : float;
   mutable send_ewma : float;
@@ -9,7 +13,6 @@ type t = {
   mutable last_ack_at : float;
   mutable last_echo : float;
   mutable min_rtt : float;
-  mutable seen_ack : bool;
 }
 
 let create () =
@@ -18,10 +21,9 @@ let create () =
     send_ewma = 0.;
     rtt_ratio = 1.;
     util = 0.;
-    last_ack_at = 0.;
+    last_ack_at = nan;
     last_echo = 0.;
     min_rtt = infinity;
-    seen_ack = false;
   }
 
 let dims_remy = 3
@@ -35,13 +37,12 @@ let on_ack t ~now ~echo_sent_at =
     if rtt < t.min_rtt then t.min_rtt <- rtt;
     t.rtt_ratio <- Float.max 1. (rtt /. t.min_rtt)
   end;
-  if t.seen_ack then begin
+  if not (Float.is_nan t.last_ack_at) then begin
     t.ack_ewma <- blend t.ack_ewma (Float.max 0. (now -. t.last_ack_at));
     t.send_ewma <- blend t.send_ewma (Float.max 0. (echo_sent_at -. t.last_echo))
   end;
   t.last_ack_at <- now;
-  t.last_echo <- echo_sent_at;
-  t.seen_ack <- true
+  t.last_echo <- echo_sent_at
 
 let set_utilization t u = t.util <- Float.max 0. (Float.min 1. u)
 
@@ -74,7 +75,6 @@ let reset t =
   t.ack_ewma <- 0.;
   t.send_ewma <- 0.;
   t.rtt_ratio <- 1.;
-  t.last_ack_at <- 0.;
+  t.last_ack_at <- nan;
   t.last_echo <- 0.;
-  t.min_rtt <- infinity;
-  t.seen_ack <- false
+  t.min_rtt <- infinity

@@ -9,7 +9,7 @@
    most one entry per port plus one per live timer (and the entries of
    cancelled timers until they are popped):
 
-   - The event queue is a structure-of-arrays 8-ary min-heap ordered by
+   - The event queue is a structure-of-arrays 4-ary min-heap ordered by
      (time, seq): [hp.(i)] holds entry [i]'s timestamp in a [floatarray]
      (unboxed), and [hm] interleaves the FIFO tie-break sequence number
      ([hm.(2i)]) with the payload key ([hm.(2i+1)]) so both land on the
@@ -18,6 +18,13 @@
      [Some (time, seq, v)] tuple it would allocate (including a freshly
      boxed float) cost about 2x on the event-churn microbenchmark (the
      bench's [micro] experiment).
+
+     Arity 4 fits a shallow heap.  Since ports and in-place re-arming,
+     the heap holds one entry per port and per live timer (about 120 on
+     the paper dumbbell), so a pop sifts down three or four levels, and
+     scanning four children per level costs less than the level that
+     eight children would save.  The (time, seq) keys are unique, so
+     the arity changes only the cost of a pop, never its order.
 
    - Cancellable events live in a slab of reusable cells in parallel
      arrays.  A handle packs a cell's index with its generation counter,
@@ -97,7 +104,7 @@ type t = {
      argument, which the non-flambda compiler would box at the call. *)
   clock : floatarray;
   tscratch : floatarray;
-  (* 8-ary min-heap over (time, seq, key). *)
+  (* 4-ary min-heap over (time, seq, key). *)
   mutable hp : floatarray;
   mutable hm : int array;  (* hm.(2i) = seq, hm.(2i+1) = key *)
   mutable hlen : int;
@@ -196,7 +203,7 @@ let sift_up t i0 seq key =
   let i = ref i0 in
   let continue = ref true in
   while !continue && !i > 0 do
-    let parent = (!i - 1) lsr 3 in
+    let parent = (!i - 1) lsr 2 in
     let pt = Float.Array.unsafe_get hp parent in
     if time < pt || (time = pt && seq < Array.unsafe_get hm (2 * parent)) then begin
       Float.Array.unsafe_set hp !i pt;
@@ -227,11 +234,11 @@ let sift_down t seq key =
   let i = ref 0 in
   let continue = ref true in
   while !continue do
-    let base = (8 * !i) + 1 in
+    let base = (4 * !i) + 1 in
     if base >= len then continue := false
     else begin
-      (* Find the smallest of the up-to-eight children. *)
-      let last = if base + 7 < len then base + 7 else len - 1 in
+      (* Find the smallest of the up-to-four children. *)
+      let last = if base + 3 < len then base + 3 else len - 1 in
       let m = ref base in
       let mt = ref (Float.Array.unsafe_get hp base) in
       let ms = ref (Array.unsafe_get hm (2 * base)) in

@@ -6,14 +6,16 @@
     for TCP retransmission timers) or re-armed in place.
 
     Internally the engine keeps a slab of reusable, generation-stamped
-    event cells over a structure-of-arrays 8-ary heap: scheduling,
+    event cells over a structure-of-arrays 4-ary heap: scheduling,
     firing, cancelling and re-arming allocate nothing beyond the
     caller's own closure, and the per-packet hot paths avoid even that
     via {!port}s — handlers registered once and scheduled by reference.
     The heap holds at most one entry per port and one per live event
     (plus cancelled entries not yet popped): a port's later events wait
     in its FIFO, and {!rearm_after} moves a timer without leaving a dead
-    entry behind. *)
+    entry behind.  So the heap stays shallow (about 120 entries on the
+    paper dumbbell), which is why it is 4-ary: scanning four children
+    per level costs less there than the level an 8-ary heap saves. *)
 
 type t
 

@@ -1,5 +1,10 @@
 type recovery = Sack | Go_back_n
 
+(* The one record on the per-ACK path whose float stores still box:
+   the benchmark's controller wrapper ([perfbench/_src/cc_wrap.ml])
+   copies this record and wraps its hooks, so its layout can change
+   only together with the benchmark. *)
+(* phi-lint: allow hot-float-field *)
 type t = {
   name : string;
   mutable cwnd : float;

@@ -33,9 +33,13 @@ let pp_params ppf p =
 let params_to_string p =
   Printf.sprintf "%g/%g/%.2g" p.initial_ssthresh p.initial_cwnd p.beta
 
+(* All floats, so OCaml stores the record flat and a field store boxes
+   nothing (phi-lint [hot-float-field]).  [epoch_start] is [nan] while
+   no epoch is open: [now] is always finite, so the sentinel never
+   collides with a real start. *)
 type state = {
   mutable w_max : float;
-  mutable epoch_start : float option;
+  mutable epoch_start : float;
   mutable k : float;
   mutable origin_point : float;
   mutable w_tcp : float;
@@ -48,10 +52,10 @@ let make params =
   if params.beta <= 0. || params.beta >= 1. then invalid_arg "Cubic.make: beta out of (0, 1)";
   if params.c <= 0. then invalid_arg "Cubic.make: c must be positive";
   let s =
-    { w_max = 0.; epoch_start = None; k = 0.; origin_point = 0.; w_tcp = 0.; min_rtt = infinity }
+    { w_max = 0.; epoch_start = nan; k = 0.; origin_point = 0.; w_tcp = 0.; min_rtt = infinity }
   in
   let begin_epoch (cc : Cc.t) ~now =
-    s.epoch_start <- Some now;
+    s.epoch_start <- now;
     if cc.cwnd < s.w_max then begin
       s.k <- cbrt ((s.w_max -. cc.cwnd) /. params.c);
       s.origin_point <- s.w_max
@@ -68,13 +72,8 @@ let make params =
     let acked = float_of_int newly_acked in
     if Cc.in_slow_start cc then cc.cwnd <- Float.min (cc.cwnd +. acked) (Float.max cc.ssthresh cc.cwnd)
     else begin
-      let epoch_start =
-        match s.epoch_start with
-        | Some e -> e
-        | None ->
-          begin_epoch cc ~now;
-          now
-      in
+      if Float.is_nan s.epoch_start then begin_epoch cc ~now;
+      let epoch_start = s.epoch_start in
       let min_rtt = if Float.is_finite s.min_rtt then s.min_rtt else 0.1 in
       (* Window target one RTT into the future, per RFC 8312. *)
       let t = now +. min_rtt -. epoch_start in
@@ -96,7 +95,7 @@ let make params =
   (* The sender floors cwnd/ssthresh at [Cc.min_cwnd] after these events;
      the controller only computes the multiplicative decrease. *)
   let on_loss (cc : Cc.t) ~now:_ =
-    s.epoch_start <- None;
+    s.epoch_start <- nan;
     if params.fast_convergence && cc.cwnd < s.w_max then
       s.w_max <- cc.cwnd *. (2. -. params.beta) /. 2.
     else s.w_max <- cc.cwnd;
@@ -104,7 +103,7 @@ let make params =
     cc.ssthresh <- cc.cwnd
   in
   let on_timeout (cc : Cc.t) ~now:_ =
-    s.epoch_start <- None;
+    s.epoch_start <- nan;
     s.w_max <- cc.cwnd;
     cc.ssthresh <- cc.cwnd *. (1. -. params.beta);
     cc.cwnd <- 1.

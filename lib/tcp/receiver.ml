@@ -76,7 +76,9 @@ let rec emit_sack_blocks t ack k =
     emit_sack_blocks t ack (k + 1)
   end
 
-let send_ack t ~has_echo ~echo_sent_at ~tx_time ~ece =
+(* Forced inline: its float arguments would be boxed at each of the
+   three calls in [handle], once per data packet. *)
+let[@inline] send_ack t ~has_echo ~echo_sent_at ~tx_time ~ece =
   let pkt =
     Packet.acquire_ack t.pool ~flow:t.flow ~src:(Node.id t.node) ~dst:t.peer
       ~next_expected:t.next_expected ~has_echo ~echo_sent_at ~echo_tx_time:tx_time ~ece

@@ -1,7 +1,10 @@
 (* Mutable estimator state lives in a flat floatarray: this record also
    carries non-float fields, so [mutable f : float] fields would box a
    fresh float on every store — once per RTT sample on the ACK hot path
-   (phi-lint [hot-alloc]).  Floatarray stores are unboxed. *)
+   (phi-lint [hot-float-field]).  Floatarray stores are unboxed.  The
+   float-taking and float-returning entry points are forced inline, so
+   their arguments and results cross no call boundary, which would box
+   them. *)
 
 (* Slot layout of [s]. *)
 let srtt_i = 0
@@ -23,7 +26,7 @@ let create ?(min_rto = 0.2) ?(max_rto = 60.) () =
   Float.Array.set s backoff_i 1.;
   { min_rto; max_rto; s }
 
-let observe t ~rtt =
+let[@inline] observe t ~rtt =
   if rtt <= 0. then invalid_arg "Rto.observe: non-positive rtt";
   if get t have_sample_i > 0. then begin
     set t rttvar_i ((0.75 *. get t rttvar_i) +. (0.25 *. Float.abs (get t srtt_i -. rtt)));
@@ -36,7 +39,7 @@ let observe t ~rtt =
   end;
   set t backoff_i 1.
 
-let current t =
+let[@inline] current t =
   let base =
     if get t have_sample_i > 0. then get t srtt_i +. (4. *. get t rttvar_i)
     else 1. (* RFC 6298 initial RTO before any sample *)
@@ -47,4 +50,4 @@ let backoff t = set t backoff_i (Float.min (get t backoff_i *. 2.) 64.)
 
 let reset_backoff t = set t backoff_i 1.
 
-let srtt t ~default = if get t have_sample_i > 0. then get t srtt_i else default
+let[@inline] srtt t ~default = if get t have_sample_i > 0. then get t srtt_i else default

@@ -10,13 +10,12 @@ let dupthresh = 3
 let sacked = 1
 let lost = 2
 
-(* Hot mutable floats live in [fs], one flat floatarray per sender:
+(* Mutable floats live in [fs], one flat floatarray per sender:
    storing into a mutable float field of this mixed record would box a
    fresh float on every write — per ACK for the delivery watermark and
    RTT accounting, per transmission for the pacing clock — while a
    floatarray store is unboxed (same idiom as the engine clock and
-   Rto).  Cold timestamps (started_at, finished_at) stay ordinary
-   fields. *)
+   Rto; phi-lint [hot-float-field]). *)
 let delivered_tx_high_i = 0
 (* latest transmission time echoed by any ACK: everything sent earlier
    has either been delivered or dropped (paths are FIFO) *)
@@ -25,7 +24,9 @@ let next_send_at_i = 1 (* earliest paced transmission time *)
 let rtt_sum_i = 2
 let rtt_min_i = 3
 let ecn_reaction_until_i = 4 (* ignore further ECE until this time *)
-let fs_slots = 5
+let started_at_i = 5
+let finished_at_i = 6
+let fs_slots = 7
 
 type t = {
   engine : Engine.t;
@@ -52,7 +53,7 @@ type t = {
          [requeue_lost_retransmissions] requeues in is this table's fold
          order, which the benchmark's fingerprints pin.  [n_retx] is its
          size, so every probe sits behind [n_retx > 0]. *)
-  retx_queue : int Ring.t;  (* lost segments awaiting retransmission *)
+  retx_queue : Ring.t;  (* lost segments awaiting retransmission *)
   mutable n_sacked : int;
   mutable n_lost : int;
   mutable n_retx : int;
@@ -68,8 +69,6 @@ type t = {
          RTO re-arms on every ACK and a per-arm closure would be a
          per-ACK allocation *)
   mutable send_timer_cb : unit -> unit;
-  mutable started_at : float;
-  mutable finished_at : float;
   mutable retransmitted : int;
   mutable timeouts : int;
   mutable rtt_count : int;
@@ -79,8 +78,10 @@ type t = {
          disables the upper check *)
 }
 
-let fget t i = Float.Array.get t.fs i
-let fset t i v = Float.Array.set t.fs i v
+(* Forced inline, like [record_rtt] and [on_ecn_echo]: a float that
+   crosses a call boundary is boxed. *)
+let[@inline] fget t i = Float.Array.get t.fs i
+let[@inline] fset t i v = Float.Array.set t.fs i v
 
 let persistent_total = max_int / 2
 
@@ -94,13 +95,13 @@ let ecn_reductions t = t.ecn_reductions
 let completed t = t.completed
 
 let stats t =
-  let finished_at = if t.completed then t.finished_at else Engine.now t.engine in
+  let finished_at = if t.completed then fget t finished_at_i else Engine.now t.engine in
   (* One record per [stats] call; callers sample at completion or at a
      coarse reporting cadence, never per event. *)
   { (* phi-lint: allow hot-alloc *)
     Flow.flow = t.flow;
     source_index = t.source_index;
-    started_at = t.started_at;
+    started_at = fget t started_at_i;
     finished_at;
     bytes = t.snd_una * Packet.mss;
     segments = t.snd_una;
@@ -266,8 +267,8 @@ let advance_una t new_una =
   if t.loss_scan < new_una then t.loss_scan <- new_una
 
 (* Next eligible lost segment to retransmit, or -1 when the queue holds
-   none: a sentinel rather than an option, and [Ring.pop] rather than
-   [pop_opt], so the dequeue allocates nothing. *)
+   none: a sentinel rather than an option, so the dequeue allocates
+   nothing. *)
 let rec next_retransmit t =
   if Ring.is_empty t.retx_queue then -1
   else begin
@@ -347,7 +348,7 @@ and try_send t =
 
 let complete t =
   t.completed <- true;
-  t.finished_at <- Engine.now t.engine;
+  fset t finished_at_i (Engine.now t.engine);
   cancel_rto t;
   cancel_send_timer t;
   Node.unbind_flow t.node ~flow:t.flow;
@@ -355,7 +356,7 @@ let complete t =
   Flow.sanitize stats;
   t.on_complete stats
 
-let record_rtt t sample =
+let[@inline] record_rtt t sample =
   if sample > 0. then begin
     Rto.observe t.rto ~rtt:sample;
     t.rtt_count <- t.rtt_count + 1;
@@ -365,7 +366,7 @@ let record_rtt t sample =
 
 (* React to an ECN echo like a loss-based decrease, but at most once per
    RTT and without any retransmission (RFC 3168 semantics). *)
-let on_ecn_echo t ~now =
+let[@inline] on_ecn_echo t ~now =
   if now >= fget t ecn_reaction_until_i then begin
     t.cc.Cc.on_loss t.cc ~now;
     clamp_after_loss t;
@@ -427,6 +428,8 @@ let create engine ~node ~flow ~dst ~cc ~total_segments ?(source_index = 0)
   Float.Array.set fs rtt_sum_i 0.;
   Float.Array.set fs rtt_min_i infinity;
   Float.Array.set fs ecn_reaction_until_i neg_infinity;
+  Float.Array.set fs started_at_i (Engine.now engine);
+  Float.Array.set fs finished_at_i (Engine.now engine);
   let t =
     {
       engine;
@@ -459,8 +462,6 @@ let create engine ~node ~flow ~dst ~cc ~total_segments ?(source_index = 0)
       rto_handle = Engine.null;
       rto_cb = nop;
       send_timer_cb = nop;
-      started_at = Engine.now engine;
-      finished_at = Engine.now engine;
       retransmitted = 0;
       timeouts = 0;
       rtt_count = 0;
@@ -480,14 +481,14 @@ let create engine ~node ~flow ~dst ~cc ~total_segments ?(source_index = 0)
 let start t =
   if not t.started then begin
     t.started <- true;
-    t.started_at <- Engine.now t.engine;
+    fset t started_at_i (Engine.now t.engine);
     try_send t
   end
 
 let abort t =
   if not t.completed then begin
     t.completed <- true;
-    t.finished_at <- Engine.now t.engine;
+    fset t finished_at_i (Engine.now t.engine);
     cancel_rto t;
     cancel_send_timer t;
     Node.unbind_flow t.node ~flow:t.flow

@@ -1,7 +1,8 @@
+(* All floats, so the record is stored flat and its stores box nothing
+   (phi-lint [hot-float-field]); the sample count lives beside it. *)
 type state = {
   mutable base_rtt : float;
   mutable rtt_sum : float;
-  mutable rtt_count : int;
   mutable next_adjust_at : float;  (* end of the current observation epoch *)
 }
 
@@ -11,18 +12,19 @@ let gamma = 1.
 let make ?(alpha = 2.) ?(beta = 4.) ?(initial_cwnd = 2.) ?(initial_ssthresh = 65536.) () =
   if alpha > beta then invalid_arg "Vegas.make: alpha must be <= beta";
   if alpha <= 0. then invalid_arg "Vegas.make: alpha must be positive";
-  let s = { base_rtt = infinity; rtt_sum = 0.; rtt_count = 0; next_adjust_at = 0. } in
+  let s = { base_rtt = infinity; rtt_sum = 0.; next_adjust_at = 0. } in
+  let rtt_count = ref 0 in
   let on_ack (cc : Cc.t) ~now ~rtt ~sent_at:_ ~newly_acked =
     (* [rtt > 0.] is the has-sample test: no sample is [nan]. *)
     if rtt > 0. then begin
       if rtt < s.base_rtt then s.base_rtt <- rtt;
       s.rtt_sum <- s.rtt_sum +. rtt;
-      s.rtt_count <- s.rtt_count + 1
+      incr rtt_count
     end;
-    if now >= s.next_adjust_at && s.rtt_count > 0 && Float.is_finite s.base_rtt then begin
-      let mean_rtt = s.rtt_sum /. float_of_int s.rtt_count in
+    if now >= s.next_adjust_at && !rtt_count > 0 && Float.is_finite s.base_rtt then begin
+      let mean_rtt = s.rtt_sum /. float_of_int !rtt_count in
       s.rtt_sum <- 0.;
-      s.rtt_count <- 0;
+      rtt_count := 0;
       s.next_adjust_at <- now +. mean_rtt;
       (* Segments this connection keeps queued in the network. *)
       let diff = cc.Cc.cwnd *. (1. -. (s.base_rtt /. mean_rtt)) in

@@ -1,7 +1,8 @@
-(* The CI report gate (Phi_check.Report_check): well-formed /9 reports
+(* The CI report gate (Phi_check.Report_check): well-formed /10 reports
    pass, whole or from a single experiment, and injected regressions
    trip it — swarm throughput below the floor, p99 over budget,
-   allocation over budget, decision-plane speedup below the floor or
+   allocation over budget on the link loop or the dumbbell,
+   decision-plane speedup below the floor or
    lookups that box, pdes determinism or scaling broken, wan_matrix
    fairness/FCT out of range or serial-probe divergence, an old schema,
    and sections that disagree with the experiments list.  This is the
@@ -10,11 +11,12 @@
 module J = Phi_util.Json
 module Check = Phi_check.Report_check
 
-let alloc ?(minor_words_per_packet = 0.0) () =
+let alloc ?(minor_words_per_packet = 0.0) ?(dumbbell_minor_words_per_packet = 9.7) () =
   J.Obj
     [
       ("minor_words_per_event", J.float 12.5);
       ("minor_words_per_packet", J.float minor_words_per_packet);
+      ("dumbbell_minor_words_per_packet", J.float dumbbell_minor_words_per_packet);
       ("pool_high_water", J.Int 64);
     ]
 
@@ -234,7 +236,7 @@ let missing section =
     ()
 
 let test_valid_reports_pass () =
-  expect_pass "a full /9 report" (report ());
+  expect_pass "a full /10 report" (report ());
   List.iter
     (fun id -> expect_pass (Printf.sprintf "an --only %s report" id) (only id))
     (experiments_of full_sections);
@@ -265,7 +267,20 @@ let test_swarm_structure_gate () =
 
 let test_alloc_gate () =
   expect_fail "allocation regression" ~mentioning:"allocation regression"
-    (with_section "alloc" (alloc ~minor_words_per_packet:3.2 ()))
+    (with_section "alloc" (alloc ~minor_words_per_packet:3.2 ()));
+  (* The dumbbell before its transport and controller state was
+     unboxed read 23 to 25 words per data packet. *)
+  expect_fail "dumbbell allocation regression" ~mentioning:"per dumbbell data packet exceeds"
+    (with_section "alloc" (alloc ~dumbbell_minor_words_per_packet:23.3 ()));
+  expect_fail "alloc without the dumbbell figure"
+    ~mentioning:"missing \"dumbbell_minor_words_per_packet\""
+    (with_section "alloc"
+       (J.Obj
+          [
+            ("minor_words_per_event", J.float 12.5);
+            ("minor_words_per_packet", J.float 0.);
+            ("pool_high_water", J.Int 64);
+          ]))
 
 let test_cc_matrix_gate () =
   expect_fail "cc_matrix missing a registered algorithm" ~mentioning:"does not cover"
@@ -371,8 +386,8 @@ let test_schema_gate () =
     (report ~schema:"phi-bench-report/99" ());
   (* One schema is accepted: the previous version's report is rejected
      however complete it is. *)
-  expect_fail "a /8 report" ~mentioning:"unknown \"schema\""
-    (report ~schema:(Printf.sprintf "phi-bench-report/%d" 8) ())
+  expect_fail "a /9 report" ~mentioning:"unknown \"schema\""
+    (report ~schema:(Printf.sprintf "phi-bench-report/%d" 9) ())
 
 let test_sections_follow_experiments () =
   (* Every row of the table, both ways: an experiment that ran without

@@ -458,6 +458,7 @@ let single_file_cases =
      [ ("domain-global", 6); ("domain-global", 9) ]);
     ("hot_queue", "lib/net/fixture.ml", [ ("hot-queue", 2) ]);
     ("hot_hashtbl", "lib/net/fixture.ml", [ ("hot-hashtbl", 2) ]);
+    ("hot_float_field", "lib/tcp/fixture.ml", [ ("hot-float-field", 2) ]);
     ("packet_escape", "lib/net/fixture.ml",
      [ ("packet-escape", 2); ("packet-escape", 4) ]);
     ("transport_unified", "lib/experiments/fixture.ml",
@@ -617,6 +618,44 @@ let test_every_rule_has_description () =
         (String.length name > 0 && String.length desc > 0))
     Lint.rules
 
+(* {2 hot-float-field: boxed float stores in transport and controller state} *)
+
+let test_hot_float_field_fires () =
+  let mixed = "type t = { name : string; mutable cwnd : float }\n" in
+  check_rules "mixed record in lib/tcp" [ "hot-float-field" ]
+    (lint ~path:"lib/tcp/fixture.ml" mixed);
+  check_rules "mixed record in lib/remy" [ "hot-float-field" ]
+    (lint ~path:"lib/remy/fixture.ml" mixed);
+  check_rules "Float.t is a float" [ "hot-float-field" ]
+    (lint ~path:"lib/tcp/fixture.ml" "type t = { mutable w : Float.t; n : int }\n");
+  check_rules "a float option is not a float" [ "hot-float-field" ]
+    (lint ~path:"lib/tcp/fixture.ml" "type s = { mutable e : float option; mutable k : float }\n");
+  check_rules "one finding per record" [ "hot-float-field" ]
+    (lint ~path:"lib/tcp/fixture.ml"
+       "type t = {\n  name : string;\n  mutable a : float;\n  mutable b : float;\n}\n");
+  match Lint.lint_source ~path:"lib/tcp/fixture.ml" mixed with
+  | [ v ] ->
+    Alcotest.(check int) "at the declaration" 1 v.Lint.line;
+    Alcotest.(check bool) "names the record and field" true
+      (contains v.Lint.message "record t stores cwnd boxed")
+  | _ -> Alcotest.fail "expected one violation"
+
+let test_hot_float_field_scope () =
+  let mixed = "type t = { name : string; mutable cwnd : float }\n" in
+  check_rules "all-float record is flat" []
+    (lint ~path:"lib/tcp/fixture.ml" "type t = { mutable a : float; b : float }\n");
+  check_rules "immutable float beside an int" []
+    (lint ~path:"lib/tcp/fixture.ml" "type t = { a : float; mutable n : int }\n");
+  check_rules "interfaces out of scope" []
+    (lint ~path:"lib/tcp/fixture.mli" ("(** Doc. *)\n" ^ mixed));
+  check_rules "lib/net out of scope" [] (lint ~path:"lib/net/fixture.ml" mixed);
+  check_rules "test out of scope" [] (lint ~path:"test/fixture.ml" mixed)
+
+let test_hot_float_field_allow () =
+  check_rules "suppressed with allow" []
+    (lint ~path:"lib/tcp/fixture.ml"
+       "(* phi-lint: allow hot-float-field *)\ntype t = { name : string; mutable cwnd : float }\n")
+
 let suite =
   [
     Alcotest.test_case "obj-magic fires" `Quick test_obj_magic_fires;
@@ -683,4 +722,7 @@ let suite =
     Alcotest.test_case "hot-hashtbl fires" `Quick test_hot_hashtbl_fires;
     Alcotest.test_case "hot-hashtbl scope" `Quick test_hot_hashtbl_scope;
     Alcotest.test_case "hot-hashtbl allow" `Quick test_hot_hashtbl_allow;
+    Alcotest.test_case "hot-float-field fires" `Quick test_hot_float_field_fires;
+    Alcotest.test_case "hot-float-field scope" `Quick test_hot_float_field_scope;
+    Alcotest.test_case "hot-float-field allow" `Quick test_hot_float_field_allow;
   ]

@@ -375,6 +375,51 @@ let test_trainer_ideal_uses_4dims () =
   Alcotest.(check bool) "runs with oracle" true (r.Trainer.connections > 0);
   Alcotest.(check string) "bit-exact replay" golden_trainer_eval (eval_capture r)
 
+(* The point a memory writes, bit for bit. *)
+let written_point m ~dims =
+  let out = Float.Array.make dims Float.nan in
+  Memory.write_point m ~dims out;
+  List.init dims (fun i -> Printf.sprintf "%h" (Float.Array.get out i))
+
+(* After [reset], a memory writes what a fresh one writes, before and
+   after the same ACKs: the reset also re-arms the no-ACK-yet state. *)
+let test_memory_reset_matches_fresh () =
+  let used = Memory.create () and fresh = Memory.create () in
+  List.iter
+    (fun (now, echo_sent_at) -> Memory.on_ack used ~now ~echo_sent_at)
+    [ (1., 0.8); (1.3, 0.9); (1.35, 1.2); (2., 1.6) ];
+  Memory.set_utilization used 0.6;
+  Memory.set_utilization fresh 0.6;
+  Memory.reset used;
+  let check what =
+    Alcotest.(check (list string)) what
+      (written_point fresh ~dims:Memory.dims_phi)
+      (written_point used ~dims:Memory.dims_phi)
+  in
+  check "after reset";
+  List.iter
+    (fun (now, echo_sent_at) ->
+      Memory.on_ack used ~now ~echo_sent_at;
+      Memory.on_ack fresh ~now ~echo_sent_at;
+      check (Printf.sprintf "after the ack at %g" now))
+    [ (3., 2.75); (3.2, 2.8) ]
+
+(* The first ACK only seeds the timestamps, fresh or after a reset; the
+   second one moves both EWMAs. *)
+let test_memory_first_ack_leaves_ewmas () =
+  let m = Memory.create () in
+  let first_ack what =
+    Memory.on_ack m ~now:5. ~echo_sent_at:4.8;
+    Alcotest.(check (float 0.)) (what ^ ": ack ewma") 0. (Memory.ack_ewma m);
+    Alcotest.(check (float 0.)) (what ^ ": send ewma") 0. (Memory.send_ewma m);
+    Memory.on_ack m ~now:5.5 ~echo_sent_at:5.;
+    Alcotest.(check (float 1e-12)) (what ^ ": ack ewma moves") (0.5 /. 8.) (Memory.ack_ewma m);
+    Alcotest.(check (float 1e-12)) (what ^ ": send ewma moves") (0.2 /. 8.) (Memory.send_ewma m)
+  in
+  first_ack "fresh";
+  Memory.reset m;
+  first_ack "after reset"
+
 let suite =
   [
     ("memory initial state", `Quick, test_memory_initial_state);
@@ -407,4 +452,6 @@ let suite =
     ("whisker rejects bad numbers", `Quick, test_whisker_of_line_rejects_bad_numbers);
     ("whisker create rejects non-finite actions", `Quick, test_whisker_create_rejects_non_finite);
     ("set_action rejects non-finite actions", `Quick, test_set_action_rejects_non_finite);
+    ("memory reset writes a fresh point", `Quick, test_memory_reset_matches_fresh);
+    ("memory first ack leaves the ewmas", `Quick, test_memory_first_ack_leaves_ewmas);
   ]

@@ -59,7 +59,7 @@ let test_ring_peek_fold_clear () =
   Alcotest.(check bool) "pop_opt none" true (Ring.pop_opt r = None)
 
 let test_ring_empty_pop_raises () =
-  let r : int Ring.t = Ring.create () in
+  let r : Ring.t = Ring.create () in
   let raises f = try ignore (f r); false with Invalid_argument _ -> true in
   Alcotest.(check bool) "pop raises" true (raises Ring.pop);
   Alcotest.(check bool) "peek raises" true (raises Ring.peek)
@@ -574,6 +574,62 @@ let prop_engine_fires_all_in_order =
       List.length fired = List.length times
       && fired = List.sort Float.compare times)
 
+(* The ring against a list model, over random operation sequences long
+   enough to double the ring several times and wrap its head around;
+   a rare [Clear] starts it over from no storage. *)
+type ring_op = Push of int | Pop | Peek | Length | Clear
+
+let ring_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (60, map (fun x -> Push x) int);
+        (40, return Pop);
+        (20, return Peek);
+        (10, return Length);
+        (1, return Clear);
+      ])
+
+let show_ring_op = function
+  | Push x -> Printf.sprintf "push %d" x
+  | Pop -> "pop"
+  | Peek -> "peek"
+  | Length -> "length"
+  | Clear -> "clear"
+
+let prop_ring_matches_list_model =
+  QCheck.Test.make ~name:"ring matches a list model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_ring_op ops))
+       QCheck.Gen.(list_size (int_range 0 600) ring_op_gen))
+    (fun ops ->
+      let r = Ring.create () in
+      (* The model queue, head first. *)
+      let model = ref [] in
+      let empty_raises f = match f r with _ -> false | exception Invalid_argument _ -> true in
+      List.for_all
+        (fun op ->
+          (match (op, !model) with
+          | Push x, m ->
+            Ring.push r x;
+            model := m @ [ x ];
+            true
+          | Pop, [] -> empty_raises Ring.pop
+          | Pop, x :: rest ->
+            model := rest;
+            Ring.pop r = x
+          | Peek, [] -> empty_raises Ring.peek
+          | Peek, x :: _ -> Ring.peek r = x
+          | Length, _ -> true
+          | Clear, _ ->
+            Ring.clear r;
+            model := [];
+            true)
+          && Ring.length r = List.length !model
+          && Ring.is_empty r = (!model = [])
+          && Ring.fold (fun acc x -> x :: acc) [] r = List.rev !model)
+        ops)
+
 let suite =
   [
     ("ring fifo", `Quick, test_ring_fifo);
@@ -606,4 +662,5 @@ let suite =
     ("engine null port", `Quick, test_engine_null_port_rejected);
     QCheck_alcotest.to_alcotest prop_engine_matches_reference;
     QCheck_alcotest.to_alcotest prop_engine_fires_all_in_order;
+    QCheck_alcotest.to_alcotest prop_ring_matches_list_model;
   ]

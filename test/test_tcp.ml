@@ -679,6 +679,60 @@ let test_sender_recovers_wide_hole () =
   Alcotest.(check bool) "the hole was retransmitted" true
     (Sender.retransmitted_segments f.sender >= hole_width)
 
+(* A seeded run of 300 events through Cubic: ACKs (a fifth of them
+   without an RTT sample), 3 % losses and 2 % timeouts, with the
+   sender's floors applied after each loss and timeout.  Every 25th
+   step's (cwnd, ssthresh) is pinned bit for bit.  The values were
+   recorded while Cubic still kept [epoch_start] as an option, so they
+   pin that the NaN sentinel opens and closes the same epochs. *)
+let test_cubic_seeded_trajectory () =
+  let cc = Cubic.make Cubic.default_params in
+  let rng = Prng.create ~seed:2204 in
+  let now = ref 0. and losses = ref 0 and timeouts = ref 0 in
+  let marks = ref [] in
+  for step = 1 to 300 do
+    now := !now +. Prng.float_range rng ~lo:0.005 ~hi:0.05;
+    let draw = Prng.int rng ~bound:100 in
+    if draw < 3 then begin
+      incr losses;
+      cc.Cc.on_loss cc ~now:!now;
+      cc.Cc.cwnd <- Float.max cc.Cc.cwnd Cc.min_cwnd;
+      cc.Cc.ssthresh <- Float.max cc.Cc.ssthresh Cc.min_cwnd
+    end
+    else if draw < 5 then begin
+      incr timeouts;
+      cc.Cc.on_timeout cc ~now:!now;
+      cc.Cc.cwnd <- Float.max cc.Cc.cwnd 1.;
+      cc.Cc.ssthresh <- Float.max cc.Cc.ssthresh Cc.min_cwnd
+    end
+    else begin
+      let rtt =
+        if Prng.int rng ~bound:5 = 0 then Float.nan else Prng.float_range rng ~lo:0.1 ~hi:0.3
+      in
+      cc.Cc.on_ack cc ~now:!now ~rtt ~sent_at:(!now -. 0.2)
+        ~newly_acked:(1 + Prng.int rng ~bound:3)
+    end;
+    if step mod 25 = 0 then marks := Printf.sprintf "%h %h" cc.Cc.cwnd cc.Cc.ssthresh :: !marks
+  done;
+  Alcotest.(check (pair int int)) "losses, timeouts" (13, 8) (!losses, !timeouts);
+  Alcotest.(check (list string))
+    "cwnd ssthresh every 25 steps"
+    [
+      "0x1.52fda40f05669p+2 0x1p+1";
+      "0x1.5db56d4ea54cdp+2 0x1.52601068451f4p+2";
+      "0x1.01fefc2d920cfp+2 0x1.fd57d47cb9adcp+1";
+      "0x1.1cba9ad69a72dp+2 0x1.ab2541b457df4p+1";
+      "0x1.6052d70aaf14p+2 0x1.03af227e1c989p+2";
+      "0x1.99febb7f74304p+2 0x1.1e0288d59133bp+2";
+      "0x1.caee0a0889bcbp+2 0x1.47fefc65f68dp+2";
+      "0x1.701a0051377fdp+2 0x1.3b356023f66dp+2";
+      "0x1.de8ec41c0011cp+2 0x1.3b356023f66dp+2";
+      "0x1.19c3ecf058d77p+2 0x1.adfbfef4b1422p+1";
+      "0x1.a1a0f7a4b6695p+2 0x1.adfbfef4b1422p+1";
+      "0x1.5eedb1eed385dp+2 0x1.3e10ca1ef9cedp+2";
+    ]
+    (List.rev !marks)
+
 let suite =
   [
     ("rto initial", `Quick, test_rto_initial);
@@ -723,4 +777,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_sender_floors_buggy_controllers;
     QCheck_alcotest.to_alcotest prop_receiver_acks_describe_arrivals;
     ("sender recovers a hole wider than the scoreboard ring", `Quick, test_sender_recovers_wide_hole);
+    ("cubic seeded trajectory is pinned", `Quick, test_cubic_seeded_trajectory);
   ]
