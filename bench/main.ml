@@ -20,12 +20,13 @@
 
    --json PATH additionally writes a machine-readable report (schema
    Phi_check.Report_check.schema): per-experiment wall clock, cells/sec,
-   the headline figure metrics, a serial-vs-parallel calibration, and
-   one section per section-carrying experiment that ran — "micro",
-   "alloc" and "decision" from micro, "cc_matrix" from matrix, and
-   "swarm", "pdes" and "wan_matrix" from the experiments of the same
-   name.  bin/phi_json_check gates it in CI against the budgets
-   committed in Phi_check.Report_check. *)
+   the headline figure metrics, and one section per section-carrying
+   experiment that ran — "micro", "alloc" and "decision" from micro,
+   "cc_matrix" from matrix, and "swarm", "pdes" and "wan_matrix" from
+   the experiments of the same name.  bin/phi_json_check gates it in CI
+   against the budgets committed in Phi_check.Report_check.  The report
+   times each experiment once, at the requested --jobs; speedup claims
+   come from perfbench's repeated runs (perfbench/README.md). *)
 
 module Topology = Phi_net.Topology
 module Json = Phi_util.Json
@@ -99,7 +100,7 @@ let add_section name json = sections := (name, json) :: !sections
 
 let sweep_cells budget = (List.length (Sweep.settings budget.grid) + 1) * List.length budget.seeds
 
-let report_json ~budget ~calibration =
+let report_json ~budget =
   let experiments =
     List.rev_map
       (fun (id, wall_s, cells) ->
@@ -121,35 +122,8 @@ let report_json ~budget ~calibration =
        ("total_wall_s", Json.float total_wall);
        ("experiments", Json.List experiments);
        ("headline", Json.Obj (List.rev !headlines));
-       ("parallel_calibration", calibration);
      ]
     @ List.rev !sections)
-
-(* Serial-vs-parallel calibration: re-run the Figure 2a sweep cells at
-   --jobs 1 and compare against the recorded wall clock of the same
-   sweep at the requested width.  At --jobs 1 the speedup is 1 by
-   definition and no extra work is done. *)
-let calibrate budget =
-  match List.find_opt (fun (id, _, _) -> id = "figure2a") !timings with
-  | None -> Json.Null
-  | Some (_, parallel_wall, cells) ->
-    let serial_wall =
-      if !jobs = 1 then parallel_wall
-      else begin
-        Printf.printf "\n(calibrating: re-running the figure2a sweep at --jobs 1)\n%!";
-        let config = { Scenario.low_utilization with Scenario.duration_s = budget.duration_s } in
-        fst (Micro.timed (fun () -> Sweep.run ~jobs:1 config budget.grid ~seeds:budget.seeds))
-      end
-    in
-    Json.Obj
-      [
-        ("experiment", Json.String "figure2a");
-        ("cells", Json.Int cells);
-        ("jobs", Json.Int !jobs);
-        ("serial_wall_s", Json.float serial_wall);
-        ("parallel_wall_s", Json.float parallel_wall);
-        ("speedup", Json.float (if parallel_wall > 0. then serial_wall /. parallel_wall else 1.));
-      ]
 
 (* {2 Figure 2a/2b: sweep scatter} *)
 
@@ -590,8 +564,7 @@ let () =
   (match json_path with
   | None -> ()
   | Some path ->
-    let calibration = calibrate budget in
-    let report = report_json ~budget ~calibration in
+    let report = report_json ~budget in
     Json.to_file ~path report;
     (* Re-read and parse: a malformed report must fail loudly here, not
        downstream in CI. *)

@@ -31,62 +31,48 @@ type row = {
   connections : int;
 }
 
-(* One seeded run of one algorithm in one cell, as a one-seed row. *)
+(* One seeded run of one algorithm in one cell, as a one-seed row filled
+   from the one {!Scenario.result}. *)
 let run_cell select ?duration_s ~seed algo cell =
-  let algorithm = Cc_algo.name algo in
-  match cell with
-  | Paper load ->
-    let name, config =
-      match load with
-      | `Low -> ("low", Scenario.low_utilization)
-      | `High -> ("high", Scenario.high_utilization)
-    in
-    let config =
-      { config with Scenario.seed; duration_s = Option.value duration_s ~default:config.duration_s }
-    in
-    let spec = config.Scenario.spec in
-    let w = Cc_select.wire select ~capacity_bps:spec.Topology.bottleneck_bw_bps ~path:"dumbbell" algo in
-    let r =
-      Scenario.run ~cc_factory:w.cc_factory ~observe:(fun e _ -> w.attach e)
-        ~on_conn_end:w.on_conn_end config
-    in
-    {
-      algorithm;
-      cell = name;
-      aqm = Scenario.aqm_name Scenario.Drop_tail;
-      throughput_bps = r.Scenario.throughput_bps;
-      delay_s = spec.Topology.rtt_s +. r.Scenario.queueing_delay_s;
-      queueing_delay_s = r.Scenario.queueing_delay_s;
-      loss_rate = r.Scenario.loss_rate;
-      power = r.Scenario.power;
-      jain = Scenario.jain ~n_sources:spec.Topology.n r.Scenario.records;
-      p99_fct_s = Scenario.p99_fct_s r.Scenario.records;
-      connections = r.Scenario.connections;
-    }
-  | Zoo { topology; dynamics; aqm } ->
-    let zoo = Topology.Zoo.by_name topology in
-    let w =
-      Cc_select.wire select ~capacity_bps:zoo.Topology.Zoo.bottleneck_bw_bps
-        ~path:zoo.Topology.Zoo.name algo
-    in
-    let r =
-      Scenario.run_zoo ~cc_factory:w.cc_factory ~observe:(fun e _ -> w.attach e)
-        ~on_conn_end:w.on_conn_end ~aqm ~dynamics:(Dynamics.by_name dynamics) ?duration_s ~seed
-        zoo
-    in
-    {
-      algorithm;
-      cell = topology ^ "/" ^ dynamics;
-      aqm = Scenario.aqm_name aqm;
-      throughput_bps = r.Scenario.z_throughput_bps;
-      delay_s = r.Scenario.z_delay_s;
-      queueing_delay_s = r.Scenario.z_queueing_delay_s;
-      loss_rate = r.Scenario.z_loss_rate;
-      power = r.Scenario.z_power;
-      jain = r.Scenario.z_jain;
-      p99_fct_s = r.Scenario.z_p99_fct_s;
-      connections = r.Scenario.z_connections;
-    }
+  let wire = Cc_select.wire select in
+  let name, aqm, (r : Scenario.result) =
+    match cell with
+    | Paper load ->
+      let name, config =
+        match load with
+        | `Low -> ("low", Scenario.low_utilization)
+        | `High -> ("high", Scenario.high_utilization)
+      in
+      let config =
+        { config with Scenario.seed; duration_s = Option.value duration_s ~default:config.duration_s }
+      in
+      let w = wire ~capacity_bps:config.Scenario.spec.Topology.bottleneck_bw_bps ~path:"dumbbell" algo in
+      ( name,
+        Scenario.Drop_tail,
+        Scenario.run ~cc_factory:w.cc_factory ~observe:(fun e _ -> w.attach e)
+          ~on_conn_end:w.on_conn_end config )
+    | Zoo { topology; dynamics; aqm } ->
+      let zoo = Topology.Zoo.by_name topology in
+      let w = wire ~capacity_bps:zoo.Topology.Zoo.bottleneck_bw_bps ~path:zoo.Topology.Zoo.name algo in
+      ( topology ^ "/" ^ dynamics,
+        aqm,
+        Scenario.run_zoo_cell ~cc_factory:w.cc_factory ~observe:(fun e _ -> w.attach e)
+          ~on_conn_end:w.on_conn_end ~aqm ~dynamics:(Dynamics.by_name dynamics) ?duration_s ~seed
+          zoo )
+  in
+  {
+    algorithm = Cc_algo.name algo;
+    cell = name;
+    aqm = Scenario.aqm_name aqm;
+    throughput_bps = r.throughput_bps;
+    delay_s = r.delay_s;
+    queueing_delay_s = r.queueing_delay_s;
+    loss_rate = r.loss_rate;
+    power = r.power;
+    jain = r.jain;
+    p99_fct_s = r.p99_fct_s;
+    connections = r.connections;
+  }
 
 let mean_row (by_seed : row array) =
   let mean f = Stats.mean (Array.map f by_seed) in

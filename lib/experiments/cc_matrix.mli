@@ -6,7 +6,8 @@
     registry and wired by {!Cc_select.wire}, one row layout.  A cell is
     either one of the paper's dumbbell loads, measured whole-run by
     {!Scenario.run}, or a topology zoo x dynamics x AQM combination run
-    by {!Scenario.run_zoo}.  Cells travel to pool workers as immutable
+    by {!Scenario.run_zoo_cell}; both return the one {!Scenario.result},
+    which fills the row.  Cells travel to pool workers as immutable
     descriptions — a zoo cell as names, materialized inside the worker
     — so the matrix is jobs-invariant. *)
 

@@ -32,6 +32,31 @@ let by_name = function
   | "flash_crowd" -> default_flash_crowd
   | other -> invalid_arg (Printf.sprintf "Dynamics.by_name: unknown regime %S" other)
 
+(* Every field of every regime, checked in one place; each range test
+   is written so that NaN fails it. *)
+let check t =
+  let bad field range x =
+    invalid_arg (Printf.sprintf "Dynamics.check: %s %s must be in %s, got %s" (name t) field range x)
+  in
+  let real field range ok x = if not ok then bad field range (Printf.sprintf "%g" x) in
+  let count field n = if n < 1 then bad field ">= 1" (string_of_int n) in
+  let period p = real "period_s" "(0, inf)" (0. < p && p < Float.infinity) p in
+  match t with
+  | Steady -> ()
+  | Link_flap { period_s; down_s } ->
+    period period_s;
+    real "down_s" "(0, period_s)" (0. < down_s && down_s < period_s) down_s
+  | Rtt_jitter { period_s; magnitude } ->
+    period period_s;
+    real "magnitude" "[0, 1)" (0. <= magnitude && magnitude < 1.) magnitude
+  | Incast { period_s; fan_in; burst_segments } ->
+    period period_s;
+    count "fan_in" fan_in;
+    count "burst_segments" burst_segments
+  | Flash_crowd { at_frac; multiplier } ->
+    real "at_frac" "[0, 1)" (0. <= at_frac && at_frac < 1.) at_frac;
+    count "multiplier" multiplier
+
 let at engine ~time f =
   if not (Float.is_finite time) || time < 0. then
     invalid_arg "Dynamics.at: time must be finite and non-negative";
@@ -53,14 +78,14 @@ let every engine ~start_s ~period_s ~until_s f =
   in
   tick 0 start_s
 
-let install ~engine ~rng ~bottlenecks ~duration_s = function
+let install ~engine ~rng ~bottlenecks ~duration_s t =
+  check t;
+  match t with
   | Steady | Incast _ | Flash_crowd _ ->
       (* Workload-level regimes: the scenario runner owns the transport,
          so it interprets these itself (through {!at}/{!every}). *)
       ignore rng
   | Link_flap { period_s; down_s } ->
-      if down_s <= 0. || down_s >= period_s then
-        invalid_arg "Dynamics.install: flap down time must be within (0, period)";
       if Array.length bottlenecks > 0 then
         every engine ~start_s:period_s ~period_s ~until_s:duration_s (fun k ->
             (* Rotate over the contended links so every island sees an
@@ -69,8 +94,6 @@ let install ~engine ~rng ~bottlenecks ~duration_s = function
             Link.set_down link;
             at engine ~time:(Engine.now engine +. down_s) (fun () -> Link.set_up link))
   | Rtt_jitter { period_s; magnitude } ->
-      if magnitude < 0. || magnitude >= 1. then
-        invalid_arg "Dynamics.install: jitter magnitude must be within [0, 1)";
       let base = Array.map Link.delay_s bottlenecks in
       every engine ~start_s:period_s ~period_s ~until_s:duration_s (fun _ ->
           Array.iteri

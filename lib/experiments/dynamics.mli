@@ -4,7 +4,7 @@
     workload misbehaves over a run.  {!install} compiles the link-level
     regimes (flaps, RTT jitter) into engine-scheduled events against a
     topology's bottleneck links; the workload-level regimes (incast
-    bursts, flash crowds) are interpreted by [Scenario.run_zoo], which
+    bursts, flash crowds) are interpreted by the scenario runner, which
     owns the transport.  Everything is deterministic: events are
     scheduled through the same engine that runs the traffic, and the
     only randomness comes from the seeded [rng] handed to {!install},
@@ -50,6 +50,13 @@ val by_name : string -> t
     inside a pool worker from its name alone.  Raises
     [Invalid_argument] on an unknown name. *)
 
+val check : t -> unit
+(** Raises [Invalid_argument], naming the regime and the field, unless
+    every period is finite and positive, 0 < [down_s] < [period_s],
+    [magnitude] and [at_frac] are at least 0 and below 1, and every
+    count is at least 1 (NaN is never in range).  The scenario runner
+    calls it before it builds anything. *)
+
 (** {2 Script combinators}
 
     The primitives every dynamics script is built from.  phi-lint
@@ -82,5 +89,4 @@ val install :
 (** Schedule the link-level regimes ({!Link_flap}, {!Rtt_jitter})
     against the given bottleneck links.  {!Steady} and the
     workload-level regimes are no-ops here.  Raises
-    [Invalid_argument] on nonsensical parameters (flap down time
-    outside (0, period), jitter magnitude outside [0, 1)). *)
+    [Invalid_argument] as {!check} does. *)

@@ -42,7 +42,8 @@ let group_result ~spec records =
     queueing_delay_s;
     loss_proxy;
     power =
-      Scenario.power_of ~spec ~throughput_bps ~loss_rate:loss_proxy ~queueing_delay_s;
+      Phi.Metric.power_with_loss ~throughput_bps ~loss_rate:loss_proxy
+        ~delay_s:(spec.Topology.rtt_s +. queueing_delay_s);
     connections = List.length records;
   }
 

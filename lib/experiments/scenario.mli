@@ -1,14 +1,19 @@
-(** Shared dumbbell scenario runner for the congestion-control
-    experiments (Sections 2.2.1–2.2.4).
+(** The scenario runner behind every serial congestion-control
+    experiment (Sections 2.2.1–2.2.4 and the WAN matrix).
 
-    One run = one seeded simulation of [n] on/off senders over the Figure
-    1 dumbbell, yielding the aggregate measurements every figure and table
-    is built from. *)
+    One run is one cell: a topology realized with its
+    {!Phi_net.Topology.Zoo} description, a load (on/off sources or
+    persistent flows), an AQM regime, a dynamics script and a
+    measurement window (the whole run, or its second half).  One runner
+    builds and runs every cell and one measurement fills the one
+    {!result} record.  {!run}, {!run_persistent} and {!run_zoo_cell}
+    only choose those inputs. *)
 
-type workload = {
+type workload = Phi_tcp.Source.config = {
   mean_on_bytes : float;
   mean_off_s : float;
 }
+(** The on/off load: {!Phi_tcp.Source}'s configuration. *)
 
 type config = {
   spec : Phi_net.Topology.spec;
@@ -29,18 +34,22 @@ val table3 : config
 
 type result = {
   throughput_bps : float;
-      (** aggregate on-time throughput: total bits over total "on" time *)
-  queueing_delay_s : float;  (** mean per-packet wait in the bottleneck queue *)
+      (** on/off load: aggregate on-time throughput over the connection
+          records; persistent load: bottleneck delivery rate over the
+          window *)
+  queueing_delay_s : float;  (** delivery-weighted mean bottleneck queue wait *)
+  delay_s : float;  (** base RTT + queueing delay *)
   loss_rate : float;  (** bottleneck drops / packets offered *)
-  utilization : float;  (** bottleneck busy fraction over the run *)
-  power : float;  (** the paper's P_l, with delay = base RTT + queueing delay *)
-  connections : int;
+  utilization : float;  (** mean bottleneck busy fraction *)
+  power : float;  (** the paper's P_l at [delay_s] *)
+  jain : float;  (** Jain fairness over per-source delivered bytes *)
+  p99_fct_s : float;  (** 99th-percentile connection duration (0 without records) *)
+  connections : int;  (** connection records *)
+  flows : int;  (** primary flow paths in the topology *)
   records : Phi_tcp.Flow.conn_stats list;
 }
-
-val power_of : spec:Phi_net.Topology.spec -> throughput_bps:float -> loss_rate:float -> queueing_delay_s:float -> float
-(** The P_l formula used everywhere: throughput (Mbps) times delivery rate
-    over (base RTT + queueing delay). *)
+(** The one result record.  Link figures cover the measurement window;
+    Jain covers the flow paths and any flash-crowd sources. *)
 
 val run :
   ?cc_factory:(int -> unit -> Phi_tcp.Cc.t) ->
@@ -48,13 +57,15 @@ val run :
   ?observe:(Phi_sim.Engine.t -> Phi_net.Topology.dumbbell -> unit) ->
   config ->
   result
-(** Run the scenario.  [cc_factory index] builds the controller for each
-    new connection of sender [index] (default: Cubic with default
-    parameters).  [observe] runs right after topology construction — the
-    hook for attaching monitors or context servers.  Raises
-    [Invalid_argument] unless [config.duration_s] is finite and
-    positive; {!run_persistent} and {!run_zoo} check theirs the same
-    way. *)
+(** The paper's cells: [config.spec]'s dumbbell, one on/off source per
+    sender at [config.workload], drop-tail, no dynamics, measured over
+    the whole run, charging [spec.rtt_s] as the base RTT.  [cc_factory
+    index] builds the controller for each new connection of sender
+    [index] (default: Cubic with default parameters).  [observe] runs
+    right after topology construction — the hook for attaching monitors
+    or context servers.  Raises [Invalid_argument] unless
+    [config.duration_s] is finite and positive; {!run_persistent} and
+    {!run_zoo_cell} check theirs the same way. *)
 
 val run_persistent :
   ?cc_factory:(int -> unit -> Phi_tcp.Cc.t) ->
@@ -64,15 +75,16 @@ val run_persistent :
   seed:int ->
   unit ->
   result
-(** Figure 2c's setting: [n_flows] long-running connections (one per
-    sender/receiver pair, [spec.n] forced to [n_flows]; [cc_factory
-    index] builds sender [index]'s controller, default Cubic with
-    default parameters), measured over the second half of the run to
-    skip the start-up transient.  Throughput is the aggregate delivery
-    rate; [records] are the senders' stats at the end of the run, in
-    sender order.  The run up to any instant does not depend on
-    [duration_s], so a run of half the duration snapshots the first
-    half exactly. *)
+(** Figure 2c's setting: [n_flows] long-running connections over
+    [spec]'s dumbbell (one per sender/receiver pair, [spec.n] forced to
+    [n_flows]; [cc_factory index] builds sender [index]'s controller,
+    default Cubic with default parameters), drop-tail, no dynamics,
+    measured over the second half of the run to skip the start-up
+    transient, charging [spec.rtt_s] as the base RTT.  Throughput is
+    the bottleneck's delivery rate; [records] are the senders' stats at
+    the end of the run, in sender order.  The run up to any instant
+    does not depend on [duration_s], so a run of half the duration
+    snapshots the first half exactly. *)
 
 val persistent_senders :
   ?cc_factory:(int -> unit -> Phi_tcp.Cc.t) ->
@@ -87,19 +99,10 @@ val persistent_senders :
     [Prng.float rng] delay, drawn in path order, so the starts spread
     over the first second. *)
 
-val jain : n_sources:int -> Phi_tcp.Flow.conn_stats list -> float
-(** Jain fairness over the bytes each source index in [0, n_sources)
-    delivered ([1.] without sources). *)
+(** {2 Zoo cells}
 
-val p99_fct_s : Phi_tcp.Flow.conn_stats list -> float
-(** 99th-percentile connection duration ([0.] without records). *)
-
-(** {2 The generalized scenario plane}
-
-    [run_zoo] evaluates topology x workload x dynamics x AQM: one call
-    is one cell of the WAN evaluation matrix.  Cells are pure functions
-    of their parameters (seeded rng, engine-scheduled dynamics), so
-    fanning them over a worker pool is deterministic. *)
+    One call is one cell of the WAN evaluation matrix, so fanning cells
+    over a worker pool is deterministic. *)
 
 type aqm = Drop_tail | Red | Red_ecn
 (** Queue regime applied to the topology's bottleneck links:
@@ -114,27 +117,47 @@ val aqm_names : string list
 val aqm_by_name : string -> aqm
 (** Raises [Invalid_argument] on an unknown name. *)
 
+val run_zoo_cell :
+  ?cc_factory:(int -> unit -> Phi_tcp.Cc.t) ->
+  ?aqm:aqm ->
+  ?dynamics:Dynamics.t ->
+  ?duration_s:float ->
+  ?seed:int ->
+  ?on_conn_end:(Phi_tcp.Flow.conn_stats -> unit) ->
+  ?observe:(Phi_sim.Engine.t -> Phi_net.Topology.built -> unit) ->
+  Phi_net.Topology.Zoo.t ->
+  result
+(** Run one matrix cell (defaults: drop-tail, steady dynamics, 30 s,
+    seed 1), measured over the second half of the run and charging the
+    flow paths' mean RTT as the base RTT.  Every flow path runs an
+    on/off source at 300 KB mean transfers and 0.5 s mean idle, busy
+    enough that every zoo bottleneck sees contention within a 30 s
+    cell.  The topology is realized serially through [Topology.build],
+    and the dynamics act on the zoo's bottleneck links, its
+    [incast_sink] and [incast_sources], and its flow paths (a flash
+    crowd adds [(multiplier - 1)] sources per path).  [Dynamics.check]
+    runs before anything is built, and all transport before the run
+    starts, so the cell is a pure function of its parameters.
+    [observe] runs right after topology realization (the hook for
+    attaching context servers); [on_conn_end] fires for every completed
+    primary or flash-crowd connection. *)
+
 type zoo_result = {
   z_throughput_bps : float;
-      (** aggregate on-time throughput over the whole run (the Pareto
-          throughput coordinate) *)
   z_queueing_delay_s : float;
-      (** delivery-weighted mean queue wait across the bottleneck
-          links, second-half window *)
   z_delay_s : float;
-      (** mean base path RTT + queueing delay (the Pareto delay
-          coordinate) *)
-  z_loss_rate : float;  (** bottleneck drops / offered, second-half window *)
-  z_utilization : float;  (** mean bottleneck busy fraction, second-half window *)
-  z_power : float;  (** the paper's P_l at [z_delay_s] *)
-  z_jain : float;  (** Jain fairness over per-source delivered bytes *)
+  z_loss_rate : float;
+  z_utilization : float;
+  z_power : float;
+  z_jain : float;
   z_p99_fct_s : float;
-      (** 99th-percentile flow completion time over finished
-          connections (0 when none finished) *)
-  z_connections : int;  (** connections that completed during the run *)
-  z_flows : int;  (** primary flow paths in the topology *)
+  z_connections : int;
+  z_flows : int;
   z_records : Phi_tcp.Flow.conn_stats list;
 }
+(** {!result}'s fields under a [z_] prefix.  It exists only because
+    perfbench's [wan_remyphi_flap] workload reads it; the next change
+    to the benchmark deletes it together with {!run_zoo}. *)
 
 val run_zoo :
   ?cc_factory:(int -> unit -> Phi_tcp.Cc.t) ->
@@ -146,17 +169,4 @@ val run_zoo :
   ?observe:(Phi_sim.Engine.t -> Phi_net.Topology.built -> unit) ->
   Phi_net.Topology.Zoo.t ->
   zoo_result
-(** Run one matrix cell (defaults: drop-tail, steady dynamics, 30 s,
-    seed 1).  Every flow path runs {!run}'s on/off workload at 300 KB
-    mean transfers and 0.5 s mean idle, busy enough that every zoo
-    bottleneck sees contention within a 30 s cell.  The topology is realized
-    serially through [Topology.build]; link-level dynamics are
-    installed via [Dynamics.install] on the zoo's bottleneck links;
-    incast bursts converge on the zoo's [incast_sink] from its
-    [incast_sources]; flash crowds start [(multiplier - 1)] extra
-    sources per flow path at the scripted instant.  All transport is
-    constructed before the run starts, so the rng draw order — and
-    hence the cell — is a pure function of the parameters.
-    [observe] runs right after topology realization (the hook for
-    attaching context servers); [on_conn_end] fires for every
-    completed primary or flash-crowd connection. *)
+(** {!run_zoo_cell}, projected onto {!zoo_result} for perfbench. *)

@@ -27,21 +27,6 @@ let bdp_packets spec =
 let buffer_packets spec =
   Int.max 1 (int_of_float (Float.round (spec.buffer_bdp_factor *. float_of_int (bdp_packets spec))))
 
-type dumbbell = {
-  engine : Engine.t;
-  spec : spec;
-  pool : Packet.pool;
-  senders : Node.t array;
-  receivers : Node.t array;
-  left_router : Node.t;
-  right_router : Node.t;
-  bottleneck : Link.t;
-  reverse_bottleneck : Link.t;
-}
-
-let sender_id t i = Node.id t.senders.(i)
-let receiver_id t i = Node.id t.receivers.(i)
-
 (* {2 The topology builder}
 
    A topology is a declaration: a function that declares nodes, links
@@ -278,18 +263,14 @@ module Zoo = struct
   (* A zoo entry from its declaration.  [declare g] declares the
      topology into [g] and returns its description: a function giving
      the entry in terms of the ids [g] handed out, with a placeholder
-     [declare].  One replay against a builder that creates nothing
-     yields the description; {!build} and {!build_partitioned} replay
+     [declare].  [described] completes that description with the
+     declaration.  One replay against a builder that creates nothing
+     yields a description; {!build} and {!build_partitioned} replay
      the declaration for real and never describe. *)
-  let of_declaration declare =
-    let describe = declare (builder Shape ~pools:[||]) in
-    {
-      (describe ()) with
-      declare =
-        (fun g ->
-          let _describe = declare g in
-          ());
-    }
+  let described declare describe =
+    { (describe ()) with declare = (fun g -> let _describe = declare g in ()) }
+
+  let of_declaration declare = described declare (declare (builder Shape ~pools:[||]))
 
   (* {3 Dumbbell} — the paper's Figure 1.  Senders take ids [0..n-1],
      receivers [n..2n-1] and the left and right routers [2n] and [2n+1];
@@ -709,16 +690,29 @@ module Zoo = struct
     | other -> invalid_arg (Printf.sprintf "Zoo.by_name: unknown topology %S" other)
 end
 
-(* The paper's Figure 1 dumbbell, declared straight into the engine.
-   Its ids follow from its declaration order, so this skips the replay
-   {!Zoo.dumbbell} makes to learn them. *)
+type dumbbell = {
+  built : built;
+  zoo : Zoo.t;
+  pool : Packet.pool;
+  senders : Node.t array;
+  receivers : Node.t array;
+  left_router : Node.t;
+  right_router : Node.t;
+  bottleneck : Link.t;
+  reverse_bottleneck : Link.t;
+}
+
+(* The paper's Figure 1 dumbbell, declared straight into the engine in
+   one pass: the declaration that realizes it also hands back the
+   description {!Zoo.dumbbell} learns from a shape replay. *)
 let dumbbell engine spec =
+  let declare = Zoo.declare_dumbbell spec in
   let b = serial engine in
-  let _describe = Zoo.declare_dumbbell spec b in
+  let zoo = Zoo.described declare (declare b) in
   let n = spec.n in
   {
-    engine;
-    spec;
+    built = b;
+    zoo;
     pool = b.pools.(0);
     senders = Array.sub b.nodes 0 n;
     receivers = Array.sub b.nodes n n;
@@ -727,3 +721,6 @@ let dumbbell engine spec =
     bottleneck = b.links.(0);
     reverse_bottleneck = b.links.(1);
   }
+
+let sender_id t i = Node.id t.senders.(i)
+let receiver_id t i = Node.id t.receivers.(i)

@@ -25,26 +25,6 @@ val bdp_packets : spec -> int
 val buffer_packets : spec -> int
 (** Bottleneck queue capacity implied by [buffer_bdp_factor]. *)
 
-type dumbbell = {
-  engine : Phi_sim.Engine.t;
-  spec : spec;
-  pool : Packet.pool;  (** the packet slab shared by every node and link *)
-  senders : Node.t array;
-  receivers : Node.t array;
-  left_router : Node.t;
-  right_router : Node.t;
-  bottleneck : Link.t;  (** forward direction: left -> right *)
-  reverse_bottleneck : Link.t;
-}
-
-val dumbbell : Phi_sim.Engine.t -> spec -> dumbbell
-(** Realize {!Zoo.dumbbell}'s declaration on the engine, with its node
-    ids.  Raises [Invalid_argument] like {!Zoo.dumbbell}. *)
-
-val sender_id : dumbbell -> int -> int
-val receiver_id : dumbbell -> int -> int
-(** Node ids of the i-th sender/receiver (also their array indices). *)
-
 (** {2 The topology builder}
 
     A topology is a declaration: a function that declares nodes, links
@@ -222,3 +202,27 @@ module Zoo : sig
       topology inside a pool worker from its name alone.  Raises
       [Invalid_argument] on an unknown name. *)
 end
+
+(** {2 The paper dumbbell, realized} *)
+
+type dumbbell = {
+  built : built;  (** the realization, for {!node} and {!link_of} *)
+  zoo : Zoo.t;  (** its description, equal to [Zoo.dumbbell ~spec ()]'s *)
+  pool : Packet.pool;  (** the packet slab shared by every node and link *)
+  senders : Node.t array;
+  receivers : Node.t array;
+  left_router : Node.t;
+  right_router : Node.t;
+  bottleneck : Link.t;  (** forward direction: left -> right *)
+  reverse_bottleneck : Link.t;
+}
+
+val dumbbell : Phi_sim.Engine.t -> spec -> dumbbell
+(** Realize {!Zoo.dumbbell}'s declaration on the engine, with its node
+    ids, in one pass: the declaration also yields the description,
+    without the shape replay {!Zoo.dumbbell} makes.  Raises
+    [Invalid_argument] like {!Zoo.dumbbell}. *)
+
+val sender_id : dumbbell -> int -> int
+val receiver_id : dumbbell -> int -> int
+(** Node ids of the i-th sender/receiver (also their array indices). *)

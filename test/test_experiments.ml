@@ -682,6 +682,89 @@ let test_adaptation_experiment () =
     (d.Adaptation_experiment.informed_spurious_fraction
     < d.Adaptation_experiment.standard_spurious_fraction)
 
+(* {2 One runner, one record} *)
+
+let hex = Printf.sprintf "%h"
+
+(* [run] and [run_persistent] fill the figures that only zoo cells used
+   to carry: one flow per sender, delay = base RTT + queueing delay bit
+   for bit, and Jain within (0, 1]. *)
+let test_paper_runs_fill_the_record () =
+  let spec = Topology.paper_spec in
+  let check name n (r : Scenario.result) =
+    Alcotest.(check int) (name ^ ": flows") n r.Scenario.flows;
+    Alcotest.(check string) (name ^ ": delay = rtt + queueing delay")
+      (hex (spec.Topology.rtt_s +. r.Scenario.queueing_delay_s))
+      (hex r.Scenario.delay_s);
+    Alcotest.(check bool) (name ^ ": jain in (0, 1]") true
+      (r.Scenario.jain > 0. && r.Scenario.jain <= 1.)
+  in
+  check "run" spec.Topology.n (Scenario.run (quick Scenario.low_utilization));
+  check "run_persistent" 20 (Scenario.run_persistent ~n_flows:20 ~duration_s:10. ~spec ~seed:1 ())
+
+(* [run_zoo] is [run_zoo_cell]'s projection, field for field and bit
+   for bit, here on a flap cell. *)
+let test_run_zoo_projects_the_record () =
+  let zoo = Topology.Zoo.wan () in
+  let r = Scenario.run_zoo_cell ~dynamics:Dynamics.default_flap ~duration_s:8. ~seed:11 zoo in
+  let z = Scenario.run_zoo ~dynamics:Dynamics.default_flap ~duration_s:8. ~seed:11 zoo in
+  let same name a b = Alcotest.(check string) name (hex a) (hex b) in
+  same "throughput" r.Scenario.throughput_bps z.Scenario.z_throughput_bps;
+  same "queueing delay" r.Scenario.queueing_delay_s z.Scenario.z_queueing_delay_s;
+  same "delay" r.Scenario.delay_s z.Scenario.z_delay_s;
+  same "loss" r.Scenario.loss_rate z.Scenario.z_loss_rate;
+  same "utilization" r.Scenario.utilization z.Scenario.z_utilization;
+  same "power" r.Scenario.power z.Scenario.z_power;
+  same "jain" r.Scenario.jain z.Scenario.z_jain;
+  same "p99 fct" r.Scenario.p99_fct_s z.Scenario.z_p99_fct_s;
+  Alcotest.(check int) "connections" r.Scenario.connections z.Scenario.z_connections;
+  Alcotest.(check int) "flows" r.Scenario.flows z.Scenario.z_flows;
+  let show (c : Phi_tcp.Flow.conn_stats) =
+    Printf.sprintf "%d/%d/%d/%h/%h" c.Phi_tcp.Flow.flow c.Phi_tcp.Flow.source_index
+      c.Phi_tcp.Flow.bytes c.Phi_tcp.Flow.started_at c.Phi_tcp.Flow.finished_at
+  in
+  Alcotest.(check (list string)) "records" (List.map show r.Scenario.records)
+    (List.map show z.Scenario.z_records)
+
+let contains ~needle haystack =
+  let n = String.length needle and h = String.length haystack in
+  let rec at i = i + n <= h && (String.sub haystack i n = needle || at (i + 1)) in
+  at 0
+
+(* A dynamics parameter out of range, NaN included, is rejected before
+   the topology is built, with the field named. *)
+let dynamics_rejected (label, dynamics, field) =
+  ( "run_zoo rejects " ^ label,
+    `Quick,
+    fun () ->
+      let built = ref false in
+      match
+        Scenario.run_zoo ~dynamics ~duration_s:10.
+          ~observe:(fun _ _ -> built := true)
+          (Topology.Zoo.dumbbell ())
+      with
+      | _ -> Alcotest.failf "%s: the run went ahead" label
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool) (Printf.sprintf "%S names %s" msg field) true (contains ~needle:field msg);
+        Alcotest.(check bool) "rejected before the topology was built" false !built )
+
+let bad_dynamics =
+  [
+    ( "an incast with a NaN period",
+      Dynamics.Incast { period_s = Float.nan; fan_in = 8; burst_segments = 64 },
+      "period_s" );
+    ( "an incast with an infinite period",
+      Dynamics.Incast { period_s = Float.infinity; fan_in = 8; burst_segments = 64 },
+      "period_s" );
+    ("a flap with a NaN down time", Dynamics.Link_flap { period_s = 4.; down_s = Float.nan }, "down_s");
+    ( "a jitter with a NaN magnitude",
+      Dynamics.Rtt_jitter { period_s = 0.5; magnitude = Float.nan },
+      "magnitude" );
+    ( "a flash crowd with a NaN start",
+      Dynamics.Flash_crowd { at_frac = Float.nan; multiplier = 3 },
+      "at_frac" );
+  ]
+
 let suite =
   [
     ("scenario run basics", `Quick, test_scenario_run_basics);
@@ -720,4 +803,7 @@ let suite =
     ("scenario run rejects bad duration", `Quick, test_scenario_run_rejects_bad_duration);
     ("run_persistent rejects bad duration", `Quick, test_run_persistent_rejects_bad_duration);
     ("run_zoo rejects bad duration", `Quick, test_run_zoo_rejects_bad_duration);
+    ("run and run_persistent fill the record", `Quick, test_paper_runs_fill_the_record);
+    ("run_zoo projects the record", `Quick, test_run_zoo_projects_the_record);
   ]
+  @ List.map dynamics_rejected bad_dynamics

@@ -899,6 +899,29 @@ let test_monitor_utilization_bins () =
   Engine.run ~until:2.5 engine;
   Alcotest.(check (float 1e-6)) "second bin idle" 0. (Monitor.current_utilization monitor)
 
+(* [Topology.dumbbell] realizes the paper dumbbell in one pass; the
+   description that pass hands back is the one [Zoo.dumbbell] learns
+   from its shape replay. *)
+let test_dumbbell_one_pass_description () =
+  let ints a = String.concat ";" (Array.to_list (Array.map string_of_int a)) in
+  let show (z : Zoo.t) =
+    Printf.sprintf "%s paths=[%s] bottlenecks=[%s] sink=%d sources=[%s]" z.Zoo.name
+      (String.concat ";"
+         (Array.to_list
+            (Array.map
+               (fun (fp : Zoo.flow_path) ->
+                 Printf.sprintf "%d>%d@%h" fp.Zoo.src fp.Zoo.dst fp.Zoo.rtt_s)
+               z.Zoo.flow_paths)))
+      (ints z.Zoo.bottlenecks) z.Zoo.incast_sink (ints z.Zoo.incast_sources)
+  in
+  List.iter
+    (fun n ->
+      let spec = { Topology.paper_spec with Topology.n } in
+      Alcotest.(check string) (Printf.sprintf "n = %d" n)
+        (show (Zoo.dumbbell ~spec ()))
+        (show (Topology.dumbbell (Engine.create ()) spec).Topology.zoo))
+    [ 1; 8; 16; 100 ]
+
 let suite =
   [
     ("packet constructors", `Quick, test_packet_constructors);
@@ -950,4 +973,5 @@ let suite =
       ("node unbind keeps the other flows", `Quick, test_node_unbind_keeps_other_flows);
       ("node rebinding replaces the handler", `Quick, test_node_rebind_replaces_handler);
       ("node route table grows to a new highest id", `Quick, test_node_route_table_grows);
+      ("dumbbell one-pass description matches the replay", `Quick, test_dumbbell_one_pass_description);
     ]
