@@ -2,36 +2,51 @@ module Engine = Phi_sim.Engine
 module Invariant = Phi_sim.Invariant
 module Stats = Phi_util.Stats
 
-(* {2 Per-path committed state}
+type shard_stat = {
+  lookups : int;
+  reports : int;
+  resident : int;
+  evictions : int;
+  flushes : int;
+}
+
+(* {2 Per-prefix entries}
+
+   A shard keeps one table keyed by prefix.  Its entry holds the
+   prefix's committed state and its open batch: the reports and
+   connection-start registrations that coalesce between epoch flushes,
+   so nothing touches the committed half per message.
 
    The utilization window is a ring of per-epoch byte buckets instead of
    a pruned report list: a report's bytes are spread uniformly over the
    epochs its transfer interval covers, and the windowed rate is the
    overlap-weighted sum of the buckets inside [now - window_s, now].
    Nothing is ever pruned with an allocation — expiry is the ring slot
-   being overwritten or weighted to zero. *)
+   being overwritten or weighted to zero.  The batch has a ring of its
+   own, merged into the committed one at the flush.
 
-type path_state = {
+   An entry is [resident] once a flush has committed a report for it.
+   Until then its committed half is untouched (zero rings and counts,
+   unseen EWMAs), so every view reads it as "nothing committed" — in
+   particular, lookup-only traffic on prefixes that never report leaves
+   no committed state behind.  An entry is [batch_open] while its batch is
+   open; a closed batch holds no registrations and no reports. *)
+
+type entry = {
+  key : string;
+  mutable resident : bool;
+  (* committed state *)
   mutable active : int;
   mutable win_newest : int;  (* newest epoch represented in [win] *)
   win : floatarray;  (* bytes per epoch, indexed by [epoch mod n_buckets] *)
   q_ewma : Stats.ewma;
   loss_ewma : Stats.ewma;
   mutable learned_capacity : float;
-  mutable last_touch : int;  (* epoch of the last flush that touched this path *)
-}
-
-(* {2 Per-shard pending aggregation}
-
-   Reports and connection-start registrations coalesce here between
-   epoch flushes; nothing touches [path_state] per message.  An [agg]
-   lives for one flush interval and is dropped wholesale at the flush —
-   in particular, lookup-only traffic on prefixes that never report
-   leaves no committed state behind. *)
-
-type agg = {
+  mutable last_touch : int;  (* epoch of the last flush that touched this prefix *)
+  (* the open batch *)
+  mutable batch_open : bool;  (* the entry is on its shard's dirty list *)
   mutable p_active : int;  (* lookups minus reports since the last flush *)
-  p_created : int;  (* epoch the aggregate was opened (scan decay clock) *)
+  mutable p_created : int;  (* epoch the batch was opened (scan decay clock) *)
   mutable p_reports : int;
   mutable p_report_epoch : int;  (* epoch of this batch's reports, -1 if none *)
   mutable p_win_newest : int;
@@ -42,23 +57,23 @@ type agg = {
   mutable p_loss_n : int;
 }
 
+module Table = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 type shard = {
-  paths : (string, path_state) Hashtbl.t;
-  pending : (string, agg) Hashtbl.t;
+  table : entry Table.t;
+  mutable dirty : entry list;  (* the entries with an open batch *)
+  mutable n_resident : int;
   mutable epoch : int;  (* epoch through which reports are committed *)
   mutable next_sweep : int;  (* next TTL sweep, in epochs *)
   mutable s_lookups : int;
   mutable s_reports : int;
   mutable s_evictions : int;
   mutable s_flushes : int;
-}
-
-type shard_stat = {
-  lookups : int;
-  reports : int;
-  resident : int;
-  evictions : int;
-  flushes : int;
 }
 
 type t = {
@@ -74,21 +89,25 @@ type t = {
   mutable reports : int;
 }
 
+let check_positive_finite field v =
+  if not (v > 0. && Float.is_finite v) then
+    invalid_arg
+      (Printf.sprintf "Context_server.create: %s must be positive and finite, got %g" field v)
+
 let create engine ?capacity_bps ?(window_s = 10.) ?(epoch_s = 1.) ?(shards = 1)
     ?(max_paths_per_shard = 65536) ?(ttl_epochs = 600) () =
-  if window_s <= 0. then invalid_arg "Context_server.create: window must be positive";
-  if epoch_s <= 0. then invalid_arg "Context_server.create: epoch must be positive";
+  check_positive_finite "window_s" window_s;
+  check_positive_finite "epoch_s" epoch_s;
   if shards < 1 then invalid_arg "Context_server.create: need at least one shard";
   if max_paths_per_shard < 1 then invalid_arg "Context_server.create: need path capacity";
   if ttl_epochs < 1 then invalid_arg "Context_server.create: ttl must be positive";
-  (match capacity_bps with
-  | Some c when c <= 0. -> invalid_arg "Context_server.create: capacity must be positive"
-  | _ -> ());
+  Option.iter (check_positive_finite "capacity_bps") capacity_bps;
   let n_buckets = int_of_float (Float.ceil (window_s /. epoch_s)) + 1 in
   let shard () =
     {
-      paths = Hashtbl.create 64;
-      pending = Hashtbl.create 64;
+      table = Table.create 64;
+      dirty = [];
+      n_resident = 0;
       epoch = 0;
       next_sweep = ttl_epochs;
       s_lookups = 0;
@@ -116,7 +135,9 @@ let shard_count t = Array.length t.shards
    runs and processes (the swarm's jobs-invariance rests on it). *)
 let prefix_hash path =
   let h = ref 0x811c9dc5 in
-  String.iter (fun ch -> h := (!h lxor Char.code ch) * 0x01000193 land 0xffffffff) path;
+  for i = 0 to String.length path - 1 do
+    h := (!h lxor Char.code (String.unsafe_get path i)) * 0x01000193 land 0xffffffff
+  done;
   !h
 
 let shard_of t path =
@@ -145,8 +166,8 @@ let ring_advance t slots ~newest ~to_e =
    ring still holds.  The ring must already be advanced to [now_e]. *)
 let ring_add t slots ~now_e ~finished_at ~bytes ~duration_s =
   let lo = finished_at -. duration_s in
-  let oldest = Stdlib.max 0 (now_e - t.n_buckets + 1) in
-  let e_lo = Stdlib.max oldest (int_of_float (lo /. t.epoch_s)) in
+  let oldest = Int.max 0 (now_e - t.n_buckets + 1) in
+  let e_lo = Int.max oldest (int_of_float (lo /. t.epoch_s)) in
   let fbytes = float_of_int bytes in
   for e = e_lo to now_e do
     let b_lo = float_of_int e *. t.epoch_s and b_hi = float_of_int (e + 1) *. t.epoch_s in
@@ -175,119 +196,166 @@ let ring_window_bytes t slots ~newest ~now =
   done;
   !acc
 
-(* {2 Flush: commit a shard's pending batch} *)
+(* {2 Batches} *)
 
-(* [epoch] seeds only the LRU clock; the window ring starts at 0 so its
-   advancement (and thus committed window content) is a function of
-   report epochs alone, not of when the path first got flushed. *)
-let fresh_state t ~epoch =
-  {
-    active = 0;
-    win_newest = 0;
-    win = Float.Array.make t.n_buckets 0.;
-    q_ewma = Stats.ewma ~alpha:0.2;
-    loss_ewma = Stats.ewma ~alpha:0.2;
-    learned_capacity = 0.;
-    last_touch = epoch;
-  }
+(* A new entry: nothing committed, and an open empty batch.  The
+   committed window ring starts at epoch 0, so its advancement (and thus
+   committed window content) is a function of report epochs alone, not
+   of when the prefix first got flushed. *)
+let new_entry t shard key =
+  let now_e = current_epoch t in
+  let e =
+    {
+      key;
+      resident = false;
+      active = 0;
+      win_newest = 0;
+      win = Float.Array.make t.n_buckets 0.;
+      q_ewma = Stats.ewma ~alpha:0.2;
+      loss_ewma = Stats.ewma ~alpha:0.2;
+      learned_capacity = 0.;
+      last_touch = now_e;
+      batch_open = true;
+      p_active = 0;
+      p_created = now_e;
+      p_reports = 0;
+      p_report_epoch = -1;
+      p_win_newest = now_e;
+      p_win = Float.Array.make t.n_buckets 0.;
+      p_q_sum = 0.;
+      p_q_n = 0;
+      p_loss_sum = 0.;
+      p_loss_n = 0;
+    }
+  in
+  Table.add shard.table key e;
+  shard.dirty <- e :: shard.dirty;
+  e
 
-(* Commit one pending batch into committed state.  Everything here is a
-   function of the batch's own timestamps, never of when the flush runs:
-   a shard's flush schedule depends on its co-resident paths, and the
-   committed state per path must not (that is the sharding-transparency
-   property the test suite holds against a single-shard reference). *)
-let merge_agg t ~now_e st agg =
-  st.active <- Stdlib.max 0 (st.active + agg.p_active);
-  st.last_touch <- now_e;
-  if agg.p_reports > 0 then begin
-    st.win_newest <-
-      ring_advance t st.win ~newest:st.win_newest
-        ~to_e:(Stdlib.max st.win_newest agg.p_report_epoch);
-    let floor_e = st.win_newest - t.n_buckets + 1 in
+(* The entry for [path] with its batch open: the message's one table
+   probe. *)
+let open_entry t shard path =
+  match Table.find shard.table path with
+  | exception Not_found -> new_entry t shard path
+  | e ->
+    if not e.batch_open then begin
+      let now_e = current_epoch t in
+      e.batch_open <- true;
+      e.p_created <- now_e;
+      e.p_win_newest <- now_e;
+      shard.dirty <- e :: shard.dirty
+    end;
+    e
+
+(* Empty the batch after its merge; a report-free batch left its ring
+   untouched. *)
+let close_batch t e =
+  if e.p_reports > 0 then Float.Array.fill e.p_win 0 t.n_buckets 0.;
+  e.batch_open <- false;
+  e.p_active <- 0;
+  e.p_reports <- 0;
+  e.p_report_epoch <- -1;
+  e.p_q_sum <- 0.;
+  e.p_q_n <- 0;
+  e.p_loss_sum <- 0.;
+  e.p_loss_n <- 0
+
+(* Commit the open batch into the committed state.  Everything here is
+   a function of the batch's own timestamps, never of when the flush
+   runs: a shard's flush schedule depends on its co-resident paths, and
+   the committed state per path must not (that is the
+   sharding-transparency property the test suite holds against a
+   single-shard reference). *)
+let merge_batch t ~now_e e =
+  e.active <- Int.max 0 (e.active + e.p_active);
+  e.last_touch <- now_e;
+  if e.p_reports > 0 then begin
+    e.win_newest <-
+      ring_advance t e.win ~newest:e.win_newest ~to_e:(Int.max e.win_newest e.p_report_epoch);
+    let floor_e = e.win_newest - t.n_buckets + 1 in
     for i = 0 to t.n_buckets - 1 do
-      let e = agg.p_win_newest - i in
-      if e >= 0 && e >= floor_e then begin
-        let v = Float.Array.get agg.p_win (e mod t.n_buckets) in
+      let ep = e.p_win_newest - i in
+      if ep >= 0 && ep >= floor_e then begin
+        let v = Float.Array.get e.p_win (ep mod t.n_buckets) in
         if v > 0. then begin
-          let j = e mod t.n_buckets in
-          Float.Array.set st.win j (Float.Array.get st.win j +. v)
+          let j = ep mod t.n_buckets in
+          Float.Array.set e.win j (Float.Array.get e.win j +. v)
         end
       end
     done;
     (* Without a configured capacity, the peak windowed rate is the best
        available capacity estimate — evaluated at the close of the
        batch's epoch, not at flush time. *)
-    (match t.capacity_bps with
+    match t.capacity_bps with
     | Some _ -> ()
     | None ->
-      let eval_now = float_of_int (agg.p_report_epoch + 1) *. t.epoch_s in
+      let eval_now = float_of_int (e.p_report_epoch + 1) *. t.epoch_s in
       let rate =
-        ring_window_bytes t st.win ~newest:st.win_newest ~now:eval_now *. 8. /. t.window_s
+        ring_window_bytes t e.win ~newest:e.win_newest ~now:eval_now *. 8. /. t.window_s
       in
-      st.learned_capacity <- Float.max st.learned_capacity rate)
+      e.learned_capacity <- Float.max e.learned_capacity rate
   end;
-  if agg.p_q_n > 0 then Stats.ewma_update_n st.q_ewma (agg.p_q_sum /. float_of_int agg.p_q_n) ~n:agg.p_q_n;
-  if agg.p_loss_n > 0 then
-    Stats.ewma_update_n st.loss_ewma (agg.p_loss_sum /. float_of_int agg.p_loss_n) ~n:agg.p_loss_n
+  if e.p_q_n > 0 then Stats.ewma_update_n e.q_ewma (e.p_q_sum /. float_of_int e.p_q_n) ~n:e.p_q_n;
+  if e.p_loss_n > 0 then
+    Stats.ewma_update_n e.loss_ewma (e.p_loss_sum /. float_of_int e.p_loss_n) ~n:e.p_loss_n
 
-(* Decay/LRU eviction.  A TTL pass drops prefixes idle for more than
-   [ttl_epochs]; if the shard is still over its path budget, the
-   least-recently-touched prefixes go next (ties broken by name so
-   eviction is deterministic). *)
+(* Decay/LRU eviction over the resident entries.  A TTL pass drops
+   prefixes idle for more than [ttl_epochs]; if the shard is still over
+   its path budget, the least-recently-touched prefixes go next (ties
+   broken by name so eviction is deterministic).  It runs right after a
+   flush closed every resident batch, so it never drops an open one. *)
 let evict t shard ~now_e =
   shard.next_sweep <- now_e + t.ttl_epochs;
-  let dead =
-    Hashtbl.fold
-      (fun path st acc -> if now_e - st.last_touch > t.ttl_epochs then path :: acc else acc)
-      shard.paths []
+  let resident_where keep =
+    Table.fold (fun _ e acc -> if e.resident && keep e then e :: acc else acc) shard.table []
   in
-  List.iter (fun path -> Hashtbl.remove shard.paths path) dead;
-  shard.s_evictions <- shard.s_evictions + List.length dead;
-  let over = Hashtbl.length shard.paths - t.max_paths in
+  let drop e =
+    Table.remove shard.table e.key;
+    shard.n_resident <- shard.n_resident - 1;
+    shard.s_evictions <- shard.s_evictions + 1
+  in
+  List.iter drop (resident_where (fun e -> now_e - e.last_touch > t.ttl_epochs));
+  let over = shard.n_resident - t.max_paths in
   if over > 0 then begin
-    let arr =
-      Array.of_list (Hashtbl.fold (fun path st acc -> (st.last_touch, path) :: acc) shard.paths [])
-    in
+    let arr = Array.of_list (resident_where (fun _ -> true)) in
     Array.sort
-      (fun (ta, pa) (tb, pb) ->
-        match Int.compare ta tb with 0 -> String.compare pa pb | c -> c)
+      (fun a b ->
+        match Int.compare a.last_touch b.last_touch with 0 -> String.compare a.key b.key | c -> c)
       arr;
-    let n = Stdlib.min over (Array.length arr) in
-    for i = 0 to n - 1 do
-      Hashtbl.remove shard.paths (snd arr.(i))
-    done;
-    shard.s_evictions <- shard.s_evictions + n
+    for i = 0 to over - 1 do
+      drop arr.(i)
+    done
   end
+
+(* Close one open batch.  A resident entry, or one whose batch holds a
+   report, commits it.  An unknown prefix with open connections but no
+   report yet stays open with its [p_created] (its eventual report
+   closes the loop) but is never committed; past the ttl it is a scan,
+   not a connection, and is dropped: lookups on never-reported prefixes
+   must not grow any table without bound. *)
+let flush_entry t shard ~now_e e =
+  if e.resident || e.p_reports > 0 then begin
+    if not e.resident then begin
+      e.resident <- true;
+      shard.n_resident <- shard.n_resident + 1
+    end;
+    merge_batch t ~now_e e;
+    close_batch t e
+  end
+  else if e.p_active > 0 && now_e - e.p_created <= t.ttl_epochs then
+    shard.dirty <- e :: shard.dirty
+  else Table.remove shard.table e.key
 
 let flush_shard t shard =
   let now_e = current_epoch t in
-  if Hashtbl.length shard.pending > 0 then begin
+  (match shard.dirty with
+  | [] -> ()
+  | batches ->
     shard.s_flushes <- shard.s_flushes + 1;
-    let carry = ref [] in
-    Hashtbl.iter
-      (fun path agg ->
-        match Hashtbl.find_opt shard.paths path with
-        | Some st -> merge_agg t ~now_e st agg
-        | None ->
-          if agg.p_reports > 0 then begin
-            let st = fresh_state t ~epoch:now_e in
-            merge_agg t ~now_e st agg;
-            Hashtbl.add shard.paths path st
-          end
-          else if agg.p_active > 0 && now_e - agg.p_created <= t.ttl_epochs then
-            (* An unknown prefix with open connections but no report yet:
-               keep it pending (its eventual report closes the loop) —
-               but never commit it.  Past the ttl it is a scan, not a
-               connection, and is dropped: lookups on never-reported
-               prefixes must not grow any table without bound. *)
-            carry := (path, agg) :: !carry)
-      shard.pending;
-    Hashtbl.reset shard.pending;
-    List.iter (fun (path, agg) -> Hashtbl.add shard.pending path agg) !carry
-  end;
+    shard.dirty <- [];
+    List.iter (fun e -> flush_entry t shard ~now_e e) batches);
   shard.epoch <- now_e;
-  if now_e >= shard.next_sweep || Hashtbl.length shard.paths > t.max_paths then
-    evict t shard ~now_e
+  if now_e >= shard.next_sweep || shard.n_resident > t.max_paths then evict t shard ~now_e
 
 let flush t = Array.iter (fun shard -> flush_shard t shard) t.shards
 
@@ -295,121 +363,73 @@ let flush t = Array.iter (fun shard -> flush_shard t shard) t.shards
    tolerates: staleness 0 flushes at every epoch boundary, staleness k
    lets k epochs of reports pool up in the batch buffer. *)
 let refresh t shard ~max_staleness =
-  if current_epoch t - shard.epoch > Stdlib.max 0 max_staleness then flush_shard t shard
+  if current_epoch t - shard.epoch > Int.max 0 max_staleness then flush_shard t shard
 
-(* {2 Context views} *)
+(* {2 Context views}
 
-let pending_agg t shard path =
-  match Hashtbl.find_opt shard.pending path with
-  | Some agg -> agg
-  | None ->
-    let agg =
-      {
-        p_active = 0;
-        p_created = current_epoch t;
-        p_reports = 0;
-        p_report_epoch = -1;
-        p_win_newest = current_epoch t;
-        p_win = Float.Array.make t.n_buckets 0.;
-        p_q_sum = 0.;
-        p_q_n = 0;
-        p_loss_sum = 0.;
-        p_loss_n = 0;
-      }
-    in
-    Hashtbl.add shard.pending path agg;
-    agg
+   [overlay] selects the freshness-0 view: committed state overlaid with
+   the open batch, computed without committing either.  Without it the
+   view reflects exactly the data committed through the shard's epoch
+   (the window itself still slides to [now]).  A closed batch is empty,
+   so overlaying it changes nothing. *)
 
-let merged_rate t ~now st_opt agg_opt =
+let window_rate t ~now ~overlay e =
   let bytes =
-    (match st_opt with
-    | Some st -> ring_window_bytes t st.win ~newest:st.win_newest ~now
-    | None -> 0.)
+    ring_window_bytes t e.win ~newest:e.win_newest ~now
     +.
-    match agg_opt with
-    | Some agg when agg.p_reports > 0 ->
-      ring_window_bytes t agg.p_win ~newest:agg.p_win_newest ~now
-    | Some _ | None -> 0.
+    if overlay && e.p_reports > 0 then ring_window_bytes t e.p_win ~newest:e.p_win_newest ~now
+    else 0.
   in
   bytes *. 8. /. t.window_s
 
-(* The freshness-0 view: committed state overlaid with the shard's
-   pending batch for this prefix, computed without committing either. *)
-let merged_context t ~now st_opt agg_opt =
-  let utilization =
-    let rate = merged_rate t ~now st_opt agg_opt in
-    let cap =
-      match t.capacity_bps with
-      | Some c -> c
-      | None ->
-        let learned = match st_opt with Some st -> st.learned_capacity | None -> 0. in
-        let learned = Float.max learned rate in
-        if learned > 0. then learned else infinity
-    in
-    if not (Float.is_finite cap) then 0. else Float.min 1. (rate /. cap)
-  in
-  let preview ewma_of sum n =
-    let mean = sum /. float_of_int n in
-    match st_opt with
-    | Some st -> Stats.ewma_next (ewma_of st) mean ~n
-    | None -> mean
-  in
-  let queue_delay_s =
-    match agg_opt with
-    | Some agg when agg.p_q_n > 0 -> preview (fun st -> st.q_ewma) agg.p_q_sum agg.p_q_n
-    | Some _ | None -> (
-      match st_opt with
-      | Some st -> Stats.ewma_value_or st.q_ewma ~default:0.
-      | None -> 0.)
-  in
-  let loss_rate =
-    match agg_opt with
-    | Some agg when agg.p_loss_n > 0 ->
-      preview (fun st -> st.loss_ewma) agg.p_loss_sum agg.p_loss_n
-    | Some _ | None -> (
-      match st_opt with
-      | Some st -> Stats.ewma_value_or st.loss_ewma ~default:0.
-      | None -> 0.)
-  in
-  let committed_active = match st_opt with Some st -> st.active | None -> 0 in
-  let pending_active = match agg_opt with Some agg -> agg.p_active | None -> 0 in
-  {
-    Context.utilization;
-    queue_delay_s;
-    competing_senders = Stdlib.max 0 (committed_active + pending_active);
-    loss_rate;
-  }
+(* The EWMA as it would read after the batch's [n] samples of mean
+   [sum / n] were committed. *)
+let blend ~overlay ewma sum n =
+  if overlay && n > 0 then Stats.ewma_next ewma (sum /. float_of_int n) ~n
+  else Stats.ewma_value_or ewma ~default:0.
 
-(* The committed-only view served to staleness-tolerant lookups: no
-   pending overlay, so the answer reflects exactly the data committed
-   through the shard's epoch (the window itself still slides to [now]). *)
-let committed_context t ~now st = merged_context t ~now (Some st) None
+let view t ~now ~overlay e =
+  let rate = window_rate t ~now ~overlay e in
+  let cap =
+    match t.capacity_bps with
+    | Some c -> c
+    | None ->
+      let learned = Float.max e.learned_capacity rate in
+      if learned > 0. then learned else infinity
+  in
+  {
+    Context.utilization = (if not (Float.is_finite cap) then 0. else Float.min 1. (rate /. cap));
+    queue_delay_s = blend ~overlay e.q_ewma e.p_q_sum e.p_q_n;
+    competing_senders = Int.max 0 (e.active + if overlay then e.p_active else 0);
+    loss_rate = blend ~overlay e.loss_ewma e.p_loss_sum e.p_loss_n;
+  }
 
 (* {2 The service API} *)
 
-let lookup_epoch ?(max_staleness = 0) t ~path =
+(* Answer a lookup and register the connection start, committed with
+   the next flush.  The answer's epoch is {!answer_epoch}. *)
+let lookup_in t shard ~max_staleness path =
   t.lookups <- t.lookups + 1;
-  let shard = shard_of t path in
   shard.s_lookups <- shard.s_lookups + 1;
   refresh t shard ~max_staleness;
-  let now = Engine.now t.engine in
-  let answer =
-    if max_staleness <= 0 then
-      ( merged_context t ~now
-          (Hashtbl.find_opt shard.paths path)
-          (Hashtbl.find_opt shard.pending path),
-        current_epoch t )
-    else
-      match Hashtbl.find_opt shard.paths path with
-      | Some st -> (committed_context t ~now st, shard.epoch)
-      | None -> (Context.empty, shard.epoch)
+  let e = open_entry t shard path in
+  let ctx =
+    if max_staleness <= 0 then view t ~now:(Engine.now t.engine) ~overlay:true e
+    else if e.resident then view t ~now:(Engine.now t.engine) ~overlay:false e
+    else Context.empty
   in
-  (* Register the connection start; committed with the next flush. *)
-  let agg = pending_agg t shard path in
-  agg.p_active <- agg.p_active + 1;
-  answer
+  e.p_active <- e.p_active + 1;
+  ctx
 
-let lookup ?max_staleness t ~path = fst (lookup_epoch ?max_staleness t ~path)
+let answer_epoch t shard ~max_staleness =
+  if max_staleness <= 0 then current_epoch t else shard.epoch
+
+let lookup_epoch ?(max_staleness = 0) t ~path =
+  let shard = shard_of t path in
+  let ctx = lookup_in t shard ~max_staleness path in
+  (ctx, answer_epoch t shard ~max_staleness)
+
+let lookup ?(max_staleness = 0) t ~path = lookup_in t (shard_of t path) ~max_staleness path
 
 (* Sanitizer hook: reject-and-record NaN/Inf or out-of-range metrics
    before they reach the aggregation buffers.  The guards in [report]
@@ -441,34 +461,37 @@ let sanitize_report t ~path ~bytes ~duration_s ~min_rtt ~mean_rtt ~retransmitted
         (Printf.sprintf "report on %s: rtt pair min=%g mean=%g" path min_rtt mean_rtt)
   end
 
-let report t ~path ~bytes ~duration_s ~min_rtt ~mean_rtt ~retransmitted ~segments =
+let report_in t shard ~path ~bytes ~duration_s ~min_rtt ~mean_rtt ~retransmitted ~segments =
   sanitize_report t ~path ~bytes ~duration_s ~min_rtt ~mean_rtt ~retransmitted ~segments;
   t.reports <- t.reports + 1;
-  let shard = shard_of t path in
   shard.s_reports <- shard.s_reports + 1;
   refresh t shard ~max_staleness:0;
   let now = Engine.now t.engine in
   let now_e = current_epoch t in
-  let agg = pending_agg t shard path in
-  agg.p_active <- agg.p_active - 1;
-  agg.p_reports <- agg.p_reports + 1;
-  agg.p_report_epoch <- now_e;
+  let e = open_entry t shard path in
+  e.p_active <- e.p_active - 1;
+  e.p_reports <- e.p_reports + 1;
+  e.p_report_epoch <- now_e;
   if bytes > 0 && duration_s > 0. then begin
-    agg.p_win_newest <- ring_advance t agg.p_win ~newest:agg.p_win_newest ~to_e:now_e;
-    ring_add t agg.p_win ~now_e ~finished_at:now ~bytes ~duration_s
+    e.p_win_newest <- ring_advance t e.p_win ~newest:e.p_win_newest ~to_e:now_e;
+    ring_add t e.p_win ~now_e ~finished_at:now ~bytes ~duration_s
   end;
   let queueing = mean_rtt -. min_rtt in
   if Float.is_finite queueing && queueing >= 0. then begin
-    agg.p_q_sum <- agg.p_q_sum +. queueing;
-    agg.p_q_n <- agg.p_q_n + 1
+    e.p_q_sum <- e.p_q_sum +. queueing;
+    e.p_q_n <- e.p_q_n + 1
   end;
   if segments > 0 then begin
     (* Retransmissions can outnumber delivered segments (multiple copies
        of one segment); as a loss-rate proxy the ratio is clamped. *)
-    agg.p_loss_sum <-
-      agg.p_loss_sum +. Float.min 1. (float_of_int retransmitted /. float_of_int segments);
-    agg.p_loss_n <- agg.p_loss_n + 1
+    e.p_loss_sum <-
+      e.p_loss_sum +. Float.min 1. (float_of_int retransmitted /. float_of_int segments);
+    e.p_loss_n <- e.p_loss_n + 1
   end
+
+let report t ~path ~bytes ~duration_s ~min_rtt ~mean_rtt ~retransmitted ~segments =
+  report_in t (shard_of t path) ~path ~bytes ~duration_s ~min_rtt ~mean_rtt ~retransmitted
+    ~segments
 
 let report_stats t ~path (stats : Phi_tcp.Flow.conn_stats) =
   report t ~path ~bytes:stats.bytes
@@ -476,33 +499,34 @@ let report_stats t ~path (stats : Phi_tcp.Flow.conn_stats) =
     ~min_rtt:stats.min_rtt ~mean_rtt:stats.mean_rtt
     ~retransmitted:stats.retransmitted_segments ~segments:stats.segments
 
-let peek t ~path =
-  let shard = shard_of t path in
-  refresh t shard ~max_staleness:0;
-  merged_context t ~now:(Engine.now t.engine)
-    (Hashtbl.find_opt shard.paths path)
-    (Hashtbl.find_opt shard.pending path)
-
 let handle t req =
   match req with
   | Context_wire.Lookup { path; max_staleness } ->
-    let ctx, epoch = lookup_epoch t ~max_staleness ~path in
-    Context_wire.Context_of { ctx; epoch }
+    let shard = shard_of t path in
+    let ctx = lookup_in t shard ~max_staleness path in
+    Context_wire.Context_of { ctx; epoch = answer_epoch t shard ~max_staleness }
   | Context_wire.Report { path; bytes; duration_s; min_rtt; mean_rtt; retransmitted; segments }
     ->
-    report t ~path ~bytes ~duration_s ~min_rtt ~mean_rtt ~retransmitted ~segments;
-    Context_wire.Accepted { epoch = (shard_of t path).epoch }
+    let shard = shard_of t path in
+    report_in t shard ~path ~bytes ~duration_s ~min_rtt ~mean_rtt ~retransmitted ~segments;
+    Context_wire.Accepted { epoch = shard.epoch }
 
-let active_connections t ~path =
+(* {2 Read-only views (monitoring, tests)} *)
+
+(* The shard of [path], refreshed as a staleness-0 lookup would be, and
+   the prefix's entry if it has one. *)
+let find_fresh t ~path =
   let shard = shard_of t path in
   refresh t shard ~max_staleness:0;
-  let committed =
-    match Hashtbl.find_opt shard.paths path with Some st -> st.active | None -> 0
-  in
-  let pending =
-    match Hashtbl.find_opt shard.pending path with Some agg -> agg.p_active | None -> 0
-  in
-  Stdlib.max 0 (committed + pending)
+  Table.find_opt shard.table path
+
+let peek t ~path =
+  match find_fresh t ~path with
+  | Some e -> view t ~now:(Engine.now t.engine) ~overlay:true e
+  | None -> Context.empty
+
+let active_connections t ~path =
+  match find_fresh t ~path with Some e -> Int.max 0 (e.active + e.p_active) | None -> 0
 
 let lookup_count t = t.lookups
 
@@ -512,22 +536,20 @@ let learned_capacity_bps t ~path =
   match t.capacity_bps with
   | Some _ -> None
   | None ->
-    let shard = shard_of t path in
-    refresh t shard ~max_staleness:0;
-    let st_opt = Hashtbl.find_opt shard.paths path in
-    let rate = merged_rate t ~now:(Engine.now t.engine) st_opt (Hashtbl.find_opt shard.pending path) in
     let learned =
-      Float.max rate (match st_opt with Some st -> st.learned_capacity | None -> 0.)
+      match find_fresh t ~path with
+      | Some e ->
+        Float.max (window_rate t ~now:(Engine.now t.engine) ~overlay:true e) e.learned_capacity
+      | None -> 0.
     in
     if learned > 0. then Some learned else None
 
 (* {2 Introspection (benchmarks, eviction tests, the swarm harness)} *)
 
-let resident_paths t =
-  Array.fold_left (fun acc shard -> acc + Hashtbl.length shard.paths) 0 t.shards
+let resident_paths t = Array.fold_left (fun acc shard -> acc + shard.n_resident) 0 t.shards
 
 let pending_paths t =
-  Array.fold_left (fun acc shard -> acc + Hashtbl.length shard.pending) 0 t.shards
+  Array.fold_left (fun acc shard -> acc + List.length shard.dirty) 0 t.shards
 
 let eviction_count t =
   Array.fold_left (fun acc shard -> acc + shard.s_evictions) 0 t.shards
@@ -540,7 +562,7 @@ let shard_stats t =
       {
         lookups = shard.s_lookups;
         reports = shard.s_reports;
-        resident = Hashtbl.length shard.paths;
+        resident = shard.n_resident;
         evictions = shard.s_evictions;
         flushes = shard.s_flushes;
       })

@@ -17,12 +17,16 @@
     operator would deploy, not a toy table:
 
     - {b Shards.}  Prefixes hash (stable FNV-1a) onto [shards]
-      independent shards, each with its own committed table, pending
-      batch, and epoch — the unit of parallel service and of the swarm
-      benchmark's balance metric.
+      independent shards, each with its own epoch and one table keyed by
+      prefix, whose entry holds the prefix's committed state and its
+      open batch — the unit of parallel service and of the swarm
+      benchmark's balance metric.  A message costs the hash that picks
+      its shard and one probe of that shard's table.
     - {b Epoch batching.}  Reports and lookup registrations coalesce in
-      a per-shard pending buffer and are committed in one pass per
-      epoch ([epoch_s]) instead of mutating per-path state per message.
+      the prefix's open batch and are committed in one pass per epoch
+      ([epoch_s]) instead of mutating per-path state per message.  The
+      pass walks the shard's dirty list, the entries with an open batch,
+      and nothing else.
     - {b Bounded staleness.}  A lookup carries the number of epochs of
       staleness it tolerates; staleness-0 answers overlay the pending
       batch, staleness-[k] answers are served from the committed
@@ -55,7 +59,9 @@ val create :
     [shards] (default 1) the number of independent shards;
     [max_paths_per_shard] (default 65536) the per-shard resident-path
     budget and [ttl_epochs] (default 600) the idle lifetime before a
-    prefix is swept. *)
+    prefix is swept.  Raises [Invalid_argument], naming the field and
+    its value, when [window_s], [epoch_s] or [capacity_bps] is not
+    positive and finite, and when a count is below 1. *)
 
 val shard_count : t -> int
 
@@ -115,7 +121,8 @@ val resident_paths : t -> int
     prefixes never become resident (see the eviction model above). *)
 
 val pending_paths : t -> int
-(** Prefixes with uncommitted activity in some shard's pending batch. *)
+(** Prefixes with an open batch (uncommitted activity), across all
+    shards. *)
 
 val eviction_count : t -> int
 

@@ -49,13 +49,18 @@ type response =
       (** Answer to a {!Report}; [epoch] is the receiving shard's
           committed epoch (the batch the report will flush with). *)
 
-val encode_request : Buffer.t -> request -> unit
-val decode_request : string -> (request, string) result
-
-val encode_response : Buffer.t -> response -> unit
-val decode_response : string -> (response, string) result
-
 val request_to_string : request -> string
-(** One-shot {!encode_request} into a fresh string. *)
+(** The message's bytes, written once into a string of exactly their
+    size.  Raises [Invalid_argument] on a negative integer field. *)
 
 val response_to_string : response -> string
+
+val encode_request : Buffer.t -> request -> unit
+(** Append {!request_to_string}'s bytes. *)
+
+val encode_response : Buffer.t -> response -> unit
+
+val decode_request : string -> (request, string) result
+(** [Error reason] names the first malformed field; never raises. *)
+
+val decode_response : string -> (response, string) result

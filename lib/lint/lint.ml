@@ -5,9 +5,9 @@ let rules =
     ("obj-magic", "Obj.magic defeats the type system; use a typed representation");
     ( "poly-compare",
       "polymorphic compare is unsound on floats (NaN) and float-carrying records, and in \
-       lib/sim, lib/net and lib/tcp a polymorphic min/max costs a C call per use; use \
-       Float.compare / Int.compare / String.compare / Int.min / Float.max or a dedicated \
-       comparator" );
+       lib/sim, lib/net, lib/tcp and lib/core a polymorphic min/max costs a C call per \
+       use; use Float.compare / Int.compare / String.compare / Int.min / Float.max or a \
+       dedicated comparator" );
     ( "float-equal",
       "(=) or (<>) against a float constant; use Float.equal or an epsilon comparison" );
     ("list-nth", "List.nth is partial and O(n); use List.nth_opt or an array");
@@ -77,9 +77,13 @@ let in_domain_pool path = path_has_dir path "lib/experiments" || path_has_dir pa
 let in_hot_path path = path_has_dir path "lib/net" || path_has_dir path "lib/sim"
 
 (* The hot path plus the transport, whose per-ACK handlers run once per
-   packet too: there [poly-compare] also covers [min]/[max] (each
-   polymorphic use is a [caml_lessequal] call), and [hot-queue] applies. *)
+   packet too: there [hot-queue] applies. *)
 let in_transport_path path = in_hot_path path || path_has_dir path "lib/tcp"
+
+(* Where [poly-compare] also covers [min]/[max], each polymorphic use
+   being a [caml_lessequal] call: the transport path, and lib/core,
+   whose context server runs per message. *)
+let in_minmax_scope path = in_transport_path path || path_has_dir path "lib/core"
 
 let in_lib path = path_has_dir path "lib"
 
@@ -263,6 +267,7 @@ let pattern_violations src =
   let transport_scope = in_transport_scope path in
   let decision_scope = in_decision_scope path in
   let transport_path = in_transport_path path in
+  let minmax_scope = in_minmax_scope path in
   let float_field_scope = in_float_field_scope path in
   let out = ref [] in
   let add ?message (loc : Location.t) rule =
@@ -274,7 +279,7 @@ let pattern_violations src =
     match Ast_scan.strip_stdlib (Ast_scan.path_of_lid txt) with
     | "Obj.magic" -> add loc "obj-magic"
     | "compare" -> add loc "poly-compare"
-    | "min" | "max" -> if transport_path then add loc "poly-compare"
+    | "min" | "max" -> if minmax_scope then add loc "poly-compare"
     | "List.nth" -> add loc "list-nth"
     | "Hashtbl.find" -> add loc "hashtbl-find"
     | "failwith" -> if lib then add loc "failwith"

@@ -560,21 +560,11 @@ let step t =
   end
 
 let run ?until t =
-  (match until with
-  | Some limit when not (Float.is_finite limit) ->
-    invalid_arg "Engine.run: until must be finite"
-  | Some _ | None -> ());
-  (* Two closures per [run] call, not per event; runs span millions of
-     events so this is outside the per-event budget. *)
-  let horizon_reached () = (* phi-lint: allow hot-alloc *)
-    match until with
-    | None -> false
-    | Some limit -> t.hlen = 0 || Float.Array.get t.hp 0 > limit
-  in
-  let rec loop () = (* phi-lint: allow hot-alloc *)
-    if (not (horizon_reached ())) && step t then loop ()
-  in
-  loop ();
   match until with
-  | Some limit -> if limit > now t then set_clock t limit
-  | None -> ()
+  | None -> while step t do () done
+  | Some limit ->
+    if not (Float.is_finite limit) then invalid_arg "Engine.run: until must be finite";
+    while t.hlen > 0 && not (Float.Array.unsafe_get t.hp 0 > limit) do
+      ignore (step t : bool)
+    done;
+    if limit > now t then set_clock t limit

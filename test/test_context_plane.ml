@@ -215,6 +215,134 @@ let test_handle_matches_direct_api () =
     Alcotest.(check bool) "report moved utilization" true (a.Context.utilization > 0.)
   | _ -> Alcotest.fail "lookup did not answer with a context"
 
+(* {2 Pinned replay without a configured capacity}
+
+   Neither the swarm nor the benchmark exercises capacity learning:
+   both configure a capacity.  This replay mixes staleness-0 and
+   staleness-2 lookups with reports (some with the NaN "no RTT"
+   sentinel) over five prefixes on two shards with a two-path budget,
+   so it carries lookup-only batches across flushes, drops them past
+   the ttl, and evicts by LRU and then by TTL.  Every answer and epoch
+   is pinned in hex ([%h]), as recorded before the one-table shard. *)
+
+let learned_replay_golden =
+  [
+    "0 pfx-0 e=0 u=0x0p+0 q=0x0p+0 n=0 l=0x0p+0";
+    "1 pfx-2 e=0 u=0x0p+0 q=0x0p+0 n=0 l=0x0p+0";
+    "3 pfx-1 e=0 u=0x0p+0 q=0x0p+0 n=0 l=0x0p+0";
+    "4 pfx-3 e=2 u=0x0p+0 q=0x0p+0 n=0 l=0x0p+0";
+    "6 pfx-2 e=3 u=0x0p+0 q=0x0p+0 n=1 l=0x0p+0";
+    "7 pfx-4 e=3 u=0x1.aaaaaaaaaaaa9p-1 q=0x1.0624dd2f1a9fcp-8 n=0 l=0x1.745d1745d1746p-4";
+    "9 pfx-3 e=4 u=0x0p+0 q=0x0p+0 n=0 l=0x0p+0";
+    "10 pfx-0 e=6 u=0x1p+0 q=0x1.47ae147ae147bp-7 n=0 l=0x1.47ae147ae147bp-4";
+    "12 pfx-4 e=7 u=0x0p+0 q=0x0p+0 n=0 l=0x0p+0";
+    "13 pfx-1 e=7 u=0x1.3333333333333p-1 q=0x1.0624dd2f1a9fcp-8 n=0 l=0x1.2492492492492p-4";
+    "15 pfx-0 e=7 u=0x0p+0 q=0x1.47ae147ae147bp-7 n=1 l=0x1.47ae147ae147bp-4";
+    "16 pfx-2 e=9 u=0x1.b333333333332p-1 q=0x1.47ae147ae147bp-7 n=0 l=0x1.0842108421084p-4";
+    "18 pfx-1 e=10 u=0x0p+0 q=0x1.0624dd2f1a9fcp-8 n=1 l=0x1.2492492492492p-4";
+    "19 pfx-3 e=10 u=0x1p-1 q=0x0p+0 n=0 l=0x1.e1e1e1e1e1e1ep-5";
+    "21 pfx-2 e=12 u=0x0p+0 q=0x1.47ae147ae147bp-7 n=1 l=0x1.0842108421084p-4";
+    "22 pfx-4 e=13 u=0x0p+0 q=0x0p+0 n=0 l=0x0p+0";
+    "24 pfx-3 e=14 u=0x0p+0 q=0x0p+0 n=1 l=0x1.e1e1e1e1e1e1ep-5";
+    "25 pfx-0 e=13 u=0x1p+0 q=0x1.0624dd2f1a9fcp-8 n=0 l=0x1.999999999999ap-5";
+    "27 pfx-4 e=15 u=0x0p+0 q=0x0p+0 n=0 l=0x0p+0";
+    "28 pfx-1 e=16 u=0x1.333333333332cp-1 q=0x1.54c985f06f694p-8 n=1 l=0x1.1028d2ec7044p-4";
+    "30 pfx-0 e=18 u=0x0p+0 q=0x1.0624dd2f1a9fcp-8 n=1 l=0x1.999999999999ap-5";
+    "31 pfx-2 e=18 u=0x1.466666666666cp-1 q=0x1.205bc01a36e2fp-7 n=1 l=0x1.ee0c35238bab4p-5";
+    "33 pfx-1 e=17 u=0x0p+0 q=0x1.54c985f06f694p-8 n=2 l=0x1.1028d2ec7044p-4";
+    "34 pfx-3 e=20 u=0x1.5555555555555p-2 q=0x1.47ae147ae147bp-7 n=1 l=0x1.c4611d3217f8ap-5";
+    "36 pfx-2 e=21 u=0x0p+0 q=0x1.205bc01a36e2fp-7 n=2 l=0x1.ee0c35238bab4p-5";
+    "37 pfx-4 e=21 u=0x1.aaaaaaaaaaaafp-1 q=0x1.0624dd2f1a9fcp-8 n=0 l=0x1.3b13b13b13b14p-5";
+    "39 pfx-3 e=22 u=0x0p+0 q=0x1.47ae147ae147bp-7 n=2 l=0x1.c4611d3217f8ap-5";
+    "40 pfx-0 e=24 u=0x0p+0 q=0x0p+0 n=0 l=0x0p+0";
+    "42 pfx-4 e=25 u=0x0p+0 q=0x1.0624dd2f1a9fcp-8 n=1 l=0x1.3b13b13b13b14p-5";
+    "43 pfx-1 e=25 u=0x1.cccccccccccd1p-2 q=0x1.450efdc9c4da9p-8 n=2 l=0x1.ebf3a2b1085ebp-5";
+    "45 pfx-0 e=25 u=0x0p+0 q=0x0p+0 n=0 l=0x0p+0";
+    "46 pfx-2 e=27 u=0x1.b33333333332fp-2 q=0x1.2839042d8c2a5p-7 n=2 l=0x1.c0f4c84ecc102p-5";
+    "resident=4 pending=0 evicted=5 flushes=31";
+    "pfx-0 cap=none";
+    "pfx-1 cap=0x1.d4bfffffffffep+18";
+    "pfx-2 cap=0x1.d4bfffffffffep+18";
+    "pfx-3 cap=0x1.5f9p+18";
+    "pfx-4 cap=0x1.d4bfffffffffap+18";
+    "idle resident=0 pending=0 evicted=9 flushes=31";
+  ]
+
+let test_learned_replay_pinned () =
+  let engine = Engine.create () in
+  let server =
+    Server.create engine ~epoch_s:0.5 ~window_s:2. ~shards:2 ~max_paths_per_shard:2 ~ttl_epochs:3 ()
+  in
+  let lines = ref [] in
+  let emit line = lines := line :: !lines in
+  let counts prefix =
+    emit
+      (Printf.sprintf "%sresident=%d pending=%d evicted=%d flushes=%d" prefix
+         (Server.resident_paths server) (Server.pending_paths server)
+         (Server.eviction_count server) (Server.flush_count server))
+  in
+  for k = 0 to 47 do
+    let path = Printf.sprintf "pfx-%d" (k * 7 mod 5) in
+    Engine.run ~until:(0.3 *. float_of_int k) engine;
+    if k mod 3 = 2 then begin
+      let no_rtt = k mod 7 = 0 in
+      Server.report server ~path
+        ~bytes:(((k mod 4) + 1) * 30_000)
+        ~duration_s:(0.2 *. float_of_int ((k mod 5) + 1))
+        ~min_rtt:(if no_rtt then Float.nan else 0.01)
+        ~mean_rtt:(if no_rtt then Float.nan else 0.01 +. (0.002 *. float_of_int (k mod 6)))
+        ~retransmitted:(k mod 3) ~segments:(20 + k)
+    end
+    else begin
+      let ctx, epoch =
+        Server.lookup_epoch ~max_staleness:(if k mod 2 = 0 then 0 else 2) server ~path
+      in
+      emit
+        (Printf.sprintf "%d %s e=%d u=%h q=%h n=%d l=%h" k path epoch ctx.Context.utilization
+           ctx.Context.queue_delay_s ctx.Context.competing_senders ctx.Context.loss_rate)
+    end
+  done;
+  Server.flush server;
+  counts "";
+  Array.iter
+    (fun path ->
+      emit
+        (Printf.sprintf "%s cap=%s" path
+           (match Server.learned_capacity_bps server ~path with
+           | Some c -> Printf.sprintf "%h" c
+           | None -> "none")))
+    [| "pfx-0"; "pfx-1"; "pfx-2"; "pfx-3"; "pfx-4" |];
+  Engine.run ~until:20. engine;
+  Server.flush server;
+  counts "idle ";
+  Alcotest.(check (list string)) "replay" learned_replay_golden (List.rev !lines)
+
+(* {2 Non-finite parameters}
+
+   A NaN or infinite window, epoch or capacity used to pass the
+   positivity guards and then answer a wrong utilization for every path
+   (NaN, or 0 whatever the load). *)
+
+let expect_rejected field make =
+  List.iter
+    (fun v ->
+      let expected =
+        Printf.sprintf "Context_server.create: %s must be positive and finite, got %g" field v
+      in
+      match make (Engine.create ()) v with
+      | (_ : Server.t) -> Alcotest.failf "%s = %g accepted" field v
+      | exception Invalid_argument msg -> Alcotest.(check string) "names field and value" expected msg)
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+let test_create_rejects_nonfinite_window () =
+  expect_rejected "window_s" (fun engine v -> Server.create engine ~capacity_bps:1e7 ~window_s:v ())
+
+let test_create_rejects_nonfinite_epoch () =
+  expect_rejected "epoch_s" (fun engine v -> Server.create engine ~capacity_bps:1e7 ~epoch_s:v ())
+
+let test_create_rejects_nonfinite_capacity () =
+  expect_rejected "capacity_bps" (fun engine v -> Server.create engine ~capacity_bps:v ())
+
 let suite =
   [
     Alcotest.test_case "lookups never persist unknown prefixes" `Quick
@@ -224,4 +352,11 @@ let suite =
     Alcotest.test_case "ttl + lru eviction" `Quick test_eviction;
     Alcotest.test_case "wire handle matches the direct api" `Quick
       test_handle_matches_direct_api;
+    Alcotest.test_case "learned-capacity replay is pinned" `Quick test_learned_replay_pinned;
+    Alcotest.test_case "create rejects a non-finite window" `Quick
+      test_create_rejects_nonfinite_window;
+    Alcotest.test_case "create rejects a non-finite epoch" `Quick
+      test_create_rejects_nonfinite_epoch;
+    Alcotest.test_case "create rejects a non-finite capacity" `Quick
+      test_create_rejects_nonfinite_capacity;
   ]

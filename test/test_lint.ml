@@ -25,7 +25,7 @@ let test_poly_compare_fires () =
       check_rules ("Stdlib.min in " ^ path) [ "poly-compare" ]
         (lint ~path "let f a b = Stdlib.min a b\n");
       check_rules ("Int.max in " ^ path) [] (lint ~path "let f cap = Int.max 64 (2 * cap)\n"))
-    [ "lib/sim/fixture.ml"; "lib/net/fixture.ml"; "lib/tcp/fixture.ml" ];
+    [ "lib/sim/fixture.ml"; "lib/net/fixture.ml"; "lib/tcp/fixture.ml"; "lib/core/fixture.ml" ];
   check_rules "bare max elsewhere" [] (lint "let f cap = max 64 (2 * cap)\n");
   (* A label, a definition or a record field named min is not a call. *)
   let sim = "lib/sim/fixture.ml" in

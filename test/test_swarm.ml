@@ -36,6 +36,31 @@ let test_swarm_seed_changes_fingerprint () =
   Alcotest.(check bool) "different workload, different fingerprint" true
     (not (String.equal a.Swarm.fingerprint b.Swarm.fingerprint))
 
+(* {2 Pinned fingerprints}
+
+   The response checksum, residency and evictions of the reduced fleet,
+   recorded before the context server moved to one table per shard.
+   [small] never evicts; the eviction-heavy variant (a 4-epoch ttl and
+   32 paths per shard) runs the LRU sort, drops expired lookup-only
+   batches and carries open ones across flushes. *)
+
+let reduced_fingerprint config =
+  let r = Swarm.run ~jobs:1 ~config () in
+  ( Printf.sprintf "checksum=%08x resident=%d evicted=%d" r.Swarm.checksum r.Swarm.resident_paths
+      r.Swarm.evictions,
+    r.Swarm.evictions )
+
+let test_swarm_fingerprint_pinned () =
+  let fp, _ = reduced_fingerprint small in
+  Alcotest.(check string) "small" "checksum=be317d97 resident=3350 evicted=0" fp
+
+let test_swarm_eviction_fingerprint_pinned () =
+  let fp, evictions =
+    reduced_fingerprint { small with Swarm.ttl_epochs = 4; Swarm.max_paths_per_shard = 32 }
+  in
+  Alcotest.(check bool) "evicts" true (evictions > 0);
+  Alcotest.(check string) "eviction-heavy" "checksum=fee97133 resident=144 evicted=5423" fp
+
 let suite =
   [
     Alcotest.test_case "swarm completes and reports sane metrics" `Quick test_swarm_completes;
@@ -43,4 +68,7 @@ let suite =
       test_swarm_fingerprint_jobs_invariant;
     Alcotest.test_case "fingerprint tracks the workload" `Quick
       test_swarm_seed_changes_fingerprint;
+    Alcotest.test_case "reduced fingerprint is pinned" `Quick test_swarm_fingerprint_pinned;
+    Alcotest.test_case "eviction-heavy fingerprint is pinned" `Quick
+      test_swarm_eviction_fingerprint_pinned;
   ]

@@ -139,6 +139,100 @@ let prop_report_roundtrips =
         && r.retransmitted = retransmitted && r.segments = segments
       | Ok (Wire.Lookup _) | Error _ -> false)
 
+(* {2 Pinned error strings}
+
+   Each malformed input's exact reason, as the decoder reported it
+   before it moved to direct-style readers.  The one exception is a
+   length prefix near [max_int], which overflowed the bounds check into
+   [String.sub] and raised. *)
+
+let request_error s =
+  match Wire.decode_request s with Ok (_ : Wire.request) -> "accepted" | Error e -> e
+
+let response_error s =
+  match Wire.decode_response s with Ok (_ : Wire.response) -> "accepted" | Error e -> e
+
+let test_malformed_error_strings () =
+  let good = Wire.request_to_string (Wire.Lookup { path = "subnet-1"; max_staleness = 2 }) in
+  List.iter
+    (fun (name, input, expected) -> Alcotest.(check string) name expected (request_error input))
+    [
+      ("empty", "", "truncated message");
+      ("version only", "\x01", "truncated message");
+      ("string past the end", "\x01\x01\x05ab", "truncated string");
+      ("float past the end", "\x01\x02\x01a\x00\x01\x02", "truncated float");
+      ("trailing byte", good ^ "\x00", "trailing bytes after message");
+      ( "wire version 7",
+        "\x07" ^ String.sub good 1 (String.length good - 1),
+        "unsupported wire version 7" );
+      ("request tag 0x7f", "\x01\x7f", "unknown request tag 0x7f");
+      ("ten-byte varint", "\x01\x01" ^ String.make 9 '\x80' ^ "\x00", "varint too long");
+      ("zero continuation byte", "\x01\x01\x80\x00", "non-canonical varint");
+      ("varint past 62 bits", "\x01\x01" ^ String.make 9 '\xff', "varint overflow");
+      ("max_int length", "\x01\x01" ^ String.make 8 '\xff' ^ "\x3f", "truncated string");
+    ];
+  Alcotest.(check string) "response tag 0x7f" "unknown response tag 0x7f" (response_error "\x01\x7f");
+  Alcotest.(check string) "response float past the end" "truncated float"
+    (response_error "\x01\x81\x01")
+
+(* {2 Exhaustive prefixes and byte mutations}
+
+   Over a lookup, a report with the NaN RTT sentinel and both
+   responses: every proper prefix is rejected, and every single-byte
+   mutation is either rejected or decodes to a message that re-encodes
+   to exactly the mutated bytes. *)
+
+let reencode_request s =
+  match Wire.decode_request s with
+  | Ok req -> Some (Wire.request_to_string req)
+  | Error (_ : string) -> None
+
+let reencode_response s =
+  match Wire.decode_response s with
+  | Ok resp -> Some (Wire.response_to_string resp)
+  | Error (_ : string) -> None
+
+let check_prefixes_and_mutations name reencode s =
+  for len = 0 to String.length s - 1 do
+    if Option.is_some (reencode (String.sub s 0 len)) then
+      Alcotest.failf "%s: prefix of %d bytes accepted" name len
+  done;
+  for i = 0 to String.length s - 1 do
+    for byte = 0 to 255 do
+      let mutated = Bytes.of_string s in
+      Bytes.set mutated i (Char.chr byte);
+      let mutated = Bytes.to_string mutated in
+      match reencode mutated with
+      | None -> ()
+      | Some back ->
+        if not (String.equal back mutated) then
+          Alcotest.failf "%s: byte %d set to 0x%02x decodes but re-encodes differently" name i byte
+    done
+  done
+
+let test_prefixes_and_mutations () =
+  let ctx =
+    { Context.utilization = 0.61; queue_delay_s = 0.004; competing_senders = 300; loss_rate = 0.02 }
+  in
+  check_prefixes_and_mutations "lookup" reencode_request
+    (Wire.request_to_string (Wire.Lookup { path = "subnet-42"; max_staleness = 2 }));
+  check_prefixes_and_mutations "report" reencode_request
+    (Wire.request_to_string
+       (Wire.Report
+          {
+            path = "subnet-42";
+            bytes = 123_456;
+            duration_s = 1.5;
+            min_rtt = Float.nan;
+            mean_rtt = Float.nan;
+            retransmitted = 3;
+            segments = 300;
+          }));
+  check_prefixes_and_mutations "context" reencode_response
+    (Wire.response_to_string (Wire.Context_of { ctx; epoch = 1234 }));
+  check_prefixes_and_mutations "accepted" reencode_response
+    (Wire.response_to_string (Wire.Accepted { epoch = 77 }))
+
 let suite =
   [
     Alcotest.test_case "lookup round-trips" `Quick test_lookup_roundtrip;
@@ -148,4 +242,7 @@ let suite =
     Alcotest.test_case "malformed bytes rejected" `Quick test_malformed_rejected;
     QCheck_alcotest.to_alcotest prop_decode_total_and_canonical;
     QCheck_alcotest.to_alcotest prop_report_roundtrips;
+    Alcotest.test_case "malformed bytes name their error" `Quick test_malformed_error_strings;
+    Alcotest.test_case "prefixes rejected, mutations canonical" `Quick
+      test_prefixes_and_mutations;
   ]
