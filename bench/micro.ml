@@ -12,12 +12,16 @@
      counted; ACKs roughly double the true event rate).
 
    Both families also report an allocation profile: [Gc.minor_words]
-   deltas around the port-churn, link-loop and dumbbell runs give minor
-   words per event, per link-loop packet and per delivered dumbbell
-   data packet (the regression gate [phi_json_check] enforces a
-   committed budget on the last two: the bare link and the whole packet
-   path, sender, receiver and controller included), and the link-loop
-   packet pool reports its high-water mark.
+   deltas around the port-churn, link-loop, dumbbell and WAN runs give
+   minor words per event, per link-loop packet, per delivered dumbbell
+   data packet and per delivered WAN bottleneck packet (the regression
+   gate [phi_json_check] enforces a committed budget on the last three:
+   the bare link, the whole Cubic packet path, and remy-phi's whisker
+   lookups with link flaps and the context server's lookup and report
+   per connection), and the link-loop packet pool reports its
+   high-water mark.  The WAN run is the composition perfbench's
+   [wan_remyphi_flap] workload runs: remy-phi on the WAN mesh under
+   [Dynamics.default_flap], wired by [Cc_select.wire].
 
    - decisions/s: the compiled decision plane — per-ack whisker lookup
      (interpreted Rule_table scan against the flat Compiled_table) and
@@ -34,6 +38,8 @@ module Link = Phi_net.Link
 module Packet = Phi_net.Packet
 module Topology = Phi_net.Topology
 module Scenario = Phi_experiments.Scenario
+module Dynamics = Phi_experiments.Dynamics
+module Cc_select = Phi_experiments.Cc_select
 module Swarm = Phi_experiments.Swarm
 module Json = Phi_util.Json
 module Pool = Phi_runner.Pool
@@ -137,6 +143,26 @@ let dumbbell_packets duration_s () =
     (fun acc (s : Phi_tcp.Flow.conn_stats) -> acc + (s.Phi_tcp.Flow.bytes / Packet.mss))
     0 r.Scenario.records
 
+(* Delivered bottleneck packets of one remy-phi WAN cell under link
+   flaps; [select] holds the compiled tables, built outside the
+   measurement. *)
+let wan_remyphi_packets select duration_s () =
+  let zoo = Topology.Zoo.wan () in
+  let w =
+    Cc_select.wire select ~capacity_bps:zoo.Topology.Zoo.bottleneck_bw_bps
+      ~path:zoo.Topology.Zoo.name Cc_algo.Remy_phi
+  in
+  let links = ref [||] in
+  let observe engine built =
+    w.Cc_select.attach engine;
+    links := Array.map (Topology.link_of built) zoo.Topology.Zoo.bottlenecks
+  in
+  ignore
+    (Scenario.run_zoo_cell ~cc_factory:w.Cc_select.cc_factory ~dynamics:Dynamics.default_flap
+       ~duration_s ~seed:1 ~on_conn_end:w.Cc_select.on_conn_end ~observe zoo
+      : Scenario.result);
+  Array.fold_left (fun acc l -> acc + Link.packets_delivered l) 0 !links
+
 (* {2 decisions/s: the compiled decision plane}
 
    The pretrained Phi table with every whisker split once more — the
@@ -221,6 +247,7 @@ let run ~quick =
   let chains = if quick then 8192 else 65536 in
   let loop_packets = if quick then 100_000 else 1_000_000 in
   let dumbbell_s = if quick then 10. else 30. in
+  let wan_s = if quick then 30. else 100. in
   Printf.printf "(%s budget, best of %d)\n%!" (if quick then "quick" else "default") repetitions;
 
   (* Size the minor heap the way sweep workers do, so the numbers below
@@ -287,6 +314,15 @@ let run ~quick =
   Printf.printf "    %d data packets delivered               %10.0f packets/s (wall %.2f s)\n"
     data_packets dumbbell_pps dumbbell_wall;
   Printf.printf "    allocation %10.4f minor words/data packet\n%!" dumbbell_words_per_packet;
+
+  let select = Cc_select.create () in
+  let m0 = Gc.minor_words () in
+  let wan_wall, wan_packets = timed (wan_remyphi_packets select wan_s) in
+  let wan_words_per_packet = (Gc.minor_words () -. m0) /. float_of_int wan_packets in
+  Printf.printf "\n  WAN mesh, remy-phi under link flaps, %.0f simulated s:\n" wan_s;
+  Printf.printf "    %d bottleneck packets delivered           %10.0f packets/s (wall %.2f s)\n"
+    wan_packets (rate wan_packets wan_wall) wan_wall;
+  Printf.printf "    allocation %10.4f minor words/bottleneck packet\n%!" wan_words_per_packet;
 
   let table = decision_table () in
   let compiled = Compiled_table.compile table in
@@ -370,6 +406,7 @@ let run ~quick =
           ("minor_words_per_event", Json.float words_per_event);
           ("minor_words_per_packet", Json.float words_per_packet);
           ("dumbbell_minor_words_per_packet", Json.float dumbbell_words_per_packet);
+          ("wan_minor_words_per_packet", Json.float wan_words_per_packet);
           ("pool_high_water", Json.Int loop_high_water);
         ] );
     ( "decision",

@@ -1,5 +1,5 @@
 (* phi-json-check: validate a bench report produced by
-   [bench/main.exe --json PATH] (schema phi-bench-report/10).  Exits
+   [bench/main.exe --json PATH] (schema phi-bench-report/11).  Exits
    non-zero when the file is missing, malformed JSON, of another
    schema, missing a section one of its experiments emits (or carrying
    one no listed experiment emits), or over a committed budget — the CI

@@ -1,6 +1,6 @@
 module J = Phi_util.Json
 
-let schema = "phi-bench-report/10"
+let schema = "phi-bench-report/11"
 
 (* The allocation-regression budget: minor words allocated per packet
    through the saturated link loop (pool acquire -> enqueue -> tx ->
@@ -19,6 +19,14 @@ let max_minor_words_per_packet = 0.5
    the transport and controller state was unboxed, so the budget trips
    when several float boxes come back onto the per-packet path. *)
 let max_dumbbell_minor_words_per_packet = 12.
+
+(* The same gate on the remy-phi WAN cell under link flaps (perfbench's
+   [wan_remyphi_flap] composition): minor words per delivered
+   bottleneck packet, whisker lookups, link dynamics and the context
+   server's per-connection lookup and report included.  It reads about
+   6; a float box is 2 words, so one more per packet on both directions'
+   bottlenecks trips it. *)
+let max_wan_minor_words_per_packet = 8.
 
 (* The swarm-regression budgets.  The quick-budget swarm serves one
    million flows (two million wire messages); even a single-core
@@ -133,7 +141,8 @@ let check_alloc ~path alloc =
   let per_packet = number "minor_words_per_packet" in
   let per_event = number "minor_words_per_event" in
   let dumbbell = number "dumbbell_minor_words_per_packet" in
-  if per_packet < 0. || per_event < 0. || dumbbell < 0. then
+  let wan = number "wan_minor_words_per_packet" in
+  if per_packet < 0. || per_event < 0. || dumbbell < 0. || wan < 0. then
     bad "%s: alloc counters must be non-negative" path;
   if number "pool_high_water" < 1. then bad "%s: alloc \"pool_high_water\" must be >= 1" path;
   if per_packet > max_minor_words_per_packet then
@@ -143,7 +152,12 @@ let check_alloc ~path alloc =
     bad
       "%s: allocation regression: %.4f minor words per dumbbell data packet exceeds the budget \
        of %g"
-      path dumbbell max_dumbbell_minor_words_per_packet
+      path dumbbell max_dumbbell_minor_words_per_packet;
+  if wan > max_wan_minor_words_per_packet then
+    bad
+      "%s: allocation regression: %.4f minor words per WAN bottleneck packet exceeds the budget \
+       of %g"
+      path wan max_wan_minor_words_per_packet
 
 (* "swarm": the million-flow context-plane benchmark, gated against the
    committed service floors, so a throughput or tail-latency regression

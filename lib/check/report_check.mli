@@ -18,7 +18,7 @@
     gate trips. *)
 
 val schema : string
-(** ["phi-bench-report/10"], the only schema [check] accepts. *)
+(** ["phi-bench-report/11"], the only schema [check] accepts. *)
 
 val max_minor_words_per_packet : float
 (** The allocation budget enforced on the "alloc" section's
@@ -29,6 +29,12 @@ val max_dumbbell_minor_words_per_packet : float
     [dumbbell_minor_words_per_packet] figure: minor words per data
     packet delivered on the paper dumbbell, the whole packet path
     included. *)
+
+val max_wan_minor_words_per_packet : float
+(** The allocation budget enforced on the "alloc" section's
+    [wan_minor_words_per_packet] figure: minor words per bottleneck
+    packet delivered on the remy-phi WAN cell under link flaps, whisker
+    lookups and the context server's lookups and reports included. *)
 
 val min_swarm_lookups_per_s : float
 (** The committed throughput floor enforced on the "swarm" section's

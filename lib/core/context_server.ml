@@ -94,10 +94,23 @@ let check_positive_finite field v =
     invalid_arg
       (Printf.sprintf "Context_server.create: %s must be positive and finite, got %g" field v)
 
+(* Every prefix holds two window rings of [window_s / epoch_s] + 2
+   buckets at most; every configuration here spans at most 10 epochs. *)
+let max_window_epochs = 1024
+
 let create engine ?capacity_bps ?(window_s = 10.) ?(epoch_s = 1.) ?(shards = 1)
     ?(max_paths_per_shard = 65536) ?(ttl_epochs = 600) () =
   check_positive_finite "window_s" window_s;
   check_positive_finite "epoch_s" epoch_s;
+  (* Checked on the float ratio, before [int_of_float]: a ratio past
+     2^62 has no int, and one past the cap would size each prefix's
+     rings from it. *)
+  if window_s /. epoch_s > float_of_int max_window_epochs then
+    invalid_arg
+      (Printf.sprintf
+         "Context_server.create: window_s / epoch_s must be at most %d epochs, got window_s %g \
+          over epoch_s %g"
+         max_window_epochs window_s epoch_s);
   if shards < 1 then invalid_arg "Context_server.create: need at least one shard";
   if max_paths_per_shard < 1 then invalid_arg "Context_server.create: need path capacity";
   if ttl_epochs < 1 then invalid_arg "Context_server.create: ttl must be positive";

@@ -61,7 +61,12 @@ val create :
     budget and [ttl_epochs] (default 600) the idle lifetime before a
     prefix is swept.  Raises [Invalid_argument], naming the field and
     its value, when [window_s], [epoch_s] or [capacity_bps] is not
-    positive and finite, and when a count is below 1. *)
+    positive and finite, when a count is below 1, and, naming both
+    fields, when [window_s] spans more than {!max_window_epochs}
+    epochs: every prefix keeps two rings of one bucket per epoch. *)
+
+val max_window_epochs : int
+(** 1024: the most epochs of [epoch_s] that [window_s] may span. *)
 
 val shard_count : t -> int
 

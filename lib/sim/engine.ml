@@ -1,35 +1,48 @@
-(* Allocation-free event core.
+(* Allocation-free two-tier event core.
 
-   The previous engine allocated, per scheduled event: a [handle] record,
-   an [event] record, the action closure, and a boxed float inside the
-   heap entry.  At ~10 events per simulated packet that allocation (and
-   the GC work to collect it) dominated the per-packet cost.
+   Every event carries a (time, seq) key, seq being a global scheduling
+   counter, so keys are unique and fix one total firing order.  The
+   queue splits the events into two tiers, each yielding its own events
+   in (time, seq) order; [step] and [run] take whichever tier's root is
+   earlier, so the merged sequence is exactly that of one heap holding
+   every event.
 
-   This version keeps everything in flat arrays, and its heap holds at
-   most one entry per port plus one per live timer (and the entries of
-   cancelled timers until they are popped):
+   - Tier 1, lanes: port events (see below).  A lane is a FIFO ring of
+     (time, seq, port) entries whose times never decrease, so it is
+     sorted by (time, seq) by construction and only its head needs to
+     sit in a heap.  [schedule_port_after ~delay] appends to the one
+     shared lane for that exact delay value: the clock never goes back
+     and IEEE addition is monotonic, so [now +. delay] cannot decrease
+     within the lane, whichever ports share it.  [schedule_port_at]
+     appends to the port's own lane, sorted by the port's FIFO contract.
+     A link's transmit-complete and delivery ports each reuse a handful
+     of delays, so an engine has a few lanes (6 on the paper dumbbell,
+     about 11 on the WAN mesh) and the lane heap holds only their
+     heads: a busy lane's head is replaced at the root with one short
+     sift, and a port that empties no longer re-enters a deep heap from
+     its bottom.
 
-   - The event queue is a structure-of-arrays 4-ary min-heap ordered by
-     (time, seq): [hp.(i)] holds entry [i]'s timestamp in a [floatarray]
-     (unboxed), and [hm] interleaves the FIFO tie-break sequence number
-     ([hm.(2i)]) with the payload key ([hm.(2i+1)]) so both land on the
-     same cache line.  The heap is inlined here rather than kept as a
-     generic module: without flambda, a cross-module [pop] call and the
-     [Some (time, seq, v)] tuple it would allocate (including a freshly
-     boxed float) cost about 2x on the event-churn microbenchmark (the
-     bench's [micro] experiment).
+   - Tier 2, cells: cancellable closure events (timers, sources,
+     dynamics) on a heap of their own, so the many rarely-firing RTO
+     timers of a large simulation no longer deepen the packet path's
+     heap.  Cancelled entries and re-seats of re-armed timers happen
+     inside this heap; they never fire and never move the clock.
 
-     Arity 4 fits a shallow heap.  Since ports and in-place re-arming,
-     the heap holds one entry per port and per live timer (about 120 on
-     the paper dumbbell), so a pop sifts down three or four levels, and
-     scanning four children per level costs less than the level that
-     eight children would save.  The (time, seq) keys are unique, so
-     the arity changes only the cost of a pop, never its order.
+   Both heaps are structure-of-arrays 4-ary min-heaps ordered by (time,
+   seq): [xt.(i)] holds entry [i]'s timestamp in a [floatarray]
+   (unboxed), and [xm] interleaves the seq ([xm.(2i)]) with the payload
+   key ([xm.(2i+1)], a lane or a cell index) so both land on the same
+   cache line.  The heap is inlined here rather than kept as a generic
+   module: without flambda, a cross-module [pop] call and the
+   [Some (time, seq, v)] tuple it would allocate (including a freshly
+   boxed float) cost about 2x on the event-churn microbenchmark (the
+   bench's [micro] experiment).  The (time, seq) keys are unique, so the
+   arity changes only the cost of a pop, never its order.
 
    - Cancellable events live in a slab of reusable cells in parallel
      arrays.  A handle packs a cell's index with its generation counter,
      [(generation << idx_bits) | index] — an immediate, so scheduling
-     allocates nothing.  The cell's heap key is its index alone: the
+     allocates nothing.  The cell heap's key is the cell index: the
      entry stands for the cell only while its seq equals [cell_hseq].
      Cancellation bumps the generation, clears [cell_hseq] (the entry
      still in the heap becomes stale and is skipped when popped) and
@@ -49,13 +62,18 @@
    - Hot paths that fire the same logical event over and over (a link's
      transmit-complete and propagation-delivery) pre-register their
      handler once as a {!port}: an index into a per-engine registry,
-     carried in the heap key with tag bit 0 set.  A port's events are
-     scheduled in nondecreasing time, so they fire in scheduling order
-     and only the earliest sits in the heap; the rest wait in the port's
-     FIFO with the (time, seq) they were scheduled with, and when the
-     head fires the next one takes over the root with one sift.  A FIFO
-     is allocated the first time its port queues an event behind its
-     heap entry, so registering a port costs no per-port allocation.
+     carried in the lane entries.  Lanes and their rings are created at
+     first use and grow out of line.  Each port caches the last two
+     lanes its [schedule_port_after] used, so finding a lane is a float
+     compare or two (a link's transmit time alternates between data and
+     ACK sizes); on a miss an open-addressing index keyed by the delay's
+     bits finds it.
+     Dynamics that redraw a link's delay would mint a lane per value, so
+     past [max_shared_lanes] a new delay goes to the port's own lane —
+     valid because a port's times never decrease — which the port's
+     cache then serves.  An armed [port-fifo] clamp likewise goes to the
+     port's own lane: the clamped time would break a shared lane's
+     order.
 
    Timestamps are compared with raw [<] / [=] rather than
    [Float.compare]: {!checked_time} / {!checked_delay} guarantee every
@@ -87,27 +105,42 @@ let null_port : port = -1
 let idx_bits = 25
 let idx_mask = (1 lsl idx_bits) - 1
 
+(* Shared lanes per engine.  The paper's topologies use about a dozen
+   delays; the cap only binds under dynamics that keep redrawing link
+   delays.  The index has twice as many slots, so a probe stays short. *)
+let max_shared_lanes = 64
+let index_bits = 7
+let index_slots = 1 lsl index_bits
+
 let nop () = ()
 
-(* The events queued behind a port's heap entry, oldest first: a
-   circular buffer of (time, seq) pairs whose capacity is a power of
-   two. *)
-type fifo = { ft : floatarray; fs : int array; mutable fh : int }
+(* A lane: a ring of (time, seq, port) entries, oldest first, whose
+   capacity is a power of two (0 until the first append). *)
+type lane = {
+  mutable qt : floatarray;
+  mutable qm : int array;  (* qm.(2i) = seq, qm.(2i+1) = port *)
+  mutable qh : int;  (* head slot *)
+  mutable qn : int;  (* entries *)
+}
 
 type t = {
-  (* The clock and the sift scratch cell live in one-slot [floatarray]s
-     rather than mutable float fields: storing a float into a mixed
-     record allocates a fresh box on every write (one per event for the
-     clock), while a [floatarray] store is an unboxed write.  The same
-     reasoning moves the in-flight sift timestamp into [tscratch]: it
-     lets [push]/[step] hand a timestamp to the sifts without a float
-     argument, which the non-flambda compiler would box at the call. *)
+  (* The clock and the scratch slots live in [floatarray]s rather than
+     mutable float fields: storing a float into a mixed record allocates
+     a fresh box on every write (one per event for the clock), while a
+     [floatarray] store is an unboxed write.  [tscratch.(0)] carries the
+     in-flight timestamp to the sifts and appends, and [tscratch.(1)] a
+     delay to the lane index, without a float argument, which the
+     non-flambda compiler would box at the call. *)
   clock : floatarray;
   tscratch : floatarray;
-  (* 4-ary min-heap over (time, seq, key). *)
-  mutable hp : floatarray;
-  mutable hm : int array;  (* hm.(2i) = seq, hm.(2i+1) = key *)
-  mutable hlen : int;
+  (* Tier 1: 4-ary min-heap of lane heads, keyed by lane. *)
+  mutable lt : floatarray;
+  mutable lm : int array;  (* lm.(2i) = seq, lm.(2i+1) = lane *)
+  mutable llen : int;
+  (* Tier 2: 4-ary min-heap of cell entries, keyed by cell index. *)
+  mutable ct : floatarray;
+  mutable cm : int array;  (* cm.(2i) = seq, cm.(2i+1) = cell *)
+  mutable clen : int;
   mutable next_seq : int;
   mutable n_exec : int;
   (* Event-cell slab (struct of arrays) plus its free list.  Every cell
@@ -126,24 +159,38 @@ type t = {
   mutable free_len : int;
   mutable n_live : int;
   (* Pre-registered port handlers; never unregistered.  Per port: the
-     number of pending events (the heap entry included), the time of
-     the latest one, and the FIFO behind the heap entry — [no_fifo], of
-     capacity 0, until the port first queues an event there. *)
+     time of its latest event, the last two lanes its
+     [schedule_port_after] used (packed into one int, see
+     [newest_lane]) and its own lane (-1 until first used).  Four words
+     per port, as many as registration allocated before lanes. *)
   mutable ports : (unit -> unit) array;
-  mutable port_n : int array;
   mutable port_last : floatarray;
-  mutable port_q : fifo array;
+  mutable port_lane : int array;
+  mutable port_own : int array;
   mutable n_ports : int;
-  no_fifo : fifo;
+  (* Lanes, shared and own.  [lane_delay] is a shared lane's delay; on
+     an own lane it is the delay the port's cache last routed there
+     (nan before), which no other port reads.  [lane_index] maps a
+     delay's bits to its shared lane by linear probing, -1 marking an
+     empty slot; it is allocated with the first shared lane. *)
+  mutable lanes : lane array;
+  mutable lane_delay : floatarray;
+  mutable n_lanes : int;
+  mutable n_shared : int;
+  mutable lane_index : int array;
+  no_lane : lane;
 }
 
 let create () =
   {
     clock = Float.Array.make 1 0.;
-    tscratch = Float.Array.make 1 0.;
-    hp = Float.Array.create 0;
-    hm = [||];
-    hlen = 0;
+    tscratch = Float.Array.make 2 0.;
+    lt = Float.Array.create 0;
+    lm = [||];
+    llen = 0;
+    ct = Float.Array.create 0;
+    cm = [||];
+    clen = 0;
     next_seq = 0;
     n_exec = 0;
     cell_gen = [||];
@@ -156,11 +203,16 @@ let create () =
     free_len = 0;
     n_live = 0;
     ports = [||];
-    port_n = [||];
     port_last = Float.Array.create 0;
-    port_q = [||];
+    port_lane = [||];
+    port_own = [||];
     n_ports = 0;
-    no_fifo = { ft = Float.Array.create 0; fs = [||]; fh = 0 };
+    lanes = [||];
+    lane_delay = Float.Array.create 0;
+    n_lanes = 0;
+    n_shared = 0;
+    lane_index = [||];
+    no_lane = { qt = Float.Array.create 0; qm = [||]; qh = 0; qn = 0 };
   }
 
 let[@inline] now t = Float.Array.unsafe_get t.clock 0
@@ -168,10 +220,14 @@ let[@inline] set_clock t v = Float.Array.unsafe_set t.clock 0 v
 
 (* {2 Heap primitives}
 
-   Hole-style sifts: keep the moving element in registers, shift
-   entries over it, write it once at its final slot.  The unsafe
-   accessors are justified by the loop bounds: indices stay within
-   [0, hlen) and the arrays never shrink. *)
+   Hole-style sifts over one tier's arrays: keep the moving element in
+   registers, shift entries over it, write it once at its final slot.
+   Each takes the tier's arrays as arguments, hoisted out of the loop,
+   and its timestamp through [ts] ([tscratch]): the callers read it out
+   of a [floatarray] (or compute it), and a float argument would be
+   boxed at the call.  The unsafe accessors are justified by the loop
+   bounds: indices stay within the heap's length, and the arrays are
+   not replaced while a sift runs. *)
 
 (* Array growth is amortized doubling, out of line: a sized [create]
    pre-allocates and never grows. *)
@@ -185,52 +241,30 @@ let[@inline never] resized_float a n =
   Float.Array.blit a 0 na 0 (Float.Array.length a);
   na
 
-let grow_heap t =
-  let ncap = Int.max 64 (2 * Float.Array.length t.hp) in
-  t.hp <- resized_float t.hp ncap;
-  t.hm <- resized t.hm (2 * ncap) 0
-
-(* [hp]/[hm] are hoisted into locals in both sifts: they are mutable
-   record fields, so the compiler would otherwise reload them after
-   every array store in the loop.  Safe because the arrays cannot be
-   replaced (no grow) while a sift is running. *)
-(* Both sifts take their timestamp through [tscratch] rather than a
-   float parameter: their callers read it out of a [floatarray] (or
-   compute it), and a float argument would be boxed at the call. *)
-let sift_up t i0 seq key =
-  let time = Float.Array.unsafe_get t.tscratch 0 in
-  let hp = t.hp and hm = t.hm in
+let sift_up ts xt (xm : int array) i0 (seq : int) key =
+  let time = Float.Array.unsafe_get ts 0 in
   let i = ref i0 in
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) lsr 2 in
-    let pt = Float.Array.unsafe_get hp parent in
-    if time < pt || (time = pt && seq < Array.unsafe_get hm (2 * parent)) then begin
-      Float.Array.unsafe_set hp !i pt;
-      Array.unsafe_set hm (2 * !i) (Array.unsafe_get hm (2 * parent));
-      Array.unsafe_set hm ((2 * !i) + 1) (Array.unsafe_get hm ((2 * parent) + 1));
+    let pt = Float.Array.unsafe_get xt parent in
+    if time < pt || (time = pt && seq < Array.unsafe_get xm (2 * parent)) then begin
+      Float.Array.unsafe_set xt !i pt;
+      Array.unsafe_set xm (2 * !i) (Array.unsafe_get xm (2 * parent));
+      Array.unsafe_set xm ((2 * !i) + 1) (Array.unsafe_get xm ((2 * parent) + 1));
       i := parent
     end
     else continue := false
   done;
-  Float.Array.unsafe_set hp !i time;
-  Array.unsafe_set hm (2 * !i) seq;
-  Array.unsafe_set hm ((2 * !i) + 1) key
+  Float.Array.unsafe_set xt !i time;
+  Array.unsafe_set xm (2 * !i) seq;
+  Array.unsafe_set xm ((2 * !i) + 1) key
 
-(* [push] takes its timestamp through [tscratch] (see the sifts). *)
-let push t ~seq key =
-  if t.hlen = Float.Array.length t.hp then grow_heap t;
-  let i = t.hlen in
-  t.hlen <- i + 1;
-  sift_up t i seq key
-
-(* Seat [(time, seq, key)] at the root and sift it down: the former last
-   entry after the minimum was removed, or the minimum's successor
-   taking over its slot. *)
-let sift_down t seq key =
-  let time = Float.Array.unsafe_get t.tscratch 0 in
-  let hp = t.hp and hm = t.hm in
-  let len = t.hlen in
+(* Seat [(time, seq, key)] at the root of a heap of [len] entries and
+   sift it down: the former last entry after the minimum was removed,
+   or the minimum's successor taking over its slot. *)
+let sift_down ts xt (xm : int array) len (seq : int) key =
+  let time = Float.Array.unsafe_get ts 0 in
   let i = ref 0 in
   let continue = ref true in
   while !continue do
@@ -240,37 +274,59 @@ let sift_down t seq key =
       (* Find the smallest of the up-to-four children. *)
       let last = if base + 3 < len then base + 3 else len - 1 in
       let m = ref base in
-      let mt = ref (Float.Array.unsafe_get hp base) in
-      let ms = ref (Array.unsafe_get hm (2 * base)) in
+      let mt = ref (Float.Array.unsafe_get xt base) in
+      let ms = ref (Array.unsafe_get xm (2 * base)) in
       for j = base + 1 to last do
-        let jt = Float.Array.unsafe_get hp j in
-        if jt < !mt || (jt = !mt && Array.unsafe_get hm (2 * j) < !ms) then begin
+        let jt = Float.Array.unsafe_get xt j in
+        if jt < !mt || (jt = !mt && Array.unsafe_get xm (2 * j) < !ms) then begin
           m := j;
           mt := jt;
-          ms := Array.unsafe_get hm (2 * j)
+          ms := Array.unsafe_get xm (2 * j)
         end
       done;
       if !mt < time || (!mt = time && !ms < seq) then begin
-        Float.Array.unsafe_set hp !i !mt;
-        Array.unsafe_set hm (2 * !i) !ms;
-        Array.unsafe_set hm ((2 * !i) + 1) (Array.unsafe_get hm ((2 * !m) + 1));
+        Float.Array.unsafe_set xt !i !mt;
+        Array.unsafe_set xm (2 * !i) !ms;
+        Array.unsafe_set xm ((2 * !i) + 1) (Array.unsafe_get xm ((2 * !m) + 1));
         i := !m
       end
       else continue := false
     end
   done;
-  Float.Array.unsafe_set hp !i time;
-  Array.unsafe_set hm (2 * !i) seq;
-  Array.unsafe_set hm ((2 * !i) + 1) key
+  Float.Array.unsafe_set xt !i time;
+  Array.unsafe_set xm (2 * !i) seq;
+  Array.unsafe_set xm ((2 * !i) + 1) key
 
-(* Remove the root entry. *)
-let[@inline] pop_root t =
-  let len = t.hlen - 1 in
-  t.hlen <- len;
+(* The root was removed from a heap now [len] entries long: re-seat its
+   former last entry, at [len], from the root. *)
+let[@inline] refill_root ts xt (xm : int array) len =
   if len > 0 then begin
-    Float.Array.unsafe_set t.tscratch 0 (Float.Array.unsafe_get t.hp len);
-    sift_down t (Array.unsafe_get t.hm (2 * len)) (Array.unsafe_get t.hm ((2 * len) + 1))
+    Float.Array.unsafe_set ts 0 (Float.Array.unsafe_get xt len);
+    sift_down ts xt xm len (Array.unsafe_get xm (2 * len)) (Array.unsafe_get xm ((2 * len) + 1))
   end
+
+let[@inline never] grow_lane_heap t =
+  let ncap = Int.max 16 (2 * Float.Array.length t.lt) in
+  t.lt <- resized_float t.lt ncap;
+  t.lm <- resized t.lm (2 * ncap) 0
+
+let[@inline never] grow_cell_heap t =
+  let ncap = Int.max 64 (2 * Float.Array.length t.ct) in
+  t.ct <- resized_float t.ct ncap;
+  t.cm <- resized t.cm (2 * ncap) 0
+
+(* Both pushes take their timestamp through [tscratch]. *)
+let push_lane t ~seq lane =
+  if t.llen = Float.Array.length t.lt then grow_lane_heap t;
+  let i = t.llen in
+  t.llen <- i + 1;
+  sift_up t.tscratch t.lt t.lm i seq lane
+
+let push_cell t ~seq idx =
+  if t.clen = Float.Array.length t.ct then grow_cell_heap t;
+  let i = t.clen in
+  t.clen <- i + 1;
+  sift_up t.tscratch t.ct t.cm i seq idx
 
 (* {2 Event cells} *)
 
@@ -358,9 +414,10 @@ let[@inline] checked_time t time =
 let[@inline] checked_delay t delay =
   if delay >= 0. && delay < Float.infinity then delay else bad_delay t delay
 
-(* The enqueue path hands timestamps to [push] through [tscratch] and is
-   forced inline so the timestamp never crosses a call boundary as a
-   float argument (which would box it, once per scheduled event). *)
+(* The enqueue path hands timestamps to [push_cell] through [tscratch]
+   and is forced inline so the timestamp never crosses a call boundary
+   as a float argument (which would box it, once per scheduled
+   event). *)
 let[@inline] enqueue t action =
   if t.free_len = 0 then grow_slab t;
   t.free_len <- t.free_len - 1;
@@ -374,7 +431,7 @@ let[@inline] enqueue t action =
   Array.unsafe_set t.cell_seq idx seq;
   Float.Array.unsafe_set t.cell_htime idx time;
   Array.unsafe_set t.cell_hseq idx seq;
-  push t ~seq (idx lsl 1);
+  push_cell t ~seq idx;
   (Array.unsafe_get t.cell_gen idx lsl idx_bits) lor idx
 
 let[@inline] schedule_at t ~time f =
@@ -428,22 +485,22 @@ let[@inline] rearm_after t handle ~delay f =
 
 (* A re-armed cell's entry reached the root: move it to the cell's due
    (time, seq).  Nothing fires and the clock stays put. *)
-let reseat t idx key =
+let reseat t idx =
   let seq = Array.unsafe_get t.cell_seq idx in
   let due = Float.Array.unsafe_get t.cell_due idx in
   Float.Array.unsafe_set t.cell_htime idx due;
   Array.unsafe_set t.cell_hseq idx seq;
   Float.Array.unsafe_set t.tscratch 0 due;
-  sift_down t seq key
+  sift_down t.tscratch t.ct t.cm t.clen seq idx
 
-(* {2 Ports} *)
+(* {2 Ports and lanes} *)
 
 let grow_ports t =
   let ncap = Int.max 8 (2 * Array.length t.ports) in
   t.ports <- resized t.ports ncap nop;
-  t.port_n <- resized t.port_n ncap 0;
   t.port_last <- resized_float t.port_last ncap;
-  t.port_q <- resized t.port_q ncap t.no_fifo
+  t.port_lane <- resized t.port_lane ncap 0;
+  t.port_own <- resized t.port_own ncap (-1)
 
 let port t f =
   if t.n_ports = Array.length t.ports then grow_ports t;
@@ -451,6 +508,101 @@ let port t f =
   t.ports.(id) <- f;
   t.n_ports <- id + 1;
   id
+
+(* A port's lane cache packs its last two lanes into one int, each as
+   [lane + 1] in 32 bits (0 for none), the newest in the low half. *)
+let lane_bits = 32
+let lane_mask = (1 lsl lane_bits) - 1
+let[@inline] newest_lane cache = (cache land lane_mask) - 1
+let[@inline] older_lane cache = (cache lsr lane_bits) - 1
+
+(* A fresh, empty lane tagged with [delay]; its ring is allocated by its
+   first append. *)
+let[@inline never] new_lane t delay =
+  if t.n_lanes = Array.length t.lanes then begin
+    let ncap = Int.max 8 (2 * t.n_lanes) in
+    t.lanes <- resized t.lanes ncap t.no_lane;
+    t.lane_delay <- resized_float t.lane_delay ncap
+  end;
+  let l = t.n_lanes in
+  t.lanes.(l) <- { qt = Float.Array.create 0; qm = [||]; qh = 0; qn = 0 };
+  Float.Array.set t.lane_delay l delay;
+  t.n_lanes <- l + 1;
+  l
+
+let[@inline never] new_own_lane t id =
+  let l = new_lane t Float.nan in
+  t.port_own.(id) <- l;
+  l
+
+let[@inline] own_lane t id =
+  let l = Array.unsafe_get t.port_own id in
+  if l >= 0 then l else new_own_lane t id
+
+(* Fibonacci hashing of the delay's bits: the top [index_bits] bits of
+   their product with an odd constant. *)
+let[@inline] index_slot delay =
+  (Int64.to_int (Int64.bits_of_float delay) * 0x1E3779B97F4A7C15) lsr (63 - index_bits)
+
+(* The lane for port [id]'s [schedule_port_after] with the delay in
+   [tscratch.(1)], when the port's cache missed: the shared lane for
+   that delay, created if there is room, else the port's own lane.  The
+   answer enters the port's cache as its newest lane. *)
+let[@inline never] find_lane t id =
+  let delay = Float.Array.get t.tscratch 1 in
+  if Array.length t.lane_index = 0 then t.lane_index <- Array.make index_slots (-1);
+  let index = t.lane_index in
+  (* The index is at most half full, so the probe ends at an empty slot. *)
+  let i = ref (index_slot delay) in
+  while index.(!i) >= 0 && not (Float.Array.get t.lane_delay index.(!i) = delay) do
+    i := (!i + 1) land (index_slots - 1)
+  done;
+  let l =
+    if index.(!i) >= 0 then index.(!i)
+    else if t.n_shared < max_shared_lanes then begin
+      let l = new_lane t delay in
+      index.(!i) <- l;
+      t.n_shared <- t.n_shared + 1;
+      l
+    end
+    else begin
+      let l = own_lane t id in
+      Float.Array.set t.lane_delay l delay;
+      l
+    end
+  in
+  t.port_lane.(id) <- ((t.port_lane.(id) land lane_mask) lsl lane_bits) lor (l + 1);
+  l
+
+(* Double a full lane's ring (the first growth allocates it), moving the
+   entries to the front in order. *)
+let[@inline never] grow_lane q =
+  let cap = Float.Array.length q.qt in
+  let ncap = Int.max 16 (2 * cap) in
+  let qt = Float.Array.create ncap and qm = Array.make (2 * ncap) 0 in
+  for i = 0 to q.qn - 1 do
+    let j = (q.qh + i) land (cap - 1) in
+    Float.Array.unsafe_set qt i (Float.Array.unsafe_get q.qt j);
+    Array.unsafe_set qm (2 * i) (Array.unsafe_get q.qm (2 * j));
+    Array.unsafe_set qm ((2 * i) + 1) (Array.unsafe_get q.qm ((2 * j) + 1))
+  done;
+  q.qt <- qt;
+  q.qm <- qm;
+  q.qh <- 0
+
+(* Append the event in [tscratch] for port [id] to [lane]; a lane that
+   was empty puts its new head in the lane heap. *)
+let[@inline] append t lane id =
+  let q = Array.unsafe_get t.lanes lane in
+  let n = q.qn in
+  if n = Float.Array.length q.qt then grow_lane q;
+  let slot = (q.qh + n) land (Float.Array.length q.qt - 1) in
+  let seq = t.next_seq in
+  Float.Array.unsafe_set q.qt slot (Float.Array.unsafe_get t.tscratch 0);
+  Array.unsafe_set q.qm (2 * slot) seq;
+  Array.unsafe_set q.qm ((2 * slot) + 1) id;
+  q.qn <- n + 1;
+  if n = 0 then push_lane t ~seq lane
 
 let[@inline never] port_out_of_order t id =
   let time = Float.Array.unsafe_get t.tscratch 0 in
@@ -465,106 +617,145 @@ let[@inline never] port_out_of_order t id =
   end
   else invalid_arg msg
 
-(* Double port [id]'s FIFO, which is full with [len] events (the first
-   growth replaces [no_fifo]). *)
-let[@inline never] grow_fifo t id q len =
-  let cap = Array.length q.fs in
-  let ncap = Int.max 8 (2 * cap) in
-  let ft = Float.Array.create ncap and fs = Array.make ncap 0 in
-  for i = 0 to len - 1 do
-    let j = (q.fh + i) land (cap - 1) in
-    Float.Array.unsafe_set ft i (Float.Array.unsafe_get q.ft j);
-    Array.unsafe_set fs i (Array.unsafe_get q.fs j)
-  done;
-  let q = { ft; fs; fh = 0 } in
-  t.port_q.(id) <- q;
-  q
-
-(* Queue the event in [tscratch] behind port [id]'s heap entry; [len]
-   events already wait there. *)
-let queue_behind t id len =
-  if Float.Array.unsafe_get t.tscratch 0 < Float.Array.unsafe_get t.port_last id then
-    port_out_of_order t id;
-  let q = Array.unsafe_get t.port_q id in
-  let q = if len = Array.length q.fs then grow_fifo t id q len else q in
-  let slot = (q.fh + len) land (Array.length q.fs - 1) in
-  Float.Array.unsafe_set q.ft slot (Float.Array.unsafe_get t.tscratch 0);
-  Array.unsafe_set q.fs slot t.next_seq
-
-let[@inline] push_port t id =
+let[@inline] check_port t id =
   if id < 0 || id >= t.n_ports then
-    invalid_arg "Engine.schedule_port: port is not registered on this engine";
-  let n = Array.unsafe_get t.port_n id in
-  if n = 0 then push t ~seq:t.next_seq ((id lsl 1) lor 1) else queue_behind t id (n - 1);
-  Array.unsafe_set t.port_n id (n + 1);
+    invalid_arg "Engine.schedule_port: port is not registered on this engine"
+
+(* The event in [tscratch] is queued on [lane]; record it as the port's
+   latest and consume its seq. *)
+let[@inline] commit_port t lane id =
+  append t lane id;
   Float.Array.unsafe_set t.port_last id (Float.Array.unsafe_get t.tscratch 0);
   t.next_seq <- t.next_seq + 1
 
 let[@inline] schedule_port_at t ~time id =
   Float.Array.unsafe_set t.tscratch 0 (checked_time t time);
-  push_port t id
+  check_port t id;
+  if Float.Array.unsafe_get t.tscratch 0 < Float.Array.unsafe_get t.port_last id then
+    port_out_of_order t id;
+  commit_port t (own_lane t id) id
 
 let[@inline] schedule_port_after t ~delay id =
-  Float.Array.unsafe_set t.tscratch 0 (now t +. checked_delay t delay);
-  push_port t id
+  let delay = checked_delay t delay in
+  Float.Array.unsafe_set t.tscratch 0 (now t +. delay);
+  check_port t id;
+  if Float.Array.unsafe_get t.tscratch 0 < Float.Array.unsafe_get t.port_last id then begin
+    port_out_of_order t id;
+    commit_port t (own_lane t id) id
+  end
+  else begin
+    let cache = Array.unsafe_get t.port_lane id in
+    let l = newest_lane cache in
+    let l =
+      if l >= 0 && Float.Array.unsafe_get t.lane_delay l = delay then l
+      else begin
+        let l = older_lane cache in
+        if l >= 0 && Float.Array.unsafe_get t.lane_delay l = delay then l
+        else begin
+          Float.Array.unsafe_set t.tscratch 1 delay;
+          find_lane t id
+        end
+      end
+    in
+    commit_port t l id
+  end
 
 (* {2 Running} *)
 
-let pending t = t.hlen
+let pending t = t.llen + t.clen
 let executed t = t.n_exec
 
 let[@inline never] record_nonmonotonic t time =
   Invariant.record ~rule:"event-time-monotonic" ~time:(now t)
     (Printf.sprintf "Engine.step: popped event at %g behind clock %g" time (now t))
 
-let step t =
-  if t.hlen = 0 then false
+(* Whether the next entry is the lane heap's root: the cell heap is
+   empty or its root comes later in (time, seq). *)
+let[@inline] lane_next t =
+  t.llen > 0
+  && (t.clen = 0
+     ||
+     let lt = Float.Array.unsafe_get t.lt 0 and ct = Float.Array.unsafe_get t.ct 0 in
+     lt < ct || (lt = ct && Array.unsafe_get t.lm 0 < Array.unsafe_get t.cm 0))
+
+(* Fire the lane heap's root: pop its lane's head, whose successor (if
+   any) takes over the root with one sift. *)
+let fire_lane t =
+  let time = Float.Array.unsafe_get t.lt 0 in
+  let lane = Array.unsafe_get t.lm 1 in
+  let q = Array.unsafe_get t.lanes lane in
+  let h = q.qh in
+  let id = Array.unsafe_get q.qm ((2 * h) + 1) in
+  let n = q.qn - 1 in
+  q.qn <- n;
+  let h = (h + 1) land (Float.Array.length q.qt - 1) in
+  q.qh <- h;
+  if n = 0 then begin
+    t.llen <- t.llen - 1;
+    refill_root t.tscratch t.lt t.lm t.llen
+  end
   else begin
-    let time = Float.Array.unsafe_get t.hp 0 in
-    let seq = Array.unsafe_get t.hm 0 in
-    let key = Array.unsafe_get t.hm 1 in
-    if key land 1 = 1 then begin
-      let id = key lsr 1 in
-      let n = Array.unsafe_get t.port_n id - 1 in
-      Array.unsafe_set t.port_n id n;
-      if n = 0 then pop_root t
-      else begin
-        (* The port's next event takes over the root. *)
-        let q = Array.unsafe_get t.port_q id in
-        let h = q.fh in
-        q.fh <- (h + 1) land (Array.length q.fs - 1);
-        Float.Array.unsafe_set t.tscratch 0 (Float.Array.unsafe_get q.ft h);
-        sift_down t (Array.unsafe_get q.fs h) key
-      end;
-      if time < now t then record_nonmonotonic t time else set_clock t time;
-      t.n_exec <- t.n_exec + 1;
-      (Array.unsafe_get t.ports id) ()
-    end
-    else begin
-      (* Cell indices in heap keys were valid at enqueue time and the
-         slab never shrinks, so the unsafe reads are in bounds. *)
-      let idx = key lsr 1 in
-      if Array.unsafe_get t.cell_hseq idx <> seq then pop_root t (* cancelled *)
-      else if Array.unsafe_get t.cell_seq idx <> seq then reseat t idx key
-      else begin
-        let action = Array.unsafe_get t.cell_act idx in
-        pop_root t;
-        consume t idx;
-        if time < now t then record_nonmonotonic t time else set_clock t time;
-        t.n_exec <- t.n_exec + 1;
-        if !Invariant.armed then check_cells t;
-        action ()
-      end
-    end;
-    true
+    Float.Array.unsafe_set t.tscratch 0 (Float.Array.unsafe_get q.qt h);
+    sift_down t.tscratch t.lt t.lm t.llen (Array.unsafe_get q.qm (2 * h)) lane
+  end;
+  if time < now t then record_nonmonotonic t time else set_clock t time;
+  t.n_exec <- t.n_exec + 1;
+  (Array.unsafe_get t.ports id) ()
+
+(* Pop the cell heap's root: fire it, skip it if it was cancelled, or
+   re-seat a re-armed event at its new time. *)
+let step_cell t =
+  let time = Float.Array.unsafe_get t.ct 0 in
+  let seq = Array.unsafe_get t.cm 0 in
+  (* Cell indices in heap keys were valid at enqueue time and the slab
+     never shrinks, so the unsafe reads are in bounds. *)
+  let idx = Array.unsafe_get t.cm 1 in
+  if Array.unsafe_get t.cell_hseq idx <> seq then begin
+    (* cancelled *)
+    t.clen <- t.clen - 1;
+    refill_root t.tscratch t.ct t.cm t.clen
+  end
+  else if Array.unsafe_get t.cell_seq idx <> seq then reseat t idx
+  else begin
+    let action = Array.unsafe_get t.cell_act idx in
+    t.clen <- t.clen - 1;
+    refill_root t.tscratch t.ct t.cm t.clen;
+    consume t idx;
+    if time < now t then record_nonmonotonic t time else set_clock t time;
+    t.n_exec <- t.n_exec + 1;
+    if !Invariant.armed then check_cells t;
+    action ()
   end
 
+let step t =
+  if lane_next t then begin
+    fire_lane t;
+    true
+  end
+  else if t.clen > 0 then begin
+    step_cell t;
+    true
+  end
+  else false
+
+(* Without a horizon the limit is infinite, which no queued (finite)
+   time exceeds. *)
 let run ?until t =
-  match until with
-  | None -> while step t do () done
-  | Some limit ->
-    if not (Float.is_finite limit) then invalid_arg "Engine.run: until must be finite";
-    while t.hlen > 0 && not (Float.Array.unsafe_get t.hp 0 > limit) do
-      ignore (step t : bool)
-    done;
-    if limit > now t then set_clock t limit
+  let limit =
+    match until with
+    | None -> Float.infinity
+    | Some limit ->
+      if not (Float.is_finite limit) then invalid_arg "Engine.run: until must be finite";
+      limit
+  in
+  let continue = ref true in
+  while !continue do
+    if lane_next t then begin
+      if Float.Array.unsafe_get t.lt 0 > limit then continue := false else fire_lane t
+    end
+    else if t.clen > 0 then begin
+      if Float.Array.unsafe_get t.ct 0 > limit then continue := false else step_cell t
+    end
+    else continue := false
+  done;
+  match until with Some limit when limit > now t -> set_clock t limit | _ -> ()

@@ -5,17 +5,21 @@
     run in scheduling order, and every event may be cancelled (needed
     for TCP retransmission timers) or re-armed in place.
 
-    Internally the engine keeps a slab of reusable, generation-stamped
-    event cells over a structure-of-arrays 4-ary heap: scheduling,
+    Every event is keyed by (time, seq), seq counting schedules, and
+    fires in that one total order.  Internally the queue has two tiers.
+    Closure events live in a slab of reusable, generation-stamped cells
+    on a structure-of-arrays 4-ary heap of their own: scheduling,
     firing, cancelling and re-arming allocate nothing beyond the
-    caller's own closure, and the per-packet hot paths avoid even that
-    via {!port}s — handlers registered once and scheduled by reference.
-    The heap holds at most one entry per port and one per live event
-    (plus cancelled entries not yet popped): a port's later events wait
-    in its FIFO, and {!rearm_after} moves a timer without leaving a dead
-    entry behind.  So the heap stays shallow (about 120 entries on the
-    paper dumbbell), which is why it is 4-ary: scanning four children
-    per level costs less there than the level an 8-ary heap saves. *)
+    caller's own closure, and {!rearm_after} moves a timer without
+    leaving a dead entry behind.  The per-packet hot paths avoid even
+    the closure via {!port}s — handlers registered once and scheduled
+    by reference — whose events wait in {e lanes}: FIFOs of
+    nondecreasing times, one shared by every port scheduled
+    [~delay] after the clock with the same delay, plus one per port
+    for {!schedule_port_at}.  Only each lane's head sits in the second,
+    small heap (about 3 entries on the paper dumbbell, 7 on the WAN
+    mesh), and each
+    step takes whichever heap's root is earlier. *)
 
 type t
 
@@ -66,16 +70,20 @@ val schedule_after : t -> delay:float -> (unit -> unit) -> handle
     individually.
 
     {b FIFO contract.}  Each port's events must be scheduled in
-    nondecreasing time: a port fires in scheduling order.  Only a
-    port's earliest pending event sits in the heap; the later ones wait
-    in the port's FIFO with the (time, seq) they were scheduled with,
-    so the global firing order is exactly that of one heap holding
-    them all.  A link obeys this by construction (one packet in
-    service; every delivery [delay] after its serialization, clamped to
-    the previous delivery when the delay shrinks).  Scheduling a port
-    earlier than its latest pending event raises [Invalid_argument] —
-    unless the {!Invariant} sanitizer is armed, in which case rule
-    [port-fifo] is recorded and the time is clamped to that event's. *)
+    nondecreasing time: a port fires in scheduling order.  The events
+    wait in lanes with the (time, seq) they were scheduled with, so the
+    global firing order is exactly that of one heap holding them all.
+    [schedule_port_after ~delay] queues on the lane shared by every
+    port scheduled with that exact delay (the clock never goes back, so
+    its times never decrease); past a fixed number of shared lanes, as
+    under dynamics that keep redrawing link delays, it uses the port's
+    own lane, as {!schedule_port_at} always does.  A link obeys the
+    contract by construction (one packet in service; every delivery
+    [delay] after its serialization, clamped to the previous delivery
+    when the delay shrinks).  Scheduling a port earlier than its latest
+    pending event raises [Invalid_argument] — unless the {!Invariant}
+    sanitizer is armed, in which case rule [port-fifo] is recorded and
+    the time is clamped to that event's, on the port's own lane. *)
 
 type port
 
@@ -123,10 +131,10 @@ val rearm_after : t -> handle -> delay:float -> (unit -> unit) -> handle
 (** {2 Running} *)
 
 val pending : t -> int
-(** Number of entries in the event heap: one per port with events
-    pending (however many wait in its FIFO), one per closure event
-    still to fire (re-armed or not), and cancelled entries not yet
-    popped.  Zero means nothing is left to run. *)
+(** Number of entries in the two heaps: one per lane with events
+    pending (however many wait in it), one per closure event still to
+    fire (re-armed or not), and cancelled entries not yet popped.  Zero
+    means nothing is left to run. *)
 
 val executed : t -> int
 (** Number of events dispatched since creation (port firings plus live
@@ -136,9 +144,10 @@ val executed : t -> int
     event sequence it is also a cheap determinism probe. *)
 
 val step : t -> bool
-(** Pop the heap's minimum entry: fire it, skip it if it was cancelled,
-    or re-seat a re-armed event at its new time.  The clock moves only
-    when an event fires.  Returns [false] when the heap is empty. *)
+(** Pop the earlier of the two heaps' minimum entries: fire it, skip it
+    if it was cancelled, or re-seat a re-armed event at its new time.
+    The clock moves only when an event fires.  Returns [false] when
+    both heaps are empty. *)
 
 val run : ?until:float -> t -> unit
 (** Drain the queue.  With [until], stops once the next event lies

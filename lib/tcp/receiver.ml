@@ -14,7 +14,12 @@ type t = {
   pool : Packet.pool;
   flow : int;
   peer : int;
-  buffered : Seq_ring.t;  (* out-of-order segments held, based at [next_expected] *)
+  (* The out-of-order segments held, as a sorted array of disjoint,
+     non-adjacent runs [\[lo, hi)]: run [i] is [runs.(2i), runs.(2i+1)].
+     Every run lies above [next_expected]: the in-order branch of
+     [handle] consumes the first run as soon as it becomes contiguous. *)
+  mutable runs : int array;
+  mutable n_runs : int;
   recent : int array;  (* recently arrived out-of-order seqs, newest first *)
   mutable n_recent : int;
   mutable next_expected : int;
@@ -22,14 +27,55 @@ type t = {
   mutable duplicate_segments : int;
 }
 
-(* Every buffered seq lies above [next_expected]: the in-order branch of
-   [handle] consumes a buffered run as soon as it becomes contiguous. *)
-let[@inline] is_buffered t seq = Seq_ring.get t.buffered ~base:t.next_expected seq <> 0
+let[@inline] run_lo t i = Array.unsafe_get t.runs (2 * i)
+let[@inline] run_hi t i = Array.unsafe_get t.runs ((2 * i) + 1)
 
-(* Expand the contiguous buffered run containing a seq into a [lo, hi)
-   block (two allocation-free int scans). *)
-let rec block_lo t lo = if is_buffered t (lo - 1) then block_lo t (lo - 1) else lo
-let rec block_hi t hi = if is_buffered t hi then block_hi t (hi + 1) else hi
+(* The first run ending above [seq] (binary search; [n_runs] when none
+   does): the run holding [seq] if any, else where [seq] would go. *)
+let run_after t seq =
+  let lo = ref 0 and hi = ref t.n_runs in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if run_hi t mid <= seq then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let[@inline] holds t i seq = i < t.n_runs && run_lo t i <= seq
+
+let[@inline] is_buffered t seq = holds t (run_after t seq) seq
+
+(* Room for one more run, doubling out of line. *)
+let[@inline never] grow_runs t =
+  let runs = Array.make (Int.max 16 (2 * Array.length t.runs)) 0 in
+  Array.blit t.runs 0 runs 0 (2 * t.n_runs);
+  t.runs <- runs
+
+(* Drop run [i], shifting the runs above it down. *)
+let remove_run t i =
+  Array.blit t.runs (2 * (i + 1)) t.runs (2 * i) (2 * (t.n_runs - i - 1));
+  t.n_runs <- t.n_runs - 1
+
+(* Insert [lo, hi) as run [i], shifting the runs from [i] up. *)
+let insert_run t i ~lo ~hi =
+  if 2 * (t.n_runs + 1) > Array.length t.runs then grow_runs t;
+  Array.blit t.runs (2 * i) t.runs (2 * (i + 1)) (2 * (t.n_runs - i));
+  t.runs.(2 * i) <- lo;
+  t.runs.((2 * i) + 1) <- hi;
+  t.n_runs <- t.n_runs + 1
+
+(* Buffer [seq], which lies above [next_expected] and outside every
+   run, merging it with the runs it touches so they stay maximal. *)
+let buffer t seq =
+  let i = run_after t seq in
+  let joins_left = i > 0 && run_hi t (i - 1) = seq in
+  let joins_right = i < t.n_runs && run_lo t i = seq + 1 in
+  if joins_left && joins_right then begin
+    t.runs.((2 * (i - 1)) + 1) <- run_hi t i;
+    remove_run t i
+  end
+  else if joins_left then t.runs.((2 * (i - 1)) + 1) <- seq + 1
+  else if joins_right then t.runs.(2 * i) <- seq
+  else insert_run t i ~lo:seq ~hi:(seq + 1)
 
 (* Compact [recent] in place, keeping (in order) the seqs still above the
    cumulative ACK and distinct from [drop]; returns the new length.
@@ -62,14 +108,14 @@ let rec have_block t ack ~lo ~hi j =
      || have_block t ack ~lo ~hi (j - 1))
 
 (* Write up to [max_sack_blocks] deduplicated blocks straight into the
-   ack's inline SACK fields, walking [recent] newest first — the same
-   blocks, in the same order, as the old list-building collector. *)
+   ack's inline SACK fields, walking [recent] newest first: each block
+   is the run holding that seq. *)
 let rec emit_sack_blocks t ack k =
   if k < t.n_recent && Packet.sack_count t.pool ack < Packet.max_sack_blocks then begin
     let seq = t.recent.(k) in
-    if is_buffered t seq then begin
-      let lo = block_lo t seq in
-      let hi = block_hi t (seq + 1) in
+    let i = run_after t seq in
+    if holds t i seq then begin
+      let lo = run_lo t i and hi = run_hi t i in
       if not (have_block t ack ~lo ~hi (Packet.sack_count t.pool ack - 1)) then
         Packet.add_sack t.pool ack ~lo ~hi
     end;
@@ -105,11 +151,11 @@ let handle t pkt =
       t.segments_received <- t.segments_received + 1;
       if seq = t.next_expected then begin
         t.next_expected <- t.next_expected + 1;
-        (* Advance over any previously buffered run. *)
-        while is_buffered t t.next_expected do
-          Seq_ring.set t.buffered ~base:t.next_expected t.next_expected 0;
-          t.next_expected <- t.next_expected + 1
-        done;
+        (* Advance over the first run once it has become contiguous. *)
+        if t.n_runs > 0 && run_lo t 0 = t.next_expected then begin
+          t.next_expected <- run_hi t 0;
+          remove_run t 0
+        end;
         t.n_recent <- compact t ~drop:min_int 0 0;
         (* No RTT echo on retransmissions (Karn's algorithm). *)
         send_ack t ~has_echo:(not retransmitted) ~echo_sent_at:sent_at ~tx_time:sent_at ~ece
@@ -117,7 +163,7 @@ let handle t pkt =
       else begin
         (* Out-of-order arrival: only reordered/lossy episodes buffer;
            in-order delivery never reaches this branch. *)
-        Seq_ring.set t.buffered ~base:t.next_expected seq 1;
+        buffer t seq;
         remember_recent t seq;
         (* Duplicate ACK: cumulative number unchanged, SACK describes the
            hole; no RTT echo. *)
@@ -134,7 +180,8 @@ let create engine ~node ~flow ~peer =
       pool = Node.pool node;
       flow;
       peer;
-      buffered = Seq_ring.create ();
+      runs = [||];
+      n_runs = 0;
       recent = Array.make recent_capacity 0;
       n_recent = 0;
       next_expected = 0;

@@ -26,7 +26,13 @@ let rtt_min_i = 3
 let ecn_reaction_until_i = 4 (* ignore further ECE until this time *)
 let started_at_i = 5
 let finished_at_i = 6
-let fs_slots = 7
+
+let retx_min_i = 7
+(* a lower bound on the send times in [retx]: set by an add into the
+   empty table, tightened to the survivors' minimum by each requeue fold;
+   later adds, sent no earlier, keep it a bound *)
+
+let fs_slots = 8
 
 type t = {
   engine : Engine.t;
@@ -216,13 +222,20 @@ let merge_sack t pkt =
    cumulatively ACKed by now) or was dropped.  If its segment is still
    outstanding, re-queue it instead of waiting for the RTO. *)
 let requeue_lost_retransmissions t =
-  (* Guarded on the table's size: the fold's closure would otherwise be
-     an allocation on every ACK of a loss-free steady state. *)
-  if t.n_retx > 0 then begin
+  (* Guarded on the table's size, so a loss-free ACK never folds (the
+     fold's closure is an allocation), and on [retx_min_i]: while no
+     retransmission was sent before the echoed transmission time, the
+     fold would find nothing. *)
+  if t.n_retx > 0 && fget t retx_min_i < fget t delivered_tx_high_i then begin
+    fset t retx_min_i infinity;
     let stale =
       Hashtbl.fold (* phi-lint: allow hot-alloc *)
         (fun seq sent_at acc -> (* phi-lint: allow hot-alloc *)
-          if sent_at < fget t delivered_tx_high_i then seq :: acc else acc) (* phi-lint: allow hot-alloc *)
+          if sent_at < fget t delivered_tx_high_i then seq :: acc (* phi-lint: allow hot-alloc *)
+          else begin
+            if sent_at < fget t retx_min_i then fset t retx_min_i sent_at;
+            acc
+          end)
         t.retx []
     in
     List.iter
@@ -327,6 +340,7 @@ and try_send t =
         Hashtbl.add t.retx seq (Engine.now t.engine); (* phi-lint: allow hot-alloc *)
         (* ^ retransmission bookkeeping: runs only for lost segments,
            never in a loss-free steady state *)
+        if t.n_retx = 0 then fset t retx_min_i (Engine.now t.engine);
         t.n_retx <- t.n_retx + 1;
         progressed := true;
         if gap > 0. then fset t next_send_at_i (Float.max now (fget t next_send_at_i) +. gap)
@@ -430,6 +444,7 @@ let create engine ~node ~flow ~dst ~cc ~total_segments ?(source_index = 0)
   Float.Array.set fs ecn_reaction_until_i neg_infinity;
   Float.Array.set fs started_at_i (Engine.now engine);
   Float.Array.set fs finished_at_i (Engine.now engine);
+  Float.Array.set fs retx_min_i infinity;
   let t =
     {
       engine;

@@ -1,8 +1,8 @@
 (** Per-segment flags over a sliding window of sequence numbers: the
-    sender's SACK scoreboard and the receiver's reorder set.
+    sender's SACK scoreboard.
 
-    The owner keeps the window's base — the sender's [snd_una], the
-    receiver's [next_expected] — and passes it to every call.  The ring
+    The owner keeps the window's base — the sender's [snd_una] — and
+    passes it to every call.  The ring
     holds one byte of flags for each sequence number in
     [\[base, base + capacity)], stored at [seq land (capacity - 1)], so a
     lookup is one subtraction, one compare and one load, and nothing

@@ -1,7 +1,7 @@
-(* The CI report gate (Phi_check.Report_check): well-formed /10 reports
+(* The CI report gate (Phi_check.Report_check): well-formed /11 reports
    pass, whole or from a single experiment, and injected regressions
    trip it — swarm throughput below the floor, p99 over budget,
-   allocation over budget on the link loop or the dumbbell,
+   allocation over budget on the link loop, the dumbbell or the WAN,
    decision-plane speedup below the floor or
    lookups that box, pdes determinism or scaling broken, wan_matrix
    fairness/FCT out of range or serial-probe divergence, an old schema,
@@ -11,12 +11,14 @@
 module J = Phi_util.Json
 module Check = Phi_check.Report_check
 
-let alloc ?(minor_words_per_packet = 0.0) ?(dumbbell_minor_words_per_packet = 9.7) () =
+let alloc ?(minor_words_per_packet = 0.0) ?(dumbbell_minor_words_per_packet = 9.7)
+    ?(wan_minor_words_per_packet = 5.9) () =
   J.Obj
     [
       ("minor_words_per_event", J.float 12.5);
       ("minor_words_per_packet", J.float minor_words_per_packet);
       ("dumbbell_minor_words_per_packet", J.float dumbbell_minor_words_per_packet);
+      ("wan_minor_words_per_packet", J.float wan_minor_words_per_packet);
       ("pool_high_water", J.Int 64);
     ]
 
@@ -409,6 +411,23 @@ let test_sections_follow_experiments () =
   expect_fail "a lone section with no experiment listed" ~mentioning:"section without its"
     (report ~experiments:[ "table1" ] ~sections:[ ("swarm", swarm ()) ] ())
 
+(* The remy-phi WAN cell's allocation gate, and the schema it came
+   with: a report of the previous schema is rejected. *)
+let test_wan_alloc_gate () =
+  expect_fail "WAN allocation regression" ~mentioning:"per WAN bottleneck packet exceeds"
+    (with_section "alloc" (alloc ~wan_minor_words_per_packet:9.1 ()));
+  expect_fail "alloc without the WAN figure" ~mentioning:"missing \"wan_minor_words_per_packet\""
+    (with_section "alloc"
+       (J.Obj
+          [
+            ("minor_words_per_event", J.float 12.5);
+            ("minor_words_per_packet", J.float 0.);
+            ("dumbbell_minor_words_per_packet", J.float 9.7);
+            ("pool_high_water", J.Int 64);
+          ]));
+  expect_fail "a /10 report" ~mentioning:"unknown \"schema\""
+    (report ~schema:(Printf.sprintf "phi-bench-report/%d" 10) ())
+
 let suite =
   [
     Alcotest.test_case "well-formed reports pass" `Quick test_valid_reports_pass;
@@ -429,4 +448,5 @@ let suite =
     Alcotest.test_case "unknown schemas are rejected" `Quick test_schema_gate;
     Alcotest.test_case "sections follow the experiments list" `Quick
       test_sections_follow_experiments;
+    Alcotest.test_case "WAN allocation budget trips" `Quick test_wan_alloc_gate;
   ]

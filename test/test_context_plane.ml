@@ -343,6 +343,31 @@ let test_create_rejects_nonfinite_epoch () =
 let test_create_rejects_nonfinite_capacity () =
   expect_rejected "capacity_bps" (fun engine v -> Server.create engine ~capacity_bps:v ())
 
+(* Each prefix keeps two rings of one bucket per epoch of the window,
+   so a window of 1e9 one-second epochs asked for two 8 GB arrays at the
+   first lookup.  Past the cap, create raises naming both fields. *)
+let test_create_rejects_window_past_cap () =
+  List.iter
+    (fun (window_s, epoch_s) ->
+      let expected =
+        Printf.sprintf
+          "Context_server.create: window_s / epoch_s must be at most %d epochs, got window_s %g \
+           over epoch_s %g"
+          Server.max_window_epochs window_s epoch_s
+      in
+      match Server.create (Engine.create ()) ~window_s ~epoch_s () with
+      | (_ : Server.t) -> Alcotest.failf "window_s %g over epoch_s %g accepted" window_s epoch_s
+      | exception Invalid_argument msg -> Alcotest.(check string) "names both fields" expected msg)
+    [ (1e9, 1.); (1025., 1.); (1e300, 1e-300); (10., 0.001) ];
+  (* The cap itself is accepted, and serves lookups. *)
+  let engine = Engine.create () in
+  let server =
+    Server.create engine ~capacity_bps:1e7 ~window_s:(float_of_int Server.max_window_epochs)
+      ~epoch_s:1. ()
+  in
+  Alcotest.(check bool) "cap accepted" true
+    (Float.is_finite (Server.lookup server ~path:"p").Context.utilization)
+
 let suite =
   [
     Alcotest.test_case "lookups never persist unknown prefixes" `Quick
@@ -359,4 +384,6 @@ let suite =
       test_create_rejects_nonfinite_epoch;
     Alcotest.test_case "create rejects a non-finite capacity" `Quick
       test_create_rejects_nonfinite_capacity;
+    Alcotest.test_case "create rejects a window past the epoch cap" `Quick
+      test_create_rejects_window_past_cap;
   ]

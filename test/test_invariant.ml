@@ -314,6 +314,32 @@ let test_disabled_record_is_noop () =
       Invariant.record ~rule:"test-rule" ~time:0. "should be dropped";
       Alcotest.(check int) "nothing recorded" before (Invariant.count ()))
 
+(* An armed [port-fifo] clamp sends the clamped event to its port's own
+   lane: it fires at the clamped time, in (time, seq) order, and the
+   other port sharing the event's delay lane keeps its own order. *)
+let test_clamped_port_event_keeps_shared_lane () =
+  let log = ref [] in
+  let (), vs =
+    Invariant.with_capture (fun () ->
+        let engine = Engine.create () in
+        let note tag () = log := (tag, Engine.now engine) :: !log in
+        let p = Engine.port engine (note "p") and q = Engine.port engine (note "q") in
+        (* p and q share the 1 s delay lane. *)
+        Engine.schedule_port_after engine ~delay:1. p;
+        Engine.schedule_port_after engine ~delay:1. q;
+        Engine.schedule_port_at engine ~time:5. p;
+        (* Due at 1 s, behind p's pending event at 5 s: clamped to 5 s. *)
+        Engine.schedule_port_after engine ~delay:1. p;
+        Engine.schedule_port_after engine ~delay:1. q;
+        Engine.run engine;
+        Alcotest.(check int) "every event fired" 5 (Engine.executed engine))
+  in
+  check_rules "rule" [ "port-fifo" ] vs;
+  Alcotest.(check (list (pair string (float 0.))))
+    "(time, seq) order"
+    [ ("p", 1.); ("q", 1.); ("q", 1.); ("p", 5.); ("p", 5.) ]
+    (List.rev !log)
+
 let suite =
   [
     Alcotest.test_case "negative delay recorded and clamped" `Quick
@@ -346,4 +372,6 @@ let suite =
     Alcotest.test_case "report names the rule" `Quick test_report_lists_rules;
     Alcotest.test_case "record counts exactly across domains" `Quick test_record_across_domains;
     Alcotest.test_case "record is a no-op when disabled" `Quick test_disabled_record_is_noop;
+    Alcotest.test_case "clamped port event keeps the shared lane's order" `Quick
+      test_clamped_port_event_keeps_shared_lane;
   ]

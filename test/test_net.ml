@@ -922,6 +922,96 @@ let test_dumbbell_one_pass_description () =
         (show (Topology.dumbbell (Engine.create ()) spec).Topology.zoo))
     [ 1; 8; 16; 100 ]
 
+(* Two links that share every delay lane, one of which changes its delay
+   and rate mid-run: a delay decrease with packets propagating (the
+   clamped, own-lane path), then a rate and delay increase and a rate
+   decrease (new shared lanes).  Each delivery is pinned in [%h] as the
+   single-heap engine delivered it. *)
+let link_dynamics_delivery_trace () =
+  let engine = Engine.create () in
+  let pool = Packet.create_pool () in
+  let link () = Link.create engine pool ~bandwidth_bps:1e7 ~delay_s:0.01 ~capacity_pkts:100 in
+  let a = link () and b = link () in
+  let log = ref [] in
+  let deliver tag pkt =
+    log := Printf.sprintf "%s %d %h" tag (Packet.seq pool pkt) (Engine.now engine) :: !log;
+    Packet.release pool pkt
+  in
+  Link.set_receiver a (deliver "a");
+  Link.set_receiver b (deliver "b");
+  (* Every third packet is an ACK, so each link serializes two sizes. *)
+  let send link seq =
+    let now = Engine.now engine in
+    Link.send link
+      (if seq mod 3 = 2 then
+         Packet.acquire_ack pool ~flow:0 ~src:1 ~dst:0 ~next_expected:seq ~has_echo:false
+           ~echo_sent_at:0. ~echo_tx_time:0. ~ece:false ~now
+       else Packet.acquire_data pool ~flow:0 ~src:0 ~dst:1 ~seq ~now ~retransmit:false)
+  in
+  let at time f = ignore (Engine.schedule_at engine ~time f) in
+  for seq = 0 to 11 do
+    send a seq;
+    send b (100 + seq)
+  done;
+  at 0.004 (fun () -> Link.set_delay_s a 0.002);
+  at 0.013 (fun () ->
+      Link.set_rate_bps a 2e7;
+      Link.set_delay_s a 0.03;
+      for seq = 12 to 19 do
+        send a seq;
+        send b (100 + seq)
+      done);
+  at 0.016 (fun () -> Link.set_rate_bps a 5e6);
+  Engine.run engine;
+  List.rev !log
+
+let test_link_dynamics_delivery_trace_pinned () =
+  Alcotest.(check (list string))
+    "deliveries"
+    [
+      "a 0 0x1.6f0068db8bac7p-7";
+      "b 100 0x1.6f0068db8bac7p-7";
+      "b 101 0x1.700cd855970b5p-7";
+      "a 1 0x1.9652bd3c36113p-7";
+      "b 102 0x1.975f2cb641701p-7";
+      "a 2 0x1.975f2cb641701p-7";
+      "b 103 0x1.beb18116ebd4dp-7";
+      "a 3 0x1.beb18116ebd4dp-7";
+      "a 4 0x1.beb18116ebd4dp-7";
+      "a 5 0x1.beb18116ebd4dp-7";
+      "a 6 0x1.beb18116ebd4dp-7";
+      "a 7 0x1.beb18116ebd4dp-7";
+      "a 8 0x1.beb18116ebd4dp-7";
+      "a 9 0x1.beb18116ebd4dp-7";
+      "a 10 0x1.beb18116ebd4dp-7";
+      "a 11 0x1.beb18116ebd4dp-7";
+      "b 104 0x1.bfbdf090f733ap-7";
+      "b 105 0x1.e71044f1a1986p-7";
+      "b 106 0x1.07314ca925fe9p-6";
+      "b 107 0x1.07b784662baep-6";
+      "b 108 0x1.1b60ae9680e06p-6";
+      "b 109 0x1.2f09d8c6d612cp-6";
+      "b 110 0x1.2f901083dbc23p-6";
+      "b 111 0x1.43393ab430f49p-6";
+      "b 112 0x1.8c7e28240b78p-6";
+      "b 113 0x1.8d045fe111277p-6";
+      "b 114 0x1.a0ad8a116659dp-6";
+      "b 115 0x1.b456b441bb8c4p-6";
+      "b 116 0x1.b4dcebfec13bap-6";
+      "b 117 0x1.c886162f166ep-6";
+      "b 118 0x1.dc2f405f6ba06p-6";
+      "b 119 0x1.dcb5781c714fep-6";
+      "a 12 0x1.652bd3c361134p-5";
+      "a 13 0x1.6a161e4f765fdp-5";
+      "a 14 0x1.6a37ac3eb7cbbp-5";
+      "a 15 0x1.6f21f6cacd184p-5";
+      "a 16 0x1.740c4156e264ep-5";
+      "a 17 0x1.742dcf4623d0cp-5";
+      "a 18 0x1.791819d2391d6p-5";
+      "a 19 0x1.8cc144028e4fcp-5";
+    ]
+    (link_dynamics_delivery_trace ())
+
 let suite =
   [
     ("packet constructors", `Quick, test_packet_constructors);
@@ -974,4 +1064,6 @@ let suite =
       ("node rebinding replaces the handler", `Quick, test_node_rebind_replaces_handler);
       ("node route table grows to a new highest id", `Quick, test_node_route_table_grows);
       ("dumbbell one-pass description matches the replay", `Quick, test_dumbbell_one_pass_description);
+      ("link delay and rate changes deliver as pinned", `Quick,
+        test_link_dynamics_delivery_trace_pinned);
     ]

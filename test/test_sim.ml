@@ -630,6 +630,157 @@ let prop_ring_matches_list_model =
           && Ring.fold (fun acc x -> x :: acc) [] r = List.rev !model)
         ops)
 
+(* {3 Shared delay lanes against the reference model}
+
+   Port events live in lanes: [schedule_port_after] appends to the lane
+   shared by every port scheduled with that exact delay, and
+   [schedule_port_at] to the port's own lane.  Random mixes of both
+   (delays drawn from a small set, so lanes are shared), closure events
+   with [cancel] and [rearm_after], and [run ~until] horizons must fire
+   exactly as one sorted list of every event by (time, seq) does: the
+   same labels at the same times in the same order, with the same
+   [executed], [now] and handle liveness. *)
+
+type lane_op =
+  | L_after of int * int  (* schedule_port_after port p, delay lane_delays.(d) *)
+  | L_at of int * int  (* schedule_port_at port p, max (now, its latest) + k/4 *)
+  | L_cell of int  (* schedule_after k/4 *)
+  | L_cancel of int  (* cancel a handle picked by index *)
+  | L_rearm of int * int  (* rearm_after a handle picked by index, delay k/4 *)
+  | L_until of int  (* run ~until:(now + k/4) *)
+
+let lane_delays = [| 0.; 0.25; 0.5; 1.25 |]
+let n_lane_ports = 4
+
+let print_lane_op = function
+  | L_after (p, d) -> Printf.sprintf "L_after (%d, %d)" p d
+  | L_at (p, k) -> Printf.sprintf "L_at (%d, %d)" p k
+  | L_cell k -> Printf.sprintf "L_cell %d" k
+  | L_cancel i -> Printf.sprintf "L_cancel %d" i
+  | L_rearm (i, k) -> Printf.sprintf "L_rearm (%d, %d)" i k
+  | L_until k -> Printf.sprintf "L_until %d" k
+
+let gen_lane_op =
+  QCheck.Gen.(
+    let port = int_bound (n_lane_ports - 1) and k = int_bound 8 and i = int_bound 1000 in
+    frequency
+      [
+        (8, map2 (fun p d -> L_after (p, d)) port (int_bound (Array.length lane_delays - 1)));
+        (3, map2 (fun p k -> L_at (p, k)) port k);
+        (3, map (fun k -> L_cell k) k);
+        (2, map (fun i -> L_cancel i) i);
+        (3, map2 (fun i k -> L_rearm (i, k)) i k);
+        (2, map (fun k -> L_until k) k);
+      ])
+
+let run_lane_program prog =
+  let quarter k = float_of_int k /. 4. in
+  let e = Engine.create () in
+  let log = ref [] in
+  let ports =
+    Array.init n_lane_ports (fun p ->
+        Engine.port e (fun () -> log := (Port p, Engine.now e) :: !log))
+  in
+  let handles = Array.make (List.length prog) Engine.null in
+  let live = Array.make (List.length prog) false in
+  let n_handles = ref 0 in
+  let clock = ref 0. and seq = ref 0 and executed = ref 0 in
+  let pending = ref [] and expected = ref [] in
+  let port_last = Array.make n_lane_ports 0. in
+  let insert time label =
+    sorted_insert pending time !seq label;
+    incr seq
+  in
+  let add_cell time h =
+    let j = !n_handles in
+    handles.(j) <- h;
+    live.(j) <- true;
+    incr n_handles;
+    insert time (Cell j)
+  in
+  let fire j () = log := (Cell j, Engine.now e) :: !log in
+  let pick i = if !n_handles = 0 then -1 else i mod !n_handles in
+  let model_cancel j =
+    if j >= 0 && live.(j) then begin
+      live.(j) <- false;
+      pending := List.filter (fun (_, _, l) -> l <> Cell j) !pending
+    end
+  in
+  let model_run limit =
+    let rec go () =
+      match !pending with
+      | (time, _, l) :: rest when time <= limit ->
+        pending := rest;
+        clock := time;
+        incr executed;
+        expected := (l, time) :: !expected;
+        (match l with Cell j -> live.(j) <- false | Port _ -> ());
+        go ()
+      | _ -> ()
+    in
+    go ()
+  in
+  let agrees () =
+    List.rev !log = List.rev !expected
+    && Engine.executed e = !executed
+    && Float.equal (Engine.now e) !clock
+    && List.for_all
+         (fun j -> Engine.cancelled e handles.(j) = not live.(j))
+         (List.init !n_handles Fun.id)
+  in
+  List.for_all
+    (function
+      | L_after (p, d) ->
+        (* Only schedules that keep the port's FIFO contract. *)
+        let delay = lane_delays.(d) in
+        let time = !clock +. delay in
+        if time >= port_last.(p) then begin
+          port_last.(p) <- time;
+          Engine.schedule_port_after e ~delay ports.(p);
+          insert time (Port p)
+        end;
+        true
+      | L_at (p, k) ->
+        let time = Float.max !clock port_last.(p) +. quarter k in
+        port_last.(p) <- time;
+        Engine.schedule_port_at e ~time ports.(p);
+        insert time (Port p);
+        true
+      | L_cell k ->
+        add_cell (!clock +. quarter k) (Engine.schedule_after e ~delay:(quarter k) (fire !n_handles));
+        true
+      | L_cancel i ->
+        let j = pick i in
+        Engine.cancel e (if j < 0 then Engine.null else handles.(j));
+        model_cancel j;
+        true
+      | L_rearm (i, k) ->
+        let j = pick i in
+        let h = if j < 0 then Engine.null else handles.(j) in
+        let h' = Engine.rearm_after e h ~delay:(quarter k) (fire !n_handles) in
+        model_cancel j;
+        add_cell (!clock +. quarter k) h';
+        true
+      | L_until k ->
+        let limit = !clock +. quarter k in
+        Engine.run ~until:limit e;
+        model_run limit;
+        if limit > !clock then clock := limit;
+        agrees ())
+    prog
+  &&
+  (Engine.run e;
+   model_run infinity;
+   agrees () && Engine.pending e = 0)
+
+let prop_engine_lanes_match_reference =
+  QCheck.Test.make
+    ~name:"engine lanes fire in (time, seq) order against a sorted-list model" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list print_lane_op)
+       QCheck.Gen.(list_size (int_range 0 200) gen_lane_op))
+    run_lane_program
+
 let suite =
   [
     ("ring fifo", `Quick, test_ring_fifo);
@@ -663,4 +814,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_engine_matches_reference;
     QCheck_alcotest.to_alcotest prop_engine_fires_all_in_order;
     QCheck_alcotest.to_alcotest prop_ring_matches_list_model;
+    QCheck_alcotest.to_alcotest prop_engine_lanes_match_reference;
   ]

@@ -733,6 +733,112 @@ let test_cubic_seeded_trajectory () =
     ]
     (List.rev !marks)
 
+(* The receiver keeps its reorder set as a sorted list of maximal runs
+   and finds each SACK block by binary search.  [Scan_model] is the
+   receiver it replaced: a per-seq set, each block expanded from a
+   recent seq by the [block_lo]/[block_hi] scans, over the same recent
+   array.  The property drives both over random arrival orders with
+   duplicates anywhere, scrambled wholesale or only locally (many short
+   holes), and compares every ACK's cumulative number and blocks. *)
+module Scan_model = struct
+  type t = {
+    buffered : (int, unit) Hashtbl.t;
+    recent : int array;
+    mutable n_recent : int;
+    mutable next_expected : int;
+  }
+
+  let create () =
+    {
+      buffered = Hashtbl.create 16;
+      recent = Array.make ((Packet.max_sack_blocks * 2) + 1) 0;
+      n_recent = 0;
+      next_expected = 0;
+    }
+
+  let is_buffered t seq = Hashtbl.mem t.buffered seq
+  let rec block_lo t lo = if is_buffered t (lo - 1) then block_lo t (lo - 1) else lo
+  let rec block_hi t hi = if is_buffered t hi then block_hi t (hi + 1) else hi
+
+  let rec compact t ~drop i w =
+    if i >= t.n_recent then w
+    else begin
+      let s = t.recent.(i) in
+      if s <> drop && s >= t.next_expected then begin
+        t.recent.(w) <- s;
+        compact t ~drop (i + 1) (w + 1)
+      end
+      else compact t ~drop (i + 1) w
+    end
+
+  let remember_recent t seq =
+    let keep = Stdlib.min (compact t ~drop:seq 0 0) (Packet.max_sack_blocks * 2) in
+    for i = keep downto 1 do
+      t.recent.(i) <- t.recent.(i - 1)
+    done;
+    t.recent.(0) <- seq;
+    t.n_recent <- keep + 1
+
+  let blocks t =
+    let acc = ref [] in
+    for k = 0 to t.n_recent - 1 do
+      let seq = t.recent.(k) in
+      if List.length !acc < Packet.max_sack_blocks && is_buffered t seq then begin
+        let b = (block_lo t seq, block_hi t (seq + 1)) in
+        if not (List.mem b !acc) then acc := b :: !acc
+      end
+    done;
+    List.rev !acc
+
+  let receive t seq =
+    if seq < t.next_expected || is_buffered t seq then ()
+    else if seq = t.next_expected then begin
+      t.next_expected <- t.next_expected + 1;
+      while is_buffered t t.next_expected do
+        Hashtbl.remove t.buffered t.next_expected;
+        t.next_expected <- t.next_expected + 1
+      done;
+      t.n_recent <- compact t ~drop:min_int 0 0
+    end
+    else begin
+      Hashtbl.replace t.buffered seq ();
+      remember_recent t seq
+    end;
+    (t.next_expected, blocks t)
+end
+
+let prop_run_list_matches_block_scan =
+  QCheck.Test.make ~name:"run-list receiver emits the blocks of the block_lo/block_hi scan"
+    ~count:300
+    QCheck.(triple (int_range 0 10_000) (int_range 1 120) bool)
+    (fun (seed, n, local) ->
+      let rng = Prng.create ~seed in
+      let arrivals = Array.init n (fun i -> i) in
+      if local then
+        (* Swaps within a window of 6: mostly in order, many holes. *)
+        for i = 0 to n - 1 do
+          let j = Stdlib.min (n - 1) (i + Prng.int rng ~bound:6) in
+          let x = arrivals.(i) in
+          arrivals.(i) <- arrivals.(j);
+          arrivals.(j) <- x
+        done
+      else Prng.shuffle rng arrivals;
+      (* Duplicates of random segments, at random points of the order. *)
+      let order =
+        List.concat_map
+          (fun seq ->
+            if Prng.int rng ~bound:4 = 0 then [ seq; arrivals.(Prng.int rng ~bound:n) ]
+            else [ seq ])
+          (Array.to_list arrivals)
+      in
+      let engine, a, _recv, acks = receiver_fixture () in
+      let model = Scan_model.create () in
+      let expected = List.map (Scan_model.receive model) order in
+      List.iter (fun seq -> send_data engine a ~seq ~retransmit:false) order;
+      Engine.run engine;
+      let got = List.rev_map (fun (cum, _echo, sack) -> (cum, sack)) !acks in
+      got = expected)
+
 let suite =
   [
     ("rto initial", `Quick, test_rto_initial);
@@ -778,4 +884,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_receiver_acks_describe_arrivals;
     ("sender recovers a hole wider than the scoreboard ring", `Quick, test_sender_recovers_wide_hole);
     ("cubic seeded trajectory is pinned", `Quick, test_cubic_seeded_trajectory);
+    QCheck_alcotest.to_alcotest prop_run_list_matches_block_scan;
   ]
