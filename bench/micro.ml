@@ -104,13 +104,13 @@ let churn_ports chains total () =
   let count = ref 0 in
   let p = ref Engine.null_port in
   p :=
-    Engine.port e (fun () ->
+    Engine.port e (fun _ ->
         incr count;
         if !count land 7 = 0 then
           Engine.cancel e (Engine.schedule_after e ~delay:0.5 ignore);
-        if !count < total then Engine.schedule_port_after e ~delay:1. !p);
+        if !count < total then Engine.schedule_port_after e ~delay:1. !p 0);
   for _ = 1 to chains do
-    Engine.schedule_port_after e ~delay:1. !p
+    Engine.schedule_port_after e ~delay:1. !p 0
   done;
   Engine.run e
 

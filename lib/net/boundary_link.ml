@@ -1,6 +1,6 @@
 module Engine = Phi_sim.Engine
+module Invariant = Phi_sim.Invariant
 module Pdes = Phi_sim.Pdes
-module Fifo = Packet.Fifo
 
 (* A boundary link replaces an ordinary {!Link} at an island cut.  The
    egress half — queueing and serialization — is a real [Link] on the
@@ -11,9 +11,10 @@ module Fifo = Packet.Fifo
    growable outbox of plain ints/floats and the source-pool cell is
    released.  In the between-windows drain phase (see [Pdes.on_drain])
    the destination island turns every outbox record back into a packet
-   in its own pool, pushes the handle onto its in-flight ring and
-   schedules the deliver port at the record's arrival time — from there
-   a packet waits exactly as on a serial [Link].
+   in its own pool and schedules the deliver port at the record's
+   arrival time with the handle as the event's payload — from there a
+   packet waits exactly as on a serial [Link], and the boundary only
+   counts it.
 
    The outbox needs no atomics.  Only the source island appends to it,
    and only inside its window; only the destination's drain reads and
@@ -77,9 +78,9 @@ type t = {
   mutable out_ints : int array;
   mutable out_floats : floatarray;
   mutable out_len : int;
-  (* Drained packets still propagating, in arrival order (the egress is
-     FIFO and the delay constant): the deliver port pops the head. *)
-  in_flight : Fifo.t;
+  (* Drained packets still propagating: each rides in its delivery
+     event's payload, so the boundary keeps only their count. *)
+  mutable propagating : int;
   mutable deliver_port : Engine.port;
   mutable receiver : Packet.handle -> unit;
   mutable delivered : int;
@@ -89,7 +90,7 @@ let set_receiver t f = t.receiver <- f
 let egress t = t.egress
 let delay_s t = t.delay_s
 let delivered t = t.delivered
-let in_transit t = t.out_len + Fifo.length t.in_flight
+let in_transit t = t.out_len + t.propagating
 
 let[@inline never] grow_outbox t =
   let cap = Int.max 16 (2 * t.out_len) in
@@ -171,9 +172,26 @@ let materialize t r =
     h
   end
 
+(* Sanitizer hook, the cross-island twin of [link-conservation]: every
+   packet the egress handed off (its delivered counter: with a handoff
+   installed, serialization ends in [handoff]) is delivered, still in the
+   outbox, or drained and propagating.  Checked at every drain, where
+   both islands are parked at the barrier and every counter is
+   quiescent. *)
+let[@inline never] check_conservation t =
+  let handed_off = Link.packets_delivered t.egress in
+  let accounted = t.delivered + t.out_len + t.propagating in
+  if handed_off <> accounted then
+    Invariant.record ~rule:"boundary-conservation" ~time:(Engine.now t.dst_engine)
+      (Printf.sprintf
+         "Boundary_link: %d packets handed off <> %d accounted (%d delivered + %d in the \
+          outbox + %d propagating)"
+         handed_off accounted t.delivered t.out_len t.propagating)
+
 (* Consumer side: runs in the destination island's drain phase, with
    both islands parked at the window barrier. *)
 let drain t =
+  if !Invariant.armed then check_conservation t;
   if t.out_len > 0 then begin
     (* The conservative bound this whole module exists to maintain:
        everything now in the outbox was emitted before the source's
@@ -182,17 +200,19 @@ let drain t =
     if Pdes.horizon_s t.src_island < Pdes.horizon_s t.dst_island then
       raise (Fault "Boundary_link: source island horizon behind destination");
     for r = 0 to t.out_len - 1 do
-      Fifo.push t.in_flight (materialize t r);
+      let pkt = materialize t r in
       Engine.schedule_port_at t.dst_engine
         ~time:(Float.Array.get t.out_floats ((r * floats_per) + rf_arrival))
-        t.deliver_port
+        t.deliver_port (pkt :> int)
     done;
+    t.propagating <- t.propagating + t.out_len;
     t.out_len <- 0
   end
 
-let on_deliver t =
+let on_deliver t pkt =
   t.delivered <- t.delivered + 1;
-  t.receiver (Fifo.pop t.in_flight)
+  t.propagating <- t.propagating - 1;
+  t.receiver pkt
 
 let create coordinator ~src ~dst ~src_pool ~dst_pool ~bandwidth_bps ~delay_s ~capacity_pkts =
   if not (Float.is_finite delay_s) || delay_s <= 0. then
@@ -215,13 +235,13 @@ let create coordinator ~src ~dst ~src_pool ~dst_pool ~bandwidth_bps ~delay_s ~ca
       out_ints = [||];
       out_floats = Float.Array.create 0;
       out_len = 0;
-      in_flight = Fifo.create ();
+      propagating = 0;
       deliver_port = Engine.null_port;
       receiver = (fun _ -> invalid_arg "Boundary_link: receiver not set");
       delivered = 0;
     }
   in
-  t.deliver_port <- Engine.port dst_engine (fun () -> on_deliver t);
+  t.deliver_port <- Packet.port dst_engine (on_deliver t);
   Link.set_handoff egress (fun pkt -> handoff t pkt);
   Pdes.note_lookahead coordinator delay_s;
   Pdes.on_drain dst (fun () -> drain t);

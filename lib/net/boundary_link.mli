@@ -8,10 +8,14 @@
     source-pool cell released).  At every window barrier the
     destination island drains the outbox, re-materializing each record
     into its own pool and scheduling its delivery at the recorded
-    arrival time, where it waits like a packet in flight on a serial
-    {!Link}.  Arrival times are computed with the same IEEE expression
-    the serial engine uses, so a partitioned run delivers at
-    bit-identical virtual times.
+    arrival time, with the handle as the delivery event's payload, where
+    it waits like a packet in flight on a serial {!Link}: the boundary
+    keeps only a count of the packets propagating.  Arrival times are
+    computed with the same IEEE expression the serial engine uses, so a
+    partitioned run delivers at bit-identical virtual times.  With the
+    [PHI_SANITIZE=1] sanitizer armed, every drain checks the
+    cross-island conservation identity (rule [boundary-conservation]):
+    packets the egress handed off = {!delivered} + {!in_transit}.
 
     The link's propagation delay is the boundary's {e lookahead}; it is
     registered with the coordinator at creation, bounding the window
@@ -42,7 +46,7 @@ val create :
 (** Build the boundary: creates the egress {!Link} on [src]'s engine,
     registers the propagation delay as lookahead with the coordinator,
     and registers the drain on [dst].  Nothing is preallocated for the
-    crossing: the outbox and the in-flight ring grow on first use.
+    crossing: the outbox grows on first use.
     [delay_s] must be strictly positive (zero lookahead admits no
     parallel window) and the two islands distinct.  Like ordinary
     links, construction is serial wiring — it must happen before
@@ -68,6 +72,8 @@ val delivered : t -> int
 val in_transit : t -> int
 (** Packets currently crossing: records still in the outbox plus drained
     packets not yet delivered.  When a run ends mid-flight the drained
-    ones are live cells of [dst_pool], like the packets in flight on a
-    serial {!Link} (outbox records hold no cell: theirs was released at
-    serialization). *)
+    ones are live cells of [dst_pool], held by their pending delivery
+    events like the packets in flight on a serial {!Link} (outbox records
+    hold no cell: theirs was released at serialization).  Together with
+    {!delivered} it accounts for every packet the {!egress} link
+    delivered (handed off). *)

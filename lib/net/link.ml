@@ -33,11 +33,8 @@ type t = {
   mutable delay_s : float;
   capacity_pkts : int;
   queue : Fifo.t;
-  (* Packets serialized but still propagating.  Every delivery on a link
-     takes the same [delay_s], so deliveries complete in FIFO order and
-     the pre-registered delivery port can simply pop this ring — no
-     per-packet closure capturing the packet. *)
-  in_flight : Fifo.t;
+  (* A serialized packet propagates as the payload of its delivery
+     event: the link keeps no in-flight copy of it. *)
   mutable tx_done_port : Engine.port;
   mutable deliver_port : Engine.port;
   mutable memo_size : int;
@@ -48,6 +45,7 @@ type t = {
      pool; the handoff must consume it (serialize-and-release). *)
   mutable handoff : (Packet.handle -> unit) option;
   mutable busy : bool;
+  mutable in_service_size : int;  (* bytes of the packet in service *)
   (* Administrative state for link-flap dynamics.  While down, arrivals
      are dropped (and counted), queued packets freeze in place, and the
      packet in service — plus everything already propagating — still
@@ -86,11 +84,11 @@ let fs_busy_time = 2
 let fs_total_queue_wait = 3
 let fs_red_avg = 4  (* RED's average queue estimate *)
 
-(* Latest scheduled delivery time.  Deliveries pop [in_flight] in FIFO
-   order, so when {!set_delay_s} shrinks the delay mid-run a later
-   packet must not be scheduled to land before an earlier one — its
-   delivery is clamped to this watermark instead (no reordering, only
-   compression of inter-delivery gaps). *)
+(* Latest scheduled delivery time.  The delivery port's events must keep
+   the engine's per-port FIFO contract, so when {!set_delay_s} shrinks
+   the delay mid-run a later packet must not be scheduled to land before
+   an earlier one — its delivery is clamped to this watermark instead
+   (no reordering, only compression of inter-delivery gaps). *)
 let fs_last_delivery = 5
 let fs_len = 6
 
@@ -119,56 +117,65 @@ let queued_bytes t = Fifo.fold (fun acc p -> acc + Packet.size t.pool p) 0 t.que
 (* Sanitizer hook: every packet and byte offered to the link must be
    delivered, dropped, or still queued — nothing may vanish or be
    double-counted.  Checked after each enqueue and each service
-   completion when PHI_SANITIZE=1. *)
-let check_conservation t =
-  if Invariant.enabled () then begin
-    let now = Engine.now t.engine in
-    let queued = Fifo.length t.queue in
-    if queued > t.capacity_pkts then
-      Invariant.record ~rule:"queue-occupancy" ~time:now
-        (Printf.sprintf "Link: queue %d exceeds capacity %d" queued t.capacity_pkts);
-    let accounted = t.packets_delivered + t.drops + queued in
-    if t.packets_offered <> accounted then
-      Invariant.record ~rule:"link-conservation" ~time:now
-        (Printf.sprintf
-           "Link: %d packets offered <> %d accounted (%d delivered + %d dropped + %d queued)"
-           t.packets_offered accounted t.packets_delivered t.drops queued);
-    let bytes_accounted = t.bytes_delivered + t.bytes_dropped + queued_bytes t in
-    if t.bytes_offered <> bytes_accounted then
-      Invariant.record ~rule:"byte-conservation" ~time:now
-        (Printf.sprintf
-           "Link: %d bytes offered <> %d accounted (%d delivered + %d dropped + %d queued)"
-           t.bytes_offered bytes_accounted t.bytes_delivered t.bytes_dropped (queued_bytes t))
-  end
+   completion when PHI_SANITIZE=1: the per-packet path pays one load of
+   [Invariant.armed], inline, and calls the check only when armed. *)
+let[@inline never] conservation_check t =
+  let now = Engine.now t.engine in
+  let queued = Fifo.length t.queue in
+  if queued > t.capacity_pkts then
+    Invariant.record ~rule:"queue-occupancy" ~time:now
+      (Printf.sprintf "Link: queue %d exceeds capacity %d" queued t.capacity_pkts);
+  let accounted = t.packets_delivered + t.drops + queued in
+  if t.packets_offered <> accounted then
+    Invariant.record ~rule:"link-conservation" ~time:now
+      (Printf.sprintf
+         "Link: %d packets offered <> %d accounted (%d delivered + %d dropped + %d queued)"
+         t.packets_offered accounted t.packets_delivered t.drops queued);
+  let bytes_accounted = t.bytes_delivered + t.bytes_dropped + queued_bytes t in
+  if t.bytes_offered <> bytes_accounted then
+    Invariant.record ~rule:"byte-conservation" ~time:now
+      (Printf.sprintf
+         "Link: %d bytes offered <> %d accounted (%d delivered + %d dropped + %d queued)"
+         t.bytes_offered bytes_accounted t.bytes_delivered t.bytes_dropped (queued_bytes t))
+
+let[@inline] check_conservation t = if !Invariant.armed then conservation_check t
 
 (* The self-rescheduling transmit loop.  Serve the head-of-line packet:
    serialization (the [tx_done] port), then propagation (the [deliver]
    port), then start on the next queued packet.  [busy] guards against
    starting two transmissions at once.  Both ports are registered once
    at link creation, so the per-packet path schedules them without
-   allocating a single closure — and the rings hold pool handles
-   (immediate ints), so no packet is ever boxed either. *)
+   allocating a single closure; the queue holds pool handles (immediate
+   ints) and a propagating packet's handle rides in its delivery event's
+   payload, so no packet is ever boxed or copied either. *)
+(* Serialize [pkt], the head of the queue.  Its size is kept in the
+   link, so the transmit-complete event does not read the packet again
+   (by then its cell has usually left the cache). *)
+let begin_service t pkt =
+  t.busy <- true;
+  let size = Packet.size t.pool pkt in
+  t.in_service_size <- size;
+  let tx = tx_time t size in
+  fs_set t fs_in_service_tx tx;
+  Engine.schedule_port_after t.engine ~delay:tx t.tx_done_port 0
+
 let start_service t =
   if (not t.up) || Fifo.is_empty t.queue then t.busy <- false
   else begin
     let pkt = Fifo.peek t.queue in
-    t.busy <- true;
     let now = Engine.now t.engine in
     fs_set t fs_total_queue_wait
       (fs_get t fs_total_queue_wait +. (now -. Packet.enqueued_at t.pool pkt));
-    let tx = tx_time t (Packet.size t.pool pkt) in
-    fs_set t fs_in_service_tx tx;
-    Engine.schedule_port_after t.engine ~delay:tx t.tx_done_port
+    begin_service t pkt
   end
 
 let on_tx_done t =
   let pkt = Fifo.pop t.queue in
   fs_set t fs_busy_time (fs_get t fs_busy_time +. fs_get t fs_in_service_tx);
   t.packets_delivered <- t.packets_delivered + 1;
-  t.bytes_delivered <- t.bytes_delivered + Packet.size t.pool pkt;
+  t.bytes_delivered <- t.bytes_delivered + t.in_service_size;
   (match t.handoff with
   | None ->
-    Fifo.push t.in_flight pkt;
     (* [schedule_port_after] lands at [now +. delay] — the same IEEE
        expression as [due] — so the fast path below is the legacy
        behaviour verbatim; only a mid-run delay {e decrease} can take
@@ -176,14 +183,14 @@ let on_tx_done t =
     let due = Engine.now t.engine +. t.delay_s in
     if due >= fs_get t fs_last_delivery then begin
       fs_set t fs_last_delivery due;
-      Engine.schedule_port_after t.engine ~delay:t.delay_s t.deliver_port
+      Engine.schedule_port_after t.engine ~delay:t.delay_s t.deliver_port (pkt :> int)
     end
-    else Engine.schedule_port_at t.engine ~time:(fs_get t fs_last_delivery) t.deliver_port
+    else
+      Engine.schedule_port_at t.engine ~time:(fs_get t fs_last_delivery) t.deliver_port
+        (pkt :> int)
   | Some f -> f pkt);
   check_conservation t;
   start_service t
-
-let on_deliver t = t.receiver (Fifo.pop t.in_flight)
 
 let create engine pool ~bandwidth_bps ~delay_s ~capacity_pkts =
   if not (Float.is_finite bandwidth_bps && bandwidth_bps > 0.) then
@@ -199,13 +206,13 @@ let create engine pool ~bandwidth_bps ~delay_s ~capacity_pkts =
       delay_s;
       capacity_pkts;
       queue = Fifo.create ();
-      in_flight = Fifo.create ();
       tx_done_port = Engine.null_port;
       deliver_port = Engine.null_port;
       memo_size = -1;
       receiver = (fun _ -> invalid_arg "Link: receiver not set");
       handoff = None;
       busy = false;
+      in_service_size = 0;
       up = true;
       packets_offered = 0;
       packets_delivered = 0;
@@ -220,8 +227,8 @@ let create engine pool ~bandwidth_bps ~delay_s ~capacity_pkts =
       ecn_marks = 0;
     }
   in
-  t.tx_done_port <- Engine.port engine (fun () -> on_tx_done t);
-  t.deliver_port <- Engine.port engine (fun () -> on_deliver t);
+  t.tx_done_port <- Engine.port engine (fun _ -> on_tx_done t);
+  t.deliver_port <- Packet.port engine (fun pkt -> t.receiver pkt);
   t
 
 let set_discipline t ~rng discipline =
@@ -283,9 +290,12 @@ let send t pkt =
     Packet.release t.pool pkt
   end
   else begin
-    Packet.set_enqueued_at t.pool pkt (Engine.now t.engine);
     Fifo.push t.queue pkt;
-    if not t.busy then start_service t
+    (* An idle link that is up has an empty queue, so it serves the
+       packet at once: it waits no time, and the wait it would add to
+       [fs_total_queue_wait] is exactly 0. *)
+    if t.busy then Packet.set_enqueued_at t.pool pkt (Engine.now t.engine)
+    else begin_service t pkt
   end;
   check_conservation t
 

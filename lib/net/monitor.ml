@@ -21,7 +21,7 @@ let sample t =
   t.current_utilization <- util;
   t.last_busy_time <- busy;
   t.last_clock <- now;
-  Engine.schedule_port_after t.engine ~delay:t.interval_s t.sample_port
+  Engine.schedule_port_after t.engine ~delay:t.interval_s t.sample_port 0
 
 let create engine link ~interval_s =
   if interval_s <= 0. then invalid_arg "Monitor.create: interval must be positive";
@@ -36,8 +36,8 @@ let create engine link ~interval_s =
       current_utilization = 0.;
     }
   in
-  t.sample_port <- Engine.port engine (fun () -> sample t);
-  Engine.schedule_port_after engine ~delay:interval_s t.sample_port;
+  t.sample_port <- Engine.port engine (fun _ -> sample t);
+  Engine.schedule_port_after engine ~delay:interval_s t.sample_port 0;
   t
 
 let current_utilization t = t.current_utilization

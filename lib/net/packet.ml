@@ -268,18 +268,27 @@ let[@inline] sack_count pool h =
   check pool h;
   iget pool (ibase h + i_nsack)
 
-let sack_lo pool h i =
-  check pool h;
-  if i < 0 || i >= pool.ints.(ibase h + i_nsack) then invalid_arg "Packet.sack_lo: bad index";
-  pool.ints.(ibase h + i_sack0 + (2 * i))
+(* The bad-index raise stays out of line, so the checked read inlines
+   into the ACK path (the sender's merge and the receiver's block
+   dedup read every block of every ACK).  An index below [sack_count]
+   lies inside the cell's stride, so the read itself is unchecked. *)
+let[@inline never] bad_sack_index fn = invalid_arg (fn ^ ": bad index")
 
-let sack_hi pool h i =
+let[@inline] sack_lo pool h i =
   check pool h;
-  if i < 0 || i >= pool.ints.(ibase h + i_nsack) then invalid_arg "Packet.sack_hi: bad index";
-  pool.ints.(ibase h + i_sack0 + (2 * i) + 1)
+  if i < 0 || i >= iget pool (ibase h + i_nsack) then bad_sack_index "Packet.sack_lo";
+  iget pool (ibase h + i_sack0 + (2 * i))
 
-(* Here [handle] is [int], so the int ring queues handles as they are;
-   the interface makes the view typed. *)
+let[@inline] sack_hi pool h i =
+  check pool h;
+  if i < 0 || i >= iget pool (ibase h + i_nsack) then bad_sack_index "Packet.sack_hi";
+  iget pool (ibase h + i_sack0 + (2 * i) + 1)
+
+(* Here [handle] is [int], so an engine port can take one as its
+   payload, and the int ring queues handles as they are; the interface
+   makes both views typed. *)
+let port engine (f : handle -> unit) = Phi_sim.Engine.port engine f
+
 module Fifo = struct
   type t = Ring.t
 

@@ -151,6 +151,14 @@ val in_use : pool -> int
 val high_water : pool -> int
 (** Maximum simultaneously live cells since creation. *)
 
+(** {2 Handles in engine events} *)
+
+val port : Phi_sim.Engine.t -> (handle -> unit) -> Phi_sim.Engine.port
+(** {!Phi_sim.Engine.port} for a handler whose payload is a packet
+    handle: a link's delivery event carries the packet it delivers.
+    Schedule it with the handle as the payload, [(h :> int)]; the event
+    then owns the handle until the handler takes it. *)
+
 (** {2 Handle queues} *)
 
 (** A FIFO of packet handles: {!Phi_sim.Ring}, which holds ints, seen

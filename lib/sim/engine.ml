@@ -8,9 +8,9 @@
    every event.
 
    - Tier 1, lanes: port events (see below).  A lane is a FIFO ring of
-     (time, seq, port) entries whose times never decrease, so it is
-     sorted by (time, seq) by construction and only its head needs to
-     sit in a heap.  [schedule_port_after ~delay] appends to the one
+     (time, seq, port, payload) entries whose times never decrease, so
+     it is sorted by (time, seq) by construction and only its head needs
+     to sit in a heap.  [schedule_port_after ~delay] appends to the one
      shared lane for that exact delay value: the clock never goes back
      and IEEE addition is monotonic, so [now +. delay] cannot decrease
      within the lane, whichever ports share it.  [schedule_port_at]
@@ -62,7 +62,9 @@
    - Hot paths that fire the same logical event over and over (a link's
      transmit-complete and propagation-delivery) pre-register their
      handler once as a {!port}: an index into a per-engine registry,
-     carried in the lane entries.  Lanes and their rings are created at
+     carried in the lane entries with the int the handler is called
+     with, so a link's delivery event carries its packet handle and the
+     link keeps no copy of it.  Lanes and their rings are created at
      first use and grow out of line.  Each port caches the last two
      lanes its [schedule_port_after] used, so finding a lane is a float
      compare or two (a link's transmit time alternates between data and
@@ -113,12 +115,13 @@ let index_bits = 7
 let index_slots = 1 lsl index_bits
 
 let nop () = ()
+let nop_port (_ : int) = ()
 
-(* A lane: a ring of (time, seq, port) entries, oldest first, whose
-   capacity is a power of two (0 until the first append). *)
+(* A lane: a ring of (time, seq, port, payload) entries, oldest first,
+   whose capacity is a power of two (0 until the first append). *)
 type lane = {
   mutable qt : floatarray;
-  mutable qm : int array;  (* qm.(2i) = seq, qm.(2i+1) = port *)
+  mutable qm : int array;  (* qm.(3i) = seq, qm.(3i+1) = port, qm.(3i+2) = payload *)
   mutable qh : int;  (* head slot *)
   mutable qn : int;  (* entries *)
 }
@@ -163,7 +166,7 @@ type t = {
      [schedule_port_after] used (packed into one int, see
      [newest_lane]) and its own lane (-1 until first used).  Four words
      per port, as many as registration allocated before lanes. *)
-  mutable ports : (unit -> unit) array;
+  mutable ports : (int -> unit) array;
   mutable port_last : floatarray;
   mutable port_lane : int array;
   mutable port_own : int array;
@@ -497,7 +500,7 @@ let reseat t idx =
 
 let grow_ports t =
   let ncap = Int.max 8 (2 * Array.length t.ports) in
-  t.ports <- resized t.ports ncap nop;
+  t.ports <- resized t.ports ncap nop_port;
   t.port_last <- resized_float t.port_last ncap;
   t.port_lane <- resized t.port_lane ncap 0;
   t.port_own <- resized t.port_own ncap (-1)
@@ -579,28 +582,30 @@ let[@inline never] find_lane t id =
 let[@inline never] grow_lane q =
   let cap = Float.Array.length q.qt in
   let ncap = Int.max 16 (2 * cap) in
-  let qt = Float.Array.create ncap and qm = Array.make (2 * ncap) 0 in
+  let qt = Float.Array.create ncap and qm = Array.make (3 * ncap) 0 in
   for i = 0 to q.qn - 1 do
     let j = (q.qh + i) land (cap - 1) in
     Float.Array.unsafe_set qt i (Float.Array.unsafe_get q.qt j);
-    Array.unsafe_set qm (2 * i) (Array.unsafe_get q.qm (2 * j));
-    Array.unsafe_set qm ((2 * i) + 1) (Array.unsafe_get q.qm ((2 * j) + 1))
+    Array.unsafe_set qm (3 * i) (Array.unsafe_get q.qm (3 * j));
+    Array.unsafe_set qm ((3 * i) + 1) (Array.unsafe_get q.qm ((3 * j) + 1));
+    Array.unsafe_set qm ((3 * i) + 2) (Array.unsafe_get q.qm ((3 * j) + 2))
   done;
   q.qt <- qt;
   q.qm <- qm;
   q.qh <- 0
 
-(* Append the event in [tscratch] for port [id] to [lane]; a lane that
-   was empty puts its new head in the lane heap. *)
-let[@inline] append t lane id =
+(* Append the event in [tscratch] for port [id], carrying [payload], to
+   [lane]; a lane that was empty puts its new head in the lane heap. *)
+let[@inline] append t lane id payload =
   let q = Array.unsafe_get t.lanes lane in
   let n = q.qn in
   if n = Float.Array.length q.qt then grow_lane q;
   let slot = (q.qh + n) land (Float.Array.length q.qt - 1) in
   let seq = t.next_seq in
   Float.Array.unsafe_set q.qt slot (Float.Array.unsafe_get t.tscratch 0);
-  Array.unsafe_set q.qm (2 * slot) seq;
-  Array.unsafe_set q.qm ((2 * slot) + 1) id;
+  Array.unsafe_set q.qm (3 * slot) seq;
+  Array.unsafe_set q.qm ((3 * slot) + 1) id;
+  Array.unsafe_set q.qm ((3 * slot) + 2) payload;
   q.qn <- n + 1;
   if n = 0 then push_lane t ~seq lane
 
@@ -623,25 +628,25 @@ let[@inline] check_port t id =
 
 (* The event in [tscratch] is queued on [lane]; record it as the port's
    latest and consume its seq. *)
-let[@inline] commit_port t lane id =
-  append t lane id;
+let[@inline] commit_port t lane id payload =
+  append t lane id payload;
   Float.Array.unsafe_set t.port_last id (Float.Array.unsafe_get t.tscratch 0);
   t.next_seq <- t.next_seq + 1
 
-let[@inline] schedule_port_at t ~time id =
+let[@inline] schedule_port_at t ~time id payload =
   Float.Array.unsafe_set t.tscratch 0 (checked_time t time);
   check_port t id;
   if Float.Array.unsafe_get t.tscratch 0 < Float.Array.unsafe_get t.port_last id then
     port_out_of_order t id;
-  commit_port t (own_lane t id) id
+  commit_port t (own_lane t id) id payload
 
-let[@inline] schedule_port_after t ~delay id =
+let[@inline] schedule_port_after t ~delay id payload =
   let delay = checked_delay t delay in
   Float.Array.unsafe_set t.tscratch 0 (now t +. delay);
   check_port t id;
   if Float.Array.unsafe_get t.tscratch 0 < Float.Array.unsafe_get t.port_last id then begin
     port_out_of_order t id;
-    commit_port t (own_lane t id) id
+    commit_port t (own_lane t id) id payload
   end
   else begin
     let cache = Array.unsafe_get t.port_lane id in
@@ -657,7 +662,7 @@ let[@inline] schedule_port_after t ~delay id =
         end
       end
     in
-    commit_port t l id
+    commit_port t l id payload
   end
 
 (* {2 Running} *)
@@ -679,13 +684,15 @@ let[@inline] lane_next t =
      lt < ct || (lt = ct && Array.unsafe_get t.lm 0 < Array.unsafe_get t.cm 0))
 
 (* Fire the lane heap's root: pop its lane's head, whose successor (if
-   any) takes over the root with one sift. *)
+   any) takes over the root with one sift, and call the head's port with
+   its payload. *)
 let fire_lane t =
   let time = Float.Array.unsafe_get t.lt 0 in
   let lane = Array.unsafe_get t.lm 1 in
   let q = Array.unsafe_get t.lanes lane in
   let h = q.qh in
-  let id = Array.unsafe_get q.qm ((2 * h) + 1) in
+  let id = Array.unsafe_get q.qm ((3 * h) + 1) in
+  let payload = Array.unsafe_get q.qm ((3 * h) + 2) in
   let n = q.qn - 1 in
   q.qn <- n;
   let h = (h + 1) land (Float.Array.length q.qt - 1) in
@@ -696,11 +703,11 @@ let fire_lane t =
   end
   else begin
     Float.Array.unsafe_set t.tscratch 0 (Float.Array.unsafe_get q.qt h);
-    sift_down t.tscratch t.lt t.lm t.llen (Array.unsafe_get q.qm (2 * h)) lane
+    sift_down t.tscratch t.lt t.lm t.llen (Array.unsafe_get q.qm (3 * h)) lane
   end;
   if time < now t then record_nonmonotonic t time else set_clock t time;
   t.n_exec <- t.n_exec + 1;
-  (Array.unsafe_get t.ports id) ()
+  (Array.unsafe_get t.ports id) payload
 
 (* Pop the cell heap's root: fire it, skip it if it was cancelled, or
    re-seat a re-armed event at its new time. *)

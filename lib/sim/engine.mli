@@ -13,13 +13,13 @@
     caller's own closure, and {!rearm_after} moves a timer without
     leaving a dead entry behind.  The per-packet hot paths avoid even
     the closure via {!port}s — handlers registered once and scheduled
-    by reference — whose events wait in {e lanes}: FIFOs of
-    nondecreasing times, one shared by every port scheduled
-    [~delay] after the clock with the same delay, plus one per port
-    for {!schedule_port_at}.  Only each lane's head sits in the second,
-    small heap (about 3 entries on the paper dumbbell, 7 on the WAN
-    mesh), and each
-    step takes whichever heap's root is earlier. *)
+    by reference with an int payload — whose events wait in {e lanes}:
+    FIFOs of (time, seq, port, payload) entries in nondecreasing time,
+    one shared by every port scheduled [~delay] after the clock with the
+    same delay, plus one per port for {!schedule_port_at}.  Only each
+    lane's head sits in the second, small heap (about 3 entries on the
+    paper dumbbell, 7 on the WAN mesh), and each step takes whichever
+    heap's root is earlier. *)
 
 type t
 
@@ -65,8 +65,11 @@ val schedule_after : t -> delay:float -> (unit -> unit) -> handle
     transmit-complete and propagation-delivery — fire the same handler
     millions of times.  A {!port} registers that handler exactly once
     in a per-engine table; the [schedule_port_*] functions then enqueue
-    its index with zero allocation per event — no closure, no event
-    cell, no write barrier.  Port events cannot be cancelled
+    its index, with an int payload the handler is called with, at zero
+    allocation per event — no closure, no event cell, no write barrier.
+    The payload is the event's own state: a link's delivery event
+    carries the packet handle it delivers, so the link holds no second
+    copy of a propagating packet.  Port events cannot be cancelled
     individually.
 
     {b FIFO contract.}  Each port's events must be scheduled in
@@ -92,20 +95,23 @@ val null_port : port
     once the handler that needs the record is registered.  Scheduling
     it raises [Invalid_argument]. *)
 
-val port : t -> (unit -> unit) -> port
-(** Pre-register a reusable handler on this engine.  Build ports at
+val port : t -> (int -> unit) -> port
+(** Pre-register a reusable handler on this engine; each firing calls
+    it with the payload its event was scheduled with.  Build ports at
     component-creation time, never per event (that would grow the
     registry without bound); registrations are permanent.  A port is
     only valid on the engine it was registered with — scheduling it
     elsewhere raises [Invalid_argument]. *)
 
-val schedule_port_at : t -> time:float -> port -> unit
-(** Like {!schedule_at} for a pre-registered handler: no closure, no
-    handle.  Same time-validation contract, plus the FIFO contract
-    above. *)
+val schedule_port_at : t -> time:float -> port -> int -> unit
+(** [schedule_port_at t ~time p payload] is like {!schedule_at} for a
+    pre-registered handler: no closure, no handle; [p]'s handler runs
+    with [payload] when the clock reaches [time].  Same time-validation
+    contract, plus the FIFO contract above. *)
 
-val schedule_port_after : t -> delay:float -> port -> unit
-(** Same delay-validation contract as {!schedule_after}. *)
+val schedule_port_after : t -> delay:float -> port -> int -> unit
+(** Relative form of {!schedule_port_at}.  Same delay-validation
+    contract as {!schedule_after}. *)
 
 (** {2 Cancellation and re-arming} *)
 

@@ -6,9 +6,13 @@ module Ring = Phi_sim.Ring
 
 let dupthresh = 3
 
-(* Scoreboard flags, one byte per outstanding segment in [board]. *)
+(* Scoreboard flags, one byte per outstanding segment in [board].
+   [in_retx] mirrors membership in [retx], so no probe of the table is
+   needed: it is set on a lost segment when its retransmission is added
+   and cleared wherever the entry is removed. *)
 let sacked = 1
 let lost = 2
+let in_retx = 4
 
 (* Mutable floats live in [fs], one flat floatarray per sender:
    storing into a mutable float field of this mixed record would box a
@@ -51,14 +55,15 @@ type t = {
   mutable snd_nxt : int;  (* next new segment to send *)
   mutable highest_sent : int;  (* one past the highest segment ever sent *)
   (* SACK scoreboard: every marked seq lies in [snd_una, snd_nxt). *)
-  board : Seq_ring.t;  (* [sacked]/[lost] flags, based at [snd_una] *)
+  board : Seq_ring.t;  (* [sacked]/[lost]/[in_retx] flags, based at [snd_una] *)
   retx : (int, float) Hashtbl.t;
       (* lost segments retransmitted and not yet cum-acked, mapped to the
          retransmission's send time (used to detect lost
          retransmissions).  A table, not the ring: the order
          [requeue_lost_retransmissions] requeues in is this table's fold
-         order, which the benchmark's fingerprints pin.  [n_retx] is its
-         size, so every probe sits behind [n_retx > 0]. *)
+         order, which the benchmark's fingerprints pin.  Membership is
+         the [in_retx] flag and [n_retx] its size, so the table is only
+         ever added to, removed from, reset and folded — never probed. *)
   retx_queue : Ring.t;  (* lost segments awaiting retransmission *)
   mutable n_sacked : int;
   mutable n_lost : int;
@@ -82,6 +87,18 @@ type t = {
   mutable cwnd_bound : float option;
       (* sanitizer upper bound (typically buffer + BDP in packets); None
          disables the upper check *)
+  (* The last SACK-carrying ACK's blocks as [merge_sack] clipped them
+     to [snd_una, snd_nxt), (0, 0) for none: every seq in them was
+     SACKed then and still is, so the next merge skips them (see
+     [merge_sack]).  One (lo, hi) pair per [Packet.max_sack_blocks] = 3,
+     as plain int fields: no separate block to allocate or follow.  Last
+     in the record, so the fields every ACK touches stay together. *)
+  mutable merged_lo0 : int;
+  mutable merged_hi0 : int;
+  mutable merged_lo1 : int;
+  mutable merged_hi1 : int;
+  mutable merged_lo2 : int;
+  mutable merged_hi2 : int;
 }
 
 (* Forced inline, like [record_rtt] and [on_ecn_echo]: a float that
@@ -189,7 +206,14 @@ let clear_scoreboard t =
   t.n_lost <- 0;
   t.n_retx <- 0;
   t.highest_sacked <- t.snd_una;
-  t.loss_scan <- t.snd_una
+  t.loss_scan <- t.snd_una;
+  (* The remembered SACK blocks name segments no longer marked. *)
+  t.merged_lo0 <- 0;
+  t.merged_hi0 <- 0;
+  t.merged_lo1 <- 0;
+  t.merged_hi1 <- 0;
+  t.merged_lo2 <- 0;
+  t.merged_hi2 <- 0
 
 let mark_sacked t seq =
   if seq >= t.snd_una && seq < t.snd_nxt then begin
@@ -198,7 +222,7 @@ let mark_sacked t seq =
       Seq_ring.set t.board ~base:t.snd_una seq sacked;
       t.n_sacked <- t.n_sacked + 1;
       if flags land lost <> 0 then t.n_lost <- t.n_lost - 1;
-      if t.n_retx > 0 && Hashtbl.mem t.retx seq then begin
+      if flags land in_retx <> 0 then begin
         Hashtbl.remove t.retx seq;
         t.n_retx <- t.n_retx - 1
       end;
@@ -206,15 +230,70 @@ let mark_sacked t seq =
     end
   end
 
-(* Mark every segment the ACK's inline SACK ranges cover. *)
-let merge_sack t pkt =
-  for i = 0 to Packet.sack_count t.pool pkt - 1 do
-    let lo = Int.max (Packet.sack_lo t.pool pkt i) t.snd_una
-    and hi = Int.min (Packet.sack_hi t.pool pkt i) t.snd_nxt in
-    for seq = lo to hi - 1 do
-      mark_sacked t seq
-    done
+(* The end of the remembered block holding [seq], or [seq] when none
+   holds it. *)
+let[@inline] skip_merged t seq =
+  if seq >= t.merged_lo0 && seq < t.merged_hi0 then t.merged_hi0
+  else if seq >= t.merged_lo1 && seq < t.merged_hi1 then t.merged_hi1
+  else if seq >= t.merged_lo2 && seq < t.merged_hi2 then t.merged_hi2
+  else seq
+
+(* The first start of a remembered block above [seq], capped at [hi]. *)
+let[@inline] next_merged t seq hi =
+  let stop = if t.merged_lo0 > seq && t.merged_lo0 < hi then t.merged_lo0 else hi in
+  let stop = if t.merged_lo1 > seq && t.merged_lo1 < stop then t.merged_lo1 else stop in
+  if t.merged_lo2 > seq && t.merged_lo2 < stop then t.merged_lo2 else stop
+
+(* Mark [lo, hi) less the remembered blocks: jump over a remembered
+   block, else mark up to where the next one starts. *)
+let merge_block t lo hi =
+  let seq = ref lo in
+  while !seq < hi do
+    let s = skip_merged t !seq in
+    if s > !seq then seq := s
+    else begin
+      let stop = next_merged t s hi in
+      for x = s to stop - 1 do
+        mark_sacked t x
+      done;
+      seq := stop
+    end
   done
+
+(* Block [i] of an ACK carrying [n], clipped to [snd_una, snd_nxt) (it
+   may come out empty), or the empty block (0, 0) past the last. *)
+let[@inline] clipped_lo t pkt n i =
+  if i < n then Int.max (Packet.sack_lo t.pool pkt i) t.snd_una else 0
+
+let[@inline] clipped_hi t pkt n i =
+  if i < n then Int.min (Packet.sack_hi t.pool pkt i) t.snd_nxt else 0
+
+(* Mark every segment the ACK's inline SACK ranges cover, skipping the
+   parts of each block that the previous SACK-carrying ACK's blocks
+   already merged: a receiver repeats its blocks ACK after ACK, growing
+   the newest by a segment or so, and marking an already SACKed segment
+   changes nothing.  Sound because a SACKed seq at or above [snd_una]
+   stays SACKed until [clear_scoreboard], which forgets the blocks too:
+   [advance_una] clears only seqs below the new [snd_una], which the
+   clipping excludes; [snd_nxt] only falls in [on_rto], after the
+   clear; and no other path clears [sacked] ([detect_losses] marks only
+   unflagged seqs, [try_send] and the requeue touch only lost ones).
+   Every block is merged against the remembered ones before any is
+   remembered.  An ACK without blocks, the loss-free case, leaves the
+   remembered blocks as they are. *)
+let merge_sack t pkt =
+  let n = Packet.sack_count t.pool pkt in
+  if n > 0 then begin
+    for i = 0 to n - 1 do
+      merge_block t (clipped_lo t pkt n i) (clipped_hi t pkt n i)
+    done;
+    t.merged_lo0 <- clipped_lo t pkt n 0;
+    t.merged_hi0 <- clipped_hi t pkt n 0;
+    t.merged_lo1 <- clipped_lo t pkt n 1;
+    t.merged_hi1 <- clipped_hi t pkt n 1;
+    t.merged_lo2 <- clipped_lo t pkt n 2;
+    t.merged_hi2 <- clipped_hi t pkt n 2
+  end
 
 (* RACK-style rescue: the paths are FIFO, so once an ACK echoes a
    transmission time later than a retransmission's send time, that
@@ -241,6 +320,8 @@ let requeue_lost_retransmissions t =
     List.iter
       (fun seq -> (* phi-lint: allow hot-alloc *)
         Hashtbl.remove t.retx seq;
+        Seq_ring.set t.board ~base:t.snd_una seq
+          (Seq_ring.get t.board ~base:t.snd_una seq land lnot in_retx);
         t.n_retx <- t.n_retx - 1;
         Ring.push t.retx_queue seq)
       stale
@@ -268,11 +349,11 @@ let advance_una t new_una =
       if flags <> 0 then begin
         if flags land sacked <> 0 then t.n_sacked <- t.n_sacked - 1;
         if flags land lost <> 0 then t.n_lost <- t.n_lost - 1;
+        if flags land in_retx <> 0 then begin
+          Hashtbl.remove t.retx seq;
+          t.n_retx <- t.n_retx - 1
+        end;
         Seq_ring.set t.board ~base:t.snd_una seq 0
-      end;
-      if t.n_retx > 0 && Hashtbl.mem t.retx seq then begin
-        Hashtbl.remove t.retx seq;
-        t.n_retx <- t.n_retx - 1
       end
     done;
   t.snd_una <- new_una;
@@ -286,10 +367,7 @@ let rec next_retransmit t =
   if Ring.is_empty t.retx_queue then -1
   else begin
     let seq = Ring.pop t.retx_queue in
-    if
-      Seq_ring.get t.board ~base:t.snd_una seq land lost <> 0
-      && not (t.n_retx > 0 && Hashtbl.mem t.retx seq)
-    then seq
+    if Seq_ring.get t.board ~base:t.snd_una seq land (lost lor in_retx) = lost then seq
     else next_retransmit t
   end
 
@@ -340,6 +418,8 @@ and try_send t =
         Hashtbl.add t.retx seq (Engine.now t.engine); (* phi-lint: allow hot-alloc *)
         (* ^ retransmission bookkeeping: runs only for lost segments,
            never in a loss-free steady state *)
+        Seq_ring.set t.board ~base:t.snd_una seq
+          (Seq_ring.get t.board ~base:t.snd_una seq lor in_retx);
         if t.n_retx = 0 then fset t retx_min_i (Engine.now t.engine);
         t.n_retx <- t.n_retx + 1;
         progressed := true;
@@ -482,6 +562,12 @@ let create engine ~node ~flow ~dst ~cc ~total_segments ?(source_index = 0)
       rtt_count = 0;
       ecn_reductions = 0;
       cwnd_bound = None;
+      merged_lo0 = 0;
+      merged_hi0 = 0;
+      merged_lo1 = 0;
+      merged_hi1 = 0;
+      merged_lo2 = 0;
+      merged_hi2 = 0;
     }
   in
   (* Allocate the timer callbacks once here; arming only stores them. *)
@@ -508,3 +594,30 @@ let abort t =
     cancel_send_timer t;
     Node.unbind_flow t.node ~flow:t.flow
   end
+
+let in_retx_flag = in_retx
+
+type scoreboard = {
+  una : int;
+  nxt : int;
+  flags : int array;
+  n_sacked : int;
+  n_lost : int;
+  n_retx : int;
+  highest_sacked : int;
+  retx : (int * float) list;
+}
+
+let scoreboard (t : t) =
+  {
+    una = t.snd_una;
+    nxt = t.snd_nxt;
+    flags =
+      Array.init (Int.max 0 (t.snd_nxt - t.snd_una)) (fun i ->
+          Seq_ring.get t.board ~base:t.snd_una (t.snd_una + i));
+    n_sacked = t.n_sacked;
+    n_lost = t.n_lost;
+    n_retx = t.n_retx;
+    highest_sacked = t.highest_sacked;
+    retx = List.rev (Hashtbl.fold (fun seq sent_at acc -> (seq, sent_at) :: acc) t.retx []);
+  }

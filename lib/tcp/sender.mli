@@ -58,3 +58,33 @@ val completed : t -> bool
 val stats : t -> Flow.conn_stats
 (** Snapshot of the connection's accounting so far ([finished_at] is the
     current time while still running). *)
+
+(** {2 The SACK scoreboard, exposed for tests}
+
+    One flag byte per outstanding segment: SACKed, deemed lost, and
+    {!in_retx_flag}, set exactly while the segment's retransmission is
+    in the retransmission table (which is never probed, only added to,
+    removed from, reset and folded).  Merging an ACK's SACK blocks marks
+    each segment they cover with {!mark_sacked}, skipping the parts the
+    last SACK-carrying ACK's blocks already marked. *)
+
+val in_retx_flag : int
+
+type scoreboard = {
+  una : int;  (** first unacknowledged segment *)
+  nxt : int;  (** next new segment to send *)
+  flags : int array;  (** the flag byte of each seq in [\[una, nxt)], in order *)
+  n_sacked : int;
+  n_lost : int;
+  n_retx : int;  (** size of the retransmission table *)
+  highest_sacked : int;  (** one past the highest SACKed seq *)
+  retx : (int * float) list;
+      (** the retransmission table's (seq, send time) entries, in its
+          fold order — the order lost retransmissions are requeued in *)
+}
+
+val scoreboard : t -> scoreboard
+
+val mark_sacked : t -> int -> unit
+(** Mark one segment SACKed, as merging a block does for each segment
+    it covers; a seq outside [\[una, nxt)] is ignored. *)

@@ -52,7 +52,7 @@ let test_nonfinite_delay_recorded () =
         ignore (Engine.schedule_after engine ~delay:1. ignore);
         Engine.run engine;
         ignore (Engine.schedule_after engine ~delay:nan stamp);
-        Engine.schedule_port_after engine ~delay:infinity (Engine.port engine stamp);
+        Engine.schedule_port_after engine ~delay:infinity (Engine.port engine (fun _ -> stamp ())) 0;
         ignore (Engine.rearm_after engine Engine.null ~delay:nan stamp);
         Engine.run engine)
   in
@@ -77,9 +77,9 @@ let test_port_out_of_order_recorded () =
   let (), vs =
     Invariant.with_capture (fun () ->
         let engine = Engine.create () in
-        let p = Engine.port engine (fun () -> fired_at := Engine.now engine :: !fired_at) in
-        Engine.schedule_port_at engine ~time:2. p;
-        Engine.schedule_port_at engine ~time:1. p;
+        let p = Engine.port engine (fun _ -> fired_at := Engine.now engine :: !fired_at) in
+        Engine.schedule_port_at engine ~time:2. p 0;
+        Engine.schedule_port_at engine ~time:1. p 0;
         Engine.run engine)
   in
   check_rules "rule" [ "port-fifo" ] vs;
@@ -255,7 +255,10 @@ let test_healthy_transfer_records_nothing () =
     Invariant.with_capture (fun () ->
         let engine, _cc, sender = cwnd_fixture () in
         Sender.start sender;
-        Engine.run engine;
+        (* A horizon far past the transfer's completion (under 1 s):
+           a sender that never finishes fails here instead of
+           spinning. *)
+        Engine.run ~until:60. engine;
         Sender.completed sender)
   in
   Alcotest.(check bool) "transfer completed" true completed;
@@ -322,15 +325,15 @@ let test_clamped_port_event_keeps_shared_lane () =
   let (), vs =
     Invariant.with_capture (fun () ->
         let engine = Engine.create () in
-        let note tag () = log := (tag, Engine.now engine) :: !log in
+        let note tag _ = log := (tag, Engine.now engine) :: !log in
         let p = Engine.port engine (note "p") and q = Engine.port engine (note "q") in
         (* p and q share the 1 s delay lane. *)
-        Engine.schedule_port_after engine ~delay:1. p;
-        Engine.schedule_port_after engine ~delay:1. q;
-        Engine.schedule_port_at engine ~time:5. p;
+        Engine.schedule_port_after engine ~delay:1. p 0;
+        Engine.schedule_port_after engine ~delay:1. q 0;
+        Engine.schedule_port_at engine ~time:5. p 0;
         (* Due at 1 s, behind p's pending event at 5 s: clamped to 5 s. *)
-        Engine.schedule_port_after engine ~delay:1. p;
-        Engine.schedule_port_after engine ~delay:1. q;
+        Engine.schedule_port_after engine ~delay:1. p 0;
+        Engine.schedule_port_after engine ~delay:1. q 0;
         Engine.run engine;
         Alcotest.(check int) "every event fired" 5 (Engine.executed engine))
   in

@@ -347,6 +347,43 @@ let test_zoo_wan_partitioned_determinism () =
   Alcotest.(check bool) "the mesh carried traffic" false
     (String.length serial >= 9 && String.sub serial 0 9 = "events=0 ")
 
+(* Cross-island conservation on a loaded partitioned parking lot, armed:
+   every drain checks each boundary's identity (packets the egress
+   handed off = delivered + in the outbox + drained and propagating)
+   and records nothing, and when the run stops mid-flight the identity
+   holds on every cut. *)
+let test_parking_lot_cuts_conserve_packets () =
+  let zoo = Topology.Zoo.parking_lot () in
+  let built, violations =
+    Phi_sim.Invariant.with_capture (fun () ->
+        let coordinator = Pdes.create () in
+        let built = Topology.build_partitioned coordinator zoo.Topology.Zoo.declare in
+        ignore
+          (Phi_experiments.Scenario.persistent_senders built ~rng:(Prng.create ~seed:23)
+             zoo.Topology.Zoo.flow_paths);
+        Pdes.run ~jobs:1 ~window_s:(Pdes.lookahead_s coordinator) ~until:2. coordinator;
+        built)
+  in
+  Alcotest.(check (list string))
+    "no violation recorded" []
+    (List.map (fun v -> v.Phi_sim.Invariant.rule) violations);
+  let crossed = ref 0 in
+  for s = 0 to Topology.Zoo.default_parking_lot.Topology.Zoo.segments - 2 do
+    List.iter
+      (fun kind ->
+        let label = Printf.sprintf "%s:%d" kind s in
+        match Topology.boundary_of built (Topology.find_link built ~label) with
+        | None -> Alcotest.failf "%s is not a boundary" label
+        | Some b ->
+          crossed := !crossed + Boundary_link.delivered b;
+          Alcotest.(check int)
+            (label ^ ": handed off = delivered + in transit")
+            (Link.packets_delivered (Boundary_link.egress b))
+            (Boundary_link.delivered b + Boundary_link.in_transit b))
+      [ "f_cut"; "r_cut" ]
+  done;
+  Alcotest.(check bool) "the cuts carried traffic" true (!crossed > 0)
+
 let suite =
   [
     Alcotest.test_case "run validation" `Quick test_run_validation;
@@ -358,4 +395,6 @@ let suite =
     Alcotest.test_case "partition error paths raise" `Quick test_partition_error_paths;
     Alcotest.test_case "partitioned WAN zoo is jobs-invariant" `Quick
       test_zoo_wan_partitioned_determinism;
+    Alcotest.test_case "partitioned parking lot conserves packets on every cut" `Quick
+      test_parking_lot_cuts_conserve_packets;
   ]

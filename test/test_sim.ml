@@ -191,10 +191,10 @@ let test_engine_ports () =
   let count = ref 0 in
   let p = ref Engine.null_port in
   p :=
-    Engine.port engine (fun () ->
+    Engine.port engine (fun _ ->
         incr count;
-        if !count < 5 then Engine.schedule_port_after engine ~delay:1. !p);
-  Engine.schedule_port_at engine ~time:1. !p;
+        if !count < 5 then Engine.schedule_port_after engine ~delay:1. !p 0);
+  Engine.schedule_port_at engine ~time:1. !p 0;
   Engine.run engine;
   Alcotest.(check int) "self-rescheduling port fired 5 times" 5 !count;
   Alcotest.(check (float 0.)) "clock at last firing" 5. (Engine.now engine)
@@ -290,7 +290,7 @@ let test_engine_non_finite_delay_rejected () =
               f
           in
           raises "schedule_after" (fun () -> ignore (Engine.schedule_after engine ~delay ignore));
-          raises "schedule_port_after" (fun () -> Engine.schedule_port_after engine ~delay port);
+          raises "schedule_port_after" (fun () -> Engine.schedule_port_after engine ~delay port 0);
           raises "rearm_after" (fun () ->
               ignore (Engine.rearm_after engine Engine.null ~delay ignore)))
         [ Float.nan; Float.infinity; Float.neg_infinity ];
@@ -357,9 +357,10 @@ let test_engine_port_fifo () =
   let engine = Engine.create () in
   let log = ref [] in
   let note tag () = log := (tag, Engine.now engine) :: !log in
-  let a = Engine.port engine (note "a") and b = Engine.port engine (note "b") in
-  List.iter (fun time -> Engine.schedule_port_at engine ~time a) [ 1.; 1.; 2.; 4. ];
-  List.iter (fun time -> Engine.schedule_port_at engine ~time b) [ 1.; 3. ];
+  let a = Engine.port engine (fun _ -> note "a" ())
+  and b = Engine.port engine (fun _ -> note "b" ()) in
+  List.iter (fun time -> Engine.schedule_port_at engine ~time a 0) [ 1.; 1.; 2.; 4. ];
+  List.iter (fun time -> Engine.schedule_port_at engine ~time b 0) [ 1.; 3. ];
   ignore (Engine.schedule_at engine ~time:2. (note "c"));
   Alcotest.(check int) "one heap entry per port plus the cell" 3 (Engine.pending engine);
   Engine.run engine;
@@ -372,11 +373,11 @@ let test_engine_port_fifo () =
 let test_engine_port_out_of_order_raises () =
   let engine = Engine.create () in
   let p = Engine.port engine ignore in
-  Engine.schedule_port_at engine ~time:2. p;
+  Engine.schedule_port_at engine ~time:2. p 0;
   let raised =
     with_sanitizer_disarmed (fun () ->
         try
-          Engine.schedule_port_at engine ~time:1. p;
+          Engine.schedule_port_at engine ~time:1. p 0;
           false
         with Invalid_argument _ -> true)
   in
@@ -389,7 +390,7 @@ let test_engine_null_port_rejected () =
   let engine = Engine.create () in
   let raised =
     try
-      Engine.schedule_port_after engine ~delay:1. Engine.null_port;
+      Engine.schedule_port_after engine ~delay:1. Engine.null_port 0;
       false
     with Invalid_argument _ -> true
   in
@@ -416,7 +417,7 @@ let sorted_insert model p s v =
   in
   model := go !model
 
-type label = Cell of int | Port of int
+type label = Cell of int | Port of int | Payload of int * int  (* port, payload *)
 
 type op =
   | At of int  (* schedule_at now + k/2 *)
@@ -458,7 +459,7 @@ let run_program prog =
   let log = ref [] in
   let ports =
     Array.init n_model_ports (fun p ->
-        Engine.port e (fun () -> log := (Port p, Engine.now e) :: !log))
+        Engine.port e (fun _ -> log := (Port p, Engine.now e) :: !log))
   in
   (* Handle [j] is the j-th one returned; the model knows it by [j]. *)
   let handles = Array.make (List.length prog) Engine.null in
@@ -484,7 +485,7 @@ let run_program prog =
   let model_cancel j =
     if j >= 0 && live.(j) then begin
       live.(j) <- false;
-      let other (_, _, l) = match l with Cell c -> c <> j | Port _ -> true in
+      let other (_, _, l) = match l with Cell c -> c <> j | Port _ | Payload _ -> true in
       pending := List.filter other !pending
     end
   in
@@ -497,7 +498,7 @@ let run_program prog =
         clock := time;
         incr executed;
         expected := (l, time) :: !expected;
-        (match l with Cell j -> live.(j) <- false | Port _ -> ());
+        (match l with Cell j -> live.(j) <- false | Port _ | Payload _ -> ());
         go ()
       | _ -> ()
     in
@@ -539,7 +540,7 @@ let run_program prog =
       | Port_at (p, k) ->
         let time = Float.max !clock port_last.(p) +. half k in
         port_last.(p) <- time;
-        Engine.schedule_port_at e ~time ports.(p);
+        Engine.schedule_port_at e ~time ports.(p) 0;
         insert time (Port p);
         true
       | Run_until k ->
@@ -648,6 +649,7 @@ type lane_op =
   | L_cancel of int  (* cancel a handle picked by index *)
   | L_rearm of int * int  (* rearm_after a handle picked by index, delay k/4 *)
   | L_until of int  (* run ~until:(now + k/4) *)
+  | L_burst of int * int  (* 20 x L_after (p, d): grows the lane's ring *)
 
 let lane_delays = [| 0.; 0.25; 0.5; 1.25 |]
 let n_lane_ports = 4
@@ -659,6 +661,7 @@ let print_lane_op = function
   | L_cancel i -> Printf.sprintf "L_cancel %d" i
   | L_rearm (i, k) -> Printf.sprintf "L_rearm (%d, %d)" i k
   | L_until k -> Printf.sprintf "L_until %d" k
+  | L_burst (p, d) -> Printf.sprintf "L_burst (%d, %d)" p d
 
 let gen_lane_op =
   QCheck.Gen.(
@@ -673,13 +676,19 @@ let gen_lane_op =
         (2, map (fun k -> L_until k) k);
       ])
 
-let run_lane_program prog =
+(* With [payloads], each port event carries a payload of its own, drawn
+   from its model seq and port (not equal to the seq, which the engine
+   also stores), and the log records what the handler received, so the
+   comparison also checks that every handler got exactly its own
+   event's payload. *)
+let run_lane_program ~payloads prog =
   let quarter k = float_of_int k /. 4. in
   let e = Engine.create () in
   let log = ref [] in
   let ports =
     Array.init n_lane_ports (fun p ->
-        Engine.port e (fun () -> log := (Port p, Engine.now e) :: !log))
+        Engine.port e (fun v ->
+            log := ((if payloads then Payload (p, v) else Port p), Engine.now e) :: !log))
   in
   let handles = Array.make (List.length prog) Engine.null in
   let live = Array.make (List.length prog) false in
@@ -691,6 +700,9 @@ let run_lane_program prog =
     sorted_insert pending time !seq label;
     incr seq
   in
+  (* The payload and model label of the next port event for port [p]. *)
+  let payload p = if payloads then (!seq * 37) + p + 1 else 0 in
+  let port_label p = if payloads then Payload (p, payload p) else Port p in
   let add_cell time h =
     let j = !n_handles in
     handles.(j) <- h;
@@ -714,7 +726,7 @@ let run_lane_program prog =
         clock := time;
         incr executed;
         expected := (l, time) :: !expected;
-        (match l with Cell j -> live.(j) <- false | Port _ -> ());
+        (match l with Cell j -> live.(j) <- false | Port _ | Payload _ -> ());
         go ()
       | _ -> ()
     in
@@ -728,23 +740,31 @@ let run_lane_program prog =
          (fun j -> Engine.cancelled e handles.(j) = not live.(j))
          (List.init !n_handles Fun.id)
   in
+  (* Only schedules that keep the port's FIFO contract. *)
+  let after p d =
+    let delay = lane_delays.(d) in
+    let time = !clock +. delay in
+    if time >= port_last.(p) then begin
+      port_last.(p) <- time;
+      Engine.schedule_port_after e ~delay ports.(p) (payload p);
+      insert time (port_label p)
+    end
+  in
   List.for_all
     (function
       | L_after (p, d) ->
-        (* Only schedules that keep the port's FIFO contract. *)
-        let delay = lane_delays.(d) in
-        let time = !clock +. delay in
-        if time >= port_last.(p) then begin
-          port_last.(p) <- time;
-          Engine.schedule_port_after e ~delay ports.(p);
-          insert time (Port p)
-        end;
+        after p d;
+        true
+      | L_burst (p, d) ->
+        for _ = 1 to 20 do
+          after p d
+        done;
         true
       | L_at (p, k) ->
         let time = Float.max !clock port_last.(p) +. quarter k in
         port_last.(p) <- time;
-        Engine.schedule_port_at e ~time ports.(p);
-        insert time (Port p);
+        Engine.schedule_port_at e ~time ports.(p) (payload p);
+        insert time (port_label p);
         true
       | L_cell k ->
         add_cell (!clock +. quarter k) (Engine.schedule_after e ~delay:(quarter k) (fire !n_handles));
@@ -779,7 +799,29 @@ let prop_engine_lanes_match_reference =
     (QCheck.make
        ~print:QCheck.Print.(list print_lane_op)
        QCheck.Gen.(list_size (int_range 0 200) gen_lane_op))
-    run_lane_program
+    (run_lane_program ~payloads:false)
+
+(* The same programs with a payload on every port event, plus bursts of
+   20 schedules on one lane that make its ring grow with events
+   pending: each handler receives exactly its own event's payload, in
+   (time, seq) order. *)
+let prop_engine_lanes_deliver_payloads =
+  QCheck.Test.make
+    ~name:"engine port handlers receive their own payloads in (time, seq) order" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list print_lane_op)
+       QCheck.Gen.(
+         list_size (int_range 0 200)
+           (frequency
+              [
+                (20, gen_lane_op);
+                ( 1,
+                  map2
+                    (fun p d -> L_burst (p, d))
+                    (int_bound (n_lane_ports - 1))
+                    (int_bound (Array.length lane_delays - 1)) );
+              ])))
+    (run_lane_program ~payloads:true)
 
 let suite =
   [
@@ -815,4 +857,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_engine_fires_all_in_order;
     QCheck_alcotest.to_alcotest prop_ring_matches_list_model;
     QCheck_alcotest.to_alcotest prop_engine_lanes_match_reference;
+    QCheck_alcotest.to_alcotest prop_engine_lanes_deliver_payloads;
   ]

@@ -388,6 +388,14 @@ type fixture = {
   receiver : Receiver.t;
 }
 
+(* Every end-to-end transfer below runs to a horizon well past its
+   completion (about 20x the virtual time it takes), and asserts that
+   it completed: a sender that can never finish, as under a broken
+   scoreboard or receiver, keeps retransmitting, so without a horizon
+   the case would spin instead of failing. *)
+let quick_horizon_s = 60.
+let lossy_horizon_s = 600.
+
 let sender_fixture ?(spec = { Topology.paper_spec with Topology.n = 1 }) ?(total = 200)
     ?(cc = Cubic.make Cubic.default_params) () =
   let engine = Engine.create () in
@@ -425,7 +433,7 @@ let test_sender_completes_clean_path () =
     { engine; dumbbell; sender; receiver }
   in
   Sender.start f.sender;
-  Engine.run f.engine;
+  Engine.run ~until:quick_horizon_s f.engine;
   Alcotest.(check bool) "completed" true (Sender.completed f.sender);
   Alcotest.(check int) "all acked" 100 (Sender.acked_segments f.sender);
   Alcotest.(check int) "receiver got all" 100 (Receiver.segments_received f.receiver);
@@ -440,7 +448,7 @@ let test_sender_completes_clean_path () =
 let test_sender_throughput_bounded_by_link () =
   let f = sender_fixture ~total:2000 () in
   Sender.start f.sender;
-  Engine.run f.engine;
+  Engine.run ~until:quick_horizon_s f.engine;
   let stats = Sender.stats f.sender in
   let thr = Flow.throughput_bps stats in
   Alcotest.(check bool) "below capacity" true (thr <= 15e6 +. 1e-6);
@@ -451,7 +459,7 @@ let test_sender_recovers_from_injected_loss () =
   Link.set_fault_injection f.dumbbell.Topology.bottleneck ~rng:(Prng.create ~seed:5)
     ~drop_probability:0.02;
   Sender.start f.sender;
-  Engine.run f.engine;
+  Engine.run ~until:quick_horizon_s f.engine;
   Alcotest.(check bool) "completed despite loss" true (Sender.completed f.sender);
   Alcotest.(check int) "receiver got everything" 500 (Receiver.segments_received f.receiver);
   Alcotest.(check bool) "did retransmit" true (Sender.retransmitted_segments f.sender > 0)
@@ -461,7 +469,7 @@ let test_sender_recovers_from_severe_loss () =
   Link.set_fault_injection f.dumbbell.Topology.bottleneck ~rng:(Prng.create ~seed:6)
     ~drop_probability:0.2;
   Sender.start f.sender;
-  Engine.run f.engine;
+  Engine.run ~until:lossy_horizon_s f.engine;
   Alcotest.(check bool) "completed at 20% loss" true (Sender.completed f.sender)
 
 let test_sender_abort_cancels () =
@@ -469,7 +477,7 @@ let test_sender_abort_cancels () =
   Sender.start f.sender;
   Engine.run ~until:1. f.engine;
   Sender.abort f.sender;
-  Engine.run f.engine;
+  Engine.run ~until:quick_horizon_s f.engine;
   Alcotest.(check bool) "engine drains after abort" true (Engine.pending f.engine = 0)
 
 let test_sender_cwnd_grows_in_slow_start () =
@@ -490,7 +498,7 @@ let test_sender_timeout_on_blackout () =
   (* Heal the path; the transfer must finish. *)
   Link.set_fault_injection f.dumbbell.Topology.bottleneck ~rng:(Prng.create ~seed:8)
     ~drop_probability:0.;
-  Engine.run f.engine;
+  Engine.run ~until:lossy_horizon_s f.engine;
   Alcotest.(check bool) "completed after healing" true (Sender.completed f.sender)
 
 let test_ecn_marks_instead_of_drops () =
@@ -672,7 +680,7 @@ let test_sender_recovers_wide_hole () =
       then Packet.release pool h
       else Node.receive d.Topology.right_router h);
   Sender.start f.sender;
-  Engine.run f.engine;
+  Engine.run ~until:quick_horizon_s f.engine;
   Alcotest.(check bool) "completed" true (Sender.completed f.sender);
   Alcotest.(check int) "every segment acknowledged" total (Sender.acked_segments f.sender);
   Alcotest.(check int) "receiver got every segment" total (Receiver.segments_received f.receiver);
@@ -839,6 +847,147 @@ let prop_run_list_matches_block_scan =
       let got = List.rev_map (fun (cum, _echo, sack) -> (cum, sack)) !acks in
       got = expected)
 
+(* {2 The SACK scoreboard}
+
+   A sender on an isolated node whose data leaves on a sink link, fed
+   synthetic ACKs through the node: [ack_stream] drives it with SACK
+   streams a receiver could send and some it could not. *)
+let sink_sender () =
+  let engine = Engine.create () in
+  let pool = Packet.create_pool () in
+  let node = Node.create pool ~id:0 in
+  let sink = Link.create engine pool ~bandwidth_bps:1e10 ~delay_s:1e-4 ~capacity_pkts:100_000 in
+  Link.set_receiver sink (Packet.release pool);
+  Node.set_default_route node sink;
+  let fixed_window =
+    Cc.make ~name:"fixed" ~initial_cwnd:48. ~initial_ssthresh:48.
+      ~on_ack:(fun _ ~now:_ ~rtt:_ ~sent_at:_ ~newly_acked:_ -> ())
+      ~on_loss:(fun _ ~now:_ -> ())
+      ~on_timeout:(fun _ ~now:_ -> ())
+      ()
+  in
+  let sender =
+    Sender.create engine ~node ~flow:0 ~dst:1 ~cc:fixed_window
+      ~total_segments:Sender.persistent_total ()
+  in
+  Sender.start sender;
+  (engine, node, sender)
+
+let deliver_ack engine node ~ack_seq ~tx_time blocks =
+  let pool = Node.pool node in
+  let h =
+    Packet.acquire_ack pool ~flow:0 ~src:1 ~dst:0 ~next_expected:ack_seq ~has_echo:false
+      ~echo_sent_at:0. ~echo_tx_time:tx_time ~ece:false ~now:(Engine.now engine)
+  in
+  List.iter (fun (lo, hi) -> Packet.add_sack pool h ~lo ~hi) blocks;
+  Node.receive node h
+
+(* One step of a random SACK stream, drawn from the sender's state: 1 ms
+   of transmission, then an ACK.  The cumulative ACK moves up by 0-3
+   segments (or names an old one); half the time the SACK blocks are the
+   previous ACK's with the newest grown by a segment, a new block in
+   front, or the oldest dropped — what a receiver sends across a hole —
+   and otherwise up to three random, possibly overlapping blocks reaching
+   below [una] and past [nxt].  The echoed transmission time sometimes
+   lies behind retransmissions, so lost ones are requeued. *)
+let ack_step rng engine ~highest (sb : Sender.scoreboard) prev =
+  let window = Stdlib.max 1 (sb.Sender.nxt - sb.Sender.una) in
+  let random_block () =
+    let lo = Stdlib.max 0 (sb.Sender.una - 4 + Prng.int rng ~bound:(window + 8)) in
+    (lo, lo + 1 + Prng.int rng ~bound:12)
+  in
+  let blocks =
+    if prev <> [] && Prng.bool rng then begin
+      match Prng.int rng ~bound:3, prev with
+      | 0, (lo, hi) :: rest -> (lo, hi + 1) :: rest
+      | 1, _ -> List.filteri (fun i _ -> i < Packet.max_sack_blocks) (random_block () :: prev)
+      | _, _ -> List.filteri (fun i _ -> i < List.length prev - 1) prev
+    end
+    else List.init (Prng.int rng ~bound:(Packet.max_sack_blocks + 1)) (fun _ -> random_block ())
+  in
+  let ack_seq =
+    if Prng.int rng ~bound:4 = 0 then Stdlib.max 0 (sb.Sender.una - Prng.int rng ~bound:3)
+    else Stdlib.min highest (sb.Sender.una + Prng.int rng ~bound:4)
+  in
+  let tx_time = Engine.now engine -. (0.002 *. Prng.float rng) in
+  (ack_seq, tx_time, blocks)
+
+(* The [in_retx] flag of every outstanding seq names exactly the
+   retransmission table's entries, and [n_retx] is its size. *)
+let in_retx_agrees (sb : Sender.scoreboard) =
+  let flagged = ref [] in
+  Array.iteri
+    (fun i f -> if f land Sender.in_retx_flag <> 0 then flagged := (sb.Sender.una + i) :: !flagged)
+    sb.Sender.flags;
+  let table = List.map fst sb.Sender.retx in
+  List.sort Int.compare !flagged = List.sort Int.compare table
+  && sb.Sender.n_retx = List.length table
+
+(* Merging skips what the previous ACK's blocks already marked; the
+   reference sender is handed the same stream but has every segment of
+   every block marked first, as a merge without the skip does (the
+   merge runs before anything else in the ACK touches the scoreboard).
+   After every ACK, and across an RTO that clears the scoreboard, the
+   two scoreboards agree: flags, counts, [highest_sacked] and the
+   retransmission table in fold order. *)
+let prop_merge_skip_matches_marking_every_segment =
+  QCheck.Test.make ~name:"sack merge that skips merged blocks = marking every segment"
+    ~count:200
+    QCheck.(pair (int_range 0 100_000) (int_range 20 160))
+    (fun (seed, steps) ->
+      let rng = Prng.create ~seed in
+      let rto_at = Prng.int rng ~bound:steps in
+      let e1, n1, skipping = sink_sender () in
+      let e2, n2, reference = sink_sender () in
+      let prev = ref [] in
+      let ok = ref true in
+      for step = 0 to steps - 1 do
+        if !ok then begin
+          let pause = if step = rto_at then 5. else 0.001 in
+          Engine.run ~until:(Engine.now e1 +. pause) e1;
+          Engine.run ~until:(Engine.now e2 +. pause) e2;
+          let sb = Sender.scoreboard skipping in
+          let ack_seq, tx_time, blocks =
+            ack_step rng e1 ~highest:(Sender.sent_segments skipping) sb !prev
+          in
+          prev := blocks;
+          List.iter
+            (fun (lo, hi) ->
+              for seq = lo to hi - 1 do
+                Sender.mark_sacked reference seq
+              done)
+            blocks;
+          deliver_ack e1 n1 ~ack_seq ~tx_time blocks;
+          deliver_ack e2 n2 ~ack_seq ~tx_time blocks;
+          let a = Sender.scoreboard skipping and b = Sender.scoreboard reference in
+          if not (a = b && in_retx_agrees a) then ok := false
+        end
+      done;
+      !ok && Sender.timeouts skipping > 0 && Sender.timeouts skipping = Sender.timeouts reference)
+
+(* Lossy transfers stepped one engine event at a time: after every event
+   the scoreboard's [in_retx] flags name exactly the retransmission
+   table's entries, and the transfer completes. *)
+let prop_in_retx_flag_tracks_retx_table =
+  QCheck.Test.make ~name:"scoreboard in_retx flag = retransmission table after every event"
+    ~count:20
+    QCheck.(pair (int_range 0 10_000) (int_range 2 20))
+    (fun (seed, loss_pct) ->
+      let f = sender_fixture ~total:200 () in
+      Link.set_fault_injection f.dumbbell.Topology.bottleneck ~rng:(Prng.create ~seed)
+        ~drop_probability:(float_of_int loss_pct /. 100.);
+      Sender.start f.sender;
+      let ok = ref true in
+      while
+        !ok
+        && (not (Sender.completed f.sender))
+        && Engine.now f.engine < lossy_horizon_s
+        && Engine.step f.engine
+      do
+        if not (in_retx_agrees (Sender.scoreboard f.sender)) then ok := false
+      done;
+      !ok && Sender.completed f.sender)
+
 let suite =
   [
     ("rto initial", `Quick, test_rto_initial);
@@ -885,4 +1034,6 @@ let suite =
     ("sender recovers a hole wider than the scoreboard ring", `Quick, test_sender_recovers_wide_hole);
     ("cubic seeded trajectory is pinned", `Quick, test_cubic_seeded_trajectory);
     QCheck_alcotest.to_alcotest prop_run_list_matches_block_scan;
+    QCheck_alcotest.to_alcotest prop_merge_skip_matches_marking_every_segment;
+    QCheck_alcotest.to_alcotest prop_in_retx_flag_tracks_retx_table;
   ]
