@@ -214,7 +214,8 @@ let bench_table3 budget =
   Printers.table3 rows;
   headline "table3"
     (List.map
-       (fun (r : Table3.row) -> (r.Table3.name, Json.float r.Table3.median_objective))
+       (fun (r : Table3.row) ->
+         (r.Table3.name, Json.float r.Table3.summary.Trainer.median_objective))
        rows);
   (* Ablation: a delay-based baseline (TCP Vegas) on the same workload,
      for perspective on what autonomous delay feedback achieves without
@@ -257,7 +258,8 @@ let bench_matrix budget =
   headline "matrix"
     (List.map
        (fun (r : Cc_matrix.row) ->
-         (r.Cc_matrix.algorithm ^ "/" ^ r.Cc_matrix.cell, Json.float r.Cc_matrix.power))
+         ( r.Cc_matrix.algorithm ^ "/" ^ r.Cc_matrix.cell,
+           Json.float r.Cc_matrix.mean.Scenario.power ))
        rows)
 
 (* {2 Section 2.1: path sharing} *)
@@ -396,8 +398,9 @@ let bench_wan_matrix budget =
      instead of drifting the dashboards.  At --jobs 1 the probe is a
      pure replay of the same serial path. *)
   let fingerprint (r : Cc_matrix.row) =
-    Printf.sprintf "%h;%h;%h;%h;%h;%d" r.Cc_matrix.throughput_bps r.Cc_matrix.delay_s
-      r.Cc_matrix.jain r.Cc_matrix.p99_fct_s r.Cc_matrix.power r.Cc_matrix.connections
+    let m = r.Cc_matrix.mean in
+    Printf.sprintf "%h;%h;%h;%h;%h;%d" m.Scenario.throughput_bps m.Scenario.delay_s
+      m.Scenario.jain m.Scenario.p99_fct_s m.Scenario.power m.Scenario.connections
   in
   let probe_parallel = List.hd rows in
   let probe_serial =
@@ -423,14 +426,15 @@ let bench_wan_matrix budget =
               ("serial", Json.String (fingerprint probe_serial));
             ] );
       ];
-  let min_over f = List.fold_left (fun acc r -> Float.min acc (f r)) infinity rows in
-  let max_over f = List.fold_left (fun acc r -> Float.max acc (f r)) neg_infinity rows in
+  let means = List.map (fun (r : Cc_matrix.row) -> r.Cc_matrix.mean) rows in
+  let min_over f = List.fold_left (fun acc m -> Float.min acc (f m)) infinity means in
+  let max_over f = List.fold_left (fun acc m -> Float.max acc (f m)) neg_infinity means in
   headline "wan_matrix"
     [
       ("cells", Json.Int (List.length rows));
-      ("min_jain", Json.float (min_over (fun r -> r.Cc_matrix.jain)));
-      ("max_p99_fct_s", Json.float (max_over (fun r -> r.Cc_matrix.p99_fct_s)));
-      ("max_power", Json.float (max_over (fun r -> r.Cc_matrix.power)));
+      ("min_jain", Json.float (min_over (fun m -> m.Scenario.jain)));
+      ("max_p99_fct_s", Json.float (max_over (fun m -> m.Scenario.p99_fct_s)));
+      ("max_power", Json.float (max_over (fun m -> m.Scenario.power)));
     ]
 
 (* {2 Section 3.1: cross-provider aggregation} *)

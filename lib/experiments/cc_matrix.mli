@@ -7,9 +7,9 @@
     either one of the paper's dumbbell loads, measured whole-run by
     {!Scenario.run}, or a topology zoo x dynamics x AQM combination run
     by {!Scenario.run_zoo_cell}; both return the one {!Scenario.result},
-    which fills the row.  Cells travel to pool workers as immutable
-    descriptions — a zoo cell as names, materialized inside the worker
-    — so the matrix is jobs-invariant. *)
+    and a row keeps its {!Scenario.mean} over the seeds.  Cells travel
+    to pool workers as immutable descriptions — a zoo cell as names,
+    materialized inside the worker — so the matrix is jobs-invariant. *)
 
 type cell =
   | Paper of [ `Low | `High ]
@@ -36,17 +36,10 @@ type row = {
   algorithm : string;  (** registry name *)
   cell : string;  (** the paper load's name, or ["topology/dynamics"] *)
   aqm : string;  (** {!Scenario.aqm_names} entry (["droptail"] on the paper dumbbell) *)
-  throughput_bps : float;  (** aggregate on-time throughput *)
-  delay_s : float;  (** base RTT + queueing delay *)
-  queueing_delay_s : float;
-  loss_rate : float;
-  power : float;  (** the paper's P_l *)
-  jain : float;  (** Jain fairness over per-source delivered bytes *)
-  p99_fct_s : float;  (** 99th-percentile flow completion time *)
-  connections : int;  (** total completed connections across seeds *)
+  mean : Scenario.result;  (** {!Scenario.mean} over the seeds *)
 }
-(** Every float is a mean over seeds.  Paper cells take their link
-    figures whole-run, zoo cells over the second half. *)
+(** Paper cells take their link figures whole-run, zoo cells over the
+    second half. *)
 
 val run :
   ?jobs:int ->

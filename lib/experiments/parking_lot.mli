@@ -55,7 +55,7 @@ type result = {
   long_goodput_bps : float;  (** aggregate acked goodput of the long flows *)
   local_goodput_bps : float;
   hop_stats : hop_stat array;  (** one per segment *)
-  boundary_packets : int;  (** packets materialized across all cuts *)
+  boundary_packets : int;  (** packets imported across all cuts *)
   retransmitted : int;  (** total retransmitted segments *)
 }
 

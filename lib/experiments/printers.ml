@@ -35,13 +35,15 @@ let table2 grid =
 (* {2 Figures 2a, 2b, 2c and 3: the parameter sweeps} *)
 
 let metric_columns =
-  let open Sweep in
-  [
-    Columns.float "thr Mbps" ~key:"mean_throughput_bps" mbps (fun p -> p.mean_throughput_bps);
-    Columns.float "qdelay ms" ~key:"mean_queueing_delay_s" ms (fun p -> p.mean_queueing_delay_s);
-    Columns.float "loss" ~key:"mean_loss_rate" pct (fun p -> p.mean_loss_rate);
-    Columns.float "power P_l" ~key:"mean_power" num (fun p -> p.mean_power);
-  ]
+  let open Scenario in
+  Columns.on
+    (fun (p : Sweep.point) -> p.Sweep.mean)
+    [
+      Columns.float "thr Mbps" ~key:"mean_throughput_bps" mbps (fun r -> r.throughput_bps);
+      Columns.float "qdelay ms" ~key:"mean_queueing_delay_s" ms (fun r -> r.queueing_delay_s);
+      Columns.float "loss" ~key:"mean_loss_rate" pct (fun r -> r.loss_rate);
+      Columns.float "power P_l" ~key:"mean_power" num (fun r -> r.power);
+    ]
 
 let sweep_columns =
   let knob key f = Columns.field key (fun (p : Sweep.point) -> Json.float (f p.Sweep.params)) in
@@ -61,7 +63,8 @@ let sweep (sweep : Sweep.t) =
   let best = Sweep.optimal sweep in
   let others =
     List.filter (fun p -> p != best) sweep.Sweep.points
-    |> List.sort (fun a b -> Float.compare b.Sweep.mean_power a.Sweep.mean_power)
+    |> List.sort (fun (a : Sweep.point) (b : Sweep.point) ->
+           Float.compare b.mean.Scenario.power a.mean.Scenario.power)
     |> List.filteri (fun i _ -> i < keep)
   in
   Columns.print sweep_columns
@@ -77,7 +80,8 @@ let figure2b_observation (sweep : Sweep.t) =
   Printf.printf "  optimal %s vs default %s | loss %s vs %s (paper: 0.01%% vs 3.92%%)\n"
     (Cubic.params_to_string best.Sweep.params)
     (Cubic.params_to_string default.Sweep.params)
-    (pct best.Sweep.mean_loss_rate) (pct default.Sweep.mean_loss_rate)
+    (pct best.Sweep.mean.Scenario.loss_rate)
+    (pct default.Sweep.mean.Scenario.loss_rate)
 
 let longrun_columns =
   Columns.float "beta" ~key:"beta" (fixed 1) fst :: Columns.on snd metric_columns
@@ -85,7 +89,7 @@ let longrun_columns =
 let longrun_summary_columns ~n_flows =
   let qdelay beta results =
     match List.find_opt (fun (b, _) -> Float.equal b beta) results with
-    | Some (_, p) -> p.Sweep.mean_queueing_delay_s
+    | Some (_, p) -> p.Sweep.mean.Scenario.queueing_delay_s
     | None -> nan
   in
   [
@@ -167,14 +171,16 @@ let table3 rows =
   Columns.print
     [
       Columns.string "Algorithm" ~key:"name" (fun r -> r.name);
-      Columns.float "thr Mbps" ~key:"median_throughput_bps" mbps (fun r -> r.median_throughput_bps);
+      Columns.float "thr Mbps" ~key:"median_throughput_bps" mbps (fun r ->
+          r.summary.Trainer.median_throughput_bps);
       Columns.cell "(paper)" (paper (fun (_, thr, _, _) -> fixed 2 thr));
       Columns.float "qdelay ms" ~key:"median_queueing_delay_s" ms (fun r ->
-          r.median_queueing_delay_s);
+          r.summary.Trainer.median_queueing_delay_s);
       Columns.cell "(paper)" (paper (fun (_, _, d, _) -> fixed 1 d));
-      Columns.float "objective" ~key:"median_objective" num (fun r -> r.median_objective);
+      Columns.float "objective" ~key:"median_objective" num (fun r ->
+          r.summary.Trainer.median_objective);
       Columns.cell "(paper)" (paper (fun (_, _, _, obj) -> fixed 2 obj));
-      Columns.int "conns" ~key:"connections" (fun r -> r.connections);
+      Columns.int "conns" ~key:"connections" (fun r -> r.summary.Trainer.connections);
       Columns.int "msgs" ~key:"server_messages" (fun r -> r.server_messages);
     ]
     rows;
@@ -188,19 +194,22 @@ let vegas_ablation (vegas : Trainer.eval_result) =
 
 let matrix_columns =
   let open Cc_matrix in
-  [
-    Columns.string "algorithm" ~key:"algorithm" (fun r -> r.algorithm);
-    Columns.string "cell" ~key:"cell" (fun r -> r.cell);
-    Columns.string "aqm" ~key:"aqm" (fun r -> r.aqm);
-    Columns.float "thr Mbps" ~key:"throughput_bps" mbps (fun r -> r.throughput_bps);
-    Columns.float "delay ms" ~key:"delay_s" ms (fun r -> r.delay_s);
-    Columns.field "queueing_delay_s" (fun r -> Json.float r.queueing_delay_s);
-    Columns.float "loss" ~key:"loss_rate" pct (fun r -> r.loss_rate);
-    Columns.float "power P_l" ~key:"power" num (fun r -> r.power);
-    Columns.float "jain" ~key:"jain" (fixed 3) (fun r -> r.jain);
-    Columns.float "p99 fct s" ~key:"p99_fct_s" (fixed 2) (fun r -> r.p99_fct_s);
-    Columns.int "conns" ~key:"connections" (fun r -> r.connections);
-  ]
+  let open Scenario in
+  Columns.string "algorithm" ~key:"algorithm" (fun r -> r.algorithm)
+  :: Columns.string "cell" ~key:"cell" (fun r -> r.cell)
+  :: Columns.string "aqm" ~key:"aqm" (fun r -> r.aqm)
+  :: Columns.on
+       (fun r -> r.mean)
+       [
+         Columns.float "thr Mbps" ~key:"throughput_bps" mbps (fun r -> r.throughput_bps);
+         Columns.float "delay ms" ~key:"delay_s" ms (fun r -> r.delay_s);
+         Columns.field "queueing_delay_s" (fun r -> Json.float r.queueing_delay_s);
+         Columns.float "loss" ~key:"loss_rate" pct (fun r -> r.loss_rate);
+         Columns.float "power P_l" ~key:"power" num (fun r -> r.power);
+         Columns.float "jain" ~key:"jain" (fixed 3) (fun r -> r.jain);
+         Columns.float "p99 fct s" ~key:"p99_fct_s" (fixed 2) (fun r -> r.p99_fct_s);
+         Columns.int "conns" ~key:"connections" (fun r -> r.connections);
+       ]
 
 let matrix ~duration_s ~seeds rows =
   Columns.print matrix_columns rows;

@@ -50,6 +50,23 @@ type result = {
   records : Flow.conn_stats list;
 }
 
+let mean by_seed =
+  if Array.length by_seed = 0 then invalid_arg "Scenario.mean: no seeds";
+  let mean f = Stats.mean (Array.map f by_seed) in
+  {
+    throughput_bps = mean (fun r -> r.throughput_bps);
+    queueing_delay_s = mean (fun r -> r.queueing_delay_s);
+    delay_s = mean (fun r -> r.delay_s);
+    loss_rate = mean (fun r -> r.loss_rate);
+    utilization = mean (fun r -> r.utilization);
+    power = mean (fun r -> r.power);
+    jain = mean (fun r -> r.jain);
+    p99_fct_s = mean (fun r -> r.p99_fct_s);
+    connections = Array.fold_left (fun n r -> n + r.connections) 0 by_seed;
+    flows = by_seed.(0).flows;
+    records = List.concat_map (fun r -> r.records) (Array.to_list by_seed);
+  }
+
 type aqm = Drop_tail | Red | Red_ecn
 
 let aqm_name = function Drop_tail -> "droptail" | Red -> "red" | Red_ecn -> "red_ecn"

@@ -51,6 +51,14 @@ type result = {
 (** The one result record.  Link figures cover the measurement window;
     Jain covers the flow paths and any flash-crowd sources. *)
 
+val mean : result array -> result
+(** The seed mean of one cell's results, given in seed order: every
+    float field is the {!Phi_util.Stats.mean} over the seeds,
+    [connections] their sum, [flows] the first seed's, and [records]
+    every seed's records in seed order, so [connections] is still the
+    length of [records].  Raises [Invalid_argument] on an empty
+    array. *)
+
 val run :
   ?cc_factory:(int -> unit -> Phi_tcp.Cc.t) ->
   ?on_conn_end:(Phi_tcp.Flow.conn_stats -> unit) ->

@@ -25,14 +25,7 @@ let beta_grid =
     beta = List.init 9 (fun i -> 0.1 +. (0.1 *. float_of_int i));
   }
 
-type point = {
-  params : Cubic.params;
-  by_seed : Scenario.result array;
-  mean_throughput_bps : float;
-  mean_queueing_delay_s : float;
-  mean_loss_rate : float;
-  mean_power : float;
-}
+type point = { params : Cubic.params; by_seed : Scenario.result array; mean : Scenario.result }
 
 type t = {
   config : Scenario.config;
@@ -54,26 +47,13 @@ let settings grid =
         grid.init_w)
     grid.ssthresh
 
-let mean_of f results = Stats.mean (Array.map f results)
-
-let point_of ~params by_seed =
-  {
-    params;
-    by_seed;
-    mean_throughput_bps = mean_of (fun (r : Scenario.result) -> r.Scenario.throughput_bps) by_seed;
-    mean_queueing_delay_s =
-      mean_of (fun (r : Scenario.result) -> r.Scenario.queueing_delay_s) by_seed;
-    mean_loss_rate = mean_of (fun (r : Scenario.result) -> r.Scenario.loss_rate) by_seed;
-    mean_power = mean_of (fun (r : Scenario.result) -> r.Scenario.power) by_seed;
-  }
-
 (* One point per setting, each from one Scenario.run per seed.  Every
    (setting, seed) pair is its own pool job, so the pool balances
    across both axes and the parallel sweep is bit-for-bit the serial
    one. *)
 let points ?jobs ~seeds run settings =
   List.map
-    (fun (params, by_seed) -> point_of ~params by_seed)
+    (fun (params, by_seed) -> { params; by_seed; mean = Scenario.mean by_seed })
     (Pool.fan_out ?jobs ~seeds run settings)
 
 let cubic params _index () = Cubic.make params
@@ -94,7 +74,9 @@ let optimal t =
   match t.points with
   | [] -> invalid_arg "Sweep.optimal: empty sweep"
   | first :: rest ->
-    List.fold_left (fun best p -> if p.mean_power > best.mean_power then p else best) first rest
+    List.fold_left
+      (fun best p -> if p.mean.Scenario.power > best.mean.Scenario.power then p else best)
+      first rest
 
 let run_longrunning ?jobs ~spec ~n_flows ~duration_s ~seeds ~betas () =
   List.combine betas
@@ -127,7 +109,7 @@ let validate t =
     done
   done;
   {
-    default_power = t.default_point.mean_power;
+    default_power = t.default_point.mean.Scenario.power;
     optimal_power = Stats.mean (Array.of_list !optimal_powers);
     common_power = Stats.mean (Array.of_list !common_powers);
   }

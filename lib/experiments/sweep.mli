@@ -22,10 +22,7 @@ val beta_grid : grid
 type point = {
   params : Phi_tcp.Cubic.params;
   by_seed : Scenario.result array;  (** one result per seed, in seed order *)
-  mean_throughput_bps : float;
-  mean_queueing_delay_s : float;
-  mean_loss_rate : float;
-  mean_power : float;
+  mean : Scenario.result;  (** {!Scenario.mean} of [by_seed] *)
 }
 
 type t = {

@@ -1,14 +1,7 @@
 module Topology = Phi_net.Topology
 module Pool = Phi_runner.Pool
 
-type row = {
-  name : string;
-  median_throughput_bps : float;
-  median_queueing_delay_s : float;
-  median_objective : float;
-  connections : int;
-  server_messages : int;
-}
+type row = { name : string; summary : Trainer.eval_result; server_messages : int }
 
 let paper_rows =
   [
@@ -57,15 +50,7 @@ let run ?jobs ?remy_table ?remy_phi_table ~seeds config =
       let records, server_messages =
         Array.fold_left (fun (records, msgs) (r, m) -> (r @ records, m + msgs)) ([], 0) by_seed
       in
-      let e = Trainer.summarize records in
-      {
-        name;
-        median_throughput_bps = e.Trainer.median_throughput_bps;
-        median_queueing_delay_s = e.Trainer.median_queueing_delay_s;
-        median_objective = e.Trainer.median_objective;
-        connections = e.Trainer.connections;
-        server_messages;
-      })
+      { name; summary = Trainer.summarize records; server_messages })
     (Pool.fan_out ?jobs ~seeds
        (fun (_, variant) seed -> run_variant select { config with Scenario.seed } variant)
        variants)

@@ -11,10 +11,7 @@
 
 type row = {
   name : string;
-  median_throughput_bps : float;
-  median_queueing_delay_s : float;
-  median_objective : float;
-  connections : int;
+  summary : Trainer.eval_result;  (** {!Trainer.summarize} of the seeds' pooled records *)
   server_messages : int;
       (** context-server lookups + reports (the coordination overhead);
           0 for non-Phi rows *)

@@ -4,15 +4,16 @@
     [Phi_sim.Pdes] islands.  The egress half (queue + serialization) is
     a real {!Link} on the {e source} island — identical drop, RED, ECN
     and counter behaviour — while propagation crosses the cut: each
-    serialized packet is flattened into a growable outbox (and its
-    source-pool cell released).  At every window barrier the
-    destination island drains the outbox, re-materializing each record
-    into its own pool and scheduling its delivery at the recorded
-    arrival time, with the handle as the delivery event's payload, where
-    it waits like a packet in flight on a serial {!Link}: the boundary
-    keeps only a count of the packets propagating.  Arrival times are
-    computed with the same IEEE expression the serial engine uses, so a
-    partitioned run delivers at bit-identical virtual times.  With the
+    serialized packet's cell is exported into a growable outbox
+    ({!Packet.export}) and the source-pool cell released.  At every
+    window barrier the destination island drains the outbox, importing
+    each cell into its own pool ({!Packet.import}) and scheduling its
+    delivery at the recorded arrival time, with the handle as the
+    delivery event's payload, where it waits like a packet in flight on
+    a serial {!Link}: the boundary keeps only a count of the packets
+    propagating.  Arrival times are computed with the same IEEE
+    expression the serial engine uses, so a partitioned run delivers at
+    bit-identical virtual times.  With the
     [PHI_SANITIZE=1] sanitizer armed, every drain checks the
     cross-island conservation identity (rule [boundary-conservation]):
     packets the egress handed off = {!delivered} + {!in_transit}.
@@ -58,22 +59,20 @@ val egress : t -> Link.t
     count packets that completed serialization and entered the outbox. *)
 
 val set_receiver : t -> (Packet.handle -> unit) -> unit
-(** Where re-materialized packets go on the destination island —
+(** Where imported packets go on the destination island —
     typically [Node.receive] of the island's ingress router.  The
     receiver takes ownership of each handle (drawn from [dst_pool]).
     Must be set before traffic flows. *)
 
-val delay_s : t -> float
-(** Propagation delay across the cut (= this boundary's lookahead). *)
-
 val delivered : t -> int
-(** Packets materialized and handed to the destination receiver. *)
+(** Packets imported and handed to the destination receiver. *)
 
 val in_transit : t -> int
-(** Packets currently crossing: records still in the outbox plus drained
+(** Packets currently crossing: cells still in the outbox plus drained
     packets not yet delivered.  When a run ends mid-flight the drained
     ones are live cells of [dst_pool], held by their pending delivery
-    events like the packets in flight on a serial {!Link} (outbox records
-    hold no cell: theirs was released at serialization).  Together with
+    events like the packets in flight on a serial {!Link} (an outbox
+    cell is a copy that holds no pool cell: the source's was released
+    at serialization).  Together with
     {!delivered} it accounts for every packet the {!egress} link
     delivered (handed off). *)

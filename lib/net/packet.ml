@@ -284,6 +284,21 @@ let[@inline] sack_hi pool h i =
   if i < 0 || i >= iget pool (ibase h + i_nsack) then bad_sack_index "Packet.sack_hi";
   iget pool (ibase h + i_sack0 + (2 * i) + 1)
 
+(* A cell moves between pools as its two stripes, verbatim. *)
+let cell_ints = i_stride
+let cell_floats = f_stride
+
+let export pool h ints i floats f =
+  check pool h;
+  Array.blit pool.ints (ibase h) ints i i_stride;
+  Float.Array.blit pool.floats (fbase h) floats f f_stride
+
+let import pool ints i floats f =
+  let idx = acquire pool in
+  Array.blit ints i pool.ints (idx * i_stride) i_stride;
+  Float.Array.blit floats f pool.floats (idx * f_stride) f_stride;
+  (pool.gen.(idx) lsl idx_bits) lor idx
+
 (* Here [handle] is [int], so an engine port can take one as its
    payload, and the int ring queues handles as they are; the interface
    makes both views typed. *)
@@ -300,8 +315,3 @@ module Fifo = struct
   let[@inline] peek q = Ring.peek q
   let fold = Ring.fold
 end
-
-let pp pool ppf h =
-  let kind = if is_data pool h then "data" else "ack" in
-  Format.fprintf ppf "%s[flow=%d %d->%d seq=%d %dB t=%.4f]" kind (flow pool h) (src pool h)
-    (dst pool h) (seq pool h) (size pool h) (sent_at pool h)

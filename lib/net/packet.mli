@@ -141,6 +141,27 @@ val sack_hi : pool -> handle -> int -> int
 (** Bounds of the i-th SACK range; raise [Invalid_argument] outside
     [0 .. sack_count - 1]. *)
 
+(** {2 Moving a packet between pools}
+
+    A cell is two stripes, [cell_ints] ints and [cell_floats] floats.
+    {!export} copies them out and {!import} copies them into a fresh
+    cell of another pool, so the copy reads the same through every
+    accessor.  A boundary link moves packets across an island cut this
+    way. *)
+
+val cell_ints : int
+val cell_floats : int
+
+val export : pool -> handle -> int array -> int -> floatarray -> int -> unit
+(** [export pool h ints i floats f] copies [h]'s cell into [ints] from
+    index [i] and [floats] from index [f].  [h] stays the caller's to
+    release. *)
+
+val import : pool -> int array -> int -> floatarray -> int -> handle
+(** [import pool ints i floats f] acquires a cell of [pool] and copies
+    an exported cell into it from those indices.  The caller owns the
+    handle, as after {!acquire_data}. *)
+
 (** {2 Pool introspection} *)
 
 val in_use : pool -> int
@@ -183,5 +204,3 @@ module Fifo : sig
   val fold : ('acc -> handle -> 'acc) -> 'acc -> t -> 'acc
   (** Head-to-tail fold over the queued handles. *)
 end
-
-val pp : pool -> Format.formatter -> handle -> unit

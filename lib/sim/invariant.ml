@@ -29,13 +29,6 @@ let record ~rule ~time detail =
           incr n_kept
         end)
 
-let check_finite ~rule ~time ~what v =
-  if Float.is_finite v then true
-  else begin
-    record ~rule ~time (Printf.sprintf "%s is not finite (%g)" what v);
-    false
-  end
-
 let violations () = List.rev !kept
 let count () = !total
 

@@ -66,11 +66,6 @@ val record : rule:string -> time:float -> string -> unit
     several domains when armed.  At most 1000 violations are kept;
     further ones only bump {!count}. *)
 
-val check_finite : rule:string -> time:float -> what:string -> float -> bool
-(** [check_finite ~rule ~time ~what v] returns [true] when [v] is
-    finite; otherwise records a violation (when enabled) and returns
-    [false]. *)
-
 val violations : unit -> violation list
 (** Accumulated violations, oldest first. *)
 

@@ -26,10 +26,6 @@ let with_knobs ?initial_cwnd ?initial_ssthresh ?beta params =
   in
   match beta with Some v -> { params with beta = v } | None -> params
 
-let pp_params ppf p =
-  Format.fprintf ppf "cubic{init=%g ssthresh=%g beta=%.2g}" p.initial_cwnd p.initial_ssthresh
-    p.beta
-
 let params_to_string p =
   Printf.sprintf "%g/%g/%.2g" p.initial_ssthresh p.initial_cwnd p.beta
 

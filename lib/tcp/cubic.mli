@@ -25,7 +25,5 @@ val make : params -> Cc.t
 (** Fresh Cubic controller.  Raises [Invalid_argument] on out-of-range
     parameters. *)
 
-val pp_params : Format.formatter -> params -> unit
-
 val params_to_string : params -> string
 (** Compact "ssthresh/init/beta" rendering used in sweep tables. *)

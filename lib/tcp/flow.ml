@@ -54,10 +54,3 @@ let sanitize t =
           (Printf.sprintf "flow %d: mean rtt %g below min rtt %g" t.flow t.mean_rtt t.min_rtt)
     end
   end
-
-let pp ppf t =
-  Format.fprintf ppf
-    "conn[flow=%d src=%d bytes=%d dur=%.3fs thr=%.3fMbps rexmit=%d rto=%d rtt=%.1f/%.1fms]"
-    t.flow t.source_index t.bytes (duration t)
-    (throughput_bps t /. 1e6)
-    t.retransmitted_segments t.timeouts (1000. *. t.min_rtt) (1000. *. t.mean_rtt)

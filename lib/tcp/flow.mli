@@ -29,8 +29,6 @@ val queueing_delay : conn_stats -> float
 (** [mean_rtt - min_rtt]: the connection's own estimate of time spent in
     queues (the signal Phi uses for [q]); [nan] without samples. *)
 
-val pp : Format.formatter -> conn_stats -> unit
-
 val sanitize : conn_stats -> unit
 (** [PHI_SANITIZE=1] hook: record an invariant violation for stats whose
     timestamps run backwards, whose counters are negative, or whose RTTs

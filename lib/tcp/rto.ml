@@ -48,6 +48,4 @@ let[@inline] current t =
 
 let backoff t = set t backoff_i (Float.min (get t backoff_i *. 2.) 64.)
 
-let reset_backoff t = set t backoff_i 1.
-
 let[@inline] srtt t ~default = if get t have_sample_i > 0. then get t srtt_i else default

@@ -16,8 +16,6 @@ val current : t -> float
 val backoff : t -> unit
 (** Double the timeout (saturating at [max_rto]); call on expiry. *)
 
-val reset_backoff : t -> unit
-
 val srtt : t -> default:float -> float
 (** Smoothed RTT, or [default] before the first sample.  Returns a bare
     float (no [option]) so per-ACK callers allocate nothing. *)

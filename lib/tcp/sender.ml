@@ -109,7 +109,6 @@ let[@inline] fset t i v = Float.Array.set t.fs i v
 let persistent_total = max_int / 2
 
 let cwnd t = t.cc.Cc.cwnd
-let in_recovery t = t.in_recovery
 let acked_segments t = t.snd_una
 let sent_segments t = t.highest_sent
 let retransmitted_segments t = t.retransmitted

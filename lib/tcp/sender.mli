@@ -44,7 +44,6 @@ val set_cwnd_bound : t -> float -> unit
     the lower bound (>= 1 packet, non-NaN); the upper check only runs
     once a bound is set.  Raises [Invalid_argument] if [bound < 1]. *)
 
-val in_recovery : t -> bool
 val acked_segments : t -> int
 val sent_segments : t -> int
 val retransmitted_segments : t -> int

@@ -93,10 +93,6 @@ let summarize xs =
     max = maximum xs;
   }
 
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p90=%.4g max=%.4g" s.count
-    s.mean s.stddev s.min s.median s.p90 s.max
-
 type ewma = { alpha : float; mutable value : float; mutable seen : bool }
 
 let ewma ~alpha =

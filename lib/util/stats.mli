@@ -50,8 +50,6 @@ type summary = {
 val summarize : float array -> summary
 (** Full summary; raises [Invalid_argument] on empty input. *)
 
-val pp_summary : Format.formatter -> summary -> unit
-
 type ewma
 (** Exponentially weighted moving average with fixed smoothing factor. *)
 

@@ -122,7 +122,7 @@ let test_pretrained_tables_ordering () =
   let config = { Scenario.table3 with Scenario.duration_s = 40. } in
   let rows = Table3.run ~seeds:[ 11; 12 ] config in
   let find name = List.find (fun (r : Table3.row) -> r.Table3.name = name) rows in
-  let obj name = (find name).Table3.median_objective in
+  let obj name = (find name).Table3.summary.Trainer.median_objective in
   Alcotest.(check bool) "remy beats cubic" true (obj "Remy" > obj "Cubic" +. 0.2);
   Alcotest.(check bool) "phi-ideal at least remy" true
     (obj "Remy-Phi-ideal" > obj "Remy" -. 0.05);
@@ -143,7 +143,7 @@ let test_sweep_runs_and_finds_optimum () =
   Alcotest.(check int) "4 points" 4 (List.length sweep.Sweep.points);
   let best = Sweep.optimal sweep in
   Alcotest.(check bool) "optimum at least default" true
-    (best.Sweep.mean_power >= sweep.Sweep.default_point.Sweep.mean_power);
+    (best.Sweep.mean.Scenario.power >= sweep.Sweep.default_point.Sweep.mean.Scenario.power);
   List.iter
     (fun p -> Alcotest.(check int) "both seeds" 2 (Array.length p.Sweep.by_seed))
     sweep.Sweep.points
@@ -193,8 +193,9 @@ let run_golden config jobs =
   let sweep = Sweep.run ~jobs config golden_grid ~seeds:[ 1; 2 ] in
   List.map
     (fun (p : Sweep.point) ->
-      Printf.sprintf "%h %h %h %h" p.Sweep.mean_throughput_bps p.Sweep.mean_queueing_delay_s
-        p.Sweep.mean_loss_rate p.Sweep.mean_power)
+      let m = p.Sweep.mean in
+      Printf.sprintf "%h %h %h %h" m.Scenario.throughput_bps m.Scenario.queueing_delay_s
+        m.Scenario.loss_rate m.Scenario.power)
     (sweep.Sweep.points @ [ sweep.Sweep.default_point ])
 
 let test_golden_low_utilization () =
@@ -230,8 +231,9 @@ let run_golden_table3 jobs =
   let config = { Scenario.table3 with Scenario.duration_s = 20. } in
   List.map
     (fun (r : Table3.row) ->
-      Printf.sprintf "%s %h %h %h %d %d" r.Table3.name r.Table3.median_throughput_bps
-        r.Table3.median_queueing_delay_s r.Table3.median_objective r.Table3.connections
+      let e = r.Table3.summary in
+      Printf.sprintf "%s %h %h %h %d %d" r.Table3.name e.Trainer.median_throughput_bps
+        e.Trainer.median_queueing_delay_s e.Trainer.median_objective e.Trainer.connections
         r.Table3.server_messages)
     (Table3.run ~jobs ~seeds:[ 1; 2 ] config)
 
@@ -386,9 +388,10 @@ let test_cc_matrix_covers_registry () =
   let capture jobs =
     List.map
       (fun (r : Cc_matrix.row) ->
+        let m = r.Cc_matrix.mean in
         Printf.sprintf "%s/%s %h %h %h %h %d" r.Cc_matrix.algorithm r.Cc_matrix.cell
-          r.Cc_matrix.throughput_bps r.Cc_matrix.queueing_delay_s r.Cc_matrix.loss_rate
-          r.Cc_matrix.power r.Cc_matrix.connections)
+          m.Scenario.throughput_bps m.Scenario.queueing_delay_s m.Scenario.loss_rate
+          m.Scenario.power m.Scenario.connections)
       (Cc_matrix.run ~jobs ~duration_s:8. ~seeds:[ 1 ] Cc_matrix.paper_cells)
   in
   let cells = capture 4 in
@@ -446,14 +449,15 @@ let test_table3_rows_and_overhead () =
     (fun r ->
       Alcotest.(check bool)
         (r.Table3.name ^ " has connections")
-        true (r.Table3.connections > 0))
+        true (r.Table3.summary.Trainer.connections > 0))
     rows;
   let practical = List.hd rows in
+  let connections = practical.Table3.summary.Trainer.connections in
   (* Minimal overhead: two messages per completed connection, plus the
      lone lookup of each connection still in flight when the run ends. *)
   Alcotest.(check bool) "about 2 messages per connection" true
-    (practical.Table3.server_messages >= 2 * practical.Table3.connections
-    && practical.Table3.server_messages <= (2 * practical.Table3.connections) + 16)
+    (practical.Table3.server_messages >= 2 * connections
+    && practical.Table3.server_messages <= (2 * connections) + 16)
 
 (* {2 Sharing (Section 2.1)} *)
 
@@ -509,24 +513,25 @@ let test_wan_matrix_structure_and_jobs_invariance () =
   let capture rows =
     List.map
       (fun (r : Cc_matrix.row) ->
+        let m = r.Cc_matrix.mean in
         Printf.sprintf "%s/%s %h %h %h %h %h %h %h %d" r.Cc_matrix.algorithm r.Cc_matrix.cell
-          r.Cc_matrix.throughput_bps r.Cc_matrix.delay_s r.Cc_matrix.queueing_delay_s
-          r.Cc_matrix.loss_rate r.Cc_matrix.power r.Cc_matrix.jain r.Cc_matrix.p99_fct_s
-          r.Cc_matrix.connections)
+          m.Scenario.throughput_bps m.Scenario.delay_s m.Scenario.queueing_delay_s
+          m.Scenario.loss_rate m.Scenario.power m.Scenario.jain m.Scenario.p99_fct_s
+          m.Scenario.connections)
       rows
   in
   let rows = run 4 in
   Alcotest.(check int) "1 algorithm x 3 topologies x 3 regimes" 9 (List.length rows);
   List.iter
     (fun (r : Cc_matrix.row) ->
-      let cell = r.Cc_matrix.algorithm ^ "/" ^ r.Cc_matrix.cell in
-      Alcotest.(check bool) (cell ^ ": connections") true (r.Cc_matrix.connections > 0);
+      let cell = r.Cc_matrix.algorithm ^ "/" ^ r.Cc_matrix.cell and m = r.Cc_matrix.mean in
+      Alcotest.(check bool) (cell ^ ": connections") true (m.Scenario.connections > 0);
       Alcotest.(check bool) (cell ^ ": jain in (0,1]") true
-        (r.Cc_matrix.jain > 0. && r.Cc_matrix.jain <= 1.);
+        (m.Scenario.jain > 0. && m.Scenario.jain <= 1.);
       Alcotest.(check bool) (cell ^ ": p99 fct sane") true
-        (r.Cc_matrix.p99_fct_s > 0. && r.Cc_matrix.p99_fct_s <= 6.);
+        (m.Scenario.p99_fct_s > 0. && m.Scenario.p99_fct_s <= 6.);
       Alcotest.(check bool) (cell ^ ": pareto point") true
-        (r.Cc_matrix.throughput_bps > 0. && r.Cc_matrix.delay_s > 0.))
+        (m.Scenario.throughput_bps > 0. && m.Scenario.delay_s > 0.))
     rows;
   Alcotest.(check (list string)) "parallel replay" golden_wan_matrix (capture rows);
   Alcotest.(check (list string)) "serial replay" golden_wan_matrix (capture (run 1));
@@ -702,6 +707,11 @@ let test_paper_runs_fill_the_record () =
   check "run" spec.Topology.n (Scenario.run (quick Scenario.low_utilization));
   check "run_persistent" 20 (Scenario.run_persistent ~n_flows:20 ~duration_s:10. ~spec ~seed:1 ())
 
+let show_records =
+  List.map (fun (c : Phi_tcp.Flow.conn_stats) ->
+      Printf.sprintf "%d/%d/%d/%h/%h" c.Phi_tcp.Flow.flow c.Phi_tcp.Flow.source_index
+        c.Phi_tcp.Flow.bytes c.Phi_tcp.Flow.started_at c.Phi_tcp.Flow.finished_at)
+
 (* [run_zoo] is [run_zoo_cell]'s projection, field for field and bit
    for bit, here on a flap cell. *)
 let test_run_zoo_projects_the_record () =
@@ -719,12 +729,104 @@ let test_run_zoo_projects_the_record () =
   same "p99 fct" r.Scenario.p99_fct_s z.Scenario.z_p99_fct_s;
   Alcotest.(check int) "connections" r.Scenario.connections z.Scenario.z_connections;
   Alcotest.(check int) "flows" r.Scenario.flows z.Scenario.z_flows;
-  let show (c : Phi_tcp.Flow.conn_stats) =
-    Printf.sprintf "%d/%d/%d/%h/%h" c.Phi_tcp.Flow.flow c.Phi_tcp.Flow.source_index
-      c.Phi_tcp.Flow.bytes c.Phi_tcp.Flow.started_at c.Phi_tcp.Flow.finished_at
+  Alcotest.(check (list string)) "records" (show_records r.Scenario.records)
+    (show_records z.Scenario.z_records)
+
+(* {2 The seed mean} *)
+
+let float_fields : (string * (Scenario.result -> float)) list =
+  let open Scenario in
+  [
+    ("throughput", fun r -> r.throughput_bps);
+    ("queueing delay", fun r -> r.queueing_delay_s);
+    ("delay", fun r -> r.delay_s);
+    ("loss", fun r -> r.loss_rate);
+    ("utilization", fun r -> r.utilization);
+    ("power", fun r -> r.power);
+    ("jain", fun r -> r.jain);
+    ("p99 fct", fun r -> r.p99_fct_s);
+  ]
+
+let check_same_result name (a : Scenario.result) (b : Scenario.result) =
+  List.iter
+    (fun (field, get) -> Alcotest.(check string) (name ^ ": " ^ field) (hex (get a)) (hex (get b)))
+    float_fields;
+  Alcotest.(check int) (name ^ ": connections") a.Scenario.connections b.Scenario.connections;
+  Alcotest.(check int) (name ^ ": flows") a.Scenario.flows b.Scenario.flows;
+  Alcotest.(check (list string)) (name ^ ": records") (show_records a.Scenario.records)
+    (show_records b.Scenario.records)
+
+(* A one-seed mean is its seed bit for bit; over several seeds every
+   float is the seeds' Stats.mean, the connections sum, and the records
+   pool in seed order. *)
+let test_scenario_mean () =
+  let config = { Scenario.low_utilization with Scenario.duration_s = 10. } in
+  let by_seed = Array.map (fun seed -> Scenario.run { config with Scenario.seed }) [| 1; 2; 3 |] in
+  check_same_result "one seed" by_seed.(0) (Scenario.mean [| by_seed.(0) |]);
+  let m = Scenario.mean by_seed in
+  List.iter
+    (fun (field, get) ->
+      Alcotest.(check string) ("mean " ^ field)
+        (hex (Phi_util.Stats.mean (Array.map get by_seed)))
+        (hex (get m)))
+    float_fields;
+  Alcotest.(check int) "connections sum"
+    (Array.fold_left (fun n r -> n + r.Scenario.connections) 0 by_seed)
+    m.Scenario.connections;
+  Alcotest.(check int) "connections count the records" m.Scenario.connections
+    (List.length m.Scenario.records);
+  Alcotest.(check (list string)) "records in seed order"
+    (List.concat_map (fun r -> show_records r.Scenario.records) (Array.to_list by_seed))
+    (show_records m.Scenario.records);
+  Alcotest.(check int) "flows" by_seed.(0).Scenario.flows m.Scenario.flows;
+  Alcotest.check_raises "no seeds" (Invalid_argument "Scenario.mean: no seeds") (fun () ->
+      ignore (Scenario.mean [||]))
+
+let test_sweep_point_mean () =
+  let config = { Scenario.high_utilization with Scenario.duration_s = 8. } in
+  let grid = { Sweep.ssthresh = [ 16. ]; init_w = [ 2. ]; beta = [ 0.2 ] } in
+  let sweep = Sweep.run ~jobs:1 config grid ~seeds:[ 1; 2 ] in
+  List.iter
+    (fun (p : Sweep.point) ->
+      check_same_result "sweep point" (Scenario.mean p.Sweep.by_seed) p.Sweep.mean)
+    (sweep.Sweep.points @ [ sweep.Sweep.default_point ])
+
+(* The shown headers and exported keys of the seed-mean rows, as the
+   figures and reports have always carried them: changing a row record
+   must not rename a table column, a CSV column or a report key. *)
+let test_printer_keys_pinned () =
+  let check name columns ~headers ~keys =
+    Alcotest.(check (list string)) (name ^ " headers") headers
+      (List.filter_map (fun c -> c.Columns.header) columns);
+    Alcotest.(check (list string)) (name ^ " keys") keys (Columns.keys columns)
   in
-  Alcotest.(check (list string)) "records" (List.map show r.Scenario.records)
-    (List.map show z.Scenario.z_records)
+  let metric_keys = [ "mean_throughput_bps"; "mean_queueing_delay_s"; "mean_loss_rate"; "mean_power" ] in
+  let metric_headers = [ "thr Mbps"; "qdelay ms"; "loss"; "power P_l" ] in
+  check "sweep" Printers.sweep_columns
+    ~headers:("" :: "ssthresh/init/beta" :: metric_headers)
+    ~keys:([ "marker"; "params"; "ssthresh"; "init_cwnd"; "beta" ] @ metric_keys);
+  check "longrun" Printers.longrun_columns ~headers:("beta" :: metric_headers)
+    ~keys:("beta" :: metric_keys);
+  check "matrix" Printers.matrix_columns
+    ~headers:
+      [
+        "algorithm"; "cell"; "aqm"; "thr Mbps"; "delay ms"; "loss"; "power P_l"; "jain"; "p99 fct s";
+        "conns";
+      ]
+    ~keys:
+      [
+        "algorithm";
+        "cell";
+        "aqm";
+        "throughput_bps";
+        "delay_s";
+        "queueing_delay_s";
+        "loss_rate";
+        "power";
+        "jain";
+        "p99_fct_s";
+        "connections";
+      ]
 
 let contains ~needle haystack =
   let n = String.length needle and h = String.length haystack in
@@ -805,5 +907,8 @@ let suite =
     ("run_zoo rejects bad duration", `Quick, test_run_zoo_rejects_bad_duration);
     ("run and run_persistent fill the record", `Quick, test_paper_runs_fill_the_record);
     ("run_zoo projects the record", `Quick, test_run_zoo_projects_the_record);
+    ("scenario mean", `Quick, test_scenario_mean);
+    ("sweep point mean is the scenario mean", `Quick, test_sweep_point_mean);
+    ("printer headers and keys pinned", `Quick, test_printer_keys_pinned);
   ]
   @ List.map dynamics_rejected bad_dynamics

@@ -66,6 +66,71 @@ let test_packet_recycling () =
   Alcotest.(check int) "high water stays 1" 1 (Packet.high_water pool);
   Alcotest.(check int) "nothing leaked" 0 (Packet.in_use pool)
 
+(* Every accessor of a packet, rendered, to compare a copy with its
+   source. *)
+let accessors pool h =
+  let b = string_of_bool and f = Printf.sprintf "%h" and i = string_of_int in
+  [
+    ("flow", i (Packet.flow pool h));
+    ("src", i (Packet.src pool h));
+    ("dst", i (Packet.dst pool h));
+    ("seq", i (Packet.seq pool h));
+    ("size", i (Packet.size pool h));
+    ("is_data", b (Packet.is_data pool h));
+    ("sent_at", f (Packet.sent_at pool h));
+    ("retransmit", b (Packet.retransmit pool h));
+    ("ce", b (Packet.ce pool h));
+    ("enqueued_at", f (Packet.enqueued_at pool h));
+    ("ack_has_echo", b (Packet.ack_has_echo pool h));
+    ("ack_echo_sent_at", f (Packet.ack_echo_sent_at pool h));
+    ("ack_echo_tx_time", f (Packet.ack_echo_tx_time pool h));
+    ("ack_ece", b (Packet.ack_ece pool h));
+    ("sack_count", i (Packet.sack_count pool h));
+  ]
+  @ List.concat
+      (List.init (Packet.sack_count pool h) (fun k ->
+           [
+             (Printf.sprintf "sack_lo %d" k, i (Packet.sack_lo pool h k));
+             (Printf.sprintf "sack_hi %d" k, i (Packet.sack_hi pool h k));
+           ]))
+
+(* A packet exported from one pool and imported into another reads the
+   same through every accessor.  The exported handle stays the
+   caller's to release, and the destination pool counts the import. *)
+let test_packet_round_trip_across_pools () =
+  let src = Packet.create_pool () and dst = Packet.create_pool () in
+  let d = Packet.acquire_data src ~flow:3 ~src:4 ~dst:5 ~seq:41 ~now:1.25 ~retransmit:true in
+  Packet.mark_ce src d;
+  Packet.set_enqueued_at src d 1.5;
+  let a =
+    Packet.acquire_ack src ~flow:3 ~src:5 ~dst:4 ~next_expected:42 ~has_echo:true
+      ~echo_sent_at:0.75 ~echo_tx_time:0.875 ~ece:true ~now:2.
+  in
+  List.iter (fun (lo, hi) -> Packet.add_sack src a ~lo ~hi) [ (50, 52); (45, 47); (43, 44) ];
+  let ints = Array.make (2 * Packet.cell_ints) 0 in
+  let floats = Float.Array.make (2 * Packet.cell_floats) 0. in
+  Packet.export src d ints 0 floats 0;
+  Packet.export src a ints Packet.cell_ints floats Packet.cell_floats;
+  Alcotest.(check int) "export keeps the sources live" 2 (Packet.in_use src);
+  (* A packet already live in the destination puts the copies in other
+     cells than their sources. *)
+  let other = data dst ~seq:0 in
+  let d' = Packet.import dst ints 0 floats 0 in
+  let a' = Packet.import dst ints Packet.cell_ints floats Packet.cell_floats in
+  let same = Alcotest.(check (list (pair string string))) in
+  same "data packet" (accessors src d) (accessors dst d');
+  same "ack" (accessors src a) (accessors dst a');
+  Alcotest.(check bool) "retransmit carried" true (Packet.retransmit dst d');
+  Alcotest.(check bool) "ce carried" true (Packet.ce dst d');
+  Alcotest.(check bool) "ece carried" true (Packet.ack_ece dst a');
+  Alcotest.(check int) "sack blocks carried" 3 (Packet.sack_count dst a');
+  Alcotest.(check int) "destination in use" 3 (Packet.in_use dst);
+  Alcotest.(check int) "destination high water" 3 (Packet.high_water dst);
+  List.iter (Packet.release src) [ d; a ];
+  List.iter (Packet.release dst) [ other; d'; a' ];
+  Alcotest.(check int) "source drained" 0 (Packet.in_use src);
+  Alcotest.(check int) "destination drained" 0 (Packet.in_use dst)
+
 let test_packet_double_release_rejected () =
   if Phi_sim.Invariant.enabled () then
     (* Under PHI_SANITIZE the stale release is recorded, not raised;
@@ -1018,6 +1083,7 @@ let suite =
     ("packet sack limit", `Quick, test_packet_sack_limit);
     ("packet recycling", `Quick, test_packet_recycling);
     ("packet double release", `Quick, test_packet_double_release_rejected);
+    ("packet round trip across pools", `Quick, test_packet_round_trip_across_pools);
     ("link delivery timing", `Quick, test_link_delivery_timing);
     ("link fifo order", `Quick, test_link_fifo_order);
     ("link drop tail", `Quick, test_link_drop_tail);

@@ -105,12 +105,13 @@ let check_point msg (a : Sweep.point) (b : Sweep.point) =
     (msg ^ " params")
     (Phi_tcp.Cubic.params_to_string a.Sweep.params)
     (Phi_tcp.Cubic.params_to_string b.Sweep.params);
-  Alcotest.(check (float 0.)) (msg ^ " throughput") a.Sweep.mean_throughput_bps
-    b.Sweep.mean_throughput_bps;
-  Alcotest.(check (float 0.)) (msg ^ " qdelay") a.Sweep.mean_queueing_delay_s
-    b.Sweep.mean_queueing_delay_s;
-  Alcotest.(check (float 0.)) (msg ^ " loss") a.Sweep.mean_loss_rate b.Sweep.mean_loss_rate;
-  Alcotest.(check (float 0.)) (msg ^ " power") a.Sweep.mean_power b.Sweep.mean_power
+  let a = a.Sweep.mean and b = b.Sweep.mean in
+  Alcotest.(check (float 0.)) (msg ^ " throughput") a.Scenario.throughput_bps
+    b.Scenario.throughput_bps;
+  Alcotest.(check (float 0.)) (msg ^ " qdelay") a.Scenario.queueing_delay_s
+    b.Scenario.queueing_delay_s;
+  Alcotest.(check (float 0.)) (msg ^ " loss") a.Scenario.loss_rate b.Scenario.loss_rate;
+  Alcotest.(check (float 0.)) (msg ^ " power") a.Scenario.power b.Scenario.power
 
 let test_sweep_identical_across_jobs () =
   (* The Figure 2a workload on a reduced budget: every per-setting
