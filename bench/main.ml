@@ -9,8 +9,9 @@
    The default configuration is a documented downsampling of the paper's
    budgets (coarser parameter grid, fewer seeds) so the whole harness
    finishes in minutes; --full uses the paper's Table 2 grid and 8 runs.
-   An unknown --only ID runs nothing and exits 2.  Experiments print
-   through Phi_experiments.Printers, as in phi-cli.
+   An unknown --only ID runs nothing and exits 2, and so does an
+   argument the harness does not know or a value flag without its value.
+   Experiments print through Phi_experiments.Printers, as in phi-cli.
 
    --jobs N fans the grid-shaped experiments' (setting, seed) cells over
    N domains via Phi_runner.Pool (default: the core count; --jobs 1 is
@@ -462,16 +463,25 @@ let bench_micro budget =
 (* {2 Driver} *)
 
 let () =
-  let args = Array.to_list Sys.argv in
-  let has flag = List.mem flag args in
-  let value_of flag =
-    let rec find = function
-      | f :: v :: _ when f = flag -> Some v
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
+  let usage msg =
+    prerr_endline ("bench: " ^ msg);
+    exit 2
   in
+  (* Every argument is a switch, a value flag, or the value right after
+     one; a value never starts with "--", so a flag cannot swallow the
+     next flag. *)
+  let switches = [ "--quick"; "--full" ] and value_flags = [ "--only"; "--csv"; "--jobs"; "--json" ] in
+  let rec parse = function
+    | [] -> []
+    | f :: rest when List.mem f switches -> (f, "") :: parse rest
+    | f :: v :: rest when List.mem f value_flags && not (String.starts_with ~prefix:"--" v) ->
+      (f, v) :: parse rest
+    | f :: _ when List.mem f value_flags -> usage (f ^ " expects a value")
+    | a :: _ -> usage ("unknown argument " ^ a)
+  in
+  let opts = parse (List.tl (Array.to_list Sys.argv)) in
+  let has flag = List.mem_assoc flag opts in
+  let value_of flag = List.assoc_opt flag opts in
   let budget =
     if has "--full" then full_budget
     else if has "--quick" then quick_budget

@@ -150,7 +150,7 @@ let wan_remyphi_packets select duration_s () =
   let zoo = Topology.Zoo.wan () in
   let w =
     Cc_select.wire select ~capacity_bps:zoo.Topology.Zoo.bottleneck_bw_bps
-      ~path:zoo.Topology.Zoo.name Cc_algo.Remy_phi
+      ~path:zoo.Topology.Zoo.name (Cc_select.Algorithm Cc_algo.Remy_phi)
   in
   let links = ref [||] in
   let observe engine built =

@@ -90,7 +90,7 @@ let () =
   (* A client from an unseen /24 in a known /16 still gets an answer. *)
   let cousin = prefix_of 10 1 99 in
   print_endline "\nnew client 10.1.99.0/24 (never seen, same /16 as fibre-metro):";
-  match Predictor.throughput_bps history ~prefix24:cousin () with
+  (match Predictor.throughput_bps history ~prefix24:cousin () with
   | Some est ->
     let level =
       match est.Predictor.level with
@@ -101,4 +101,5 @@ let () =
     in
     Printf.printf "  predicted throughput %.1f Mbps (from %s history, %d samples)\n"
       (est.Predictor.value /. 1e6) level est.Predictor.samples
-  | None -> print_endline "  no estimate"
+  | None -> print_endline "  no estimate");
+  Sanitize.check ()

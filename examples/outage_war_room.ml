@@ -64,4 +64,5 @@ let () =
   | [] -> ());
   Printf.printf "\nground truth: %s — %s\n"
     (Format.asprintf "%a" Rs.pp_scope outage.Rs.scope)
-    (if Figure5.correctly_localized r then "CORRECTLY identified" else "missed")
+    (if Figure5.correctly_localized r then "CORRECTLY identified" else "missed");
+  Sanitize.check ()

@@ -8,9 +8,9 @@
 
    Run with: dune exec examples/quickstart.exe *)
 
-module Engine = Phi_sim.Engine
 module Topology = Phi_net.Topology
 module Scenario = Phi_experiments.Scenario
+module Cc_select = Phi_experiments.Cc_select
 
 let describe name (r : Scenario.result) =
   Printf.printf "%-12s %5.2f Mbps throughput | %6.1f ms queueing delay | %5.2f%% loss | P_l %.2f\n"
@@ -34,25 +34,14 @@ let () =
      policy here is the built-in heuristic; a production deployment would
      populate it from sweeps (see Phi.Policy.learn). *)
   let phi_run =
-    let client = ref None in
-    Scenario.run
-      ~observe:(fun engine dumbbell ->
-        let server =
-          Phi.Context_server.create engine
-            ~capacity_bps:(Phi_net.Link.bandwidth_bps dumbbell.Topology.bottleneck)
-            ()
-        in
-        let policy = Phi.Policy.create () in
-        client := Some (Phi.Phi_client.create ~server ~policy ~path:"egress" ()))
-      ~cc_factory:(fun _index () ->
-        match !client with
-        | Some c -> Phi.Phi_client.factory c ()
-        | None -> assert false)
-      ~on_conn_end:(fun stats ->
-        match !client with
-        | Some c -> Phi.Phi_client.on_conn_end c stats
-        | None -> assert false)
-      config
+    let w =
+      Cc_select.wire (Cc_select.create ())
+        ~capacity_bps:config.Scenario.spec.Topology.bottleneck_bw_bps ~path:"egress"
+        (Cc_select.Policy (Phi.Policy.create ()))
+    in
+    Scenario.run ~cc_factory:w.Cc_select.cc_factory
+      ~observe:(fun engine _ -> w.Cc_select.attach engine)
+      ~on_conn_end:w.Cc_select.on_conn_end config
   in
   describe "phi" phi_run;
 
@@ -60,13 +49,4 @@ let () =
   Printf.printf "\nPhi %s the power metric (%.2f -> %.2f)\n"
     (if better then "improved" else "did not improve")
     baseline.Scenario.power phi_run.Scenario.power;
-
-  (* Under PHI_SANITIZE=1 the runs above were checked against the
-     simulator's invariants; surface any violation as a failure. *)
-  let module Invariant = Phi_sim.Invariant in
-  if Invariant.enabled () then
-    if Invariant.count () = 0 then print_endline "sanitize: clean"
-    else begin
-      prerr_string (Invariant.report ());
-      exit 1
-    end
+  Sanitize.check ()

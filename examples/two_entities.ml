@@ -11,9 +11,9 @@
 
    Run with: dune exec examples/two_entities.exe *)
 
-module Engine = Phi_sim.Engine
 module Topology = Phi_net.Topology
 module Scenario = Phi_experiments.Scenario
+module Cc_select = Phi_experiments.Cc_select
 module Flow = Phi_tcp.Flow
 module Stats = Phi_util.Stats
 
@@ -51,28 +51,22 @@ let run ~a_uses_phi =
   let config =
     { Scenario.high_utilization with Scenario.duration_s = 90.; Scenario.seed = 5 }
   in
-  let client = ref None in
   let result =
-    Scenario.run
-      ~observe:(fun engine dumbbell ->
-        if a_uses_phi then begin
-          let server =
-            Phi.Context_server.create engine
-              ~capacity_bps:(Phi_net.Link.bandwidth_bps dumbbell.Topology.bottleneck)
-              ()
-          in
-          let policy = Phi.Policy.create () in
-          client := Some (Phi.Phi_client.create ~server ~policy ~path:"entity-a" ())
-        end)
-      ~cc_factory:(fun index () ->
-        match (!client, index < 4) with
-        | Some c, true -> Phi.Phi_client.factory c ()
-        | _ -> Phi_tcp.Cubic.make Phi_tcp.Cubic.default_params)
-      ~on_conn_end:(fun stats ->
-        match (!client, stats.Flow.source_index < 4) with
-        | Some c, true -> Phi.Phi_client.on_conn_end c stats
-        | _ -> ())
-      config
+    if a_uses_phi then
+      let w =
+        Cc_select.wire (Cc_select.create ())
+          ~capacity_bps:config.Scenario.spec.Topology.bottleneck_bw_bps ~path:"entity-a"
+          (Cc_select.Policy (Phi.Policy.create ()))
+      in
+      Scenario.run
+        ~observe:(fun engine _ -> w.Cc_select.attach engine)
+        ~cc_factory:(fun index ->
+          if index < 4 then w.Cc_select.cc_factory index
+          else fun () -> Phi_tcp.Cubic.make Phi_tcp.Cubic.default_params)
+        ~on_conn_end:(fun stats ->
+          if stats.Flow.source_index < 4 then w.Cc_select.on_conn_end stats)
+        config
+    else Scenario.run config
   in
   let a, b = List.partition (fun (r : Flow.conn_stats) -> r.Flow.source_index < 4) result.Scenario.records in
   (a, b)
@@ -94,4 +88,5 @@ let () =
     "\nentity A gained %.0f%% throughput from purely internal coordination\n"
     (100. *. ((thr a1 /. Float.max 1. (thr a0)) -. 1.));
   Printf.printf "entity B moved by %.0f%% (no cooperation required from it)\n"
-    (100. *. ((thr b1 /. Float.max 1. (thr b0)) -. 1.))
+    (100. *. ((thr b1 /. Float.max 1. (thr b0)) -. 1.));
+  Sanitize.check ()

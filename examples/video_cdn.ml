@@ -42,4 +42,5 @@ let () =
     | [] -> 0.
   in
   Printf.printf "\nHD stream enjoys %.1fx a bulk flow's bandwidth without hurting other entities\n"
-    (hd /. Float.max 1. bulk)
+    (hd /. Float.max 1. bulk);
+  Sanitize.check ()

@@ -53,5 +53,3 @@ let bucket_distance a b =
 let pp ppf t =
   Format.fprintf ppf "ctx{u=%.2f q=%.1fms n=%d loss=%.2f%%}" t.utilization
     (1000. *. t.queue_delay_s) t.competing_senders (100. *. t.loss_rate)
-
-let pp_bucket ppf b = Format.fprintf ppf "bucket(u=%d n=%d q=%d)" b.u_bucket b.n_bucket b.q_bucket

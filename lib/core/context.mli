@@ -54,4 +54,3 @@ val bucket_distance : bucket -> bucket -> int
     fallback. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_bucket : Format.formatter -> bucket -> unit

@@ -142,8 +142,6 @@ let create engine ?capacity_bps ?(window_s = 10.) ?(epoch_s = 1.) ?(shards = 1)
     reports = 0;
   }
 
-let shard_count t = Array.length t.shards
-
 (* FNV-1a over the prefix, reduced mod the shard count: stable across
    runs and processes (the swarm's jobs-invariance rests on it). *)
 let prefix_hash path =

@@ -68,8 +68,6 @@ val create :
 val max_window_epochs : int
 (** 1024: the most epochs of [epoch_s] that [window_s] may span. *)
 
-val shard_count : t -> int
-
 val lookup : ?max_staleness:int -> t -> path:string -> Context.t
 (** Called by a sender when a connection starts.  [max_staleness]
     (default 0) is the freshness demand in epochs: 0 answers from the

@@ -109,9 +109,6 @@ let response_to_string = function
     let b = start (2 + varint_size epoch) tag_accepted in
     finish_write b (put_varint b 2 epoch)
 
-let encode_request buf req = Buffer.add_string buf (request_to_string req)
-let encode_response buf resp = Buffer.add_string buf (response_to_string resp)
-
 (* {2 Readers}
 
    Every reader takes the source and a mutable position and returns the

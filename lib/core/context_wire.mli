@@ -55,11 +55,6 @@ val request_to_string : request -> string
 
 val response_to_string : response -> string
 
-val encode_request : Buffer.t -> request -> unit
-(** Append {!request_to_string}'s bytes. *)
-
-val encode_response : Buffer.t -> response -> unit
-
 val decode_request : string -> (request, string) result
 (** [Error reason] names the first malformed field; never raises. *)
 

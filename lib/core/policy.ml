@@ -1,21 +1,13 @@
 module Cubic = Phi_tcp.Cubic
 
-type t = {
-  default : Cc_algo.t;
-  table : (Context.bucket, Cc_algo.t) Hashtbl.t;
-  mutable generation : int;
-}
+type t = { default : Cc_algo.t; table : (Context.bucket, Cc_algo.t) Hashtbl.t }
 
 let create ?(default = Cc_algo.Cubic Cubic.default_params) () =
-  { default; table = Hashtbl.create 32; generation = 0 }
+  { default; table = Hashtbl.create 32 }
 
-let learn t bucket choice =
-  Hashtbl.replace t.table bucket choice;
-  t.generation <- t.generation + 1
+let learn t bucket choice = Hashtbl.replace t.table bucket choice
 
 let learned t = Hashtbl.fold (fun b c acc -> (b, c) :: acc) t.table []
-
-let generation t = t.generation
 
 (* The heuristic's severity-tier presets, hoisted to module init (the
    two congested tiers double up for the deep-queue beta variant): the
@@ -80,32 +72,15 @@ let choice_for t ctx =
   | None -> heuristic ctx
 
 module Compiled = struct
-  type policy = t
-
-  type t = {
-    source : policy;
-    generation : int;
-    (* Packed bucket code -> learned resolution; [None] falls through
-       to the (preset-backed, allocation-free) heuristic at lookup. *)
-    entries : Cc_algo.t option array;
-  }
+  (* Packed bucket code -> learned resolution; [None] falls through
+     to the (preset-backed, allocation-free) heuristic at lookup. *)
+  type t = Cc_algo.t option array
 
   let compile source =
-    {
-      source;
-      generation = source.generation;
-      entries =
-        Array.init Context.bucket_codes (fun code ->
-            resolved source (Context.bucket_of_code code));
-    }
-
-  let is_fresh t source = t.source == source && t.generation = source.generation
+    Array.init Context.bucket_codes (fun code -> resolved source (Context.bucket_of_code code))
 
   let choice_for t ctx =
-    match Array.unsafe_get t.entries (Context.bucket_code ctx) with
+    match Array.unsafe_get t (Context.bucket_code ctx) with
     | Some choice -> choice
     | None -> heuristic ctx
-
-  let source t = t.source
-  let generation t = t.generation
 end

@@ -17,13 +17,10 @@ val create : ?default:Cc_algo.t -> unit -> t
     {!Phi_tcp.Cubic.default_params}. *)
 
 val learn : t -> Context.bucket -> Cc_algo.t -> unit
-(** Record the optimal choice found for a bucket (overwrites); bumps the
-    generation, invalidating compiled forms. *)
+(** Record the optimal choice found for a bucket (overwrites).  A
+    {!Compiled} form taken earlier does not see it. *)
 
 val learned : t -> (Context.bucket * Cc_algo.t) list
-
-val generation : t -> int
-(** Bumped by every {!learn}; {!Compiled.is_fresh} checks against it. *)
 
 val choice_for : t -> Context.t -> Cc_algo.t
 (** Exact bucket hit; otherwise the nearest learned bucket (L1 bucket
@@ -46,8 +43,8 @@ val heuristic : Context.t -> Cc_algo.t
     buckets that would fall through to the heuristic stay [None] and
     resolve through the preset-backed heuristic at lookup — so a
     compiled choice is always physically identical to the interpreted
-    one.  Immutable and domain-shareable; generation-stamped against the
-    source policy, so holders recompile after {!learn}. *)
+    one.  Immutable and domain-shareable: a snapshot of the source
+    policy, so compile after the last {!learn}. *)
 module Compiled : sig
   type policy := t
 
@@ -55,14 +52,7 @@ module Compiled : sig
 
   val compile : policy -> t
 
-  val is_fresh : t -> policy -> bool
-  (** [true] iff compiled from exactly this policy (physical equality)
-      at its current generation. *)
-
   val choice_for : t -> Context.t -> Cc_algo.t
   (** One bucketization + one array load (heuristic presets on [None]):
       allocation-free. *)
-
-  val source : t -> policy
-  val generation : t -> int
 end

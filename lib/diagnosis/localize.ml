@@ -14,6 +14,7 @@ let window_sums series (start_min, end_min) baseline =
 
 let uniques values = List.sort_uniq String.compare values
 
+(* Every single-value slice plus every (metro, ISP) pair present. *)
 let candidate_scopes cells =
   let cells_only = List.map fst cells in
   let metros = uniques (List.map (fun (c : Rs.cell) -> c.Rs.metro) cells_only) in

@@ -13,11 +13,6 @@ type finding = {
   own_drop : float;  (** the slice's own traffic drop fraction in the window *)
 }
 
-val candidate_scopes :
-  (Phi_workload.Request_stream.cell * float array) list ->
-  Phi_workload.Request_stream.scope list
-(** Every single-value slice plus every (metro, ISP) pair present. *)
-
 val localize :
   cells:(Phi_workload.Request_stream.cell * float array) list ->
   window:int * int ->

@@ -21,7 +21,9 @@ type row = { algorithm : string; cell : string; aqm : string; mean : Scenario.re
 (* One seeded run of one algorithm in one cell: the cell's name, its
    AQM and its result. *)
 let run_cell select ?duration_s ~seed algo cell =
-  let wire = Cc_select.wire select in
+  let wire ~capacity_bps ~path =
+    Cc_select.wire select ~capacity_bps ~path (Cc_select.Algorithm algo)
+  in
   match cell with
   | Paper load ->
     let name, config =
@@ -32,14 +34,14 @@ let run_cell select ?duration_s ~seed algo cell =
     let config =
       { config with Scenario.seed; duration_s = Option.value duration_s ~default:config.duration_s }
     in
-    let w = wire ~capacity_bps:config.Scenario.spec.Topology.bottleneck_bw_bps ~path:"dumbbell" algo in
+    let w = wire ~capacity_bps:config.Scenario.spec.Topology.bottleneck_bw_bps ~path:"dumbbell" in
     ( name,
       Scenario.Drop_tail,
       Scenario.run ~cc_factory:w.cc_factory ~observe:(fun e _ -> w.attach e)
         ~on_conn_end:w.on_conn_end config )
   | Zoo { topology; dynamics; aqm } ->
     let zoo = Topology.Zoo.by_name topology in
-    let w = wire ~capacity_bps:zoo.Topology.Zoo.bottleneck_bw_bps ~path:zoo.Topology.Zoo.name algo in
+    let w = wire ~capacity_bps:zoo.Topology.Zoo.bottleneck_bw_bps ~path:zoo.Topology.Zoo.name in
     ( topology ^ "/" ^ dynamics,
       aqm,
       Scenario.run_zoo_cell ~cc_factory:w.cc_factory ~observe:(fun e _ -> w.attach e)

@@ -1,5 +1,6 @@
 module Cc_algo = Phi.Cc_algo
 module Context_server = Phi.Context_server
+module Policy = Phi.Policy
 module Remy_cc = Phi_remy.Remy_cc
 module Compiled_table = Phi_remy.Compiled_table
 
@@ -26,6 +27,8 @@ let builder t : Cc_algo.builder =
     Remy_cc.make ~table:t.remy_phi_table ~util:(`At_start (fun () -> u)) ()
   | Cc_algo.Cubic _ | Cc_algo.Reno _ | Cc_algo.Vegas -> Cc_algo.basic_builder ~ctx algo
 
+type choice = Algorithm of Cc_algo.t | Policy of Policy.t
+
 type wiring = {
   cc_factory : int -> unit -> Phi_tcp.Cc.t;
   attach : Phi_sim.Engine.t -> unit;
@@ -33,28 +36,35 @@ type wiring = {
   messages : unit -> int;
 }
 
-let wire t ~capacity_bps ~path algo =
-  let build ctx = builder t ~ctx algo in
-  match algo with
-  | Cc_algo.Remy_phi ->
-    let server = ref None and messages = ref 0 in
-    let with_server f =
-      match !server with
-      | Some s ->
-        incr messages;
-        f s
-      | None -> invalid_arg "Cc_select.wire: remy-phi connection before attach"
-    in
+(* The practical protocol: one lookup as each connection starts, whose
+   context [pick] maps to the algorithm the connection builds, and one
+   report as it ends. *)
+let served t ~capacity_bps ~path pick =
+  let server = ref None and messages = ref 0 in
+  let with_server f =
+    match !server with
+    | Some s ->
+      incr messages;
+      f s
+    | None -> invalid_arg "Cc_select.wire: served connection before attach"
+  in
+  {
+    cc_factory =
+      (fun _ () ->
+        let ctx = with_server (fun s -> Context_server.lookup s ~path) in
+        builder t ~ctx (pick ctx));
+    attach = (fun engine -> server := Some (Context_server.create engine ~capacity_bps ()));
+    on_conn_end = (fun stats -> with_server (fun s -> Context_server.report_stats s ~path stats));
+    messages = (fun () -> !messages);
+  }
+
+let wire t ~capacity_bps ~path = function
+  | Algorithm Cc_algo.Remy_phi -> served t ~capacity_bps ~path (fun _ -> Cc_algo.Remy_phi)
+  | Policy policy ->
+    served t ~capacity_bps ~path (Policy.Compiled.choice_for (Policy.Compiled.compile policy))
+  | Algorithm ((Cc_algo.Cubic _ | Cc_algo.Reno _ | Cc_algo.Vegas | Cc_algo.Remy) as algo) ->
     {
-      (* One lookup as each connection starts. *)
-      cc_factory = (fun _ () -> build (with_server (fun s -> Context_server.lookup s ~path)));
-      attach = (fun engine -> server := Some (Context_server.create engine ~capacity_bps ()));
-      on_conn_end = (fun stats -> with_server (fun s -> Context_server.report_stats s ~path stats));
-      messages = (fun () -> !messages);
-    }
-  | Cc_algo.Cubic _ | Cc_algo.Reno _ | Cc_algo.Vegas | Cc_algo.Remy ->
-    {
-      cc_factory = (fun _ () -> build Phi.Context.empty);
+      cc_factory = (fun _ () -> builder t ~ctx:Phi.Context.empty algo);
       attach = ignore;
       on_conn_end = ignore;
       messages = (fun () -> 0);

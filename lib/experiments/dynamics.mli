@@ -34,9 +34,6 @@ val default_flap : t
 val default_jitter : t
 (** ±30% delay re-draw every 500 ms. *)
 
-val default_incast : t
-(** 8-way, 64-segment synchronized burst every 3 s. *)
-
 val default_flash_crowd : t
 (** Offered load triples at the half-way point. *)
 

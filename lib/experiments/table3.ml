@@ -28,7 +28,7 @@ let run_variant select (config : Scenario.config) variant =
   | `Registry algo ->
     let w =
       Cc_select.wire select ~capacity_bps:config.Scenario.spec.Topology.bottleneck_bw_bps
-        ~path:"dumbbell" algo
+        ~path:"dumbbell" (Cc_select.Algorithm algo)
     in
     let r =
       Scenario.run ~cc_factory:w.Cc_select.cc_factory

@@ -8,7 +8,7 @@
    module-level binding that constructs mutable state.
 
    Cold regions — code that cannot run on a steady-state hot path — are
-   excluded from allocation-effect propagation at the source:
+   excluded from the hot-alloc pass at the source:
    - arguments of [raise] / [invalid_arg] / [failwith] (error paths);
    - branches guarded by [Invariant.enabled ()] / [!Invariant.armed]
      (sanitizer-only paths, compiled out of disarmed runs);

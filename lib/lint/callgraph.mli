@@ -19,12 +19,10 @@ val find : t -> string -> Ast_scan.func list
     components — normally zero or one; several only if two modules
     share a basename (the analyses then stay conservative). *)
 
-val resolve : t -> caller_module:string -> string -> Ast_scan.func list
-(** Resolve a raw reference as written inside [caller_module]: bare
-    names resolve within that module, dotted paths by suffix. *)
-
 val resolve_global : t -> caller_module:string -> string -> Ast_scan.global option
-(** Like {!resolve} for module-level mutable bindings. *)
+(** Resolve a raw reference to a module-level mutable binding as written
+    inside [caller_module]: bare names resolve within that module,
+    dotted paths by suffix. *)
 
 val caller_module_of : Ast_scan.func -> string
 (** The innermost enclosing module of a function id — the module bare

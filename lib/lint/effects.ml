@@ -1,9 +1,6 @@
-(* hot-alloc: the allocation-effect lattice and its propagation.
+(* hot-alloc: allocation sites on the hot paths.
 
-   Each function's own effect is the set of allocation kinds appearing
-   (non-cold) in its body; its summary effect is the join of its own
-   and its resolvable callees' — a fixpoint over the call graph.  The
-   violation pass walks every function reachable from the hot entry
+   The violation pass walks every function reachable from the hot entry
    points through non-cold edges and reports each non-cold allocation
    site, carrying the call chain so the report explains *why* the site
    is hot.  This is the static complement of the runtime
@@ -24,68 +21,6 @@ let default_entries =
     "Receiver.handle"; "Receiver.send_ack";
   ]
 
-module Kinds = Set.Make (struct
-  type t = Ast_scan.alloc_kind
-
-  let compare = Stdlib.compare (* phi-lint: allow poly-compare *)
-end)
-
-let own_effect (f : Ast_scan.func) =
-  List.fold_left
-    (fun acc (a : Ast_scan.alloc) -> if a.a_cold then acc else Kinds.add a.a_kind acc)
-    Kinds.empty f.f_allocs
-
-(* Per-function summary effects: own ∪ callees', to a fixpoint.  The
-   graph is small (hundreds of nodes), so a simple iterate-until-stable
-   pass is plenty. *)
-let summaries graph =
-  let fs = Callgraph.funcs graph in
-  let eff : (string, Kinds.t) Hashtbl.t = Hashtbl.create 256 in
-  List.iter (fun (f : Ast_scan.func) -> Hashtbl.replace eff f.f_id (own_effect f)) fs;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (f : Ast_scan.func) ->
-        if not f.f_cold then begin
-          let caller_module = Callgraph.caller_module_of f in
-          let cur =
-            match Hashtbl.find_opt eff f.f_id with Some k -> k | None -> Kinds.empty
-          in
-          let next =
-            List.fold_left
-              (fun acc (c : Ast_scan.call) ->
-                if c.c_cold then acc
-                else
-                  List.fold_left
-                    (fun acc (callee : Ast_scan.func) ->
-                      if callee.f_cold then acc
-                      else
-                        Kinds.union acc
-                          (match Hashtbl.find_opt eff callee.f_id with
-                          | Some k -> k
-                          | None -> Kinds.empty))
-                    acc
-                    (Callgraph.resolve graph ~caller_module c.c_path))
-              cur f.f_calls
-          in
-          if not (Kinds.equal next cur) then begin
-            Hashtbl.replace eff f.f_id next;
-            changed := true
-          end
-        end)
-      fs
-  done;
-  eff
-
-let effect_of graph name =
-  let eff = summaries graph in
-  match Callgraph.find graph name with
-  | [] -> []
-  | f :: _ ->
-    Kinds.elements
-      (match Hashtbl.find_opt eff f.Ast_scan.f_id with Some k -> k | None -> Kinds.empty)
-
 (* Render a call chain compactly: entry, an ellipsis when deep, and the
    last couple of hops — enough to locate the path without drowning the
    diagnostic. *)
@@ -102,8 +37,8 @@ let render_chain chain =
 
 type finding = { file : string; line : int; message : string }
 
-let violations ?(entries = default_entries) graph =
-  let roots = List.concat_map (Callgraph.find graph) entries in
+let violations graph =
+  let roots = List.concat_map (Callgraph.find graph) default_entries in
   let paths = Callgraph.reach graph ~roots ~include_cold:false in
   let out = ref [] in
   List.iter

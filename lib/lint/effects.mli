@@ -1,26 +1,17 @@
-(** hot-alloc: allocation-effect propagation over the call graph.
+(** hot-alloc: allocation sites on the hot paths of the call graph.
 
-    A function's effect is the set of {!Ast_scan.alloc_kind}s it can
-    perform, joined with its resolvable callees' effects to a fixpoint.
     {!violations} reports every non-cold allocation site in every
     function reachable from the hot entry points through non-cold
     edges, each carrying the call chain that makes it hot. *)
 
-val default_entries : string list
-(** The steady-state hot paths: the engine event loop ([Engine.step] /
-    [Engine.run]), the link pipeline ([Link.send] and its service /
-    completion / delivery handlers), local delivery ([Node.receive]),
-    and the transport per-packet handlers ([Sender.on_ack] /
-    [Sender.on_packet], [Receiver.handle] / [Receiver.send_ack]).
-    Setup paths are deliberately absent. *)
-
-val effect_of : Callgraph.t -> string -> Ast_scan.alloc_kind list
-(** Fixpoint summary effect of the named function (suffix-resolved),
-    own allocations joined with reachable callees'.  Empty when the
-    function is unknown or allocation-free. *)
-
 type finding = { file : string; line : int; message : string }
 
-val violations : ?entries:string list -> Callgraph.t -> finding list
-(** One finding per non-cold allocation site reachable from [entries]
-    (default {!default_entries}), in file order of discovery. *)
+val violations : Callgraph.t -> finding list
+(** One finding per non-cold allocation site reachable from the
+    steady-state hot paths, in file order of discovery.  The entry
+    points are the engine event loop ([Engine.step] / [Engine.run]),
+    the link pipeline ([Link.send] and its service / completion /
+    delivery handlers), local delivery ([Node.receive]), and the
+    transport per-packet handlers ([Sender.on_ack] /
+    [Sender.on_packet], [Receiver.handle] / [Receiver.send_ack]).
+    Setup paths are deliberately absent. *)

@@ -112,8 +112,8 @@ let in_transport_scope path =
 
 (* [interpreted-lookup] keeps the decision plane compiled where it is
    hot: the per-ack sender paths (lib/tcp, the Remy controller),
-   per-connection setup (Phi_client), and the swarm's million-lookup
-   client half.  The compilers themselves (Compiled_table,
+   per-connection setup (Cc_select's wiring), and the swarm's
+   million-lookup client half.  The compilers themselves (Compiled_table,
    Policy.Compiled) must call the interpreted forms to lower them, and
    live outside this scope. *)
 let in_decision_scope path =
@@ -121,8 +121,9 @@ let in_decision_scope path =
   || (path_has_dir path "lib/remy"
      && (String.ends_with ~suffix:"/remy_cc.ml" path
         || String.ends_with ~suffix:"/remy_cc.mli" path))
-  || (path_has_dir path "lib/experiments" && String.ends_with ~suffix:"/swarm.ml" path)
-  || (path_has_dir path "lib/core" && String.ends_with ~suffix:"/phi_client.ml" path)
+  || (path_has_dir path "lib/experiments"
+     && (String.ends_with ~suffix:"/swarm.ml" path
+        || String.ends_with ~suffix:"/cc_select.ml" path))
 
 open Ppxlib
 

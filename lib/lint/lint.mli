@@ -11,8 +11,9 @@
     OCaml 5.2 Parsetree on every supported compiler), and that one tree
     feeds every rule.  The pattern rules are one traversal over
     identifiers, type constructors, module paths and record
-    declarations.  On top of the same trees run an allocation-effect
-    lattice propagated over a project-wide call graph ([hot-alloc], see
+    declarations.  On top of the same trees run a reachability pass
+    from the hot entry points over a project-wide call graph that
+    reports every allocation site it reaches ([hot-alloc], see
     {!Effects}), an intraprocedural handle-lifetime analysis for pooled
     packets ([handle-lifetime], see {!Handle_flow}), and a reachability
     analysis from pool jobs to module-level mutable state
@@ -101,10 +102,11 @@ val rules : (string * string) list
     - [interpreted-lookup]: a call to the interpreted decision plane
       ([Rule_table.lookup]/[lookup_index] or [Policy.choice_for]) from a
       hot module ([lib/tcp], the Remy controller [lib/remy/remy_cc.ml],
-      the swarm client half [lib/experiments/swarm.ml], or
-      [lib/core/phi_client.ml]) — hot paths must take the compiled flat
-      forms ([Compiled_table.lookup], [Policy.Compiled.choice_for]);
-      only the compilers themselves lower via the interpreted scan. *)
+      the swarm client half [lib/experiments/swarm.ml], or the
+      per-connection wiring [lib/experiments/cc_select.ml]) — hot paths
+      must take the compiled flat forms ([Compiled_table.lookup],
+      [Policy.Compiled.choice_for]); only the compilers themselves lower
+      via the interpreted scan. *)
 
 val in_lib : string -> bool
 (** Whether a path is under a [lib/] directory, i.e. subject to the
@@ -134,7 +136,7 @@ val in_transport_scope : string -> bool
 val in_decision_scope : string -> bool
 (** Whether a path is subject to the [interpreted-lookup] rule: the
     decision-plane hot modules ([lib/tcp/], [lib/remy/remy_cc.ml],
-    [lib/experiments/swarm.ml], [lib/core/phi_client.ml]).  The
+    [lib/experiments/swarm.ml], [lib/experiments/cc_select.ml]).  The
     compilers ([lib/remy/compiled_table.ml], [lib/core/policy.ml]) are
     deliberately outside — lowering needs the interpreted forms. *)
 

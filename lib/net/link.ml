@@ -370,9 +370,7 @@ let window_utilization t w ~elapsed_s = Float.min 1. (window_busy_s t w /. elaps
 let queue_length t = Fifo.length t.queue
 let ecn_marks t = t.ecn_marks
 let packets_delivered t = t.packets_delivered
-let bytes_offered t = t.bytes_offered
 let bytes_delivered t = t.bytes_delivered
-let bytes_dropped t = t.bytes_dropped
 let drops t = t.drops
 let packets_offered t = t.packets_offered
 let busy_time t = fs_get t fs_busy_time

@@ -101,8 +101,7 @@ val set_delay_s : t -> float -> unit
 
 val set_down : t -> unit
 (** Take the link administratively down: subsequent arrivals are
-    dropped (counted in {!drops}/{!bytes_dropped}, so conservation
-    holds), queued packets freeze in place (their queue-wait keeps
+    dropped (counted in {!drops}, so conservation holds), queued packets freeze in place (their queue-wait keeps
     accruing), and the packet in service — plus everything already
     propagating — still completes delivery. *)
 
@@ -155,13 +154,6 @@ val packets_delivered : t -> int
 val bytes_delivered : t -> int
 val drops : t -> int
 val packets_offered : t -> int
-
-val bytes_offered : t -> int
-val bytes_dropped : t -> int
-(** Byte-level twins of [packets_offered]/[drops]; with [bytes_delivered]
-    and the queued bytes they form the conservation identity the
-    [PHI_SANITIZE=1] sanitizer checks after every enqueue and service
-    completion: offered = delivered + dropped + queued. *)
 
 val busy_time : t -> float
 (** Total serialization time so far; divided by elapsed time this is the

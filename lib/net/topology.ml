@@ -722,5 +722,4 @@ let dumbbell engine spec =
     reverse_bottleneck = b.links.(1);
   }
 
-let sender_id t i = Node.id t.senders.(i)
 let receiver_id t i = Node.id t.receivers.(i)

@@ -223,6 +223,5 @@ val dumbbell : Phi_sim.Engine.t -> spec -> dumbbell
     without the shape replay {!Zoo.dumbbell} makes.  Raises
     [Invalid_argument] like {!Zoo.dumbbell}. *)
 
-val sender_id : dumbbell -> int -> int
 val receiver_id : dumbbell -> int -> int
-(** Node ids of the i-th sender/receiver (also their array indices). *)
+(** Node id of the i-th receiver (also its array index). *)

@@ -2,6 +2,7 @@ module Stats = Phi_util.Stats
 
 type estimate = { value : float; level : [ `P24 | `P16 | `P8 | `Global ]; samples : int }
 
+(* History required at a level before it is trusted. *)
 let min_samples = 8
 
 let levels = [ `P24; `P16; `P8; `Global ]

@@ -10,9 +10,6 @@ type estimate = {
   samples : int;
 }
 
-val min_samples : int
-(** History required at a level before it is trusted (8). *)
-
 val throughput_bps : History.t -> prefix24:int -> ?quantile:float -> unit -> estimate option
 (** Predicted throughput at the given quantile (default the median).
     [None] only when the store is empty. *)

@@ -1,3 +1,6 @@
+(* Transmission rating 0–93.2: base quality minus delay impairment
+   (one-way delay taken as RTT/2 plus a fixed 30 ms of processing and
+   jitter buffering) minus the G.711 loss impairment [30 ln (1 + 15 e)]. *)
 let r_factor ~rtt_s ~loss_rate =
   let rtt_s = Float.max 0. rtt_s in
   let loss_rate = Float.max 0. (Float.min 1. loss_rate) in

@@ -2,12 +2,6 @@
     network RTT and loss to a mean opinion score.  Used to surface "this
     call is likely to be poor" predictions (Section 3.5's example). *)
 
-val r_factor : rtt_s:float -> loss_rate:float -> float
-(** Transmission rating 0–93.2: base quality minus delay impairment
-    (one-way delay taken as RTT/2 plus a fixed 30 ms of processing and
-    jitter buffering) minus the G.711 loss impairment
-    [30 ln (1 + 15 e)]. *)
-
 val mos : rtt_s:float -> loss_rate:float -> float
 (** The standard R → MOS mapping, clamped to [1, 4.5]. *)
 

@@ -1,6 +1,4 @@
 type t = {
-  source : Rule_table.t;
-  generation : int;
   dims : int;
   (* Interior cut points per axis, sorted ascending, padded to a
      power-of-two length with [infinity] so the interval search below
@@ -119,17 +117,7 @@ let compile table =
       Float.Array.set mult i a.Whisker.window_multiple;
       Float.Array.set isend i a.Whisker.intersend_s)
     whiskers;
-  {
-    source = table;
-    generation = Rule_table.generation table;
-    dims;
-    cuts;
-    sizes;
-    cells;
-    inc;
-    mult;
-    isend;
-  }
+  { dims; cuts; sizes; cells; inc; mult; isend }
 
 (* Count of cut points <= p.(axis): branch-free binary search over a
    power-of-two array (padding is [infinity], never <= a finite
@@ -178,10 +166,6 @@ let[@inline] window_increment t index = Float.Array.get t.inc index
 let[@inline] window_multiple t index = Float.Array.get t.mult index
 let[@inline] intersend_s t index = Float.Array.unsafe_get t.isend index
 
-let is_fresh t table = t.source == table && t.generation = Rule_table.generation table
-
-let source t = t.source
-let generation t = t.generation
 let dims t = t.dims
 let size t = Float.Array.length t.inc
 let cell_count t = Array.length t.cells

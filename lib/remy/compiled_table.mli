@@ -23,10 +23,10 @@
     tables pin this equivalence.
 
     The compiled form is immutable and safe to share across
-    {!Phi_runner.Pool} domains.  It is generation-stamped against its
-    source: any {!Rule_table.split}, {!Rule_table.split_axis} or
-    {!Rule_table.set_action} bumps the source generation, after which
-    {!is_fresh} returns [false] and the holder must recompile. *)
+    {!Phi_runner.Pool} domains.  It is a snapshot of its source: a later
+    {!Rule_table.split}, {!Rule_table.split_axis} or
+    {!Rule_table.set_action} does not reach it, so compile after the
+    last mutation. *)
 
 type t
 
@@ -59,13 +59,6 @@ val window_multiple : t -> int -> float
 
 val intersend_s : t -> int -> float
 (** The indexed action's pacing gap, straight from the unboxed copy. *)
-
-val is_fresh : t -> Rule_table.t -> bool
-(** [true] iff this compiled form was compiled from exactly this table
-    (physical equality) at its current generation. *)
-
-val source : t -> Rule_table.t
-val generation : t -> int
 
 val dims : t -> int
 

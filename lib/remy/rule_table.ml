@@ -1,16 +1,14 @@
-type t = { dims : int; mutable whiskers : Whisker.t list; mutable generation : int }
+type t = { dims : int; mutable whiskers : Whisker.t list }
 
 let create ~dims action =
   if dims < 1 then invalid_arg "Rule_table.create: dims must be positive";
-  { dims; whiskers = [ Whisker.create (Whisker.root_box ~dims) action ]; generation = 0 }
+  { dims; whiskers = [ Whisker.create (Whisker.root_box ~dims) action ] }
 
 let dims t = t.dims
 
 let whiskers t = t.whiskers
 
 let size t = List.length t.whiskers
-
-let generation t = t.generation
 
 let lookup t point =
   if Array.length point <> t.dims then invalid_arg "Rule_table.lookup: dimension mismatch";
@@ -29,8 +27,7 @@ let lookup_index t point =
 
 let set_action t target action =
   if not (List.memq target t.whiskers) then invalid_arg "Rule_table.set_action: unknown whisker";
-  target.Whisker.action <- Whisker.clamp_action action;
-  t.generation <- t.generation + 1
+  target.Whisker.action <- Whisker.clamp_action action
 
 let split t target =
   if not (List.memq target t.whiskers) then invalid_arg "Rule_table.split: unknown whisker";
@@ -38,8 +35,7 @@ let split t target =
     List.map (fun box -> Whisker.create box target.Whisker.action)
       (Whisker.split_box target.Whisker.box)
   in
-  t.whiskers <- List.concat_map (fun w -> if w == target then children else [ w ]) t.whiskers;
-  t.generation <- t.generation + 1
+  t.whiskers <- List.concat_map (fun w -> if w == target then children else [ w ]) t.whiskers
 
 let split_axis t target ~axis =
   if not (List.memq target t.whiskers) then invalid_arg "Rule_table.split_axis: unknown whisker";
@@ -52,15 +48,7 @@ let split_axis t target ~axis =
     Whisker.create { Whisker.lo; hi } target.Whisker.action
   in
   let children = [ child ~upper:false; child ~upper:true ] in
-  t.whiskers <- List.concat_map (fun w -> if w == target then children else [ w ]) t.whiskers;
-  t.generation <- t.generation + 1
-
-let copy t =
-  {
-    dims = t.dims;
-    whiskers = List.map (fun w -> Whisker.create w.Whisker.box w.Whisker.action) t.whiskers;
-    generation = 0;
-  }
+  t.whiskers <- List.concat_map (fun w -> if w == target then children else [ w ]) t.whiskers
 
 let extrude t =
   let lift (w : Whisker.t) =
@@ -72,7 +60,7 @@ let extrude t =
     in
     Whisker.create box w.Whisker.action
   in
-  { dims = t.dims + 1; whiskers = List.map lift t.whiskers; generation = 0 }
+  { dims = t.dims + 1; whiskers = List.map lift t.whiskers }
 
 let serialize t =
   let header = Printf.sprintf "remy-table|dims=%d" t.dims in
@@ -105,6 +93,6 @@ let deserialize s =
             if Array.length w.Whisker.box.Whisker.lo <> dims then
               parse_error "Rule_table.deserialize: whisker dimension mismatch")
           whiskers;
-        { dims; whiskers; generation = 0 }
+        { dims; whiskers }
       | _ -> parse_error "Rule_table.deserialize: bad header")
     | _ -> parse_error "Rule_table.deserialize: bad header")

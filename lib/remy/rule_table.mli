@@ -12,12 +12,6 @@ val whiskers : t -> Whisker.t list
 
 val size : t -> int
 
-val generation : t -> int
-(** A counter bumped by every structural or action mutation ({!split},
-    {!split_axis}, {!set_action}).  [Compiled_table] stamps the
-    generation it was compiled from, so a stale compiled form is
-    detectable with {!Compiled_table.is_fresh}. *)
-
 val lookup : t -> float array -> Whisker.t
 (** The unique whisker containing the point.  Pure: shared tables can be
     looked up concurrently.  Raises [Invalid_argument] on dimension
@@ -28,25 +22,19 @@ val lookup_index : t -> float array -> int
     (the same index space {!Compiled_table.lookup} returns). *)
 
 val set_action : t -> Whisker.t -> Whisker.action -> unit
-(** Replace a whisker's action (clamped) and bump the generation.  The
-    only sanctioned way to mutate actions — direct field writes would
-    leave stale compiled tables undetectable.  Raises [Invalid_argument]
-    if the whisker is not in the table or a field of the action is not
-    finite. *)
+(** Replace a whisker's action, clamped as {!Whisker.create} clamps.
+    Raises [Invalid_argument] if the whisker is not in the table or a
+    field of the action is not finite.  A {!Compiled_table} compiled
+    earlier keeps the old action: it is a snapshot. *)
 
 val split : t -> Whisker.t -> unit
 (** Replace a whisker by its [2^d] children, all inheriting its action.
-    Bumps the generation.  Raises [Invalid_argument] if the whisker is
-    not in the table. *)
+    Raises [Invalid_argument] if the whisker is not in the table. *)
 
 val split_axis : t -> Whisker.t -> axis:int -> unit
 (** Bisect a whisker along one axis only (two children).  Used to refine
     the utilization dimension without diluting the rest of the memory
-    space.  Bumps the generation.  Raises [Invalid_argument] on unknown
-    whiskers or axes. *)
-
-val copy : t -> t
-(** Deep copy (fresh whiskers, generation reset to 0). *)
+    space.  Raises [Invalid_argument] on unknown whiskers or axes. *)
 
 val extrude : t -> t
 (** Lift every whisker into one more dimension, spanning [\[0, 1\]] on the

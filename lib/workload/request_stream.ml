@@ -2,8 +2,6 @@ module Dist = Phi_util.Dist
 
 type cell = { metro : string; isp : string; service : string }
 
-let pp_cell ppf c = Format.fprintf ppf "%s/%s/%s" c.metro c.isp c.service
-
 type scope = { metro : string option; isp : string option; service : string option }
 
 let scope_matches (scope : scope) (cell : cell) =

@@ -9,8 +9,6 @@
 
 type cell = { metro : string; isp : string; service : string }
 
-val pp_cell : Format.formatter -> cell -> unit
-
 type scope = {
   metro : string option;
   isp : string option;

@@ -2,8 +2,7 @@
    Phi.Policy.Compiled) against its interpreted reference: lookup
    equivalence on random tables and random points (qcheck), on cut-plane
    boundary points, and on every pretrained table; physically identical
-   policy choices; generation stamping and staleness detection; exact
-   float-for-float action application. *)
+   policy choices; exact float-for-float action application. *)
 
 module Whisker = Phi_remy.Whisker
 module Rule_table = Phi_remy.Rule_table
@@ -175,29 +174,6 @@ let test_write_point_matches_to_point () =
       done)
     [ Memory.dims_remy; Memory.dims_phi ]
 
-(* {2 Staleness: generation stamping} *)
-
-let test_staleness () =
-  let table = random_table ~seed:4 ~dims:3 ~splits:3 in
-  let compiled = Compiled_table.compile table in
-  Alcotest.(check bool) "fresh after compile" true (Compiled_table.is_fresh compiled table);
-  Alcotest.(check int) "generation stamped" (Rule_table.generation table)
-    (Compiled_table.generation compiled);
-  let w = List.hd (Rule_table.whiskers table) in
-  Rule_table.set_action table w (random_action (Prng.create ~seed:5));
-  Alcotest.(check bool) "stale after set_action" false
-    (Compiled_table.is_fresh compiled table);
-  let recompiled = Compiled_table.compile table in
-  Alcotest.(check bool) "fresh after recompile" true
-    (Compiled_table.is_fresh recompiled table);
-  Rule_table.split table (List.hd (Rule_table.whiskers table));
-  Alcotest.(check bool) "stale after split" false (Compiled_table.is_fresh recompiled table);
-  (* Physical identity is part of freshness: a deep copy at the same
-     generation is still a different table. *)
-  let again = Compiled_table.compile table in
-  Alcotest.(check bool) "other table is never fresh" false
-    (Compiled_table.is_fresh again (Rule_table.copy table))
-
 (* {2 Policy: compiled choices are physically the interpreted ones} *)
 
 let swarm_entries =
@@ -239,20 +215,6 @@ let test_policy_compiled_identical () =
     Alcotest.(check int) "pack round-trips" code (Context.pack_bucket b)
   done
 
-let test_policy_staleness () =
-  let policy = learned_policy () in
-  let compiled = Policy.Compiled.compile policy in
-  Alcotest.(check bool) "fresh after compile" true (Policy.Compiled.is_fresh compiled policy);
-  Policy.learn policy
-    { Context.u_bucket = 1; Context.n_bucket = 1; Context.q_bucket = 1 }
-    Cc_algo.Vegas;
-  Alcotest.(check bool) "stale after learn" false (Policy.Compiled.is_fresh compiled policy);
-  let recompiled = Policy.Compiled.compile policy in
-  Alcotest.(check bool) "fresh after recompile" true
-    (Policy.Compiled.is_fresh recompiled policy);
-  Alcotest.(check bool) "other policy is never fresh" false
-    (Policy.Compiled.is_fresh recompiled (Policy.create ()))
-
 (* A table that leaves part of the cube uncovered does not compile:
    lookups would clamp the missing region onto an edge whisker. *)
 let test_rejects_partial_cube () =
@@ -291,10 +253,8 @@ let suite =
     Alcotest.test_case "pretrained tables equivalent" `Quick test_pretrained_equivalence;
     Alcotest.test_case "apply is bit-identical" `Quick test_apply_exact;
     Alcotest.test_case "write_point matches to_point" `Quick test_write_point_matches_to_point;
-    Alcotest.test_case "compiled table staleness" `Quick test_staleness;
     Alcotest.test_case "policy choices physically identical" `Quick
       test_policy_compiled_identical;
-    Alcotest.test_case "compiled policy staleness" `Quick test_policy_staleness;
     Alcotest.test_case "partial cube rejected" `Quick test_rejects_partial_cube;
     Alcotest.test_case "overlapping whiskers rejected" `Quick test_rejects_overlap;
   ]

@@ -92,26 +92,27 @@ let test_beta_lowers_queueing_delay_for_long_flows () =
   Alcotest.(check bool) "larger beta, smaller queue" true
     (large.Scenario.queueing_delay_s < small.Scenario.queueing_delay_s)
 
+(* One paper-dumbbell run wired by [Cc_select.wire]: its result and
+   the context-server messages it cost. *)
+let run_wired select ~path choice (config : Scenario.config) =
+  let w =
+    Cc_select.wire select ~capacity_bps:config.Scenario.spec.Topology.bottleneck_bw_bps ~path
+      choice
+  in
+  let r =
+    Scenario.run ~cc_factory:w.Cc_select.cc_factory
+      ~observe:(fun e _ -> w.Cc_select.attach e)
+      ~on_conn_end:w.Cc_select.on_conn_end config
+  in
+  (r, w.Cc_select.messages ())
+
 (* The full practical pipeline (context server + policy + report hooks),
    asserted end-to-end: Phi clients beat blind defaults on P_l. *)
 let test_phi_pipeline_improves_power () =
   let config = { Scenario.high_utilization with Scenario.duration_s = 60.; Scenario.seed = 7 } in
   let baseline = Scenario.run config in
-  let client = ref None in
-  let phi_run =
-    Scenario.run
-      ~observe:(fun engine dumbbell ->
-        let server =
-          Phi.Context_server.create engine
-            ~capacity_bps:(Phi_net.Link.bandwidth_bps dumbbell.Phi_net.Topology.bottleneck)
-            ()
-        in
-        client := Some (Phi.Phi_client.create ~server ~policy:(Phi.Policy.create ()) ~path:"p" ()))
-      ~cc_factory:(fun _ () ->
-        match !client with Some c -> Phi.Phi_client.factory c () | None -> assert false)
-      ~on_conn_end:(fun stats ->
-        match !client with Some c -> Phi.Phi_client.on_conn_end c stats | None -> ())
-      config
+  let phi_run, _ =
+    run_wired (Cc_select.create ()) ~path:"p" (Cc_select.Policy (Phi.Policy.create ())) config
   in
   Alcotest.(check bool) "phi pipeline beats defaults" true
     (phi_run.Scenario.power > baseline.Scenario.power)
@@ -364,6 +365,59 @@ let test_cc_select_builds_every_algorithm () =
         true
         (Float.is_finite cc.Phi_tcp.Cc.cwnd && cc.Phi_tcp.Cc.cwnd >= 1.))
     Phi.Cc_algo.all
+
+(* A policy can pick any of the five: the wiring builds what the policy
+   learned for the looked-up (empty) context's bucket, at one lookup. *)
+let test_policy_wiring_builds_every_algorithm () =
+  let select = Cc_select.create () in
+  List.iter
+    (fun algo ->
+      let name = Phi.Cc_algo.name algo in
+      let policy = Phi.Policy.create () in
+      Phi.Policy.learn policy (Phi.Context.bucketize Phi.Context.empty) algo;
+      let w = Cc_select.wire select ~capacity_bps:15e6 ~path:"p" (Cc_select.Policy policy) in
+      w.Cc_select.attach (Phi_sim.Engine.create ());
+      let cc = w.Cc_select.cc_factory 0 () in
+      Alcotest.(check string) (name ^ " built") name cc.Phi_tcp.Cc.name;
+      Alcotest.(check int) (name ^ " looked up once") 1 (w.Cc_select.messages ()))
+    Phi.Cc_algo.all
+
+(* Quickstart's Phi run (Figure 2b's load, 60 s, seed 7, the default
+   policy on path "egress" behind a 15 Mb/s server), recorded in hex
+   through the sender-side policy client the wiring replaced:
+   throughput, queueing delay, loss rate, power, connections. *)
+let golden_policy_run = "0x1.d31340d0c6fe6p+20 0x1.6547c64546fc7p-4 0x0p+0 0x1.021145989bdeep+3 215"
+
+let test_golden_policy_wiring () =
+  let config = { Scenario.high_utilization with Scenario.duration_s = 60.; Scenario.seed = 7 } in
+  let r, _ =
+    run_wired (Cc_select.create ()) ~path:"egress" (Cc_select.Policy (Phi.Policy.create ())) config
+  in
+  Alcotest.(check string) "replay" golden_policy_run
+    (Printf.sprintf "%h %h %h %h %d" r.Scenario.throughput_bps r.Scenario.queueing_delay_s
+       r.Scenario.loss_rate r.Scenario.power r.Scenario.connections)
+
+(* Remy-Phi as the algorithm and a policy that learned Remy-Phi for all
+   64 buckets take one served path: the same result bit for bit, at the
+   same message count. *)
+let test_remy_phi_algorithm_is_a_policy () =
+  let config = { Scenario.high_utilization with Scenario.duration_s = 10.; Scenario.seed = 3 } in
+  let policy = Phi.Policy.create () in
+  for code = 0 to Phi.Context.bucket_codes - 1 do
+    Phi.Policy.learn policy (Phi.Context.bucket_of_code code) Phi.Cc_algo.Remy_phi
+  done;
+  let select = Cc_select.create () in
+  let capture choice =
+    let r, messages = run_wired select ~path:"dumbbell" choice config in
+    Alcotest.(check bool) "the server was asked" true (messages > 0);
+    Printf.sprintf "%h %h %h %h %h %h %h %h %d %d messages=%d" r.Scenario.throughput_bps
+      r.Scenario.queueing_delay_s r.Scenario.delay_s r.Scenario.loss_rate r.Scenario.utilization
+      r.Scenario.power r.Scenario.jain r.Scenario.p99_fct_s r.Scenario.connections
+      r.Scenario.flows messages
+  in
+  Alcotest.(check string) "one served path"
+    (capture (Cc_select.Algorithm Phi.Cc_algo.Remy_phi))
+    (capture (Cc_select.Policy policy))
 
 (* Hex-float captures of every registry algorithm over the low/high
    dumbbell loads (seed 1, 8 s), recorded before the two matrices were
@@ -910,5 +964,8 @@ let suite =
     ("scenario mean", `Quick, test_scenario_mean);
     ("sweep point mean is the scenario mean", `Quick, test_sweep_point_mean);
     ("printer headers and keys pinned", `Quick, test_printer_keys_pinned);
+    ("policy wiring builds every algorithm", `Quick, test_policy_wiring_builds_every_algorithm);
+    ("golden replay policy wiring (bit-exact)", `Slow, test_golden_policy_wiring);
+    ("remy-phi algorithm and policy share a path", `Quick, test_remy_phi_algorithm_is_a_policy);
   ]
   @ List.map dynamics_rejected bad_dynamics

@@ -361,8 +361,8 @@ let test_interpreted_lookup_fires () =
     (lint ~path:"lib/remy/remy_cc.ml" "let f table p = Rule_table.lookup_index table p\n");
   check_rules "Policy.choice_for in the swarm client" [ "interpreted-lookup" ]
     (lint ~path:"lib/experiments/swarm.ml" "let f policy ctx = Policy.choice_for policy ctx\n");
-  check_rules "qualified Policy.choice_for in phi_client" [ "interpreted-lookup" ]
-    (lint ~path:"lib/core/phi_client.ml" "let f p ctx = Phi.Policy.choice_for p ctx\n")
+  check_rules "qualified Policy.choice_for in cc_select" [ "interpreted-lookup" ]
+    (lint ~path:"lib/experiments/cc_select.ml" "let f p ctx = Phi.Policy.choice_for p ctx\n")
 
 let test_interpreted_lookup_compiled_forms_pass () =
   check_rules "Compiled_table.lookup is the point" []
@@ -395,8 +395,8 @@ let test_in_decision_scope () =
     (Lint.in_decision_scope "lib/remy/remy_cc.ml");
   Alcotest.(check bool) "swarm in scope" true
     (Lint.in_decision_scope "lib/experiments/swarm.ml");
-  Alcotest.(check bool) "phi_client in scope" true
-    (Lint.in_decision_scope "lib/core/phi_client.ml");
+  Alcotest.(check bool) "cc_select in scope" true
+    (Lint.in_decision_scope "lib/experiments/cc_select.ml");
   Alcotest.(check bool) "compiler exempt" false
     (Lint.in_decision_scope "lib/remy/compiled_table.ml");
   Alcotest.(check bool) "policy compiler exempt" false
@@ -407,7 +407,7 @@ let test_in_decision_scope () =
 let test_in_transport_scope () =
   Alcotest.(check bool) "experiments in scope" true
     (Lint.in_transport_scope "lib/experiments/scenario.ml");
-  Alcotest.(check bool) "core in scope" true (Lint.in_transport_scope "lib/core/phi_client.ml");
+  Alcotest.(check bool) "core in scope" true (Lint.in_transport_scope "lib/core/policy.ml");
   Alcotest.(check bool) "tcp exempt" false (Lint.in_transport_scope "lib/tcp/sender.ml");
   Alcotest.(check bool) "net exempt" false (Lint.in_transport_scope "lib/net/node.ml");
   Alcotest.(check bool) "test exempt" false (Lint.in_transport_scope "test/test_tcp.ml")

@@ -1,5 +1,5 @@
 (* Tests for the phi core library: metrics, context, context server,
-   policy, client glue, prioritization and informed adaptation. *)
+   policy, prioritization and informed adaptation. *)
 
 module Engine = Phi_sim.Engine
 module Cubic = Phi_tcp.Cubic
@@ -200,20 +200,6 @@ let test_basic_builder_rejects_remy_variants () =
   Alcotest.(check bool) "remy needs a table" true (raised Cc_algo.Remy);
   Alcotest.(check bool) "remy-phi needs a table" true (raised Cc_algo.Remy_phi)
 
-(* {2 Phi_client} *)
-
-let test_phi_client_lifecycle () =
-  let engine = Engine.create () in
-  let server = Context_server.create engine ~capacity_bps:15e6 () in
-  let policy = Policy.create () in
-  let client = Phi_client.create ~server ~policy ~path:"dumbbell" () in
-  Alcotest.(check bool) "no context yet" true (Phi_client.last_context client = None);
-  let cc = Phi_client.factory client () in
-  Alcotest.(check bool) "controller built" true (cc.Phi_tcp.Cc.cwnd >= 1.);
-  Alcotest.(check int) "lookup registered" 1 (Context_server.active_connections server ~path:"dumbbell");
-  Alcotest.(check bool) "context recorded" true (Phi_client.last_context client <> None);
-  Alcotest.(check bool) "choice recorded" true (Phi_client.last_choice client <> None)
-
 (* {2 Priority} *)
 
 let test_priority_allocation_proportional () =
@@ -376,7 +362,6 @@ let suite =
     ("policy learned listing", `Quick, test_policy_learned_listing);
     ("cc_algo registry", `Quick, test_cc_algo_registry);
     ("basic builder rejects remy variants", `Quick, test_basic_builder_rejects_remy_variants);
-    ("phi client lifecycle", `Quick, test_phi_client_lifecycle);
     ("priority allocation", `Quick, test_priority_allocation_proportional);
     ("priority ensemble sum", `Quick, test_priority_ensemble_sums_to_n);
     ("priority rejects bad input", `Quick, test_priority_rejects_bad_input);

@@ -151,8 +151,7 @@ let test_table_lookup_pure () =
   let w = Rule_table.lookup t [| 0.1; 0.2; 0.3 |] in
   let w' = Rule_table.lookup t [| 0.1; 0.2; 0.3 |] in
   Alcotest.(check bool) "same whisker, no side effects" true (w == w');
-  Alcotest.(check int) "index agrees" 0 (Rule_table.lookup_index t [| 0.1; 0.2; 0.3 |]);
-  Alcotest.(check int) "lookups leave the generation alone" 0 (Rule_table.generation t)
+  Alcotest.(check int) "index agrees" 0 (Rule_table.lookup_index t [| 0.1; 0.2; 0.3 |])
 
 let test_table_split_preserves_partition () =
   let t = Rule_table.create ~dims:3 Whisker.default_action in
@@ -168,19 +167,17 @@ let test_table_split_preserves_partition () =
     ignore (Rule_table.lookup t p) (* must not raise *)
   done
 
-let test_table_generation_and_set_action () =
+let test_table_split_and_set_action () =
   let t = Rule_table.create ~dims:2 Whisker.default_action in
-  Alcotest.(check int) "fresh table at generation 0" 0 (Rule_table.generation t);
   let root = List.hd (Rule_table.whiskers t) in
   Rule_table.split t root;
-  Alcotest.(check int) "split bumps" 1 (Rule_table.generation t);
+  Alcotest.(check int) "split makes 4" 4 (Rule_table.size t);
   let w = Rule_table.lookup t [| 0.9; 0.9 |] in
   Rule_table.split_axis t w ~axis:0;
-  Alcotest.(check int) "split_axis bumps" 2 (Rule_table.generation t);
+  Alcotest.(check int) "split_axis adds 1" 5 (Rule_table.size t);
   let w = Rule_table.lookup t [| 0.1; 0.1 |] in
   Rule_table.set_action t w
     { Whisker.window_increment = 99.; window_multiple = 1.; intersend_s = 0.001 };
-  Alcotest.(check int) "set_action bumps" 3 (Rule_table.generation t);
   (* set_action clamps like Whisker.create does. *)
   Alcotest.(check (float 0.)) "action clamped" 32. w.Whisker.action.Whisker.window_increment;
   let stranger = Whisker.create (Whisker.root_box ~dims:2) Whisker.default_action in
@@ -202,8 +199,7 @@ let test_set_action_rejects_non_finite () =
     (Invalid_argument "Whisker.clamp_action: intersend_s is not finite (inf)") (fun () ->
       Rule_table.set_action t w
         { Whisker.default_action with Whisker.intersend_s = Float.infinity });
-  Alcotest.(check bool) "action kept" true (w.Whisker.action = Whisker.default_action);
-  Alcotest.(check int) "generation kept" 0 (Rule_table.generation t)
+  Alcotest.(check bool) "action kept" true (w.Whisker.action = Whisker.default_action)
 
 let test_table_serialize_roundtrip () =
   let t = Rule_table.create ~dims:4 Whisker.default_action in
@@ -436,7 +432,7 @@ let suite =
     ("whisker rejects garbage", `Quick, test_whisker_of_line_rejects_garbage);
     ("table lookup pure", `Quick, test_table_lookup_pure);
     ("table split partition", `Quick, test_table_split_preserves_partition);
-    ("table generation and set_action", `Quick, test_table_generation_and_set_action);
+    ("table split and set_action", `Quick, test_table_split_and_set_action);
     ("table serialize roundtrip", `Quick, test_table_serialize_roundtrip);
     ("table split axis", `Quick, test_table_split_axis);
     ("table extrude", `Quick, test_table_extrude);
