@@ -1,13 +1,10 @@
 module Cubic = Phi_tcp.Cubic
 
-type t = { default : Cc_algo.t; table : (Context.bucket, Cc_algo.t) Hashtbl.t }
+type t = (Context.bucket, Cc_algo.t) Hashtbl.t
 
-let create ?(default = Cc_algo.Cubic Cubic.default_params) () =
-  { default; table = Hashtbl.create 32 }
-
-let learn t bucket choice = Hashtbl.replace t.table bucket choice
-
-let learned t = Hashtbl.fold (fun b c acc -> (b, c) :: acc) t.table []
+let create () = Hashtbl.create 32
+let learn t bucket choice = Hashtbl.replace t bucket choice
+let learned t = Hashtbl.fold (fun b c acc -> (b, c) :: acc) t []
 
 (* The heuristic's severity-tier presets, hoisted to module init (the
    two congested tiers double up for the deep-queue beta variant): the
@@ -53,13 +50,13 @@ let nearest t bucket =
       match best with
       | Some (best_d, _) when best_d <= d -> best
       | _ -> Some (d, c))
-    t.table None
+    t None
 
 (* The learned part of the resolution: exact hit, else nearest learned
    bucket within distance 2.  [None] means "fall through to the
    heuristic", which needs the full context, not just the bucket. *)
 let resolved t bucket =
-  match Hashtbl.find_opt t.table bucket with
+  match Hashtbl.find_opt t bucket with
   | Some choice -> Some choice
   | None -> (
     match nearest t bucket with

@@ -12,9 +12,9 @@
 
 type t
 
-val create : ?default:Cc_algo.t -> unit -> t
-(** [default] backs the final fallback; defaults to Cubic with
-    {!Phi_tcp.Cubic.default_params}. *)
+val create : unit -> t
+(** An empty policy: until a bucket is learned, {!choice_for} answers
+    with {!heuristic}. *)
 
 val learn : t -> Context.bucket -> Cc_algo.t -> unit
 (** Record the optimal choice found for a bucket (overwrites).  A

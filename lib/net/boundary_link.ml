@@ -42,27 +42,31 @@ module Pdes = Phi_sim.Pdes
 
 exception Fault of string
 
+(* Inside a window the source island writes [out_len] and the
+   destination writes [propagating] and [delivered], so the two ends of
+   the record hold them, thirteen words apart: the two domains never
+   write one cache line. *)
 type t = {
-  egress : Link.t;
-  src_engine : Engine.t;
-  src_pool : Packet.pool;
-  src_island : Pdes.island;
-  dst_engine : Engine.t;
-  dst_pool : Packet.pool;
-  dst_island : Pdes.island;
-  delay_s : float;
   (* Outbox: [out_len] exported cells and their arrival times, written
      by the source island during its window and emptied by the
      destination's drain. *)
+  mutable out_len : int;
   mutable out_ints : int array;
   mutable out_floats : floatarray;
   mutable out_arrival : floatarray;
-  mutable out_len : int;
+  src_engine : Engine.t;
+  src_pool : Packet.pool;
+  src_island : Pdes.island;
+  delay_s : float;
+  egress : Link.t;
+  dst_engine : Engine.t;
+  dst_pool : Packet.pool;
+  dst_island : Pdes.island;
+  mutable deliver_port : Engine.port;
+  mutable receiver : Packet.handle -> unit;
   (* Drained packets still propagating: each rides in its delivery
      event's payload, so the boundary keeps only their count. *)
   mutable propagating : int;
-  mutable deliver_port : Engine.port;
-  mutable receiver : Packet.handle -> unit;
   mutable delivered : int;
 }
 
@@ -151,21 +155,21 @@ let create coordinator ~src ~dst ~src_pool ~dst_pool ~bandwidth_bps ~delay_s ~ca
   let egress = Link.create src_engine src_pool ~bandwidth_bps ~delay_s ~capacity_pkts in
   let t =
     {
-      egress;
-      src_engine;
-      src_pool;
-      src_island = src;
-      dst_engine;
-      dst_pool;
-      dst_island = dst;
-      delay_s;
+      out_len = 0;
       out_ints = [||];
       out_floats = Float.Array.create 0;
       out_arrival = Float.Array.create 0;
-      out_len = 0;
-      propagating = 0;
+      src_engine;
+      src_pool;
+      src_island = src;
+      delay_s;
+      egress;
+      dst_engine;
+      dst_pool;
+      dst_island = dst;
       deliver_port = Engine.null_port;
       receiver = (fun _ -> invalid_arg "Boundary_link: receiver not set");
+      propagating = 0;
       delivered = 0;
     }
   in

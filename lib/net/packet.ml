@@ -42,7 +42,14 @@ let fl_ce = 4
 let fl_ece = 8
 let fl_echo = 16
 
+(* The record is read on every field access and its counters change on
+   every acquire and release.  A partitioned topology creates one pool
+   per island, one after another, so the islands' records end up side
+   by side in the major heap; eight unused words on each side keep the
+   live fields a cache line away from any neighbour, so domains running
+   different islands never write one line. *)
 type pool = {
+  l0 : int; l1 : int; l2 : int; l3 : int; l4 : int; l5 : int; l6 : int; l7 : int;
   mutable gen : int array;  (* current generation of each cell *)
   mutable ints : int array;  (* [i_stride] ints per cell *)
   mutable floats : floatarray;  (* [f_stride] unboxed floats per cell *)
@@ -50,10 +57,12 @@ type pool = {
   mutable free_len : int;
   mutable live : int;
   mutable high_water : int;
+  r0 : int; r1 : int; r2 : int; r3 : int; r4 : int; r5 : int; r6 : int; r7 : int;
 }
 
 let create_pool () =
   {
+    l0 = 0; l1 = 0; l2 = 0; l3 = 0; l4 = 0; l5 = 0; l6 = 0; l7 = 0;
     gen = [||];
     ints = [||];
     floats = Float.Array.create 0;
@@ -61,6 +70,7 @@ let create_pool () =
     free_len = 0;
     live = 0;
     high_water = 0;
+    r0 = 0; r1 = 0; r2 = 0; r3 = 0; r4 = 0; r5 = 0; r6 = 0; r7 = 0;
   }
 
 (* Double the slab (64 cells minimum).  Only called with an empty free

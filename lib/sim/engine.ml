@@ -126,41 +126,31 @@ type lane = {
   mutable qn : int;  (* entries *)
 }
 
+(* The clock and the two scratch slots live in one [floatarray], the
+   hot block, rather than in mutable float fields: storing a float into
+   a mixed record allocates a fresh box on every write (one per event
+   for the clock), while a [floatarray] store is an unboxed write.  The
+   scratch time carries the in-flight timestamp to the sifts and
+   appends, and the scratch delay a delay to the lane index, without a
+   float argument, which the non-flambda compiler would box at the call.
+
+   The three live slots sit between [hot_pad] unused floats on each
+   side.  Engines built one after another, as a partitioned topology
+   builds its islands, get their equal-sized blocks packed side by side
+   in the major heap; without the padding, islands running on different
+   domains would write one cache line on every event.  128 bytes a side
+   also keeps the slots out of a neighbour's adjacent-line prefetch. *)
+let hot_pad = 16
+let clock_slot = hot_pad
+let time_slot = hot_pad + 1
+let delay_slot = hot_pad + 2
+let hot_len = delay_slot + 1 + hot_pad
+
+(* The fields written on every event ([llen] to [n_live]) sit at least
+   eight words from both ends of the record, for the same reason: the
+   first and last eight fields change only while ports and lanes are
+   registered or a slab grows. *)
 type t = {
-  (* The clock and the scratch slots live in [floatarray]s rather than
-     mutable float fields: storing a float into a mixed record allocates
-     a fresh box on every write (one per event for the clock), while a
-     [floatarray] store is an unboxed write.  [tscratch.(0)] carries the
-     in-flight timestamp to the sifts and appends, and [tscratch.(1)] a
-     delay to the lane index, without a float argument, which the
-     non-flambda compiler would box at the call. *)
-  clock : floatarray;
-  tscratch : floatarray;
-  (* Tier 1: 4-ary min-heap of lane heads, keyed by lane. *)
-  mutable lt : floatarray;
-  mutable lm : int array;  (* lm.(2i) = seq, lm.(2i+1) = lane *)
-  mutable llen : int;
-  (* Tier 2: 4-ary min-heap of cell entries, keyed by cell index. *)
-  mutable ct : floatarray;
-  mutable cm : int array;  (* cm.(2i) = seq, cm.(2i+1) = cell *)
-  mutable clen : int;
-  mutable next_seq : int;
-  mutable n_exec : int;
-  (* Event-cell slab (struct of arrays) plus its free list.  Every cell
-     is at all times either live (scheduled, counted by [n_live]) or on
-     the free list — the [cell-accounting] sanitizer rule checks this.
-     A live cell fires at ([cell_due], [cell_seq]); its heap entry sits
-     at ([cell_htime], [cell_hseq]), earlier once the cell has been
-     re-armed in place.  [cell_hseq] is -1 on a free cell. *)
-  mutable cell_gen : int array;
-  mutable cell_act : (unit -> unit) array;
-  mutable cell_due : floatarray;
-  mutable cell_seq : int array;
-  mutable cell_htime : floatarray;
-  mutable cell_hseq : int array;
-  mutable free : int array;
-  mutable free_len : int;
-  mutable n_live : int;
   (* Pre-registered port handlers; never unregistered.  Per port: the
      time of its latest event, the last two lanes its
      [schedule_port_after] used (packed into one int, see
@@ -179,6 +169,32 @@ type t = {
   mutable lanes : lane array;
   mutable lane_delay : floatarray;
   mutable n_lanes : int;
+  hot : floatarray;
+  (* Tier 1: 4-ary min-heap of lane heads, keyed by lane. *)
+  mutable lt : floatarray;
+  mutable lm : int array;  (* lm.(2i) = seq, lm.(2i+1) = lane *)
+  mutable llen : int;
+  (* Tier 2: 4-ary min-heap of cell entries, keyed by cell index. *)
+  mutable ct : floatarray;
+  mutable cm : int array;  (* cm.(2i) = seq, cm.(2i+1) = cell *)
+  mutable clen : int;
+  mutable next_seq : int;
+  mutable n_exec : int;
+  (* Event-cell slab (struct of arrays) plus its free list.  Every cell
+     is at all times either live (scheduled, counted by [n_live]) or on
+     the free list — the [cell-accounting] sanitizer rule checks this.
+     A live cell fires at ([cell_due], [cell_seq]); its heap entry sits
+     at ([cell_htime], [cell_hseq]), earlier once the cell has been
+     re-armed in place.  [cell_hseq] is -1 on a free cell. *)
+  mutable free : int array;
+  mutable free_len : int;
+  mutable n_live : int;
+  mutable cell_gen : int array;
+  mutable cell_act : (unit -> unit) array;
+  mutable cell_due : floatarray;
+  mutable cell_seq : int array;
+  mutable cell_htime : floatarray;
+  mutable cell_hseq : int array;
   mutable n_shared : int;
   mutable lane_index : int array;
   no_lane : lane;
@@ -186,25 +202,6 @@ type t = {
 
 let create () =
   {
-    clock = Float.Array.make 1 0.;
-    tscratch = Float.Array.make 2 0.;
-    lt = Float.Array.create 0;
-    lm = [||];
-    llen = 0;
-    ct = Float.Array.create 0;
-    cm = [||];
-    clen = 0;
-    next_seq = 0;
-    n_exec = 0;
-    cell_gen = [||];
-    cell_act = [||];
-    cell_due = Float.Array.create 0;
-    cell_seq = [||];
-    cell_htime = Float.Array.create 0;
-    cell_hseq = [||];
-    free = [||];
-    free_len = 0;
-    n_live = 0;
     ports = [||];
     port_last = Float.Array.create 0;
     port_lane = [||];
@@ -213,22 +210,40 @@ let create () =
     lanes = [||];
     lane_delay = Float.Array.create 0;
     n_lanes = 0;
+    hot = Float.Array.make hot_len 0.;
+    lt = Float.Array.create 0;
+    lm = [||];
+    llen = 0;
+    ct = Float.Array.create 0;
+    cm = [||];
+    clen = 0;
+    next_seq = 0;
+    n_exec = 0;
+    free = [||];
+    free_len = 0;
+    n_live = 0;
+    cell_gen = [||];
+    cell_act = [||];
+    cell_due = Float.Array.create 0;
+    cell_seq = [||];
+    cell_htime = Float.Array.create 0;
+    cell_hseq = [||];
     n_shared = 0;
     lane_index = [||];
     no_lane = { qt = Float.Array.create 0; qm = [||]; qh = 0; qn = 0 };
   }
 
-let[@inline] now t = Float.Array.unsafe_get t.clock 0
-let[@inline] set_clock t v = Float.Array.unsafe_set t.clock 0 v
+let[@inline] now t = Float.Array.unsafe_get t.hot clock_slot
+let[@inline] set_clock t v = Float.Array.unsafe_set t.hot clock_slot v
 
 (* {2 Heap primitives}
 
    Hole-style sifts over one tier's arrays: keep the moving element in
    registers, shift entries over it, write it once at its final slot.
    Each takes the tier's arrays as arguments, hoisted out of the loop,
-   and its timestamp through [ts] ([tscratch]): the callers read it out
-   of a [floatarray] (or compute it), and a float argument would be
-   boxed at the call.  The unsafe accessors are justified by the loop
+   and its timestamp through [ts] (the hot block's scratch time): the
+   callers read it out of a [floatarray] (or compute it), and a float
+   argument would be boxed at the call.  The unsafe accessors are justified by the loop
    bounds: indices stay within the heap's length, and the arrays are
    not replaced while a sift runs. *)
 
@@ -245,7 +260,7 @@ let[@inline never] resized_float a n =
   na
 
 let sift_up ts xt (xm : int array) i0 (seq : int) key =
-  let time = Float.Array.unsafe_get ts 0 in
+  let time = Float.Array.unsafe_get ts time_slot in
   let i = ref i0 in
   let continue = ref true in
   while !continue && !i > 0 do
@@ -267,7 +282,7 @@ let sift_up ts xt (xm : int array) i0 (seq : int) key =
    sift it down: the former last entry after the minimum was removed,
    or the minimum's successor taking over its slot. *)
 let sift_down ts xt (xm : int array) len (seq : int) key =
-  let time = Float.Array.unsafe_get ts 0 in
+  let time = Float.Array.unsafe_get ts time_slot in
   let i = ref 0 in
   let continue = ref true in
   while !continue do
@@ -304,7 +319,7 @@ let sift_down ts xt (xm : int array) len (seq : int) key =
    former last entry, at [len], from the root. *)
 let[@inline] refill_root ts xt (xm : int array) len =
   if len > 0 then begin
-    Float.Array.unsafe_set ts 0 (Float.Array.unsafe_get xt len);
+    Float.Array.unsafe_set ts time_slot (Float.Array.unsafe_get xt len);
     sift_down ts xt xm len (Array.unsafe_get xm (2 * len)) (Array.unsafe_get xm ((2 * len) + 1))
   end
 
@@ -318,18 +333,18 @@ let[@inline never] grow_cell_heap t =
   t.ct <- resized_float t.ct ncap;
   t.cm <- resized t.cm (2 * ncap) 0
 
-(* Both pushes take their timestamp through [tscratch]. *)
+(* Both pushes take their timestamp through the scratch time. *)
 let push_lane t ~seq lane =
   if t.llen = Float.Array.length t.lt then grow_lane_heap t;
   let i = t.llen in
   t.llen <- i + 1;
-  sift_up t.tscratch t.lt t.lm i seq lane
+  sift_up t.hot t.lt t.lm i seq lane
 
 let push_cell t ~seq idx =
   if t.clen = Float.Array.length t.ct then grow_cell_heap t;
   let i = t.clen in
   t.clen <- i + 1;
-  sift_up t.tscratch t.ct t.cm i seq idx
+  sift_up t.hot t.ct t.cm i seq idx
 
 (* {2 Event cells} *)
 
@@ -417,8 +432,8 @@ let[@inline] checked_time t time =
 let[@inline] checked_delay t delay =
   if delay >= 0. && delay < Float.infinity then delay else bad_delay t delay
 
-(* The enqueue path hands timestamps to [push_cell] through [tscratch]
-   and is forced inline so the timestamp never crosses a call boundary
+(* The enqueue path hands timestamps to [push_cell] through the scratch
+   time and is forced inline so the timestamp never crosses a call boundary
    as a float argument (which would box it, once per scheduled
    event). *)
 let[@inline] enqueue t action =
@@ -429,7 +444,7 @@ let[@inline] enqueue t action =
   t.n_live <- t.n_live + 1;
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  let time = Float.Array.unsafe_get t.tscratch 0 in
+  let time = Float.Array.unsafe_get t.hot time_slot in
   Float.Array.unsafe_set t.cell_due idx time;
   Array.unsafe_set t.cell_seq idx seq;
   Float.Array.unsafe_set t.cell_htime idx time;
@@ -438,11 +453,11 @@ let[@inline] enqueue t action =
   (Array.unsafe_get t.cell_gen idx lsl idx_bits) lor idx
 
 let[@inline] schedule_at t ~time f =
-  Float.Array.unsafe_set t.tscratch 0 (checked_time t time);
+  Float.Array.unsafe_set t.hot time_slot (checked_time t time);
   enqueue t f
 
 let[@inline] schedule_after t ~delay f =
-  Float.Array.unsafe_set t.tscratch 0 (now t +. checked_delay t delay);
+  Float.Array.unsafe_set t.hot time_slot (now t +. checked_delay t delay);
   enqueue t f
 
 (* {2 Cancellation and re-arming} *)
@@ -460,13 +475,13 @@ let cancel t handle =
 
 let cancelled t handle = not (live t handle)
 
-(* [rearm_after] with its new time in [tscratch].  In place, the cell
+(* [rearm_after] with its new time in the scratch time.  In place, the cell
    takes the generation and seq that [cancel] + [schedule_after] would
    have given it: [cancel] pushes the index onto the free list and the
    schedule pops it straight back. *)
 let rearm t handle f =
   let idx = handle land idx_mask in
-  let time = Float.Array.unsafe_get t.tscratch 0 in
+  let time = Float.Array.unsafe_get t.hot time_slot in
   if live t handle && time >= Float.Array.unsafe_get t.cell_htime idx then begin
     let gen = Array.unsafe_get t.cell_gen idx + 1 in
     Array.unsafe_set t.cell_gen idx gen;
@@ -483,7 +498,7 @@ let rearm t handle f =
   end
 
 let[@inline] rearm_after t handle ~delay f =
-  Float.Array.unsafe_set t.tscratch 0 (now t +. checked_delay t delay);
+  Float.Array.unsafe_set t.hot time_slot (now t +. checked_delay t delay);
   rearm t handle f
 
 (* A re-armed cell's entry reached the root: move it to the cell's due
@@ -493,8 +508,8 @@ let reseat t idx =
   let due = Float.Array.unsafe_get t.cell_due idx in
   Float.Array.unsafe_set t.cell_htime idx due;
   Array.unsafe_set t.cell_hseq idx seq;
-  Float.Array.unsafe_set t.tscratch 0 due;
-  sift_down t.tscratch t.ct t.cm t.clen seq idx
+  Float.Array.unsafe_set t.hot time_slot due;
+  sift_down t.hot t.ct t.cm t.clen seq idx
 
 (* {2 Ports and lanes} *)
 
@@ -548,11 +563,11 @@ let[@inline] index_slot delay =
   (Int64.to_int (Int64.bits_of_float delay) * 0x1E3779B97F4A7C15) lsr (63 - index_bits)
 
 (* The lane for port [id]'s [schedule_port_after] with the delay in
-   [tscratch.(1)], when the port's cache missed: the shared lane for
+   the scratch delay, when the port's cache missed: the shared lane for
    that delay, created if there is room, else the port's own lane.  The
    answer enters the port's cache as its newest lane. *)
 let[@inline never] find_lane t id =
-  let delay = Float.Array.get t.tscratch 1 in
+  let delay = Float.Array.get t.hot delay_slot in
   if Array.length t.lane_index = 0 then t.lane_index <- Array.make index_slots (-1);
   let index = t.lane_index in
   (* The index is at most half full, so the probe ends at an empty slot. *)
@@ -594,7 +609,7 @@ let[@inline never] grow_lane q =
   q.qm <- qm;
   q.qh <- 0
 
-(* Append the event in [tscratch] for port [id], carrying [payload], to
+(* Append the event in the scratch time for port [id], carrying [payload], to
    [lane]; a lane that was empty puts its new head in the lane heap. *)
 let[@inline] append t lane id payload =
   let q = Array.unsafe_get t.lanes lane in
@@ -602,7 +617,7 @@ let[@inline] append t lane id payload =
   if n = Float.Array.length q.qt then grow_lane q;
   let slot = (q.qh + n) land (Float.Array.length q.qt - 1) in
   let seq = t.next_seq in
-  Float.Array.unsafe_set q.qt slot (Float.Array.unsafe_get t.tscratch 0);
+  Float.Array.unsafe_set q.qt slot (Float.Array.unsafe_get t.hot time_slot);
   Array.unsafe_set q.qm (3 * slot) seq;
   Array.unsafe_set q.qm ((3 * slot) + 1) id;
   Array.unsafe_set q.qm ((3 * slot) + 2) payload;
@@ -610,7 +625,7 @@ let[@inline] append t lane id payload =
   if n = 0 then push_lane t ~seq lane
 
 let[@inline never] port_out_of_order t id =
-  let time = Float.Array.unsafe_get t.tscratch 0 in
+  let time = Float.Array.unsafe_get t.hot time_slot in
   let last = Float.Array.unsafe_get t.port_last id in
   let msg =
     Printf.sprintf "Engine.schedule_port: time %g is before the port's pending event at %g" time
@@ -618,7 +633,7 @@ let[@inline never] port_out_of_order t id =
   in
   if Invariant.enabled () then begin
     Invariant.record ~rule:"port-fifo" ~time:(now t) msg;
-    Float.Array.unsafe_set t.tscratch 0 last
+    Float.Array.unsafe_set t.hot time_slot last
   end
   else invalid_arg msg
 
@@ -626,25 +641,25 @@ let[@inline] check_port t id =
   if id < 0 || id >= t.n_ports then
     invalid_arg "Engine.schedule_port: port is not registered on this engine"
 
-(* The event in [tscratch] is queued on [lane]; record it as the port's
+(* The event in the scratch time is queued on [lane]; record it as the port's
    latest and consume its seq. *)
 let[@inline] commit_port t lane id payload =
   append t lane id payload;
-  Float.Array.unsafe_set t.port_last id (Float.Array.unsafe_get t.tscratch 0);
+  Float.Array.unsafe_set t.port_last id (Float.Array.unsafe_get t.hot time_slot);
   t.next_seq <- t.next_seq + 1
 
 let[@inline] schedule_port_at t ~time id payload =
-  Float.Array.unsafe_set t.tscratch 0 (checked_time t time);
+  Float.Array.unsafe_set t.hot time_slot (checked_time t time);
   check_port t id;
-  if Float.Array.unsafe_get t.tscratch 0 < Float.Array.unsafe_get t.port_last id then
+  if Float.Array.unsafe_get t.hot time_slot < Float.Array.unsafe_get t.port_last id then
     port_out_of_order t id;
   commit_port t (own_lane t id) id payload
 
 let[@inline] schedule_port_after t ~delay id payload =
   let delay = checked_delay t delay in
-  Float.Array.unsafe_set t.tscratch 0 (now t +. delay);
+  Float.Array.unsafe_set t.hot time_slot (now t +. delay);
   check_port t id;
-  if Float.Array.unsafe_get t.tscratch 0 < Float.Array.unsafe_get t.port_last id then begin
+  if Float.Array.unsafe_get t.hot time_slot < Float.Array.unsafe_get t.port_last id then begin
     port_out_of_order t id;
     commit_port t (own_lane t id) id payload
   end
@@ -657,7 +672,7 @@ let[@inline] schedule_port_after t ~delay id payload =
         let l = older_lane cache in
         if l >= 0 && Float.Array.unsafe_get t.lane_delay l = delay then l
         else begin
-          Float.Array.unsafe_set t.tscratch 1 delay;
+          Float.Array.unsafe_set t.hot delay_slot delay;
           find_lane t id
         end
       end
@@ -699,11 +714,11 @@ let fire_lane t =
   q.qh <- h;
   if n = 0 then begin
     t.llen <- t.llen - 1;
-    refill_root t.tscratch t.lt t.lm t.llen
+    refill_root t.hot t.lt t.lm t.llen
   end
   else begin
-    Float.Array.unsafe_set t.tscratch 0 (Float.Array.unsafe_get q.qt h);
-    sift_down t.tscratch t.lt t.lm t.llen (Array.unsafe_get q.qm (3 * h)) lane
+    Float.Array.unsafe_set t.hot time_slot (Float.Array.unsafe_get q.qt h);
+    sift_down t.hot t.lt t.lm t.llen (Array.unsafe_get q.qm (3 * h)) lane
   end;
   if time < now t then record_nonmonotonic t time else set_clock t time;
   t.n_exec <- t.n_exec + 1;
@@ -720,13 +735,13 @@ let step_cell t =
   if Array.unsafe_get t.cell_hseq idx <> seq then begin
     (* cancelled *)
     t.clen <- t.clen - 1;
-    refill_root t.tscratch t.ct t.cm t.clen
+    refill_root t.hot t.ct t.cm t.clen
   end
   else if Array.unsafe_get t.cell_seq idx <> seq then reseat t idx
   else begin
     let action = Array.unsafe_get t.cell_act idx in
     t.clen <- t.clen - 1;
-    refill_root t.tscratch t.ct t.cm t.clen;
+    refill_root t.hot t.ct t.cm t.clen;
     consume t idx;
     if time < now t then record_nonmonotonic t time else set_clock t time;
     t.n_exec <- t.n_exec + 1;

@@ -22,6 +22,12 @@
     is byte-identical whatever the worker count: [run ~jobs:1] is the
     golden reference and [~jobs:n] must replay it exactly.
 
+    The same rule holds at the cache-line level: every per-island
+    block that a window writes on every event (the engine's clock and
+    scratch slots and its per-event counters, the packet pool's record)
+    keeps at least a cache line between its live words and any
+    neighbour, so two domains never write one line.
+
     The barrier blocks on a mutex/condition pair rather than spinning,
     so oversubscribed runs (more workers than cores) degrade gracefully
     instead of starving the island they wait for.
@@ -87,9 +93,11 @@ val run : ?jobs:int -> ?window_s:float -> until:float -> t -> unit
     [index mod jobs = worker]; ownership affects load balance only,
     never results.  [window_s] defaults to the minimum registered
     lookahead and must not exceed it.  When the {!Invariant} sanitizer
-    is armed the run is forced serial — the sanitizer's report buffer
-    is process-global and unsynchronized.  A worker exception aborts
-    the remaining windows and is re-raised after all domains join.
+    is armed the run is forced serial, so that its violations are
+    recorded in one replayable order: {!Invariant.record} is safe from
+    any domain, but across domains the order of its records would
+    depend on scheduling.  A worker exception aborts the remaining
+    windows and is re-raised after all domains join.
 
     Raises [Invalid_argument] on an empty coordinator, a non-finite or
     negative [until], [jobs < 1], or a [window_s] that is not positive

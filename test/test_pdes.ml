@@ -384,6 +384,59 @@ let test_parking_lot_cuts_conserve_packets () =
   done;
   Alcotest.(check bool) "the cuts carried traffic" true (!crossed > 0)
 
+(* {2 Cache-line isolation}
+
+   Islands on different domains must never write one cache line.  The
+   engine's clock and scratch slots and the packet pool's record are
+   written on every event, and the padding around them reads as unused,
+   so this pins it through the runtime representation: at least a
+   line's worth of words on each side of the live ones. *)
+
+let line_words = 8
+
+(* Unused words before the first and after the last of the [n] words
+   that [live] picks out. *)
+let margins ~live n =
+  let first = ref n and last = ref (-1) in
+  for i = 0 to n - 1 do
+    if live i then begin
+      if !first = n then first := i;
+      last := i
+    end
+  done;
+  (!first, n - 1 - !last)
+
+let test_island_blocks_padded () =
+  let check_margins what (before, after) =
+    Alcotest.(check bool) (what ^ ": a line before the live words") true (before >= line_words);
+    Alcotest.(check bool) (what ^ ": a line after the live words") true (after >= line_words)
+  in
+  (* Nonzero values in all three live slots: the clock (5), the scratch
+     time and the scratch delay (0.5, through a lane lookup). *)
+  let engine = Engine.create () in
+  Engine.run ~until:5. engine;
+  ignore (Engine.schedule_at engine ~time:7. ignore);
+  Engine.schedule_port_after engine ~delay:0.5 (Engine.port engine ignore) 0;
+  let r = Obj.repr engine in
+  let holds_clock f =
+    Obj.is_block f
+    && Obj.tag f = Obj.double_array_tag
+    && List.exists (fun i -> Float.equal (Obj.double_field f i) 5.) (List.init (Obj.size f) Fun.id)
+  in
+  (match List.filter holds_clock (List.init (Obj.size r) (Obj.field r)) with
+  | [ hot ] ->
+    let live i = not (Float.equal (Obj.double_field hot i) 0.) in
+    check_margins "engine hot block" (margins ~live (Obj.size hot))
+  | blocks -> Alcotest.failf "%d float blocks hold the clock, expected one" (List.length blocks));
+  (* An acquire makes every live field nonzero: the four slab pointers,
+     the free-list length, the live count and the high-water mark. *)
+  let pool = Packet.create_pool () in
+  let pkt = Packet.acquire_data pool ~flow:1 ~src:0 ~dst:1 ~seq:0 ~now:0. ~retransmit:false in
+  let r = Obj.repr pool in
+  let live i = Obj.is_block (Obj.field r i) || Obj.field r i != Obj.repr 0 in
+  check_margins "packet pool" (margins ~live (Obj.size r));
+  Packet.release pool pkt
+
 let suite =
   [
     Alcotest.test_case "run validation" `Quick test_run_validation;
@@ -397,4 +450,6 @@ let suite =
       test_zoo_wan_partitioned_determinism;
     Alcotest.test_case "partitioned parking lot conserves packets on every cut" `Quick
       test_parking_lot_cuts_conserve_packets;
+    Alcotest.test_case "island hot blocks are padded a cache line apart" `Quick
+      test_island_blocks_padded;
   ]
